@@ -160,8 +160,11 @@ def _parse_word(fp: freeword.FreeProduct, text: str) -> List[freeword.Letter]:
 
 
 def _load_model_file(path: str) -> List[freeword.Leg]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read model file {path!r}: {exc.strerror or exc}") from None
     return freeword.legs_from_model_dict(doc)
 
 
@@ -214,7 +217,7 @@ def cmd_free_check(args) -> int:
     if model not in _HARNESS_DEFAULT_LEN:
         raise CliError(f"unknown model {model!r}; choose from "
                        f"{sorted(_HARNESS_DEFAULT_LEN)}")
-    max_len = args.max_len if args.max_len else _HARNESS_DEFAULT_LEN[model]
+    max_len = args.max_len if args.max_len is not None else _HARNESS_DEFAULT_LEN[model]
     extra = _load_model_file(args.model_file) if args.model_file else []
     mm = matmodel.MatrixModel(freeword.standard_model(extra))
     if model == "sum":
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("free-check", help="run a freeness harness")
     p.add_argument("--model", required=True,
                    help="one of PQ, UX, PX, UQ, sum, matrix")
-    p.add_argument("--max-len", type=int, default=0)
+    p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--model-file", help="JSON leg declarations")
     p.set_defaults(fn=cmd_free_check)
 

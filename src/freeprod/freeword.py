@@ -9,11 +9,15 @@ coefficients in Q[L] (L = 1/pi).
 
 Two independent trace algorithms are provided and cross-checked:
 
-* ``trace_word`` - recursive centering.  Writing each letter x as
-  (x - tr(x)) + tr(x), the product of the fully centered letters has trace
-  zero by freeness, and every other expansion term drops at least one
-  letter, renormalizes, and is strictly shorter.  Memoized on the
-  canonical word.
+* ``trace_word`` - a fold over the centered basis.  Each letter x is
+  written as tr(x) plus a combination of centered basis letters b - tr(b),
+  and the centered letters are appended one at a time to a combination of
+  reduced words, a per-leg product table merging same-leg neighbours.  By
+  freeness every nonempty reduced word of centered letters has trace zero
+  (Voiculescu's reduced free product), so the trace is the coefficient of
+  the empty word.  An append shortens a word by at most one letter, so
+  words longer than the letters still to come are dropped on the way.
+  Memoized on the word.
 
 * ``trace_bipartite`` - the non-crossing partition formula for a word
   alternating between two free families: the sum over pi in NC(n) of the
@@ -57,6 +61,13 @@ class UnknownNameError(KeyError):
 
 
 class Leg:
+    """One free factor.  Subclasses supply the leg's algebra on letters:
+    ``mul`` (the in-leg product of two letters), ``trace``, and ``split``
+    (the letter over the leg's linear basis, as (coefficient, basis letter)
+    pairs with ``None`` standing for the identity).  Words over basis
+    letters form a linear basis of the free product, so combinations built
+    from them cancel exactly."""
+
     kind = "abstract"
 
     def __init__(self, leg_id: str):
@@ -65,10 +76,33 @@ class Leg:
     def __repr__(self):
         return f"{type(self).__name__}({self.id!r})"
 
+    def center(self, letter) -> Tuple[PiValue, List[Tuple[PiValue, "Letter"]]]:
+        """``(tr x, [(q, b), ...])`` with x = tr x + sum of q (b - tr b):
+        the trace of the letter plus its centered basis letters, each basis
+        letter b standing for b - tr b."""
+        parts = [(PiValue.of(q), b) for q, b in self.split(letter) if b is not None]
+        return self.trace(letter), parts
+
+    def centered_mul(self, a, b) -> Tuple[PiValue, List[Tuple[PiValue, "Letter"]]]:
+        """The product table of the centered basis: (a - tr a)(b - tr b) for
+        basis letters a, b, as a scalar plus centered basis letters,
+
+            sum r_key key^ - tr(b) a^ - tr(a) b^ + (tr(ab) - tr(a) tr(b))
+
+        where ab = sum r_key key and ^ denotes centering."""
+        ta, tb = self.trace(a), self.trace(b)
+        tab, parts = self.center(self.mul(a, b))
+        coeffs = {basis: q for q, basis in parts}
+        for basis, t in ((a, tb), (b, ta)):
+            if not t.is_zero():
+                coeffs[basis] = coeffs.get(basis, PI_ZERO) - t
+        return tab - ta * tb, [(q, basis) for basis, q in coeffs.items() if not q.is_zero()]
+
 
 class TrigLeg(Leg):
     """The interval algebra of exact trig polynomials with trace
-    (2/pi) * integral over [0, pi/2]."""
+    (2/pi) * integral over [0, pi/2].  Basis letters are single cos/sin
+    terms with unit coefficient."""
 
     kind = "trig"
 
@@ -81,19 +115,46 @@ class TrigLeg(Leg):
     def s(self, k: int = 1) -> "TrigLetter":
         return TrigLetter(self.id, TrigPoly.sin(k))
 
+    def mul(self, a: "TrigLetter", b: "TrigLetter") -> "TrigLetter":
+        return TrigLetter(self.id, a.poly * b.poly)
+
+    def trace(self, letter: "TrigLetter") -> PiValue:
+        return trigalg.trace(letter.poly)
+
+    def split(self, letter: "TrigLetter"):
+        out: List[Tuple[Fraction, Optional[Letter]]] = []
+        for (kind, k), q in letter.poly.items():
+            if kind == "c" and k == 0:
+                out.append((q, None))
+            else:
+                out.append((q, TrigLetter(self.id, TrigPoly({(kind, k): 1}))))
+        return out
+
 
 class HaarLeg(Leg):
-    """One Haar unitary: tr(w^k) = 1 if k = 0 else 0."""
+    """One Haar unitary: tr(w^k) = 1 if k = 0 else 0.  Basis letters are
+    the nonzero powers."""
 
     kind = "haar"
 
     def gen(self, power: int = 1) -> "HaarLetter":
         return HaarLetter(self.id, power)
 
+    def mul(self, a: "HaarLetter", b: "HaarLetter") -> "HaarLetter":
+        return HaarLetter(self.id, a.power + b.power)
+
+    def trace(self, letter: "HaarLetter") -> PiValue:
+        return PI_ONE if letter.power == 0 else PI_ZERO
+
+    def split(self, letter: "HaarLetter"):
+        return [(Fraction(1), None if letter.power == 0 else letter)]
+
 
 class FiniteCommLeg(Leg):
     """m commuting atoms with uniform weights 1/m; elements are rational
-    m-vectors, the trace is the mean of the entries."""
+    m-vectors, the trace is the mean of the entries.  Basis letters are the
+    centered atom indicators e_i - 1/m (i = 2..m), which keeps them
+    trace-free."""
 
     kind = "finite_comm"
 
@@ -122,6 +183,27 @@ class FiniteCommLeg(Leg):
         if name not in self.elements:
             raise UnknownNameError(f"no element {name!r} in leg {self.id!r}")
         return CommLetter(self.id, self.elements[name])
+
+    def mul(self, a: "CommLetter", b: "CommLetter") -> "CommLetter":
+        return CommLetter(self.id, tuple(x * y for x, y in zip(a.vec, b.vec)))
+
+    def trace(self, letter: "CommLetter") -> PiValue:
+        return PiValue.of(sum(letter.vec, Fraction(0)) / len(letter.vec))
+
+    def split(self, letter: "CommLetter"):
+        vec = letter.vec
+        m = len(vec)
+        mean = sum(vec, Fraction(0)) / m
+        out: List[Tuple[Fraction, Optional[Letter]]] = []
+        if mean:
+            out.append((mean, None))
+        base = Fraction(-1, m)
+        for i in range(1, m):
+            q = vec[i] - vec[0]
+            if q:
+                centered = tuple(base + 1 if j == i else base for j in range(m))
+                out.append((q, CommLetter(self.id, centered)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +382,11 @@ class FreeProduct:
             self.legs[leg.id] = leg
         self._tr_memo: Dict[Word, PiValue] = {}
         self._cum_memo: Dict[Tuple[Letter, ...], PiValue] = {}
+        # the centered basis met so far, interned to ids, and its tables
+        self._basis: List[Letter] = []
+        self._basis_ids: Dict[Letter, int] = {}
+        self._centered: Dict[Letter, tuple] = {}
+        self._products: Dict[Tuple[int, int], tuple] = {}
 
     def add_leg(self, leg: Leg) -> Leg:
         if leg.id in self.legs:
@@ -360,90 +447,34 @@ class FreeProduct:
 
     def _append_letter(self, out: Dict[Word, PiValue], word: Word, coeff: PiValue,
                        letter: Letter) -> None:
+        leg = self.leg(letter.leg)
         if word and word[-1].leg == letter.leg:
-            merged = self._merge(word[-1], letter)
+            merged = leg.mul(word[-1], letter)
             base = word[:-1]
         else:
             merged = letter
             base = word
-        for scale, reduced in self._split(merged):
+        for scale, reduced in leg.split(merged):
             w2 = base if reduced is None else base + (reduced,)
             cur = out.get(w2)
             add = coeff * scale
             out[w2] = add if cur is None else cur + add
 
-    def _merge(self, a: Letter, b: Letter) -> Letter:
-        if isinstance(a, TrigLetter) and isinstance(b, TrigLetter):
-            return TrigLetter(a.leg, a.poly * b.poly)
-        if isinstance(a, HaarLetter) and isinstance(b, HaarLetter):
-            return HaarLetter(a.leg, a.power + b.power)
-        if isinstance(a, CommLetter) and isinstance(b, CommLetter):
-            return CommLetter(a.leg, tuple(x * y for x, y in zip(a.vec, b.vec)))
-        raise TypeError(f"cannot merge letters {a!r} and {b!r}")
-
-    @staticmethod
-    def _split(letter: Letter) -> List[Tuple[Fraction, Optional[Letter]]]:
-        """Decompose a payload over the leg's linear basis.
-
-        Returns (coefficient, basis letter) pairs, with ``None`` standing
-        for the identity.  Basis letters are: single cos/sin terms with
-        unit coefficient for the trig leg, nonzero powers for a Haar leg,
-        and the centered atom indicators e_i - 1/m (i = 2..m) for a finite
-        commutative leg, which keeps commutative basis letters trace-free.
-        Words over basis letters form a linear basis of the free product,
-        so combinations built from them cancel exactly.
-        """
-        one = Fraction(1)
-        if isinstance(letter, TrigLetter):
-            out: List[Tuple[Fraction, Optional[Letter]]] = []
-            for (kind, k), q in letter.poly.items():
-                if kind == "c" and k == 0:
-                    out.append((q, None))
-                else:
-                    out.append((q, TrigLetter(letter.leg, TrigPoly({(kind, k): 1}))))
-            return out
-        if isinstance(letter, HaarLetter):
-            if letter.power == 0:
-                return [(one, None)]
-            return [(one, letter)]
-        if isinstance(letter, CommLetter):
-            vec = letter.vec
-            m = len(vec)
-            mean = sum(vec, Fraction(0)) / m
-            out = []
-            if mean:
-                out.append((mean, None))
-            base = Fraction(-1, m)
-            for i in range(1, m):
-                q = vec[i] - vec[0]
-                if q:
-                    centered = tuple(
-                        base + 1 if j == i else base for j in range(m))
-                    out.append((q, CommLetter(letter.leg, centered)))
-            return out
-        raise TypeError(f"not a letter: {letter!r}")
-
     # -- letter/leg oracles --------------------------------------------------
 
     def letter_trace(self, letter: Letter) -> PiValue:
-        if isinstance(letter, TrigLetter):
-            return trigalg.trace(letter.poly)
-        if isinstance(letter, HaarLetter):
-            return PI_ONE if letter.power == 0 else PI_ZERO
-        if isinstance(letter, CommLetter):
-            m = len(letter.vec)
-            return PiValue.of(sum(letter.vec, Fraction(0)) / m)
-        raise TypeError(f"not a letter: {letter!r}")
+        return self.leg(letter.leg).trace(letter)
 
     def leg_moment(self, letters: Tuple[Letter, ...]) -> PiValue:
         """Trace of the ordered in-leg product of same-leg letters."""
         legs = {l.leg for l in letters}
         if len(legs) != 1:
             raise ValueError("moment tuple must come from a single leg")
+        leg = self.leg(letters[0].leg)
         combined = letters[0]
         for letter in letters[1:]:
-            combined = self._merge(combined, letter)
-        return self.letter_trace(combined)
+            combined = leg.mul(combined, letter)
+        return leg.trace(combined)
 
     def leg_cumulant(self, letters: Tuple[Letter, ...]) -> PiValue:
         """Free cumulant of same-leg letters, by the NC(n) recursion."""
@@ -470,10 +501,18 @@ class FreeProduct:
         self._cum_memo[letters] = result
         return result
 
-    # -- trace by centering recursion ----------------------------------------
+    # -- trace by a fold over the centered basis -------------------------------
 
     def trace_word(self, word: Word) -> PiValue:
-        """Exact trace of an alternating word, by recursive centering."""
+        """Exact trace of an alternating word, by a fold over the centered
+        basis.
+
+        The letters are appended left to right to a combination of reduced
+        words of centered basis letters; a same-leg neighbour is merged by
+        the leg's product table.  Nonempty reduced words have trace zero by
+        freeness, so the trace is the coefficient of the empty word.  A word
+        longer than the letters still to come can no longer reach the empty
+        word and is dropped."""
         word = tuple(word)
         for a, b in zip(word, word[1:]):
             if a.leg == b.leg:
@@ -481,48 +520,71 @@ class FreeProduct:
         return self._trace_word(word)
 
     def _trace_word(self, word: Word) -> PiValue:
-        cached = self._tr_memo.get(word)
-        if cached is not None:
-            return cached
         n = len(word)
         if n > MAX_WORD_LETTERS:
             raise EvaluationLimitError(f"word length {n} exceeds {MAX_WORD_LETTERS}")
-        if n == 0:
-            result = PI_ONE
-        elif n == 1:
-            result = self.letter_trace(word[0])
-        else:
-            traces = [self.letter_trace(l) for l in word]
-            nonzero = [i for i, t in enumerate(traces) if not t.is_zero()]
-            if not nonzero:
-                # alternating product of centered letters from free legs
-                result = PI_ZERO
-            else:
-                # 0 = tr(prod of (x_i - t_i)); expanding and solving for the
-                # full word, every surviving term deletes a nonempty subset
-                # of the positions with nonzero trace.
-                agg: Dict[Word, PiValue] = {}
-                k = len(nonzero)
-                for mask in range(1, 1 << k):
-                    factor = PI_ONE
-                    drop = set()
-                    for bit in range(k):
-                        if mask & (1 << bit):
-                            i = nonzero[bit]
-                            drop.add(i)
-                            factor = factor * (-traces[i])
-                    rest = [l for i, l in enumerate(word) if i not in drop]
-                    sub = self.normalize(rest, coeff=factor)
-                    for w, c in sub._terms.items():
-                        cur = agg.get(w)
-                        agg[w] = c if cur is None else cur + c
-                total = PI_ZERO
-                for w, c in agg.items():
-                    if not c.is_zero():
-                        total = total + c * self._trace_word(w)
-                result = -total
+        cached = self._tr_memo.get(word)
+        if cached is not None:
+            return cached
+        basis = self._basis
+        # reduced words of centered basis letters, as tuples of basis ids
+        acc: Dict[Tuple[int, ...], PiValue] = {(): PI_ONE}
+        for i, letter in enumerate(word):
+            room = n - 1 - i  # letters still to come
+            scalar, parts = self._center(letter)
+            nxt: Dict[Tuple[int, ...], PiValue] = {}
+            for w, c in acc.items():
+                size = len(w)
+                if scalar is not None and size <= room:
+                    _accumulate(nxt, w, c * scalar)
+                last_leg = basis[w[-1]].leg if w else None
+                for b, q in parts:
+                    if basis[b].leg == last_leg:
+                        s, prod = self._centered_product(w[-1], b)
+                        cq = c * q
+                        base = w[:-1]
+                        if s is not None:
+                            _accumulate(nxt, base, cq * s)
+                        if size <= room:
+                            for b2, r in prod:
+                                _accumulate(nxt, base + (b2,), cq * r)
+                    elif size < room:
+                        _accumulate(nxt, w + (b,), c * q)
+            acc = {w: c for w, c in nxt.items() if not c.is_zero()}
+            if not acc:
+                break
+        result = acc.get((), PI_ZERO)
         self._tr_memo[word] = result
         return result
+
+    def _basis_id(self, letter: Letter) -> int:
+        i = self._basis_ids.get(letter)
+        if i is None:
+            i = self._basis_ids[letter] = len(self._basis)
+            self._basis.append(letter)
+        return i
+
+    def _center(self, letter: Letter):
+        """Memoized ``Leg.center`` over basis ids; a zero trace is None."""
+        got = self._centered.get(letter)
+        if got is None:
+            t, parts = self.leg(letter.leg).center(letter)
+            got = (None if t.is_zero() else t,
+                   tuple((self._basis_id(b), q) for q, b in parts))
+            self._centered[letter] = got
+        return got
+
+    def _centered_product(self, a: int, b: int):
+        """Memoized ``Leg.centered_mul`` over basis ids; a zero scalar is
+        None."""
+        got = self._products.get((a, b))
+        if got is None:
+            la, lb = self._basis[a], self._basis[b]
+            s, parts = self.leg(la.leg).centered_mul(la, lb)
+            got = (None if s.is_zero() else s,
+                   tuple((self._basis_id(l), q) for q, l in parts))
+            self._products[(a, b)] = got
+        return got
 
     def trace(self, nc: NCPoly) -> PiValue:
         """Linear extension of the word trace to combinations."""
@@ -627,6 +689,11 @@ class FreeProduct:
                 "cumulant side"
             )
         return self.leg_moment(letters)
+
+
+def _accumulate(d: dict, key, value: PiValue) -> None:
+    cur = d.get(key)
+    d[key] = value if cur is None else cur + value
 
 
 _KREWERAS_CACHE: Dict[NCPartition, NCPartition] = {}
@@ -776,7 +843,11 @@ def legs_from_model_dict(doc: dict) -> List[Leg]:
         if not leg_id or not isinstance(leg_id, str):
             raise ValueError("leg declaration needs a string 'id'")
         if kind == "finite_comm":
-            leg = FiniteCommLeg(leg_id, int(decl["m"]))
+            m = decl.get("m")
+            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+                raise ValueError(
+                    f"finite_comm leg {leg_id!r} needs an integer 'm' >= 1, got {m!r}")
+            leg = FiniteCommLeg(leg_id, m)
             for name, vec in decl.get("elements", {}).items():
                 leg.add_element(name, vec)
             legs.append(leg)

@@ -93,14 +93,6 @@ class Mat2:
             (a[0][1].adjoint(), a[1][1].adjoint()),
         ))
 
-    def power(self, n: int) -> "Mat2":
-        if n < 0:
-            raise ValueError("nonnegative powers only")
-        out = Mat2.identity(self.fp)
-        for _ in range(n):
-            out = out @ self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -254,6 +246,8 @@ class MatrixModel:
         Precondition: every generator is centered (Tr = 0) - violations
         raise rather than report.
         """
+        if max_len < 1:
+            raise ValueError("max_len must be at least 1")
         for name, g in list(gen_a) + list(gen_b):
             if not g.Tr().is_zero():
                 raise ValueError(f"generator {name} is not centered: Tr = {g.Tr()}")

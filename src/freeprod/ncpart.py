@@ -170,13 +170,6 @@ def enumerate_nc(n: int) -> List[NCPartition]:
     return out
 
 
-def _union_noncrossing(p: NCPartition, primed_blocks: Blocks) -> bool:
-    # p lives on odd interleaved positions 2i-1, primed blocks on even 2i.
-    combined = [tuple(2 * x - 1 for x in b) for b in p.blocks]
-    combined += [tuple(2 * x for x in b) for b in primed_blocks]
-    return not _has_crossing(tuple(combined))
-
-
 def kreweras(p: NCPartition) -> NCPartition:
     """Kreweras complement via the interleaving definition.
 

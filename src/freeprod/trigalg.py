@@ -59,9 +59,6 @@ class PiValue:
     def items(self):
         return iter(self._key)
 
-    def degree(self) -> int:
-        return max(self._coeffs) if self._coeffs else 0
-
     def __add__(self, other):
         other = _as_pi(other)
         d = dict(self._coeffs)
@@ -183,16 +180,6 @@ class TrigPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_constant(self) -> bool:
-        return all(kind == "c" and k == 0 for (kind, k) in self._terms)
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get(("c", 0), Fraction(0))
-
-    def without_constant(self) -> "TrigPoly":
-        d = {key: q for key, q in self._terms.items() if key != ("c", 0)}
-        return TrigPoly(d)
 
     def items(self):
         return iter(self._key)

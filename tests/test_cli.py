@@ -7,20 +7,35 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, expect=0):
+def _run(args, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "freeprod.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_cli(*args, expect=0, timeout=None):
+    proc = _run(args, timeout)
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc.stdout
+
+
+def run_cli_error(*args):
+    """Run an invocation that must exit 2 at once with one error line and
+    no traceback; return that line."""
+    proc = _run(args, timeout=30)
+    assert proc.returncode == 2, (proc.returncode, proc.stdout, proc.stderr)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
 
 
 def test_nc_enum_count():
@@ -73,6 +88,14 @@ def test_trace_trig_expression_letters():
     assert "agree: yes" in out
 
 
+def test_trace_long_word_within_budget():
+    # 12 pairs of c u: u^12 is unbalanced, so the trace vanishes
+    start = time.perf_counter()
+    out = run_cli("trace", "--word", " ".join(["c u"] * 12), timeout=60)
+    assert "exact: 0\n" in out
+    assert time.perf_counter() - start < 5.0
+
+
 def test_trace_scalar_letter():
     out = run_cli("trace", "--word", "1/2 c u c u*")
     assert "exact: 2*L^2" in out
@@ -120,6 +143,12 @@ def test_free_check_unknown_model_exit_2():
     run_cli("free-check", "--model", "ZZ", expect=2)
 
 
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+def test_free_check_bad_max_len_exit_2(max_len):
+    line = run_cli_error("free-check", "--model", "PQ", "--max-len", max_len)
+    assert "max_len" in line
+
+
 def test_tables_example61():
     out = run_cli("tables", "--table", "example61", "--n-max", "3")
     assert out.strip().endswith("0 failures")
@@ -140,6 +169,23 @@ def test_model_file_trace(tmp_path):
     assert out["exact"] == "0"
     out2 = run_cli("trace", "--word", "d{g} d{g}", "--model-file", str(path))
     assert "exact: 1" in out2
+
+
+def test_missing_model_file_exit_2(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    line = run_cli_error("trace", "--word", "c u", "--model-file", missing)
+    assert "missing.json" in line
+
+
+@pytest.mark.parametrize("m", [None, "two", 0])
+def test_model_file_bad_m_exit_2(tmp_path, m):
+    leg = {"id": "D", "kind": "finite_comm", "elements": {}}
+    if m is not None:
+        leg["m"] = m
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"legs": [leg]}), encoding="utf-8")
+    line = run_cli_error("trace", "--word", "c u", "--model-file", str(path))
+    assert "'D'" in line
 
 
 GOLDEN_INVOCATIONS = [

@@ -1,4 +1,4 @@
-"""Word traces in the free product: the centering recursion against the
+"""Word traces in the free product: the centered-basis fold against the
 partition-formula evaluator, moment/cumulant transforms, and the Haar
 letter filter.
 
@@ -31,7 +31,7 @@ from freeprod.freeword import (
 from freeprod.ncpart import NCPartition
 from freeprod.trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly
 
-from wordgen import model_with_comm, rand_letters, rand_word
+from wordgen import model_with_comm, rand_balanced_letters, rand_letters, rand_word
 
 
 @pytest.fixture()
@@ -83,7 +83,7 @@ def test_adjoint_reverses_and_inverts(fp):
     assert adj == fp.normalize([f.s(), u.gen(-2), f.c()])
 
 
-# -- trace by centering ----------------------------------------------------------
+# -- trace by the centered-basis fold --------------------------------------------
 
 
 def test_trace_single_letters(fp):
@@ -244,6 +244,22 @@ def test_bipartite_agrees_with_centering(fp, seed):
     assert fp.trace_bipartite(w, f1) == fp.trace_word(w)
 
 
+def test_long_words_agree_with_bipartite(fp):
+    """Words of 10-16 letters, where the fold drops words that can no
+    longer reach the empty word: the raw letter sequence through both
+    evaluators, and through normalization followed by ``trace``."""
+    nonzero = 0
+    for seed in range(24):
+        rng = random.Random(6000 + seed)
+        letters = tuple(rand_balanced_letters(fp, rng, 10, 16))
+        f1 = [i for i, l in enumerate(letters) if not isinstance(l, TrigLetter)]
+        want = fp.trace_bipartite(letters, f1)
+        assert fp.trace_word(letters) == want, seed
+        assert fp.trace(fp.normalize(letters)) == want, seed
+        nonzero += want != PI_ZERO
+    assert nonzero >= 6  # the check is not carried by vanishing traces
+
+
 # -- R-diagonal filter --------------------------------------------------------------
 
 
@@ -295,6 +311,15 @@ def test_legs_from_model_dict():
     assert legs[1].kind == "haar"
     with pytest.raises(ValueError):
         legs_from_model_dict({"legs": [{"id": "q", "kind": "mystery"}]})
+
+
+@pytest.mark.parametrize("m", [None, "2", 2.5, True, 0, -1])
+def test_legs_from_model_dict_rejects_bad_m(m):
+    decl = {"id": "D", "kind": "finite_comm", "elements": {}}
+    if m is not None:
+        decl["m"] = m
+    with pytest.raises(ValueError, match="'D'"):
+        legs_from_model_dict({"legs": [decl]})
 
 
 def test_comm_leg_trace_is_uniform_average():

@@ -146,6 +146,13 @@ def test_uncentered_generator_rejected(mm):
         mm.check_freeness([("P", mm.P)], [("Q", mm.Q)], 2)
 
 
+def test_freeness_length_guard(mm):
+    gen_a, gen_b, offdiag = mm.generators("PQ")
+    for max_len in (0, -1):
+        with pytest.raises(ValueError):
+            mm.check_freeness(gen_a, gen_b, max_len, "PQ", offdiag)
+
+
 def test_unknown_harness(mm):
     with pytest.raises(ValueError):
         mm.generators("XY")

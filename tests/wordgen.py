@@ -58,3 +58,31 @@ def rand_word(fp: FreeProduct, rng: random.Random, max_len: int,
         words = [w for w, _ in terms if w]
         if words:
             return rng.choice(words)
+
+
+def rand_balanced_letters(fp: FreeProduct, rng: random.Random, min_len: int,
+                          max_len: int):
+    """A raw letter sequence of length min_len..max_len alternating between
+    the trig leg and the other legs, whose Haar letters come in pairs
+    u^k ... u^-k, so that a fair share of the traces does not vanish."""
+    n = rng.randint(min_len, max_len)
+    use_trig = rng.random() < 0.5
+    n_other = n // 2 if use_trig else (n + 1) // 2
+    others = []
+    while len(others) < n_other:
+        if n_other - len(others) >= 2 and rng.random() < 0.4:
+            leg = fp.leg(rng.choice(["u", "v"]))
+            k = rng.choice([1, 1, 2])
+            i = rng.randint(0, len(others))
+            j = rng.randint(i, len(others))
+            others.insert(j, leg.gen(-k))
+            others.insert(i, leg.gen(k))
+        else:
+            leg = fp.leg(rng.choice(["A", "B"]))
+            others.append(leg.element(rng.choice(sorted(leg.elements))))
+    rest = iter(others)
+    letters = []
+    for _ in range(n):
+        letters.append(fp.leg("f").letter(rand_trig(rng)) if use_trig else next(rest))
+        use_trig = not use_trig
+    return letters
