@@ -24,9 +24,9 @@ Two independent trace algorithms are provided and cross-checked:
   partitioned cumulant of the first family times the partitioned trace of
   the second family over the Kreweras complement of pi.
 
-Free cumulants are obtained from moments by the NC(n) recursion
-k_n = m_n - sum over pi != 1_n of k_pi, with k_pi multiplicative over
-blocks; mixed cumulants across distinct legs vanish.
+Free cumulants are obtained from moments by inverting m_n = sum over pi in
+NC(n) of k_pi, with k_pi multiplicative over blocks, through the block that
+holds the first element; mixed cumulants across distinct legs vanish.
 """
 
 from __future__ import annotations
@@ -381,7 +381,8 @@ class FreeProduct:
                 raise ValueError(f"duplicate leg id {leg.id!r}")
             self.legs[leg.id] = leg
         self._tr_memo: Dict[Word, PiValue] = {}
-        self._cum_memo: Dict[Tuple[Letter, ...], PiValue] = {}
+        # free cumulants of same-leg letter tuples, memoized per instance
+        self._cumulant = moments_to_cumulants(self.leg_moment)
         # the centered basis met so far, interned to ids, and its tables
         self._basis: List[Letter] = []
         self._basis_ids: Dict[Letter, int] = {}
@@ -477,29 +478,9 @@ class FreeProduct:
         return leg.trace(combined)
 
     def leg_cumulant(self, letters: Tuple[Letter, ...]) -> PiValue:
-        """Free cumulant of same-leg letters, by the NC(n) recursion."""
-        letters = tuple(letters)
-        cached = self._cum_memo.get(letters)
-        if cached is not None:
-            return cached
-        n = len(letters)
-        if n > MAX_CUMULANT_N:
-            raise EvaluationLimitError(f"cumulant length {n} exceeds {MAX_CUMULANT_N}")
-        if n == 1:
-            result = self.leg_moment(letters)
-        else:
-            result = self.leg_moment(letters)
-            for p in enumerate_nc(n):
-                if len(p.blocks) == 1:
-                    continue
-                prod = PI_ONE
-                for block in p.blocks:
-                    prod = prod * self.leg_cumulant(tuple(letters[i - 1] for i in block))
-                    if prod.is_zero():
-                        break
-                result = result - prod
-        self._cum_memo[letters] = result
-        return result
+        """Free cumulant of same-leg letters, by ``moments_to_cumulants``
+        over ``leg_moment``."""
+        return self._cumulant(tuple(letters))
 
     # -- trace by a fold over the centered basis -------------------------------
 
@@ -656,7 +637,7 @@ class FreeProduct:
                     break
             if kappa.is_zero():
                 continue
-            comp = _kreweras_cached(p)
+            comp = kreweras(p)
             tau = PI_ONE
             for block in comp.blocks:
                 tau = tau * self._trace_block(tuple(ys[i - 1] for i in block))
@@ -696,17 +677,6 @@ def _accumulate(d: dict, key, value: PiValue) -> None:
     d[key] = value if cur is None else cur + value
 
 
-_KREWERAS_CACHE: Dict[NCPartition, NCPartition] = {}
-
-
-def _kreweras_cached(p: NCPartition) -> NCPartition:
-    got = _KREWERAS_CACHE.get(p)
-    if got is None:
-        got = kreweras(p)
-        _KREWERAS_CACHE[p] = got
-    return got
-
-
 # ---------------------------------------------------------------------------
 # Generic moment/cumulant transforms
 
@@ -714,8 +684,18 @@ def _kreweras_cached(p: NCPartition) -> NCPartition:
 def moments_to_cumulants(moment: Callable[[tuple], object]) -> Callable[[tuple], object]:
     """Turn a moment functional on tuples into its free cumulant functional.
 
-    k_n(x_1..x_n) = m_n(x_1..x_n) - sum over pi in NC(n), pi != 1_n, of the
-    product over blocks B of k_{|B|}(x restricted to B).
+    The moment-cumulant formula m_n = sum over pi in NC(n) of k_pi is
+    inverted through the block V of pi that holds 1: the rest of pi is any
+    non-crossing partition of each gap V leaves (the runs between
+    consecutive elements of V and after its last one), and those sum to the
+    gaps' moments.  Hence
+
+        k_n(x) = m_n(x) - sum over V containing 1, V != {1..n}, of
+                 k_{|V|}(x_V) * product over gaps G of m(x_G),
+
+    2^(n-1) - 1 terms instead of |NC(n)| - 1 block products.  Values may be
+    any ring elements that are falsy at zero; a term stops at its first
+    zero factor.  Memoized per returned functional.
     """
     memo: dict = {}
 
@@ -729,14 +709,16 @@ def moments_to_cumulants(moment: Callable[[tuple], object]) -> Callable[[tuple],
         if n > MAX_CUMULANT_N:
             raise EvaluationLimitError(f"cumulant length {n} exceeds {MAX_CUMULANT_N}")
         result = moment(xs)
-        if n > 1:
-            for p in enumerate_nc(n):
-                if len(p.blocks) == 1:
-                    continue
-                prod = None
-                for block in p.blocks:
-                    val = cumulant(tuple(xs[i - 1] for i in block))
-                    prod = val if prod is None else prod * val
+        # bit i-1 of mask puts position i in V; the full mask is 1_n itself
+        for mask in range((1 << (n - 1)) - 1):
+            block = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1]
+            prod = cumulant(tuple(xs[i] for i in block))
+            for a, b in zip(block, block[1:] + [n]):
+                if not prod:
+                    break
+                if b - a > 1:
+                    prod = prod * moment(xs[a + 1:b])
+            if prod:
                 result = result - prod
         memo[xs] = result
         return result
@@ -833,23 +815,43 @@ def standard_model(extra_legs: Iterable[Leg] = ()) -> FreeProduct:
 
 
 def legs_from_model_dict(doc: dict) -> List[Leg]:
-    """Parse the JSON model document: a ``legs`` array of declarations with
-    ``kind`` in {"finite_comm", "haar"}; finite_comm legs carry ``m`` and a
-    map of named rational vectors."""
+    """Parse the JSON model document: an object whose ``legs`` array holds
+    declaration objects with ``kind`` in {"finite_comm", "haar"};
+    finite_comm legs carry ``m`` and an object of named rational vectors.
+    A document of the wrong shape raises ``ValueError`` naming the leg."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
+    decls = doc.get("legs", [])
+    if not isinstance(decls, list):
+        raise ValueError(f"model 'legs' must be a JSON array, got {type(decls).__name__}")
     legs: List[Leg] = []
-    for decl in doc.get("legs", []):
+    for pos, decl in enumerate(decls):
+        if not isinstance(decl, dict):
+            raise ValueError(f"leg #{pos} must be a JSON object, got {type(decl).__name__}")
         kind = decl.get("kind")
         leg_id = decl.get("id")
         if not leg_id or not isinstance(leg_id, str):
-            raise ValueError("leg declaration needs a string 'id'")
+            raise ValueError(f"leg #{pos} needs a string 'id'")
         if kind == "finite_comm":
             m = decl.get("m")
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(
                     f"finite_comm leg {leg_id!r} needs an integer 'm' >= 1, got {m!r}")
+            elements = decl.get("elements", {})
+            if not isinstance(elements, dict):
+                raise ValueError(f"leg {leg_id!r}: 'elements' must be a JSON object")
             leg = FiniteCommLeg(leg_id, m)
-            for name, vec in decl.get("elements", {}).items():
-                leg.add_element(name, vec)
+            for name, vec in elements.items():
+                if not isinstance(vec, list):
+                    raise ValueError(
+                        f"leg {leg_id!r}: element {name!r} must be a JSON array, "
+                        f"got {type(vec).__name__}")
+                try:
+                    leg.add_element(name, vec)
+                except (TypeError, ValueError, ZeroDivisionError):
+                    raise ValueError(
+                        f"leg {leg_id!r}: element {name!r} needs {m} rational "
+                        f"entries, got {vec!r}") from None
             legs.append(leg)
         elif kind == "haar":
             legs.append(HaarLeg(leg_id))

@@ -53,6 +53,9 @@ class PiValue:
     def is_zero(self) -> bool:
         return not self._coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
     def coeff(self, deg: int) -> Fraction:
         return self._coeffs.get(deg, Fraction(0))
 

@@ -54,6 +54,12 @@ def test_nc_kreweras():
     assert run_cli("nc-kreweras", "--p", "1,3|2|4") == "1,2|3,4\n"
 
 
+def test_nc_kreweras_long_partition_within_budget():
+    one_block = ",".join(str(i) for i in range(1, 241))
+    out = run_cli("nc-kreweras", "--p", one_block, timeout=5)
+    assert out == "|".join(str(i) for i in range(1, 241)) + "\n"
+
+
 def test_nc_lemma_pass():
     out = run_cli("nc-lemma", "--n", "5")
     assert out.startswith("PASS")
@@ -186,6 +192,30 @@ def test_model_file_bad_m_exit_2(tmp_path, m):
     path.write_text(json.dumps({"legs": [leg]}), encoding="utf-8")
     line = run_cli_error("trace", "--word", "c u", "--model-file", str(path))
     assert "'D'" in line
+
+
+BAD_SHAPE_MODELS = {
+    "document-not-object": ([], "JSON object"),
+    "legs-not-array": ({"legs": 3}, "JSON array"),
+    "leg-not-object": ({"legs": [5]}, "leg #0"),
+    "elements-not-object": (
+        {"legs": [{"id": "D", "kind": "finite_comm", "m": 2, "elements": 5}]}, "'D'"),
+    "element-not-array": (
+        {"legs": [{"id": "D", "kind": "finite_comm", "m": 2, "elements": {"g": 5}}]},
+        "'D'"),
+    "element-bad-entry": (
+        {"legs": [{"id": "D", "kind": "finite_comm", "m": 2,
+                   "elements": {"g": ["1/0", "1"]}}]}, "'D'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SHAPE_MODELS)
+def test_model_file_bad_shape_exit_2(tmp_path, case):
+    doc, needle = BAD_SHAPE_MODELS[case]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    line = run_cli_error("trace", "--word", "c u", "--model-file", str(path))
+    assert needle in line
 
 
 GOLDEN_INVOCATIONS = [

@@ -3,16 +3,21 @@
 The oracle enumerates ALL set partitions via restricted-growth strings and
 filters by a direct four-index crossing scan; the library's enumerator
 uses incremental pruning, so the two routes are independent.  The Kreweras
-oracle checks maximality over every compatible complement.
+oracles check maximality over every compatible complement and agreement
+with the greedy merge fixpoint of the interleaving definition; the library
+reads K(p) off the cycles of pi^-1 gamma instead.
 """
 
 import math
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeprod.ncpart import (
     NCPartition,
     SizeLimitError,
+    _blocks_cross,
     enumerate_nc,
     interval_blocks,
     kreweras,
@@ -135,6 +140,68 @@ def test_kreweras_examples():
         assert kreweras(NCPartition.singletons(n)) == NCPartition.full(n)
     p = NCPartition.from_blocks(4, [[1, 3], [2], [4]])
     assert kreweras(p) == NCPartition.from_blocks(4, [[1, 2], [3, 4]])
+
+
+def greedy_kreweras(p):
+    """Kreweras complement via the interleaving definition.
+
+    Starts from all-singleton primes and greedily merges any two blocks
+    whose union keeps p-union-sigma non-crossing, until no merge applies.
+    The compatible partitions form a lattice ideal with a unique maximum,
+    so the greedy fixpoint is that maximum.  Merging two blocks of a valid
+    state only adds crossings involving the merged block, so each trial is
+    checked against the other blocks alone.
+    """
+    n = p.n
+    pblocks = [tuple(2 * x - 1 for x in b) for b in p.blocks]
+    blocks = [(i,) for i in range(1, n + 1)]
+    merged = True
+    while merged:
+        merged = False
+        m = len(blocks)
+        for i in range(m):
+            for j in range(i + 1, m):
+                trial = tuple(sorted(blocks[i] + blocks[j]))
+                trial_even = tuple(2 * x for x in trial)
+                rest = [blocks[k] for k in range(m) if k != i and k != j]
+                ok = not any(
+                    _blocks_cross(trial_even, tuple(2 * x for x in b)) for b in rest
+                ) and not any(_blocks_cross(trial_even, b) for b in pblocks)
+                if ok:
+                    blocks = sorted(rest + [trial], key=lambda b: b[0])
+                    merged = True
+                    break
+            if merged:
+                break
+    return NCPartition.from_blocks(n, blocks)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kreweras_matches_greedy_oracle(n):
+    for p in enumerate_nc(n):
+        assert kreweras(p) == greedy_kreweras(p), p
+
+
+_nc_cached = lru_cache(maxsize=None)(enumerate_nc)
+
+
+@st.composite
+def nc_partitions(draw, max_n=10):
+    parts = _nc_cached(draw(st.integers(1, max_n)))
+    return parts[draw(st.integers(0, len(parts) - 1))]
+
+
+@settings(deadline=None, database=None)
+@given(nc_partitions())
+def test_kreweras_twice_is_rotation(p):
+    """K(K(p)) is p rotated by x -> x - 1 (mod n), and the block counts of
+    p and K(p) add up to n + 1."""
+    n = p.n
+    comp = kreweras(p)
+    assert len(p.blocks) + len(comp.blocks) == n + 1
+    rotated = NCPartition.from_blocks(
+        n, [[(x - 2) % n + 1 for x in b] for b in p.blocks])
+    assert kreweras(comp) == rotated
 
 
 def union_noncrossing_raw(p, comp):
