@@ -7,13 +7,14 @@ the word-trace evaluators (trace), the matrix freeness harnesses
 lowest terms, and JSON with a fixed field order.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or fragment
-errors.
+errors, or stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import List, Optional, Sequence
@@ -220,12 +221,7 @@ def cmd_free_check(args) -> int:
     max_len = args.max_len if args.max_len is not None else _HARNESS_DEFAULT_LEN[model]
     extra = _load_model_file(args.model_file) if args.model_file else []
     mm = matmodel.MatrixModel(freeword.standard_model(extra))
-    if model == "sum":
-        gen_a, gen_b, offdiag = matmodel.sum_model_generators(mm)
-    elif model == "matrix":
-        gen_a, gen_b, offdiag = matmodel.matrix_model_generators(mm)
-    else:
-        gen_a, gen_b, offdiag = mm.generators(model)
+    gen_a, gen_b, offdiag = mm.generators(model)
     report = mm.check_freeness(gen_a, gen_b, max_len, model, offdiag)
     _print(json.dumps(report.to_json(), indent=2))
     return 0 if report.passed else 1
@@ -349,7 +345,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Like a death by
+        # SIGPIPE this is a failure for ``pipefail``, and exit 1 is kept for
+        # verification failures.  Point stdout at devnull so the flush at
+        # interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (CliError, SizeLimitError, UnknownNameError, FamilySplitError,
             EvaluationLimitError, freedim.ParseError,
             freedim.UnsupportedFragmentError, freedim.NotReducibleError,

@@ -325,8 +325,13 @@ class MatrixModel:
         all four entry traces vanish, not just the diagonal ones).
 
         PQ: {2P0} vs {2Q0}; UX: {U, U*, 2P0} vs {X, X*, 2Q0};
-        PX: {2P0} vs {X, X*, 2Q0}; UQ: {U, U*, 2P0} vs {2Q0}.
+        PX: {2P0} vs {X, X*, 2Q0}; UQ: {U, U*, 2P0} vs {2Q0}; sum and
+        matrix: ``sum_model_generators`` and ``matrix_model_generators``.
         """
+        if harness == "sum":
+            return sum_model_generators(self)
+        if harness == "matrix":
+            return matrix_model_generators(self)
         p2 = ("2P0", self.P0.scaled(2))
         q2 = ("2Q0", self.Q0.scaled(2))
         a_full = [("U", self.U), ("U*", self.U.adjoint()), p2]
@@ -340,7 +345,7 @@ class MatrixModel:
         }
         if harness not in table:
             raise ValueError(f"unknown harness {harness!r}; expected one of "
-                             f"{sorted(table)} or sum/matrix")
+                             f"{sorted([*table, 'sum', 'matrix'])}")
         return table[harness]
 
 

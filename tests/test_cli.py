@@ -14,12 +14,16 @@ import pytest
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
-def _run(args, timeout=None):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _run(args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "freeprod.cli", *args],
-        capture_output=True, text=True, env=env, timeout=timeout)
+        capture_output=True, text=True, env=_env(), timeout=timeout)
 
 
 def run_cli(*args, expect=0, timeout=None):
@@ -58,6 +62,19 @@ def test_nc_kreweras_long_partition_within_budget():
     one_block = ",".join(str(i) for i in range(1, 241))
     out = run_cli("nc-kreweras", "--p", one_block, timeout=5)
     assert out == "|".join(str(i) for i in range(1, 241)) + "\n"
+
+
+def test_closed_stdout_exits_quietly():
+    """Output far beyond a pipe buffer into a reader that stops after 50
+    bytes: no traceback, and an exit code of the CLI contract."""
+    proc = subprocess.Popen([sys.executable, "-m", "freeprod.cli", "nc-enum", "--n", "10"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1, 2)
+    assert stderr == ""
 
 
 def test_nc_lemma_pass():
@@ -116,6 +133,12 @@ def test_normalize_fragment_error_exit_2():
     run_cli("normalize", "--expr", "C^2", expect=2)
 
 
+@pytest.mark.parametrize("expr", ["C^1180591620717411303424", "C^65536 * C^2"])
+def test_normalize_oversized_expression_exit_2(expr):
+    line = run_cli_error("normalize", "--expr", expr)
+    assert "nodes" in line
+
+
 def test_normalize_json_steps():
     doc = json.loads(run_cli("normalize", "--expr", "C^2 * C^2",
                              "--steps", "--json"))
@@ -142,6 +165,11 @@ def test_free_check_pq():
 
 def test_free_check_ux_short():
     out = json.loads(run_cli("free-check", "--model", "UX", "--max-len", "3"))
+    assert out["failures"] == []
+
+
+def test_free_check_sum_short():
+    out = json.loads(run_cli("free-check", "--model", "sum", "--max-len", "2"))
     assert out["failures"] == []
 
 

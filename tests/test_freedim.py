@@ -2,12 +2,15 @@
 normal-form corpus, confluence under randomized rule priority, and
 termination on random fragment expressions."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from freeprod.freedim import (
+    MAX_EXPR_SIZE,
     AtomC,
     AtomLF,
     AtomLZ,
@@ -20,6 +23,7 @@ from freeprod.freedim import (
     ParseError,
     SumOf,
     UnsupportedFragmentError,
+    expr_size,
     expr_text,
     fdim,
     normalize,
@@ -75,6 +79,30 @@ def test_fragment_errors():
         parse("M3(C)")
     with pytest.raises(UnsupportedFragmentError):
         parse("LF(1/2)")  # parameter in (0, 1)
+
+
+# Expanded sizes around MAX_EXPR_SIZE (8192): pow, sum, Mk and a spliced-in
+# parenthesized product each carry their share of the count.
+PARSE_SIZES = [
+    ("C^4096", 8191),
+    ("M2(C^4096)", 8192),
+    ("(C^2048 * C^1024) * C^1024 * C * C", 8192),
+    ("C^4096 (+) C", None),
+    ("M4(C^4096)", None),
+    ("(C^2048 * C^1024) * C^1024 * C * C * C", None),
+    ("C^4096 * C^2", None),
+    ("C^1180591620717411303424", None),
+]
+
+
+@pytest.mark.parametrize("text,size", PARSE_SIZES)
+def test_parse_bounds_expanded_size(text, size):
+    if size is None:
+        with pytest.raises(UnsupportedFragmentError, match="nodes"):
+            parse(text)
+    else:
+        assert size <= MAX_EXPR_SIZE
+        assert expr_size(parse(text)) == size
 
 
 def test_expr_text_roundtrip():
@@ -304,6 +332,32 @@ def test_confluence_on_random_fragments(block):
         for seed in (1, 2, 3):
             nf, _ = normalize(e, seed=seed)
             assert nf == base, expr_text(e)
+
+
+# Full step logs of a corpus that fires every rule, recorded before the
+# rules were gathered into one table; any change to a rule, its priority,
+# its description or its displayed fragments changes the digest.
+DERIVATION_CORPUS = [
+    "C^2 * C^2", "M2(C) * C^2", "M2(C) * M2(C)", "R * R", "R * LZ", "C * R * LZ",
+    "R * (LF(2) (+) LF(3))", "R * M2(LF(3))", "C^2 * LZ", "M2(C) * LZ",
+    "LF(3/2) * M2(LF(7/4))", "M2(M2(LF(17)))", "LZ * LF(2) * C^4", "R * R * R",
+    "(LF(2) (+) C) * M2(R)", "M4(LZ) * M4(LZ)",
+]
+DERIVATION_DIGEST = "62de4299c4ed0be7bbcf388d107729681c09f3b4b33e4ad64571846cd5f9bd98"
+ALL_RULES = {f"R{i}" for i in range(1, 15)} | {"R6inv"}
+
+
+def test_golden_derivation_digest():
+    rng = random.Random(4242)
+    exprs = DERIVATION_CORPUS + [rand_fragment(rng) for _ in range(100)]
+    logs, fired = [], set()
+    for e in exprs:
+        for seed in (None, 0, 1, 2):
+            nf, steps = normalize(e, seed=seed)
+            fired.update(s.rule for s in steps)
+            logs.append([nf.text(), [s.to_json() for s in steps]])
+    assert fired == ALL_RULES
+    assert hashlib.sha256(json.dumps(logs).encode()).hexdigest() == DERIVATION_DIGEST
 
 
 def test_divergence_guard_can_fire():

@@ -154,8 +154,18 @@ def test_freeness_length_guard(mm):
 
 
 def test_unknown_harness(mm):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\['PQ', 'PX', 'UQ', 'UX', 'matrix', 'sum'\]"):
         mm.generators("XY")
+
+
+@pytest.mark.parametrize("name,build", [("sum", sum_model_generators),
+                                        ("matrix", matrix_model_generators)])
+def test_generators_dispatch_sum_and_matrix(name, build):
+    gen_a, gen_b, offdiag = MatrixModel().generators(name)
+    want_a, want_b, want_offdiag = build(MatrixModel())
+    assert [n for n, _ in gen_a] == [n for n, _ in want_a]
+    assert [n for n, _ in gen_b] == [n for n, _ in want_b]
+    assert offdiag == want_offdiag
 
 
 def test_report_json_shape(mm):

@@ -53,14 +53,17 @@ def has_crossing_raw(blocks):
     for bi, block in enumerate(blocks):
         for x in block:
             where[x] = bi
-    items = sorted(where)
-    n = len(items)
+    label = [where[x] for x in sorted(where)]
+    n = len(label)
     for a in range(n):
         for b in range(a + 1, n):
+            if label[b] == label[a]:
+                continue
             for c in range(b + 1, n):
+                if label[c] != label[a]:
+                    continue
                 for d in range(c + 1, n):
-                    pa, pb, pc, pd = (where[items[i]] for i in (a, b, c, d))
-                    if pa == pc and pb == pd and pa != pb:
+                    if label[d] == label[b]:
                         return True
     return False
 
