@@ -139,6 +139,13 @@ def test_normalize_oversized_expression_exit_2(expr):
     assert "nodes" in line
 
 
+@pytest.mark.parametrize("expr", [f"M{2 ** 600}(C) * R", "(" * 400 + "C" + ")" * 400],
+                         ids=["M<2^600>", "400-parens"])
+def test_normalize_deeply_nested_expression_exit_2(expr):
+    line = run_cli_error("normalize", "--expr", expr)
+    assert "nests deeper" in line
+
+
 def test_normalize_json_steps():
     doc = json.loads(run_cli("normalize", "--expr", "C^2 * C^2",
                              "--steps", "--json"))

@@ -5,11 +5,14 @@ termination on random fragment expressions."""
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from freeprod.freedim import (
+    MAX_EXPR_DEPTH,
     MAX_EXPR_SIZE,
     AtomC,
     AtomLF,
@@ -19,6 +22,7 @@ from freeprod.freedim import (
     FreeOf,
     Mat2Of,
     NormalForm,
+    Normalizer,
     NotReducibleError,
     ParseError,
     SumOf,
@@ -26,8 +30,10 @@ from freeprod.freedim import (
     expr_size,
     expr_text,
     fdim,
+    matpow,
     normalize,
     parse,
+    pow2sum,
     example_61_sequence,
     prop_62_table,
 )
@@ -103,6 +109,67 @@ def test_parse_bounds_expanded_size(text, size):
     else:
         assert size <= MAX_EXPR_SIZE
         assert expr_size(parse(text)) == size
+
+
+def parens(n, inner="C"):
+    return "(" * n + inner + ")" * n
+
+
+# Around MAX_EXPR_DEPTH: tree height (one level per sum, product and M2,
+# log2 k per Mk and ^k) and nesting of groups (one level per parenthesis,
+# log2 k per Mk).
+D = MAX_EXPR_DEPTH
+PARSE_DEPTHS = {
+    "parens": (parens(D), True),
+    "parens+1": (parens(D + 1), False),
+    "Mk": (f"M{2 ** D}(C)", True),
+    "Mk+1": (f"M{2 ** (D + 1)}(C)", False),
+    "M2-nest": ("M2(" * D + "C" + ")" * D, True),
+    "M2-nest+1": ("M2(" * (D + 1) + "C" + ")" * (D + 1), False),
+    "sum-chain": (" (+) ".join(["C"] * (D + 1)), True),
+    "sum-chain+1": (" (+) ".join(["C"] * (D + 2)), False),
+    "Mk-pow": (f"M{2 ** (D - 4)}(C^16)", True),
+    "Mk-pow+1": (f"M{2 ** (D - 3)}(C^16)", False),
+    "Mk-product": (f"M{2 ** (D - 1)}(C) * R", True),
+    "Mk-product+1": (f"M{2 ** (D - 1)}(C * R) * R", False),
+    "M<2^600>": (f"M{2 ** 600}(C) * R", False),
+    "400-parens": (parens(400), False),
+    "400-M1": ("M1(" * 400 + "C" + ")" * 400, False),
+}
+
+
+@pytest.mark.parametrize("text,accepted", PARSE_DEPTHS.values(), ids=PARSE_DEPTHS)
+def test_parse_bounds_nesting_depth(text, accepted):
+    if accepted:
+        parse(text)
+    else:
+        with pytest.raises(UnsupportedFragmentError, match="nests deeper"):
+            parse(text)
+
+
+# The deepest accepted expressions of four shapes.
+DEEPEST = {
+    "parens": parens(D, "C * R"),
+    "Mk": f"M{2 ** (D - 1)}(C) * R",
+    "M2-nest": "M2(" * (D - 1) + "C" + ")" * (D - 1) + " * R",
+    "sum-chain": "R * (" + " (+) ".join(["C"] * D) + ")",
+}
+
+
+@pytest.mark.parametrize("text", DEEPEST.values(), ids=DEEPEST)
+def test_deepest_accepted_expressions_run(text):
+    """Parse, print, measure and normalize, deterministic and seeded, all
+    within the default recursion limit."""
+    assert sys.getrecursionlimit() == 1000
+    e = parse(text)
+    assert parse(expr_text(e)) == e
+    assert expr_size(e) > 1
+    base, _ = normalize(e)
+    assert base.fdim() == fdim(e)
+    for seed in (0, 1):
+        nf, steps = normalize(e, seed=seed)
+        assert nf == base
+        json.dumps([s.to_json() for s in steps])
 
 
 def test_expr_text_roundtrip():
@@ -360,9 +427,117 @@ def test_golden_derivation_digest():
     assert hashlib.sha256(json.dumps(logs).encode()).hexdigest() == DERIVATION_DIGEST
 
 
+def deep_corpus():
+    """Balanced trees whose reductions meet the same factor lists many times
+    over, at many different paths."""
+    exprs = [FreeOf([pow2sum(AtomC(), 2 ** n), pow2sum(AtomC(), 2 ** m)])
+             for n in range(1, 6) for m in range(1, 6)]
+    for left, right in [(pow2sum, pow2sum), (matpow, pow2sum), (matpow, matpow)]:
+        for n, m, k, l in product(range(1, 3), range(1, 3), range(3), range(3)):
+            exprs.append(FreeOf([left(AtomC() if k == 0 else AtomLF(Fraction(k)), 2 ** n),
+                                 right(AtomC() if l == 0 else AtomLF(Fraction(l)), 2 ** m)]))
+    return exprs + [parse(t) for t in ["M2(C^64) * C^64 * R",
+                                       "(LF(3) (+) R)^16 * M2(LZ)^16",
+                                       "M4(LZ) * C^8 * LF(9/4)"]]
+
+
+# Full deterministic step logs and normal forms of ``deep_corpus()``,
+# recorded before reductions of repeated factor lists were replayed.
+DEEP_DERIVATION_DIGEST = "d90363a1f6d645492d6fb41c7449a07693d4ae3c199caa4a9b479f64a845599f"
+
+
+def test_golden_deep_derivation_digest():
+    exprs = deep_corpus()
+    assert len(exprs) == 25 + 108 + 3
+    logs = []
+    for e in exprs:
+        nf, steps = normalize(e)
+        logs.append([nf.text(), [s.to_json() for s in steps]])
+    digest = hashlib.sha256(json.dumps(logs).encode()).hexdigest()
+    assert digest == DEEP_DERIVATION_DIGEST
+
+
+def rand_tree(rng, depth=3):
+    """Random tree over few atoms and shapes, so that equal trees recur."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice([AtomC(), AtomLZ(), AtomR(), AtomLF(Fraction(1)),
+                           AtomLF(Fraction(8, 4)), AtomLF(Fraction(2)),
+                           AtomLF(Fraction(9, 4))])
+    if roll < 0.55:
+        return SumOf(rand_tree(rng, depth - 1), rand_tree(rng, depth - 1))
+    if roll < 0.75:
+        return Mat2Of(rand_tree(rng, depth - 1))
+    return FreeOf([rand_tree(rng, depth - 1) for _ in range(rng.randint(2, 3))])
+
+
+def test_text_identifies_tree():
+    """Equal texts exactly when equal trees, which makes factor texts an
+    exact memo key; the cached values leave ==, hash and repr alone."""
+    a, b, c = AtomC(), AtomR(), AtomLF(Fraction(3))
+    pairs = [
+        (FreeOf([FreeOf([a, b]), c]), FreeOf([a, b, c]), False),
+        (FreeOf([a, FreeOf([b, c])]), FreeOf([FreeOf([a, b]), c]), False),
+        (SumOf(SumOf(a, b), c), SumOf(a, SumOf(b, c)), False),
+        (AtomLZ(), AtomLF(Fraction(1)), False),
+        (AtomLF(Fraction(8, 4)), AtomLF(Fraction(2)), True),
+        (Mat2Of(FreeOf([a, b])), FreeOf([Mat2Of(a), b]), False),
+    ]
+    rng = random.Random(77)
+    trees = [rand_tree(rng) for _ in range(300)]
+    pairs += [(x, y, None) for x in trees for y in trees]
+    equal_pairs = 0
+    for x, y, want in pairs:
+        same = x == y
+        assert want is None or same == want
+        assert (expr_text(x) == expr_text(y)) == same, (x, y)
+        if same:
+            equal_pairs += 1
+            assert hash(x) == hash(y) and repr(x) == repr(y)
+    assert equal_pairs > 2 * len(trees)  # distinct objects that are equal
+    assert "_text" not in repr(trees[0]) and "_fdim" not in repr(trees[0])
+
+
+def test_memo_counters():
+    engine = Normalizer()
+    for _ in range(2):  # counted afresh on each call
+        nf, steps = engine.normalize(parse("C^64 * C^64"))
+        assert (engine.memo_hits, engine.memo_misses) == (5, 17)
+        assert engine.rule_counts == {"R1": 63, "R3": 31, "R5": 31, "R6inv": 31,
+                                      "R7": 93, "R13": 128}
+        assert sum(engine.rule_counts.values()) == len(steps) == 377
+    seeded = Normalizer(rng=random.Random(1))
+    _, steps = seeded.normalize(parse("C^64 * C^64"))
+    assert (seeded.memo_hits, seeded.memo_misses) == (0, 0)
+    assert sum(seeded.rule_counts.values()) == len(steps)
+
+
 def test_divergence_guard_can_fire():
     with pytest.raises(DivergenceError):
         normalize("R * R", max_steps=1)
+
+
+@pytest.mark.parametrize("text", ["C^64 * C^64", "M2(C^16) * C^16 * R"])
+def test_step_budget_is_exact(text):
+    _, steps = normalize(text)
+    nf, again = normalize(text, max_steps=len(steps))
+    assert [s.to_json() for s in again] == [s.to_json() for s in steps]
+    with pytest.raises(DivergenceError):
+        normalize(text, max_steps=len(steps) - 1)
+
+
+def test_step_budget_inside_repeated_reductions():
+    """Every budget below the full log stops the derivation after exactly
+    that many steps, the logged prefix unchanged, wherever the limit falls
+    (many limits fall inside the reduction of a repeated factor list)."""
+    e = parse("C^16 * C^16")
+    _, steps = normalize(e)
+    full = [s.to_json() for s in steps]
+    for limit in range(len(full)):
+        engine = Normalizer(max_steps=limit)
+        with pytest.raises(DivergenceError):
+            engine.normalize(e)
+        assert [s.to_json() for s in engine.steps] == full[:limit]
 
 
 # -- verified tables ---------------------------------------------------------------
