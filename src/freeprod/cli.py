@@ -356,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except (CliError, SizeLimitError, UnknownNameError, FamilySplitError,
-            EvaluationLimitError, freedim.ParseError,
+            EvaluationLimitError, freedim.ParseError, freedim.DivergenceError,
             freedim.UnsupportedFragmentError, freedim.NotReducibleError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ holds the first element; mixed cumulants across distinct legs vanish.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -215,11 +216,39 @@ class TrigLetter:
     leg: str
     poly: TrigPoly
 
+    def text(self) -> str:
+        terms = list(self.poly.items())
+        if len(terms) == 1 and terms[0][1] == 1:
+            (kind, k), _ = terms[0]
+            if kind == "c" and k == 0:
+                return "1"
+            return kind if k == 1 else f"{kind}[{k}]"
+        return f"({self.poly})"
+
+    def sort_key(self) -> tuple:
+        return (0, self.leg, tuple(self.poly.items()))
+
+    def adjoint(self) -> "TrigLetter":
+        return self  # trig polynomials are real-valued
+
 
 @dataclass(frozen=True)
 class HaarLetter:
     leg: str
     power: int
+
+    def text(self) -> str:
+        if self.power == 1:
+            return self.leg
+        if self.power == -1:
+            return self.leg + "*"
+        return f"{self.leg}^{self.power}"
+
+    def sort_key(self) -> tuple:
+        return (1, self.leg, self.power)
+
+    def adjoint(self) -> "HaarLetter":
+        return HaarLetter(self.leg, -self.power)
 
 
 @dataclass(frozen=True)
@@ -227,9 +256,19 @@ class CommLetter:
     leg: str
     vec: Tuple[Fraction, ...]
 
+    def text(self) -> str:
+        return "d{" + self.leg + ":" + ",".join(str(q) for q in self.vec) + "}"
+
+    def sort_key(self) -> tuple:
+        return (2, self.leg, self.vec)
+
+    def adjoint(self) -> "CommLetter":
+        return self  # rational vectors are self-adjoint
+
 
 Letter = Union[TrigLetter, HaarLetter, CommLetter]
 Word = Tuple[Letter, ...]
+IdWord = Tuple[int, ...]
 
 
 class _Unit:
@@ -241,49 +280,46 @@ class _Unit:
 UNIT = _Unit()
 
 
-def letter_str(letter) -> str:
-    if letter is UNIT:
-        return "1"
-    if isinstance(letter, TrigLetter):
-        terms = list(letter.poly.items())
-        if len(terms) == 1 and terms[0][1] == 1:
-            (kind, k), _ = terms[0]
-            if kind == "c" and k == 0:
-                return "1"
-            return kind if k == 1 else f"{kind}[{k}]"
-        return f"({letter.poly})"
-    if isinstance(letter, HaarLetter):
-        if letter.power == 1:
-            return letter.leg
-        if letter.power == -1:
-            return letter.leg + "*"
-        return f"{letter.leg}^{letter.power}"
-    if isinstance(letter, CommLetter):
-        return "d{" + letter.leg + ":" + ",".join(str(q) for q in letter.vec) + "}"
-    raise TypeError(f"not a letter: {letter!r}")
+# The letter intern table.  Every letter met anywhere gets one small int,
+# the same in every FreeProduct, so words are stored and compared as tuples
+# of ints and a letter's dataclass is hashed once.  Letters are immutable
+# values, so the table is an identity map: no answer depends on what it
+# holds.
+_LETTERS: List[Letter] = []
+_LETTER_LEGS: List[str] = []  # the leg name of each interned letter
+_LETTER_IDS: Dict[Letter, int] = {}
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(letter: Letter) -> int:
+    i = _LETTER_IDS.get(letter)
+    if i is None:
+        # One id per letter even under threads; the id is published last,
+        # so whoever finds it can index the lists.
+        with _INTERN_LOCK:
+            i = _LETTER_IDS.get(letter)
+            if i is None:
+                leg = letter.leg
+                _LETTERS.append(letter)
+                _LETTER_LEGS.append(leg)
+                i = _LETTER_IDS[letter] = len(_LETTERS) - 1
+    return i
 
 
 def word_str(word: Word) -> str:
-    return " ".join(letter_str(l) for l in word) if word else "1"
-
-
-def _letter_sort_key(letter):
-    if isinstance(letter, TrigLetter):
-        return (0, letter.leg, tuple(letter.poly.items()))
-    if isinstance(letter, HaarLetter):
-        return (1, letter.leg, letter.power)
-    return (2, letter.leg, letter.vec)
+    return " ".join(l.text() for l in word) if word else "1"
 
 
 def _word_sort_key(word: Word):
-    return (len(word), tuple(_letter_sort_key(l) for l in word))
+    return (len(word), tuple(l.sort_key() for l in word))
 
 
 class NCPoly:
     """Finite linear combination of alternating words, coefficients in Q[L].
 
     The empty word is the unit.  Zero-coefficient terms are dropped on
-    construction, so equality is structural.
+    construction, so equality is structural.  Words are given and returned
+    as letter tuples and stored as tuples of interned letter ids.
     """
 
     __slots__ = ("_terms",)
@@ -294,8 +330,15 @@ class NCPoly:
             for word, coeff in dict(terms).items():
                 coeff = coeff if isinstance(coeff, PiValue) else PiValue.of(coeff)
                 if not coeff.is_zero():
-                    d[tuple(word)] = coeff
+                    d[tuple(map(_intern, word))] = coeff
         self._terms = d
+
+    @classmethod
+    def _of_ids(cls, terms: Dict[IdWord, PiValue]) -> "NCPoly":
+        """From id words; zero-coefficient terms are dropped."""
+        nc = object.__new__(cls)
+        nc._terms = {w: c for w, c in terms.items() if c}
+        return nc
 
     @classmethod
     def zero(cls) -> "NCPoly":
@@ -309,30 +352,32 @@ class NCPoly:
         return not self._terms
 
     def terms(self) -> List[Tuple[Word, PiValue]]:
-        return sorted(self._terms.items(), key=lambda kv: _word_sort_key(kv[0]))
+        return sorted(((tuple(_LETTERS[i] for i in w), c) for w, c in self._terms.items()),
+                      key=lambda kv: _word_sort_key(kv[0]))
 
     def nterms(self) -> int:
         return len(self._terms)
 
     def coeff(self, word: Word) -> PiValue:
-        return self._terms.get(tuple(word), PI_ZERO)
+        ids = tuple(_LETTER_IDS.get(l, -1) for l in word)
+        return self._terms.get(ids, PI_ZERO)
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         d = dict(self._terms)
         for w, c in other._terms.items():
             cur = d.get(w)
             d[w] = c if cur is None else cur + c
-        return NCPoly(d)
+        return NCPoly._of_ids(d)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly({w: -c for w, c in self._terms.items()})
+        return NCPoly._of_ids({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def scaled(self, coeff) -> "NCPoly":
         coeff = coeff if isinstance(coeff, PiValue) else PiValue.of(coeff)
-        return NCPoly({w: c * coeff for w, c in self._terms.items()})
+        return NCPoly._of_ids({w: c * coeff for w, c in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -343,13 +388,11 @@ class NCPoly:
         return hash(frozenset(self._terms.items()))
 
     def adjoint(self) -> "NCPoly":
-        # Coefficients are real; trig and comm letters are self-adjoint,
-        # the adjoint of a Haar power negates it, and the word reverses.
-        d = {}
-        for w, c in self._terms.items():
-            aw = tuple(_adjoint_letter(l) for l in reversed(w))
-            d[aw] = c
-        return NCPoly(d)
+        # Coefficients are real, each letter goes to its adjoint and the
+        # word reverses.
+        return NCPoly._of_ids({
+            tuple(_intern(_LETTERS[i].adjoint()) for i in reversed(w)): c
+            for w, c in self._terms.items()})
 
     def __str__(self):
         if not self._terms:
@@ -359,12 +402,6 @@ class NCPoly:
 
     def __repr__(self):
         return f"NCPoly({self})"
-
-
-def _adjoint_letter(letter: Letter) -> Letter:
-    if isinstance(letter, HaarLetter):
-        return HaarLetter(letter.leg, -letter.power)
-    return letter
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +417,16 @@ class FreeProduct:
             if leg.id in self.legs:
                 raise ValueError(f"duplicate leg id {leg.id!r}")
             self.legs[leg.id] = leg
-        self._tr_memo: Dict[Word, PiValue] = {}
+        self._tr_memo: Dict[IdWord, PiValue] = {}
         # free cumulants of same-leg letter tuples, memoized per instance
         self._cumulant = moments_to_cumulants(self.leg_moment)
-        # the centered basis met so far, interned to ids, and its tables
-        self._basis: List[Letter] = []
-        self._basis_ids: Dict[Letter, int] = {}
-        self._centered: Dict[Letter, tuple] = {}
+        # Tables over letter ids, filled on first sight: a letter's split
+        # over its leg's basis, the split of the in-leg product of two
+        # letters, a letter's centering and the centered product of two
+        # basis letters.  Splits are (scale, id or None) pairs.
+        self._splits: Dict[int, tuple] = {}
+        self._merges: Dict[Tuple[int, int], tuple] = {}
+        self._centered: Dict[int, tuple] = {}
         self._products: Dict[Tuple[int, int], tuple] = {}
 
     def add_leg(self, leg: Leg) -> Leg:
@@ -407,17 +447,14 @@ class FreeProduct:
         """Merge same-leg neighbours, absorb identity components as scalars,
         and return the resulting combination of alternating words."""
         coeff = coeff if isinstance(coeff, PiValue) else PiValue.of(coeff)
-        acc: Dict[Word, PiValue] = {(): coeff}
+        ids = []
         for letter in letters:
             if letter.leg not in self.legs:
                 raise UnknownNameError(f"unknown leg {letter.leg!r}")
-            nxt: Dict[Word, PiValue] = {}
-            for word, c in acc.items():
-                self._append_letter(nxt, word, c, letter)
-            acc = {w: c for w, c in nxt.items() if not c.is_zero()}
-            if not acc:
-                break
-        return NCPoly(acc)
+            ids.append(_intern(letter))
+        out: Dict[IdWord, PiValue] = {}
+        self._append_word(out, (), coeff, ids)
+        return NCPoly._of_ids(out)
 
     def word(self, letters: Sequence[Letter]) -> Word:
         """Normalize a letter sequence that is expected to stay a single
@@ -432,34 +469,51 @@ class FreeProduct:
         return terms[0][0]
 
     def mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        out: Dict[Word, PiValue] = {}
+        out: Dict[IdWord, PiValue] = {}
         for w1, c1 in a._terms.items():
             for w2, c2 in b._terms.items():
-                piece: Dict[Word, PiValue] = {w1: c1 * c2}
-                for letter in w2:
-                    nxt: Dict[Word, PiValue] = {}
-                    for word, c in piece.items():
-                        self._append_letter(nxt, word, c, letter)
-                    piece = nxt
-                for w, c in piece.items():
-                    cur = out.get(w)
-                    out[w] = c if cur is None else cur + c
-        return NCPoly(out)
+                self._append_word(out, w1, c1 * c2, w2)
+        return NCPoly._of_ids(out)
 
-    def _append_letter(self, out: Dict[Word, PiValue], word: Word, coeff: PiValue,
-                       letter: Letter) -> None:
-        leg = self.leg(letter.leg)
-        if word and word[-1].leg == letter.leg:
-            merged = leg.mul(word[-1], letter)
+    def _append_word(self, out: Dict[IdWord, PiValue], word: IdWord, coeff: PiValue,
+                     letters: Sequence[int]) -> None:
+        """Add coeff * word * (the letters, one at a time) into ``out``."""
+        piece: Dict[IdWord, PiValue] = {word: coeff}
+        for i in letters:
+            nxt: Dict[IdWord, PiValue] = {}
+            for w, c in piece.items():
+                self._append_letter(nxt, w, c, i)
+            piece = nxt
+        for w, c in piece.items():
+            cur = out.get(w)
+            out[w] = c if cur is None else cur + c
+
+    def _append_letter(self, out: Dict[IdWord, PiValue], word: IdWord, coeff: PiValue,
+                       i: int) -> None:
+        if word and _LETTER_LEGS[word[-1]] == _LETTER_LEGS[i]:
+            key = (word[-1], i)
+            parts = self._merges.get(key)
+            if parts is None:
+                leg = self.leg(_LETTER_LEGS[i])
+                parts = self._merges[key] = self._split(
+                    leg, leg.mul(_LETTERS[word[-1]], _LETTERS[i]))
             base = word[:-1]
         else:
-            merged = letter
+            parts = self._splits.get(i)
+            if parts is None:
+                parts = self._splits[i] = self._split(
+                    self.leg(_LETTER_LEGS[i]), _LETTERS[i])
             base = word
-        for scale, reduced in leg.split(merged):
+        for scale, reduced in parts:
             w2 = base if reduced is None else base + (reduced,)
             cur = out.get(w2)
             add = coeff * scale
             out[w2] = add if cur is None else cur + add
+
+    @staticmethod
+    def _split(leg: Leg, letter: Letter) -> tuple:
+        return tuple((PiValue.of(q), None if b is None else _intern(b))
+                     for q, b in leg.split(letter))
 
     # -- letter/leg oracles --------------------------------------------------
 
@@ -498,29 +552,29 @@ class FreeProduct:
         for a, b in zip(word, word[1:]):
             if a.leg == b.leg:
                 raise ValueError("word is not alternating-normalized")
-        return self._trace_word(word)
+        return self._trace_word(tuple(map(_intern, word)))
 
-    def _trace_word(self, word: Word) -> PiValue:
+    def _trace_word(self, word: IdWord) -> PiValue:
         n = len(word)
         if n > MAX_WORD_LETTERS:
             raise EvaluationLimitError(f"word length {n} exceeds {MAX_WORD_LETTERS}")
         cached = self._tr_memo.get(word)
         if cached is not None:
             return cached
-        basis = self._basis
-        # reduced words of centered basis letters, as tuples of basis ids
-        acc: Dict[Tuple[int, ...], PiValue] = {(): PI_ONE}
-        for i, letter in enumerate(word):
-            room = n - 1 - i  # letters still to come
-            scalar, parts = self._center(letter)
-            nxt: Dict[Tuple[int, ...], PiValue] = {}
+        legs = _LETTER_LEGS
+        # reduced words of centered basis letters, as id words
+        acc: Dict[IdWord, PiValue] = {(): PI_ONE}
+        for pos, i in enumerate(word):
+            room = n - 1 - pos  # letters still to come
+            scalar, parts = self._center(i)
+            nxt: Dict[IdWord, PiValue] = {}
             for w, c in acc.items():
                 size = len(w)
                 if scalar is not None and size <= room:
                     _accumulate(nxt, w, c * scalar)
-                last_leg = basis[w[-1]].leg if w else None
+                last_leg = legs[w[-1]] if w else None
                 for b, q in parts:
-                    if basis[b].leg == last_leg:
+                    if legs[b] == last_leg:
                         s, prod = self._centered_product(w[-1], b)
                         cq = c * q
                         base = w[:-1]
@@ -538,32 +592,26 @@ class FreeProduct:
         self._tr_memo[word] = result
         return result
 
-    def _basis_id(self, letter: Letter) -> int:
-        i = self._basis_ids.get(letter)
-        if i is None:
-            i = self._basis_ids[letter] = len(self._basis)
-            self._basis.append(letter)
-        return i
-
-    def _center(self, letter: Letter):
-        """Memoized ``Leg.center`` over basis ids; a zero trace is None."""
-        got = self._centered.get(letter)
+    def _center(self, i: int):
+        """Memoized ``Leg.center`` over letter ids; a zero trace is None."""
+        got = self._centered.get(i)
         if got is None:
+            letter = _LETTERS[i]
             t, parts = self.leg(letter.leg).center(letter)
             got = (None if t.is_zero() else t,
-                   tuple((self._basis_id(b), q) for q, b in parts))
-            self._centered[letter] = got
+                   tuple((_intern(b), q) for q, b in parts))
+            self._centered[i] = got
         return got
 
     def _centered_product(self, a: int, b: int):
-        """Memoized ``Leg.centered_mul`` over basis ids; a zero scalar is
+        """Memoized ``Leg.centered_mul`` over letter ids; a zero scalar is
         None."""
         got = self._products.get((a, b))
         if got is None:
-            la, lb = self._basis[a], self._basis[b]
+            la, lb = _LETTERS[a], _LETTERS[b]
             s, parts = self.leg(la.leg).centered_mul(la, lb)
             got = (None if s.is_zero() else s,
-                   tuple((self._basis_id(l), q) for q, l in parts))
+                   tuple((_intern(l), q) for q, l in parts))
             self._products[(a, b)] = got
         return got
 

@@ -28,6 +28,28 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .freeword import FreeProduct, NCPoly, standard_model
 from .trigalg import PiValue, TrigPoly
 
+# The most words one freeness walk may visit.  The largest harness length
+# in use, matrix:5, checks 39214 words (about 6 s on one core).
+MAX_HARNESS_WORDS = 50_000
+
+
+def harness_word_count(n_a: int, n_b: int, max_len: int) -> int:
+    """Words the freeness walk over generator families of sizes n_a and n_b
+    visits up to length max_len: both start patterns at each length k,
+
+        sum over k of a^ceil(k/2) b^floor(k/2) + b^ceil(k/2) a^floor(k/2).
+
+    The sum stops once it passes MAX_HARNESS_WORDS, so it is exact up to
+    that bound and costs nothing for a huge length."""
+    total = 0
+    for k in range(1, max_len + 1):
+        up, down = (k + 1) // 2, k // 2
+        term = n_a ** up * n_b ** down + n_b ** up * n_a ** down
+        total += term
+        if not term or total > MAX_HARNESS_WORDS:
+            break
+    return total
+
 
 class Mat2:
     """2x2 matrix over NCPoly, tied to a FreeProduct for multiplication."""
@@ -248,37 +270,39 @@ class MatrixModel:
         """
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
+        if harness_word_count(len(gen_a), len(gen_b), max_len) > MAX_HARNESS_WORDS:
+            raise ValueError(f"{harness} up to max_len {max_len} would check more "
+                             f"than {MAX_HARNESS_WORDS} words")
         for name, g in list(gen_a) + list(gen_b):
             if not g.Tr().is_zero():
                 raise ValueError(f"generator {name} is not centered: Tr = {g.Tr()}")
         offdiag = frozenset(offdiag_names)
         report = CheckReport(harness, max_len, 0)
 
-        def walk(prod: Optional[Mat2], names: List[str], full_check: bool,
-                 nxt: Sequence[Tuple[str, Mat2]], other: Sequence[Tuple[str, Mat2]],
-                 remaining: int) -> None:
-            if names:
+        # Depth first, in the order of a recursive walk: each entry holds a
+        # product still to be extended by one generator.  The explicit stack
+        # keeps long walks (PQ) clear of the recursion limit.
+        stack = [(None, None, [], False, gen_b, gen_a, max_len),
+                 (None, None, [], False, gen_a, gen_b, max_len)]
+        while stack:
+            prod, g, names, full_check, nxt, other, remaining = stack.pop()
+            if g is not None:
+                prod = g if prod is None else prod @ g
                 report.words_checked += 1
                 self._check_product(report, prod, names, full_check)
-            if remaining == 0:
-                return
-            for name, g in nxt:
-                walk(g if prod is None else prod @ g,
-                     names + [name],
-                     full_check or name in offdiag,
-                     other, nxt, remaining - 1)
-
-        walk(None, [], False, gen_a, gen_b, max_len)
-        walk(None, [], False, gen_b, gen_a, max_len)
+            if remaining:
+                for name, h in reversed(nxt):
+                    stack.append((prod, h, names + [name], full_check or name in offdiag,
+                                  other, nxt, remaining - 1))
         return report
 
     def _check_product(self, report: CheckReport, prod: Mat2, names: List[str],
                        full_check: bool) -> None:
-        word = " ".join(names)
         if len(names) == 1:
             t = prod.Tr()
             if not t.is_zero():
-                report.failures.append({"word": word, "entry": "Tr", "value": str(t)})
+                report.failures.append({"word": " ".join(names), "entry": "Tr",
+                                        "value": str(t)})
             if not full_check:
                 return
         entries = [(0, 0), (1, 1)] + ([(0, 1), (1, 0)] if full_check else [])
@@ -286,7 +310,7 @@ class MatrixModel:
             t = self.fp.trace(prod.e[i][j])
             if not t.is_zero():
                 report.failures.append({
-                    "word": word, "entry": f"{i + 1}{j + 1}", "value": str(t),
+                    "word": " ".join(names), "entry": f"{i + 1}{j + 1}", "value": str(t),
                 })
 
     # -- embedded submodels ---------------------------------------------------

@@ -13,6 +13,7 @@ decidable statement.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 import math
 
 
@@ -27,19 +28,34 @@ def _frac(x) -> Fraction:
 
 
 class PiValue:
-    """An element of Q[L], L standing for 1/pi.  Immutable."""
+    """An element of Q[L], L standing for 1/pi.  Immutable.
 
-    __slots__ = ("_coeffs", "_key")
+    Stored as integer numerators indexed by degree over one positive common
+    denominator, in lowest terms (the denominator and the numerators have
+    no common factor) and with no trailing zero numerator, so each value
+    has exactly one representation.  Sums and products work on the
+    integers and reduce once by a gcd, Henrici's common-denominator
+    arithmetic (Knuth, TAOCP vol. 2, section 4.5.1).
+    """
+
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, coeffs=None):
         d = {}
         if coeffs:
             for deg, q in dict(coeffs).items():
+                deg = int(deg)
+                if deg < 0:
+                    raise ValueError(f"negative L-degree {deg}")
                 q = _frac(q)
                 if q:
-                    d[int(deg)] = q
-        self._coeffs = d
-        self._key = tuple(sorted(d.items()))
+                    d[deg] = q
+        den = lcm(*(q.denominator for q in d.values()))
+        num = [0] * (max(d) + 1 if d else 0)
+        for deg, q in d.items():
+            num[deg] = q.numerator * (den // q.denominator)
+        self._num = tuple(num)
+        self._den = den
 
     @classmethod
     def of(cls, q) -> "PiValue":
@@ -51,28 +67,53 @@ class PiValue:
         return cls({deg: _frac(q)})
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def coeff(self, deg: int) -> Fraction:
-        return self._coeffs.get(deg, Fraction(0))
+        if 0 <= deg < len(self._num):
+            return Fraction(self._num[deg], self._den)
+        return Fraction(0)
 
     def items(self):
-        return iter(self._key)
+        den = self._den
+        return ((deg, Fraction(n, den)) for deg, n in enumerate(self._num) if n)
 
     def __add__(self, other):
-        other = _as_pi(other)
-        d = dict(self._coeffs)
-        for deg, q in other._coeffs.items():
-            d[deg] = d.get(deg, Fraction(0)) + q
-        return PiValue(d)
+        if other.__class__ is not PiValue:
+            other = _as_pi(other)
+        a, b = self._num, other._num
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self._den, other._den
+        if da == db:
+            if len(a) == 1 and len(b) == 1:
+                n = a[0] + b[0]
+                if not n:
+                    return PI_ZERO
+                g = gcd(n, da)
+                return _pi((n // g,), da // g)
+            num = [x + y for x, y in zip(a, b)]
+            den = da
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            num = [x * sa + y * sb for x, y in zip(a, b)]
+            den = da * sa
+        if len(a) > len(b):
+            num.extend(x * (den // da) for x in a[len(b):])
+        elif len(b) > len(a):
+            num.extend(y * (den // db) for y in b[len(a):])
+        return _reduced(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PiValue({deg: -q for deg, q in self._coeffs.items()})
+        return _pi(tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other):
         return self + (-_as_pi(other))
@@ -81,13 +122,22 @@ class PiValue:
         return _as_pi(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_pi(other)
-        d = {}
-        for d1, q1 in self._coeffs.items():
-            for d2, q2 in other._coeffs.items():
-                deg = d1 + d2
-                d[deg] = d.get(deg, Fraction(0)) + q1 * q2
-        return PiValue(d)
+        if other.__class__ is not PiValue:
+            other = _as_pi(other)
+        a, b = self._num, other._num
+        if not a or not b:
+            return PI_ZERO
+        den = self._den * other._den
+        if len(a) == 1 and len(b) == 1:
+            n = a[0] * b[0]
+            g = gcd(n, den)
+            return _pi((n // g,), den // g)
+        num = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    num[i + j] += x * y
+        return _reduced(num, den)
 
     __rmul__ = __mul__
 
@@ -96,21 +146,25 @@ class PiValue:
             other = PiValue.of(other)
         if not isinstance(other, PiValue):
             return NotImplemented
-        return self._key == other._key
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash(self._key)
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self._num, self._den))
+            return h
 
     def eval_numeric(self) -> float:
         """Substitute L = 1/pi.  Diagnostics only, never used for zero tests."""
         lam = 1.0 / math.pi
-        return float(sum(float(q) * lam**deg for deg, q in self._coeffs.items()))
+        return float(sum(float(q) * lam**deg for deg, q in self.items()))
 
     def __str__(self):
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
-        for deg, q in self._key:
+        for deg, q in self.items():
             if deg == 0:
                 body = str(q)
             else:
@@ -134,11 +188,35 @@ class PiValue:
         return f"PiValue({self})"
 
 
+def _pi(num: tuple, den: int) -> PiValue:
+    """A PiValue from numerators and a denominator already in canonical
+    form."""
+    v = object.__new__(PiValue)
+    v._num = num
+    v._den = den
+    return v
+
+
+def _reduced(num: list, den: int) -> PiValue:
+    """Canonical form of num / den: strip trailing zeros, divide out the
+    common factor."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return PI_ZERO
+    g = gcd(den, *num)
+    if g != 1:
+        return _pi(tuple(x // g for x in num), den // g)
+    return _pi(tuple(num), den)
+
+
 def _as_pi(x) -> PiValue:
     if isinstance(x, PiValue):
         return x
-    if isinstance(x, (int, Fraction)):
-        return PiValue.of(x)
+    if isinstance(x, int):
+        return _pi((x,), 1) if x else PI_ZERO
+    if isinstance(x, Fraction):
+        return _pi((x.numerator,), x.denominator) if x else PI_ZERO
     raise TypeError(f"cannot coerce {type(x).__name__} to PiValue")
 
 

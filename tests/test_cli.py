@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+from freeprod import cli, freedim
+
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
@@ -188,6 +190,24 @@ def test_free_check_unknown_model_exit_2():
 def test_free_check_bad_max_len_exit_2(max_len):
     line = run_cli_error("free-check", "--model", "PQ", "--max-len", max_len)
     assert "max_len" in line
+
+
+def test_free_check_word_budget_exit_2():
+    start = time.perf_counter()
+    assert cli.main(["free-check", "--model", "UX", "--max-len", "99"]) == 2
+    assert time.perf_counter() - start < 1.0
+    line = run_cli_error("free-check", "--model", "UX", "--max-len", "99")
+    assert "more than" in line and "words" in line
+
+
+def test_divergence_exits_2(monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise freedim.DivergenceError("rewrite step limit exceeded")
+
+    monkeypatch.setattr(freedim, "normalize", diverge)
+    assert cli.main(["normalize", "--expr", "R * R"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: rewrite step limit exceeded"]
 
 
 def test_tables_example61():

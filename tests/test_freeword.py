@@ -17,8 +17,11 @@ from freeprod.freeword import (
     EvaluationLimitError,
     FamilySplitError,
     FiniteCommLeg,
+    FreeProduct,
+    HaarLeg,
     HaarLetter,
     NCPoly,
+    TrigLeg,
     TrigLetter,
     UnknownNameError,
     contributing_partitions,
@@ -81,6 +84,64 @@ def test_adjoint_reverses_and_inverts(fp):
     nc = fp.normalize([f.c(), u.gen(2), f.s()])
     adj = nc.adjoint()
     assert adj == fp.normalize([f.s(), u.gen(-2), f.c()])
+
+
+def test_letter_ids_are_shared_across_free_products(fp):
+    """Letter ids are global: an NCPoly built in one FreeProduct multiplies,
+    traces and prints the same in another with a different leg set, and a
+    letter of a leg the other one lacks still raises UnknownNameError."""
+    other = FreeProduct([HaarLeg("v"), TrigLeg("f"), HaarLeg("u")])
+    f2, u2, v2 = other.leg("f"), other.leg("u"), other.leg("v")
+    # letters seen first by the second product
+    p = other.normalize([f2.s(3), u2.gen(2), f2.c(), v2.gen(-1)])
+    q = other.normalize([v2.gen(1), f2.s(), u2.gen(-2)])
+    f, u, v = fp.leg("f"), fp.leg("u"), fp.leg("v")
+    assert p == fp.normalize([f.s(3), u.gen(2), f.c(), v.gen(-1)])
+    assert str(p) == str(fp.normalize([f.s(3), u.gen(2), f.c(), v.gen(-1)]))
+    pq = other.mul(p, q)
+    assert pq == fp.mul(p, q)
+    assert str(pq) == str(fp.mul(p, q))
+    assert other.trace(pq) == fp.trace(pq)
+    for w, _ in pq.terms():
+        assert other.trace_word(w) == fp.trace_word(w)
+    comm = fp.normalize([fp.leg("A").element("x"), u.gen(1)])
+    with pytest.raises(UnknownNameError):
+        other.mul(p, comm)
+    with pytest.raises(UnknownNameError):
+        other.trace(comm)
+    with pytest.raises(UnknownNameError):
+        other.normalize([fp.leg("B").element("z")])
+
+
+def test_letter_interning_is_one_id_per_letter_under_threads():
+    """Threads interning the same new letters at once agree on their ids."""
+    import sys
+    import threading
+
+    from freeprod import freeword
+
+    letters = [HaarLetter("intern-stress", k) for k in range(1, 400)]
+    results = []
+    barrier = threading.Barrier(8)
+
+    def work():
+        barrier.wait(timeout=10)
+        results.append([freeword._intern(l) for l in letters])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert len(results) == 8 and all(r == results[0] for r in results)
+    assert [freeword._LETTERS[i] for i in results[0]] == letters
+    assert len(set(results[0])) == len(letters)
 
 
 # -- trace by the centered-basis fold --------------------------------------------

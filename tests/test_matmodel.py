@@ -3,14 +3,17 @@ the freeness harnesses at module-test scale (the acceptance suite runs the
 full lengths)."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from freeprod.freeword import NCPoly
 from freeprod.matmodel import (
+    MAX_HARNESS_WORDS,
     Mat2,
     MatrixModel,
+    harness_word_count,
     matrix_model_generators,
     sum_model_generators,
 )
@@ -153,6 +156,36 @@ def test_freeness_length_guard(mm):
             mm.check_freeness(gen_a, gen_b, max_len, "PQ", offdiag)
 
 
+HARNESSES = ("PQ", "UX", "PX", "UQ", "sum", "matrix")
+
+
+@pytest.mark.parametrize("name", HARNESSES)
+def test_word_count_closed_form(mm, name):
+    gen_a, gen_b, offdiag = mm.generators(name)
+    for max_len in range(1, 5):
+        report = mm.check_freeness(gen_a, gen_b, max_len, name, offdiag)
+        assert harness_word_count(len(gen_a), len(gen_b), max_len) == report.words_checked
+
+
+def test_word_budget_rejects_before_the_walk(mm):
+    gen_a, gen_b, offdiag = mm.generators("UX")
+    assert harness_word_count(3, 3, 99) > MAX_HARNESS_WORDS
+    assert harness_word_count(1, 1, 10**18) > MAX_HARNESS_WORDS
+    # matrix:5, the longest length in use, stays inside the budget
+    assert harness_word_count(7, 7, 5) == 39214 <= MAX_HARNESS_WORDS
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than"):
+        mm.check_freeness(gen_a, gen_b, 99, "UX", offdiag)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_long_pq_walk_stays_off_the_recursion_limit(mm):
+    gen_a, gen_b, offdiag = mm.generators("PQ")
+    report = mm.check_freeness(gen_a, gen_b, 1500, "PQ", offdiag)
+    assert report.passed, report.failures[:3]
+    assert report.words_checked == 3000
+
+
 def test_unknown_harness(mm):
     with pytest.raises(ValueError, match=r"\['PQ', 'PX', 'UQ', 'UX', 'matrix', 'sum'\]"):
         mm.generators("XY")
@@ -240,3 +273,26 @@ def test_matrix_model_harness_desk_scale():
     gen_a, gen_b, offdiag = matrix_model_generators(mm)
     report = mm.check_freeness(gen_a, gen_b, 4, "matrix", offdiag)
     assert report.passed, report.failures[:3]
+
+
+# One length past desk scale.  Each budget is several times the harness's
+# time on a 2-core machine with Python 3.11 (UX:7 1.3 s, sum:7 0.9 s, PX:8
+# 0.06 s, UX:8 4.0 s).
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, max_len, words, budget_s", [
+    ("UX", 7, 6558, 10),
+    ("sum", 7, 6558, 10),
+    ("PX", 8, 400, 5),
+    ("UX", 8, 19680, 30),
+])
+def test_harness_past_desk_scale(name, max_len, words, budget_s):
+    mm = MatrixModel()
+    gen_a, gen_b, offdiag = mm.generators(name)
+    start = time.perf_counter()
+    report = mm.check_freeness(gen_a, gen_b, max_len, name, offdiag)
+    elapsed = time.perf_counter() - start
+    assert report.passed, report.failures[:3]
+    assert report.words_checked == words
+    assert elapsed < budget_s, f"{name}:{max_len} took {elapsed:.1f} s"

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from freeprod.trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, mul, trace
@@ -145,3 +146,136 @@ def test_parse_trig_errors():
         parse_trig("q")
     with pytest.raises(ValueError):
         parse_trig("3/")
+
+
+# -- the integer PiValue against the Fraction-dict oracle -----------------------
+
+
+class DictPiValue:
+    """The Fraction-dict PiValue that the integer one replaced, kept as an
+    independent oracle: one Fraction per degree, zeros dropped."""
+
+    def __init__(self, coeffs=None):
+        self._coeffs = {int(deg): Fraction(q) for deg, q in dict(coeffs or {}).items()
+                        if Fraction(q)}
+        self._key = tuple(sorted(self._coeffs.items()))
+
+    def items(self):
+        return iter(self._key)
+
+    def coeff(self, deg):
+        return self._coeffs.get(deg, Fraction(0))
+
+    def __bool__(self):
+        return bool(self._coeffs)
+
+    def __add__(self, other):
+        d = dict(self._coeffs)
+        for deg, q in other._coeffs.items():
+            d[deg] = d.get(deg, Fraction(0)) + q
+        return DictPiValue(d)
+
+    def __neg__(self):
+        return DictPiValue({deg: -q for deg, q in self._coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        d = {}
+        for d1, q1 in self._coeffs.items():
+            for d2, q2 in other._coeffs.items():
+                d[d1 + d2] = d.get(d1 + d2, Fraction(0)) + q1 * q2
+        return DictPiValue(d)
+
+    def __eq__(self, other):
+        return self._key == other._key
+
+    def __str__(self):
+        if not self._coeffs:
+            return "0"
+        parts = []
+        for deg, q in self._key:
+            if deg == 0:
+                body = str(q)
+            else:
+                lpow = "L" if deg == 1 else f"L^{deg}"
+                body = lpow if q == 1 else "-" + lpow if q == -1 else f"{q}*{lpow}"
+            parts.append(body)
+        out = parts[0]
+        for body in parts[1:]:
+            out += " - " + body[1:] if body.startswith("-") else " + " + body
+        return out
+
+
+_rationals = st.builds(Fraction, st.integers(-30, 30),
+                       st.integers(1, 12) | st.integers(-12, -1))
+_coeff_dicts = st.dictionaries(st.integers(0, 3), _rationals, max_size=4)
+
+
+def _agrees(got: PiValue, want: DictPiValue) -> None:
+    assert str(got) == str(want)
+    assert list(got.items()) == list(want.items())
+    assert all(type(q) is Fraction for _, q in got.items())
+    assert [got.coeff(d) for d in range(8)] == [want.coeff(d) for d in range(8)]
+    assert bool(got) == bool(want) == (not got.is_zero())
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_coeff_dicts, _coeff_dicts, _rationals, st.integers(-5, 5))
+def test_pivalue_agrees_with_fraction_oracle(da, db, q, n):
+    a, b = PiValue(da), PiValue(db)
+    oa, ob = DictPiValue(da), DictPiValue(db)
+    _agrees(a, oa)
+    _agrees(a + b, oa + ob)
+    _agrees(a - b, oa - ob)
+    _agrees(-a, -oa)
+    _agrees(a * b, oa * ob)
+    _agrees(a * q, oa * DictPiValue({0: q}))
+    _agrees(q * a, oa * DictPiValue({0: q}))
+    _agrees(n + a, oa + DictPiValue({0: n}))
+    _agrees(q - a, DictPiValue({0: q}) - oa)
+    assert (a == b) == (oa == ob)
+    assert (a == q) == (oa == DictPiValue({0: q}))
+    # equal values built along different routes hash equal
+    for x, y in ((a + b - b, a), (a * b, b * a), ((a + b) * a, a * a + b * a)):
+        assert x == y
+        assert hash(x) == hash(y)
+
+
+def test_pivalue_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        PiValue({-1: 1})
+    with pytest.raises(ValueError):
+        PiValue.lam(1, -2)
+
+
+# -- sympy as an independent oracle for trace ------------------------------------
+
+
+def _sympy_poly(f: TrigPoly, theta):
+    import sympy as sp
+
+    out = sp.Integer(0)
+    for (kind, k), q in f.items():
+        wave = sp.cos(k * theta) if kind == "c" else sp.sin(k * theta)
+        out += sp.Rational(q.numerator, q.denominator) * wave
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_matches_sympy_integral(seed):
+    """(2/pi) times the integral over [0, pi/2] of f*g, with the product
+    and the integral both done by sympy on complex exponentials, equals
+    trace(mul(f, g)) at L = 1/pi.  sympy's product-to-sum (fu.TR8) is the
+    algorithm of mul itself, so the route goes through exp instead."""
+    import sympy as sp
+
+    rng = random.Random(400 + seed)
+    f, g = rand_poly(rng), rand_poly(rng)
+    theta = sp.Symbol("theta", real=True)
+    integrand = (_sympy_poly(f, theta) * _sympy_poly(g, theta)).rewrite(sp.exp)
+    want = 2 / sp.pi * sp.integrate(sp.expand(integrand), (theta, 0, sp.pi / 2))
+    got = sum((sp.Rational(q.numerator, q.denominator) / sp.pi**deg
+               for deg, q in trace(mul(f, g)).items()), sp.Integer(0))
+    assert sp.simplify(sp.expand(want - got)) == 0
