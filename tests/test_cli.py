@@ -1,6 +1,7 @@
 """CLI behaviour: golden outputs, exit codes, byte-level determinism, and
-the model-file path.  Runs the installed module in a subprocess, which also
-exercises the packaging entry point."""
+the model-file path.  Most tests run the module in a subprocess, which also
+exercises the packaging entry point; a few call ``cli.main`` in process to
+time it or to patch an engine."""
 
 import json
 import os
