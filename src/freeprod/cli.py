@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 from . import freedim, freeword, matmodel, ncpart
 from .freeword import EvaluationLimitError, FamilySplitError, UnknownNameError
 from .ncpart import SizeLimitError
+from .trigalg import parse_trig
 
 
 class CliError(Exception):
@@ -79,8 +80,8 @@ def cmd_nc_lemma(args) -> int:
 # trace
 
 
-_TRIG_RE = re.compile(r"([cs])(?:\[(\d+)\])?$")
-_RAT_RE = re.compile(r"(\d+)(?:/(\d+))?$")
+_TRIG_RE = re.compile(r"[cs](?:\[\d+\])?$")
+_RAT_RE = re.compile(r"\d+(?:/\d+)?$")
 _ELEM_RE = re.compile(r"d\{([^}]+)\}$")
 _HAAR_RE = re.compile(r"([A-Za-z_]\w*?)(\*|\^(-?\d+))?$")
 
@@ -112,25 +113,10 @@ def _word_tokens(text: str) -> List[str]:
 
 
 def _parse_word(fp: freeword.FreeProduct, text: str) -> List[freeword.Letter]:
-    from .trigalg import TrigPoly, parse_trig
-
     letters: List[freeword.Letter] = []
     for tok in _word_tokens(text):
-        if tok.startswith("("):
+        if tok.startswith("(") or _TRIG_RE.match(tok) or _RAT_RE.match(tok):
             letters.append(fp.leg("f").letter(parse_trig(tok)))
-            continue
-        m = _TRIG_RE.match(tok)
-        if m:
-            kind, k = m.group(1), int(m.group(2) or 1)
-            leg = fp.leg("f")
-            letters.append(leg.c(k) if kind == "c" else leg.s(k))
-            continue
-        m = _RAT_RE.match(tok)
-        if m:
-            from fractions import Fraction
-
-            q = Fraction(int(m.group(1)), int(m.group(2) or 1))
-            letters.append(fp.leg("f").letter(TrigPoly.const(q)))
             continue
         m = _ELEM_RE.match(tok)
         if m:
@@ -355,6 +341,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # interpreter exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    except AssertionError as exc:
+        # an engine's own invariant check failed (fdim conservation)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (CliError, SizeLimitError, UnknownNameError, FamilySplitError,
             EvaluationLimitError, freedim.ParseError, freedim.DivergenceError,
             freedim.UnsupportedFragmentError, freedim.NotReducibleError,

@@ -7,17 +7,22 @@ free by construction; a Word is an alternating sequence of letters from
 distinct legs, and an NCPoly is a finite linear combination of words with
 coefficients in Q[L] (L = 1/pi).
 
+Words are stored over the legs' basis letters.  A basis letter b stands
+for b - t(b): t = 0 in the *plain* basis that ``normalize`` and ``mul``
+use, t = tr in the *centered* basis of ``trace_word``.  Both bases are
+served by one fold that appends letters to a combination of reduced words,
+through two memoized tables built from the legs' ``mul``, ``trace`` and
+``split``: a letter's expansion, and the product of a basis letter with a
+same-leg letter.
+
 Two independent trace algorithms are provided and cross-checked:
 
-* ``trace_word`` - a fold over the centered basis.  Each letter x is
-  written as tr(x) plus a combination of centered basis letters b - tr(b),
-  and the centered letters are appended one at a time to a combination of
-  reduced words, a per-leg product table merging same-leg neighbours.  By
-  freeness every nonempty reduced word of centered letters has trace zero
-  (Voiculescu's reduced free product), so the trace is the coefficient of
-  the empty word.  An append shortens a word by at most one letter, so
-  words longer than the letters still to come are dropped on the way.
-  Memoized on the word.
+* ``trace_word`` - the fold over the centered basis.  By freeness every
+  nonempty reduced word of centered letters has trace zero (Voiculescu's
+  reduced free product), so the trace is the coefficient of the empty
+  word.  An append shortens a word by at most one letter, so words longer
+  than the letters still to come are dropped on the way.  Memoized on the
+  word.
 
 * ``trace_bipartite`` - the non-crossing partition formula for a word
   alternating between two free families: the sum over pi in NC(n) of the
@@ -31,6 +36,7 @@ holds the first element; mixed cumulants across distinct legs vanish.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +73,8 @@ class Leg:
     (the letter over the leg's linear basis, as (coefficient, basis letter)
     pairs with ``None`` standing for the identity).  Words over basis
     letters form a linear basis of the free product, so combinations built
-    from them cancel exactly."""
+    from them cancel exactly; so do words over the centered letters
+    b - tr(b), which is all the trace needs."""
 
     kind = "abstract"
 
@@ -76,28 +83,6 @@ class Leg:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.id!r})"
-
-    def center(self, letter) -> Tuple[PiValue, List[Tuple[PiValue, "Letter"]]]:
-        """``(tr x, [(q, b), ...])`` with x = tr x + sum of q (b - tr b):
-        the trace of the letter plus its centered basis letters, each basis
-        letter b standing for b - tr b."""
-        parts = [(PiValue.of(q), b) for q, b in self.split(letter) if b is not None]
-        return self.trace(letter), parts
-
-    def centered_mul(self, a, b) -> Tuple[PiValue, List[Tuple[PiValue, "Letter"]]]:
-        """The product table of the centered basis: (a - tr a)(b - tr b) for
-        basis letters a, b, as a scalar plus centered basis letters,
-
-            sum r_key key^ - tr(b) a^ - tr(a) b^ + (tr(ab) - tr(a) tr(b))
-
-        where ab = sum r_key key and ^ denotes centering."""
-        ta, tb = self.trace(a), self.trace(b)
-        tab, parts = self.center(self.mul(a, b))
-        coeffs = {basis: q for q, basis in parts}
-        for basis, t in ((a, tb), (b, ta)):
-            if not t.is_zero():
-                coeffs[basis] = coeffs.get(basis, PI_ZERO) - t
-        return tab - ta * tb, [(q, basis) for basis, q in coeffs.items() if not q.is_zero()]
 
 
 class TrigLeg(Leg):
@@ -408,6 +393,91 @@ class NCPoly:
 # The free product evaluator
 
 
+class _Basis:
+    """Reduced words over the legs' basis letters, each basis letter b
+    standing for b - t(b): t = 0 in the plain basis, t = tr in the centered
+    one.  Two tables over letter ids, filled on first sight, hold entries
+    (scalar or None, ((basis id, coefficient), ...)):
+
+    * ``expansions[x]`` - the letter x, from its ``split`` parts; the
+      scalar is the identity coefficient (plain) or tr x (centered);
+    * ``products[a, x]`` - (a - t(a)) x for a basis letter a of x's leg,
+      the expansion of ax minus t(a) times the expansion of x.
+    """
+
+    def __init__(self, leg: Callable[[str], Leg], centered: bool):
+        self._leg = leg
+        self._centered = centered
+        self.expansions: Dict[int, tuple] = {}
+        self.products: Dict[Tuple[int, int], tuple] = {}
+
+    def _expand(self, leg: Leg, letter: Letter) -> Tuple[PiValue, Dict[int, PiValue]]:
+        scalar, parts = PI_ZERO, {}
+        for q, b in leg.split(letter):
+            if b is None:
+                scalar = PiValue.of(q)
+            else:
+                parts[_intern(b)] = PiValue.of(q)
+        return (leg.trace(letter) if self._centered else scalar), parts
+
+    def expand(self, x: int) -> tuple:
+        letter = _LETTERS[x]
+        got = self.expansions[x] = _entry(*self._expand(self._leg(letter.leg), letter))
+        return got
+
+    def product(self, key: Tuple[int, int]) -> tuple:
+        a, x = _LETTERS[key[0]], _LETTERS[key[1]]
+        leg = self._leg(x.leg)
+        scalar, parts = self._expand(leg, leg.mul(a, x))
+        ta = leg.trace(a) if self._centered else PI_ZERO
+        if ta:
+            sx, px = self._expand(leg, x)
+            scalar = scalar - ta * sx
+            for b, q in px.items():
+                parts[b] = parts.get(b, PI_ZERO) - ta * q
+        got = self.products[key] = _entry(scalar, parts)
+        return got
+
+    def fold(self, acc: Dict[IdWord, PiValue], letters: Sequence[int],
+             prune: bool) -> Dict[IdWord, PiValue]:
+        """Append the letters one at a time to ``acc``, a combination of
+        reduced words.  A letter x after a word ending in a letter a of its
+        leg replaces a by ``products[a, x]``; after any other word it goes
+        in by its expansion.  With ``prune``, words longer than the letters
+        still to come are dropped."""
+        legs, expansions, products = _LETTER_LEGS, self.expansions, self.products
+        n = len(letters)
+        for pos, x in enumerate(letters):
+            room = n - 1 - pos if prune else sys.maxsize
+            leg = legs[x]
+            nxt: Dict[IdWord, PiValue] = {}
+            for w, c in acc.items():
+                if w and legs[w[-1]] == leg:
+                    key = (w[-1], x)
+                    scalar, parts = products.get(key) or self.product(key)
+                    base = w[:-1]
+                else:
+                    scalar, parts = expansions.get(x) or self.expand(x)
+                    base = w
+                size = len(base)
+                if scalar is not None and size <= room:
+                    add = c * scalar
+                    cur = nxt.get(base)
+                    nxt[base] = add if cur is None else cur + add
+                if size < room:
+                    for b, q in parts:
+                        w2 = base + (b,)
+                        add = c * q
+                        cur = nxt.get(w2)
+                        nxt[w2] = add if cur is None else cur + add
+            acc = nxt
+        return acc
+
+
+def _entry(scalar: PiValue, parts: Dict[int, PiValue]) -> tuple:
+    return scalar or None, tuple((b, q) for b, q in parts.items() if q)
+
+
 class FreeProduct:
     """A free product of named legs, with exact trace evaluation."""
 
@@ -420,14 +490,8 @@ class FreeProduct:
         self._tr_memo: Dict[IdWord, PiValue] = {}
         # free cumulants of same-leg letter tuples, memoized per instance
         self._cumulant = moments_to_cumulants(self.leg_moment)
-        # Tables over letter ids, filled on first sight: a letter's split
-        # over its leg's basis, the split of the in-leg product of two
-        # letters, a letter's centering and the centered product of two
-        # basis letters.  Splits are (scale, id or None) pairs.
-        self._splits: Dict[int, tuple] = {}
-        self._merges: Dict[Tuple[int, int], tuple] = {}
-        self._centered: Dict[int, tuple] = {}
-        self._products: Dict[Tuple[int, int], tuple] = {}
+        self._plain = _Basis(self.leg, centered=False)
+        self._centered = _Basis(self.leg, centered=True)
 
     def add_leg(self, leg: Leg) -> Leg:
         if leg.id in self.legs:
@@ -452,9 +516,7 @@ class FreeProduct:
             if letter.leg not in self.legs:
                 raise UnknownNameError(f"unknown leg {letter.leg!r}")
             ids.append(_intern(letter))
-        out: Dict[IdWord, PiValue] = {}
-        self._append_word(out, (), coeff, ids)
-        return NCPoly._of_ids(out)
+        return NCPoly._of_ids(self._plain.fold({(): coeff}, ids, prune=False))
 
     def word(self, letters: Sequence[Letter]) -> Word:
         """Normalize a letter sequence that is expected to stay a single
@@ -469,51 +531,15 @@ class FreeProduct:
         return terms[0][0]
 
     def mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
+        if not a._terms:
+            return a
         out: Dict[IdWord, PiValue] = {}
-        for w1, c1 in a._terms.items():
-            for w2, c2 in b._terms.items():
-                self._append_word(out, w1, c1 * c2, w2)
+        for w2, c2 in b._terms.items():
+            piece = {w1: c1 * c2 for w1, c1 in a._terms.items()}
+            for w, c in self._plain.fold(piece, w2, prune=False).items():
+                cur = out.get(w)
+                out[w] = c if cur is None else cur + c
         return NCPoly._of_ids(out)
-
-    def _append_word(self, out: Dict[IdWord, PiValue], word: IdWord, coeff: PiValue,
-                     letters: Sequence[int]) -> None:
-        """Add coeff * word * (the letters, one at a time) into ``out``."""
-        piece: Dict[IdWord, PiValue] = {word: coeff}
-        for i in letters:
-            nxt: Dict[IdWord, PiValue] = {}
-            for w, c in piece.items():
-                self._append_letter(nxt, w, c, i)
-            piece = nxt
-        for w, c in piece.items():
-            cur = out.get(w)
-            out[w] = c if cur is None else cur + c
-
-    def _append_letter(self, out: Dict[IdWord, PiValue], word: IdWord, coeff: PiValue,
-                       i: int) -> None:
-        if word and _LETTER_LEGS[word[-1]] == _LETTER_LEGS[i]:
-            key = (word[-1], i)
-            parts = self._merges.get(key)
-            if parts is None:
-                leg = self.leg(_LETTER_LEGS[i])
-                parts = self._merges[key] = self._split(
-                    leg, leg.mul(_LETTERS[word[-1]], _LETTERS[i]))
-            base = word[:-1]
-        else:
-            parts = self._splits.get(i)
-            if parts is None:
-                parts = self._splits[i] = self._split(
-                    self.leg(_LETTER_LEGS[i]), _LETTERS[i])
-            base = word
-        for scale, reduced in parts:
-            w2 = base if reduced is None else base + (reduced,)
-            cur = out.get(w2)
-            add = coeff * scale
-            out[w2] = add if cur is None else cur + add
-
-    @staticmethod
-    def _split(leg: Leg, letter: Letter) -> tuple:
-        return tuple((PiValue.of(q), None if b is None else _intern(b))
-                     for q, b in leg.split(letter))
 
     # -- letter/leg oracles --------------------------------------------------
 
@@ -543,11 +569,11 @@ class FreeProduct:
         basis.
 
         The letters are appended left to right to a combination of reduced
-        words of centered basis letters; a same-leg neighbour is merged by
-        the leg's product table.  Nonempty reduced words have trace zero by
-        freeness, so the trace is the coefficient of the empty word.  A word
-        longer than the letters still to come can no longer reach the empty
-        word and is dropped."""
+        words of centered basis letters (``_Basis.fold``); a same-leg
+        neighbour is merged by the centered product table.  Nonempty
+        reduced words have trace zero by freeness, so the trace is the
+        coefficient of the empty word.  A word longer than the letters
+        still to come can no longer reach the empty word and is dropped."""
         word = tuple(word)
         for a, b in zip(word, word[1:]):
             if a.leg == b.leg:
@@ -561,59 +587,10 @@ class FreeProduct:
         cached = self._tr_memo.get(word)
         if cached is not None:
             return cached
-        legs = _LETTER_LEGS
-        # reduced words of centered basis letters, as id words
-        acc: Dict[IdWord, PiValue] = {(): PI_ONE}
-        for pos, i in enumerate(word):
-            room = n - 1 - pos  # letters still to come
-            scalar, parts = self._center(i)
-            nxt: Dict[IdWord, PiValue] = {}
-            for w, c in acc.items():
-                size = len(w)
-                if scalar is not None and size <= room:
-                    _accumulate(nxt, w, c * scalar)
-                last_leg = legs[w[-1]] if w else None
-                for b, q in parts:
-                    if legs[b] == last_leg:
-                        s, prod = self._centered_product(w[-1], b)
-                        cq = c * q
-                        base = w[:-1]
-                        if s is not None:
-                            _accumulate(nxt, base, cq * s)
-                        if size <= room:
-                            for b2, r in prod:
-                                _accumulate(nxt, base + (b2,), cq * r)
-                    elif size < room:
-                        _accumulate(nxt, w + (b,), c * q)
-            acc = {w: c for w, c in nxt.items() if not c.is_zero()}
-            if not acc:
-                break
+        acc = self._centered.fold({(): PI_ONE}, word, prune=True)
         result = acc.get((), PI_ZERO)
         self._tr_memo[word] = result
         return result
-
-    def _center(self, i: int):
-        """Memoized ``Leg.center`` over letter ids; a zero trace is None."""
-        got = self._centered.get(i)
-        if got is None:
-            letter = _LETTERS[i]
-            t, parts = self.leg(letter.leg).center(letter)
-            got = (None if t.is_zero() else t,
-                   tuple((_intern(b), q) for q, b in parts))
-            self._centered[i] = got
-        return got
-
-    def _centered_product(self, a: int, b: int):
-        """Memoized ``Leg.centered_mul`` over letter ids; a zero scalar is
-        None."""
-        got = self._products.get((a, b))
-        if got is None:
-            la, lb = _LETTERS[a], _LETTERS[b]
-            s, parts = self.leg(la.leg).centered_mul(la, lb)
-            got = (None if s.is_zero() else s,
-                   tuple((_intern(l), q) for q, l in parts))
-            self._products[(a, b)] = got
-        return got
 
     def trace(self, nc: NCPoly) -> PiValue:
         """Linear extension of the word trace to combinations."""
@@ -718,11 +695,6 @@ class FreeProduct:
                 "cumulant side"
             )
         return self.leg_moment(letters)
-
-
-def _accumulate(d: dict, key, value: PiValue) -> None:
-    cur = d.get(key)
-    d[key] = value if cur is None else cur + value
 
 
 # ---------------------------------------------------------------------------

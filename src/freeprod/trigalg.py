@@ -427,10 +427,6 @@ def trace(f: TrigPoly) -> PiValue:
     return PiValue({0: const, 1: lam})
 
 
-def eval_numeric(v: PiValue) -> float:
-    return v.eval_numeric()
-
-
 def parse_trig(text: str) -> TrigPoly:
     """Parse the text encoding of a trig polynomial.
 
@@ -513,7 +509,10 @@ def _trig_tokenize(text: str):
                     j += 1
                 if j == i:
                     raise ValueError(f"missing denominator in {text!r}")
-                out.append(Fraction(num, int(text[i:j])))
+                den = int(text[i:j])
+                if not den:
+                    raise ValueError(f"zero denominator in {text!r}")
+                out.append(Fraction(num, den))
                 i = j
             else:
                 out.append(Fraction(num))
@@ -522,7 +521,9 @@ def _trig_tokenize(text: str):
             i += 1
             k = 1
             if i < n and text[i] == "[":
-                j = text.index("]", i)
+                j = text.find("]", i)
+                if j < 0:
+                    raise ValueError(f"missing ']' in {text!r}")
                 k = int(text[i + 1:j])
                 i = j + 1
             out.append((kind, k))

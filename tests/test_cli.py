@@ -211,6 +211,30 @@ def test_divergence_exits_2(monkeypatch, capsys):
     assert err == ["error: rewrite step limit exceeded"]
 
 
+def test_conservation_failure_exits_1(monkeypatch, capsys):
+    share = freedim._m2_share
+
+    def wrong_weight(f):
+        parts, weight = share(f)
+        return parts, weight + 1
+
+    monkeypatch.setattr(freedim, "_m2_share", wrong_weight)
+    assert cli.main(["normalize", "--expr", "R * R"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: rule R11 broke fdim conservation: 2 != 5/2"]
+
+
+@pytest.mark.parametrize("word,needle", [
+    ("1/0", "zero denominator"),
+    ("(1/0)", "zero denominator"),
+    ("(c*1/0)", "zero denominator"),
+    ("(c[)", "missing ']'"),
+])
+def test_trace_bad_trig_token_exit_2(word, needle):
+    line = run_cli_error("trace", "--word", word)
+    assert needle in line and "Traceback" not in line
+
+
 def test_tables_example61():
     out = run_cli("tables", "--table", "example61", "--n-max", "3")
     assert out.strip().endswith("0 failures")

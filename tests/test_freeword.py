@@ -20,6 +20,7 @@ from freeprod.freeword import (
     FreeProduct,
     HaarLeg,
     HaarLetter,
+    Leg,
     NCPoly,
     TrigLeg,
     TrigLetter,
@@ -34,7 +35,8 @@ from freeprod.freeword import (
 from freeprod.ncpart import NCPartition
 from freeprod.trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly
 
-from wordgen import model_with_comm, rand_balanced_letters, rand_letters, rand_word
+from wordgen import (model_with_comm, rand_balanced_letters, rand_letters, rand_trig,
+                     rand_word)
 
 
 @pytest.fixture()
@@ -319,6 +321,57 @@ def test_long_words_agree_with_bipartite(fp):
         assert fp.trace(fp.normalize(letters)) == want, seed
         nonzero += want != PI_ZERO
     assert nonzero >= 6  # the check is not carried by vanishing traces
+
+
+# -- the leg protocol -----------------------------------------------------------
+
+
+class CyclicLeg(Leg):
+    """A unitary z with z^3 = 1, tr(z^k) = 1 if 3 divides k and 0
+    otherwise, given by ``mul``, ``trace`` and ``split`` alone."""
+
+    kind = "cyclic3"
+
+    def mul(self, a, b):
+        return HaarLetter(self.id, (a.power + b.power) % 3)
+
+    def trace(self, letter):
+        return PI_ONE if letter.power % 3 == 0 else PI_ZERO
+
+    def split(self, letter):
+        power = letter.power % 3
+        return [(Fraction(1), HaarLetter(self.id, power) if power else None)]
+
+
+def test_protocol_leg_normalizes():
+    fp = standard_model([CyclicLeg("z")])
+    z = HaarLetter("z", 1)
+    assert fp.normalize([z, z, z]) == NCPoly.unit()
+    assert fp.normalize([z, z]) == NCPoly({(HaarLetter("z", 2),): 1})
+
+
+def test_protocol_leg_fold_agrees_with_bipartite():
+    """The fold and the partition formula on seeded words alternating
+    between trig letters and powers of z."""
+    fp = standard_model([CyclicLeg("z")])
+    f = fp.leg("f")
+    nonzero = 0
+    for seed in range(200):
+        rng = random.Random(9000 + seed)
+        use_trig = rng.random() < 0.5
+        letters = []
+        for _ in range(rng.randint(1, 10)):
+            if use_trig:
+                letters.append(f.letter(rand_trig(rng)))
+            else:
+                letters.append(HaarLetter("z", rng.choice([-1, 1, 2])))
+            use_trig = not use_trig
+        f1 = [i for i, l in enumerate(letters) if not isinstance(l, TrigLetter)]
+        want = fp.trace_bipartite(letters, f1)
+        assert fp.trace_word(letters) == want, seed
+        assert fp.trace(fp.normalize(letters)) == want, seed
+        nonzero += want != PI_ZERO
+    assert nonzero >= 40  # the check is not carried by vanishing traces
 
 
 # -- R-diagonal filter --------------------------------------------------------------
