@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import sys
 from typing import List, Optional, Sequence
@@ -218,7 +219,12 @@ def cmd_free_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    nf, steps = freedim.normalize(args.expr, seed=args.seed)
+    if args.stats:
+        rng = random.Random(args.seed) if args.seed is not None else None
+        engine = freedim.Normalizer(rng=rng)
+        nf, steps = engine.normalize(freedim.parse(args.expr))
+    else:
+        nf, steps = freedim.normalize(args.expr, seed=args.seed)
     if args.json:
         doc = {
             "input": args.expr,
@@ -240,6 +246,11 @@ def cmd_normalize(args) -> int:
             for i, s in enumerate(steps, 1):
                 _print(f"{i:3}. [{s.rule}] {s.before}  ->  {s.after}"
                        f"   (fdim {s.fdim_before})")
+    if args.stats:
+        # rules in the order they first fired
+        counts = ",".join(f"{rule}:{n}" for rule, n in engine.rule_counts.items())
+        print(f"stats: steps={len(steps)} memo_hits={engine.memo_hits} "
+              f"memo_misses={engine.memo_misses} rule_counts={counts}", file=sys.stderr)
     return 0
 
 
@@ -313,6 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="randomize rule priority (confluence checking)")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print the engine's step, memo and per-rule counts "
+                        "as one 'stats:' line on stderr")
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("tables", help="verified normalization tables")

@@ -29,14 +29,16 @@ conserves fdim because 4 fdim(f) = fdim(parts(f)) + w(f) + 1.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache, reduce
+from math import gcd, isqrt
 from operator import is_
 import random
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 
 class ParseError(ValueError):
@@ -61,34 +63,93 @@ class DivergenceError(RuntimeError):
 # Expression trees
 
 
-_HALF = Fraction(1, 2)
+# A free dimension inside the engine: a reduced (numerator, denominator)
+# pair of ints, denominator positive.  ``fdim`` and the step log turn it into
+# a Fraction.
+Pair = Tuple[int, int]
+
+
+def _add(p: Pair, q: Pair) -> Pair:
+    """p + q in lowest terms, as ``Fraction`` adds (Knuth, TAOCP vol. 2,
+    4.5.1).  With g = gcd(d1, d2) and s = d1/g, the sum is t/(s d2) for
+    t = n1 (d2/g) + n2 s, and gcd(t, s d2) = gcd(t, g)."""
+    (n1, d1), (n2, d2) = p, q
+    if d1 == d2:
+        n = n1 + n2
+        if d1 == 1:
+            return n, 1
+        g = gcd(n, d1)
+        return n // g, d1 // g
+    g = gcd(d1, d2)
+    if g == 1:
+        return n1 * d2 + n2 * d1, d1 * d2
+    s = d1 // g
+    t = n1 * (d2 // g) + n2 * s
+    g2 = gcd(t, g)
+    return t // g2, s * (d2 // g2)
+
+
+def _quarter_plus(p: Pair, k: int) -> Pair:
+    """(p + k)/4 in lowest terms.  gcd(n + k d, d) = gcd(n, d) = 1, so only
+    gcd(n + k d, 4) divides out."""
+    n, d = p
+    a = n + k * d
+    g = gcd(a, 4)
+    return a // g, 4 * d // g
+
+
+def _m2_fdim(inner: Pair) -> Pair:
+    """fdim(M2(B)) = 1 + (fdim B - 1)/4 = (fdim B + 3)/4."""
+    return _quarter_plus(inner, 3)
+
+
+def _sum_fdim(left: Pair, right: Pair) -> Pair:
+    """fdim(A (+) B) = (fdim A + fdim B)/4 + 1/2 = (fdim A + fdim B + 2)/4."""
+    return _quarter_plus(_add(left, right), 2)
+
+
+def _product_fdim(factors: Iterable[Expr]) -> Pair:
+    return reduce(_add, (f._fdim for f in factors))
+
+
+@lru_cache(maxsize=4096)
+def _fraction(p: Pair) -> Fraction:
+    """The Fraction of a pair, for the public boundary: ``fdim`` and the
+    step log."""
+    return Fraction(*p)
 
 
 class Expr:
-    """A fragment expression.  Each node computes its free dimension
-    ``_fdim`` and its text ``_text`` once, when it is built, from its
-    children's, by the formulas of the module docstring.  They are not
-    dataclass fields, so ==, hash and repr ignore them."""
+    """A fragment expression.  Each node computes three values once, when it
+    is built, from its children's: ``_fdim``, its free dimension by the
+    formulas of the module docstring as a reduced (numerator, denominator)
+    pair of ints; ``_text``; and ``_shapes``, the shapes under which the
+    rule table sees it as a factor (none for LZ and products, which are
+    never factors of a reduction).  They are not dataclass fields, so ==,
+    hash and repr ignore them."""
 
     __slots__ = ()
+    _shapes: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class AtomC(Expr):
-    _fdim = Fraction(0)
+    _fdim = (0, 1)
     _text = "C"
+    _shapes = ("C",)
 
 
 @dataclass(frozen=True)
 class AtomLZ(Expr):
-    _fdim = Fraction(1)
+    _fdim = (1, 1)
     _text = "LZ"
 
 
 @dataclass(frozen=True)
 class AtomR(Expr):
-    _fdim = Fraction(1)
+    _fdim = (1, 1)
     _text = "R"
+    _shapes = ("R",)
 
 
 @dataclass(frozen=True)
@@ -96,15 +157,18 @@ class AtomLF(Expr):
     t: Fraction
 
     def __post_init__(self) -> None:
-        vars(self).update(_fdim=self.t, _text=f"LF({self.t})")
+        n, d = self.t.numerator, self.t.denominator
+        vars(self).update(_fdim=(n, d), _text=f"LF({n})" if d == 1 else f"LF({n}/{d})",
+                          _shapes=("LF", "LF(1)" if n == d else "LF(t>1)"))
 
 
 @dataclass(frozen=True)
 class Mat2Of(Expr):
     inner: Expr
+    _shapes = ("matrix",)
 
     def __post_init__(self) -> None:
-        vars(self).update(_fdim=1 + (self.inner._fdim - 1) / 4,
+        vars(self).update(_fdim=_m2_fdim(self.inner._fdim),
                           _text=f"M2({self.inner._text})")
 
 
@@ -112,9 +176,10 @@ class Mat2Of(Expr):
 class SumOf(Expr):
     left: Expr
     right: Expr
+    _shapes = ("sum",)
 
     def __post_init__(self) -> None:
-        vars(self).update(_fdim=(self.left._fdim + self.right._fdim) / 4 + _HALF,
+        vars(self).update(_fdim=_sum_fdim(self.left._fdim, self.right._fdim),
                           _text=f"{_wrapped(self.left)} (+) {_wrapped(self.right)}")
 
 
@@ -127,13 +192,17 @@ class FreeOf(Expr):
         if len(factors) < 2:
             raise ValueError("free product needs at least two factors")
         object.__setattr__(self, "factors", factors)
-        vars(self).update(_fdim=sum((f._fdim for f in factors[1:]), factors[0]._fdim),
-                          _text=" * ".join(map(_wrapped, factors)))
+        vars(self).update(_fdim=_product_fdim(factors),
+                          _text=_product_text(factors))
 
 
 def _wrapped(e: Expr) -> str:
     """The text of e as an operand: sums and products in parentheses."""
     return f"({e._text})" if isinstance(e, (SumOf, FreeOf)) else e._text
+
+
+def _product_text(factors: Iterable[Expr]) -> str:
+    return " * ".join(map(_wrapped, factors))
 
 
 def _flatten(factors: Iterable[Expr]) -> List[Expr]:
@@ -191,7 +260,7 @@ def fdim(e: Expr) -> Fraction:
     """Exact free dimension of a fragment expression."""
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression: {e!r}")
-    return e._fdim
+    return _fraction(e._fdim)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +269,11 @@ def fdim(e: Expr) -> Fraction:
 
 # Largest expanded tree, in nodes, that ``parse`` accepts.  On a 2-core
 # x86 machine with Python 3.11, C^2048 * C^2048 (8191 nodes, 12281 steps)
-# normalizes in 0.04 s, since it repeats factor lists, and a product of
-# 1000 distinct M2(LF(t)) factors (2001 nodes) in 0.4 s; a flat product
-# of n factors costs O(n^2), 6.3 s for 4096 factors R.
+# normalizes in 0.01 s, since it repeats factor lists, and a product of
+# 1000 distinct M2(LF(t)) factors (2001 nodes) in 0.03 s.  The factor
+# index keeps a flat product from reclassifying its factors every round:
+# 8191 factors R (16381 steps) take 0.17 s, or 0.21 s with a seed, and
+# 8191 factors LF(3/2) take 0.11 s.
 MAX_EXPR_SIZE = 8192
 
 
@@ -479,14 +550,8 @@ _RULES: Dict[str, _Rule] = {
     "R6inv": _Rule("M2(LF(t)) -> LF(1 + (t - 1)/4), t > 1"),
 }
 
-_SHAPE = {AtomC: "C", AtomR: "R", SumOf: "sum", Mat2Of: "matrix"}
-
-
-def _factor_shapes(f: Expr) -> Tuple[str, ...]:
-    """The shapes of a reduced factor; an LF atom has two."""
-    if isinstance(f, AtomLF):
-        return ("LF", "LF(1)" if f.t == 1 else "LF(t>1)")
-    return (_SHAPE[type(f)],)
+# Every shape a factor can have; the factor index keeps a bucket for each.
+_SHAPES = ("C", "R", "LF", "LF(1)", "LF(t>1)", "sum", "matrix")
 
 
 def _unfold(f: Expr) -> Expr:
@@ -507,23 +572,86 @@ def _m2_share(f: Expr) -> Tuple[List[Expr], int]:
     return [], 3  # LF(1) or R
 
 
+def _candidate_count(rule: _Rule, by_shape: Dict[str, List[int]]) -> int:
+    """The number of instances of ``rule`` among the factors in ``by_shape``:
+    n for one shape, C(n, 2) for two factors of one shape, n1 n2 otherwise."""
+    _, shapes, gate = rule
+    first = by_shape[shapes[0]] if shapes else ()
+    if not first or (gate is not None and not gate(by_shape)):
+        return 0
+    n = len(first)
+    if len(shapes) == 1:
+        return n
+    if shapes[1] == shapes[0]:
+        return n * (n - 1) // 2
+    return n * len(by_shape[shapes[1]])
+
+
+def _candidate(shapes: Tuple[str, ...], by_shape: Dict[str, List[int]],
+               r: int) -> Tuple[int, ...]:
+    """The slots of instance r of a rule taking ``shapes``.  Instances are
+    ordered as the slots of one shape, as ``combinations`` of the slots of
+    one shape, or as the slots of the first shape, each with every slot of
+    the second."""
+    first = by_shape[shapes[0]]
+    if len(shapes) == 1:
+        return (first[r],)
+    if shapes[1] != shapes[0]:
+        second = by_shape[shapes[1]]
+        q, r = divmod(r, len(second))
+        return first[q], second[r]
+    # Pair (a, b), a < b, of positions in ``first``: with m = 2n - 1, row a
+    # holds n - 1 - a pairs and starts at a(m - a)/2.  Row a is the largest
+    # a with a(m - a) <= 2r; the isqrt estimate is at most one too large.
+    m = 2 * len(first) - 1
+    a = (m - isqrt(m * m - 8 * r)) // 2
+    while a * (m - a) > 2 * r:
+        a -= 1
+    return first[a], first[a + 1 + r - a * (m - a) // 2]
+
+
+def _first_slot(by_shape: Dict[str, List[int]], skip: int) -> int:
+    """The lowest occupied slot other than ``skip``.  Every factor has a
+    shape, and ``skip`` is at most once in a bucket, so the answer is among
+    the first two slots of some bucket."""
+    return min(j for slots in by_shape.values() for j in slots[:2] if j != skip)
+
+
 class Normalizer:
     """Innermost-first reduction of free products to M2^n(LF_t) form.
 
-    Each round of the factor loop lists every applicable instance of the
-    ``_RULES`` table, in table order.  ``rng`` selects among them; with the
-    default None the first candidate fires, which makes derivations
-    deterministic.  Four constructions carry out the rules: R13 drops a C
-    factor; R9, R6 and R12 unfold one factor; R7 and R8 merge two atoms
-    into an LF atom; R1-R5, R10 and R11 pair two factors inside one M2 by
-    the weight rule of the module docstring.  The directed unfoldings are
-    gated so that both orders reach the same normal form:
+    Each round of the factor loop fires one instance of the ``_RULES``
+    table.  The instances are listed in table order; ``rng`` selects among
+    them, and with the default None the first fires, which makes
+    derivations deterministic.  Four constructions carry out the rules: R13
+    drops a C factor; R9, R6 and R12 unfold one factor; R7 and R8 merge two
+    atoms into an LF atom; R1-R5, R10 and R11 pair two factors inside one
+    M2 by the weight rule of the module docstring.  The directed unfoldings
+    are gated so that both orders reach the same normal form:
 
     * R6 (compression of an LF atom) and R12 (doubling LF(1) into a sum)
       fire only when a sum or matrix factor is present to pair with;
     * R9 (R -> M2(R)) fires only when no LF atom is available for the
       direct absorption R8 and some co-factor (sum, matrix, or a second
       R) can consume the unfolded copy.
+
+    A step is logged from the text and the fdim pair of each side, and the
+    two pairs must be equal.  A pair rule computes its "before" pair from
+    the two factors and its "after" pair from the parts and the LF weight
+    by the M2 formula, so no node is built only to be logged, and a wrong
+    weight still fails the check.  The log turns the pair into a Fraction.
+
+    The factor loop keeps an index instead of reclassifying the factors
+    each round.  A factor keeps its slot, its position in the input list:
+    a pair result takes the lower of its two slots and frees the other, an
+    unfold stays in its slot, and R13 frees the slot of the C.  Slot order
+    is therefore list order.  For each shape the index holds the sorted
+    slots of the factors that have it (a factor caches its shapes), updated
+    at each step.  A rule's instances are counted from the bucket sizes,
+    and instance r is mapped back to its slots arithmetically, so one round
+    costs O(number of rules) plus the bucket updates, and a seeded run makes
+    the same ``randrange`` draws over the same instance order as listing
+    every instance would.
 
     A deterministic derivation of a factor list depends on nothing but the
     factors, and balanced trees meet the same list many times.  Within one
@@ -572,21 +700,23 @@ class Normalizer:
                 "expression reduces to "
                 f"{expr_text(red)}, which is not of the form M2^n(LF/C/R)")
         param = core.t if isinstance(core, AtomLF) else None
-        return NormalForm(depth, _factor_shapes(core)[0], param), self.steps
+        return NormalForm(depth, core._shapes[0], param), self.steps
 
     # -- helpers --------------------------------------------------------------
 
-    def _log(self, rule: str, path: Tuple[int, ...], before: Expr, after: Expr) -> None:
-        db, da = fdim(before), fdim(after)
-        if db != da:
+    def _log(self, rule: str, path: Tuple[int, ...], before: str, fdim_before: Pair,
+             after: str, fdim_after: Pair) -> None:
+        """Log one step from its two sides' texts and fdim pairs, which the
+        caller computes independently of each other."""
+        if fdim_before != fdim_after:
             raise AssertionError(
-                f"rule {rule} broke fdim conservation: {db} != {da}")
+                f"rule {rule} broke fdim conservation: "
+                f"{_fraction(fdim_before)} != {_fraction(fdim_after)}")
         self._budget -= 1
         if self._budget < 0:
             raise DivergenceError("rewrite step limit exceeded")
-        self.steps.append(RewriteStep(
-            rule, _RULES[rule].text, path,
-            expr_text(before), expr_text(after), db, da))
+        q = _fraction(fdim_before)
+        self.steps.append(RewriteStep(rule, _RULES[rule].text, path, before, after, q, q))
 
     # _canonicalize and _reduce return a subtree they leave unchanged as the
     # same object, which keeps its cached fdim and text.
@@ -595,7 +725,7 @@ class Normalizer:
         """LZ becomes LF(1) (rule R14); LF(0) is read as C by definition."""
         if isinstance(e, AtomLZ):
             new = AtomLF(Fraction(1))
-            self._log("R14", path, e, new)
+            self._log("R14", path, e._text, e._fdim, new._text, new._fdim)
             return new
         if isinstance(e, AtomLF):
             if e.t == 0:
@@ -635,7 +765,7 @@ class Normalizer:
         so that amplification depth concentrates in the outermost shell."""
         while isinstance(e, Mat2Of) and isinstance(e.inner, AtomLF) and e.inner.t > 1:
             new = AtomLF(1 + (e.inner.t - 1) / 4)
-            self._log("R6inv", path, e, new)
+            self._log("R6inv", path, e._text, e._fdim, new._text, new._fdim)
             e = new
         return e
 
@@ -665,50 +795,60 @@ class Normalizer:
         return result
 
     def _derive(self, factors: List[Expr], path: Tuple[int, ...]) -> Expr:
-        facs = list(factors)
-        while len(facs) > 1:
-            cands = self._candidates(facs)
-            if self.rng is None:
-                pick = next(cands, None)
-            else:
-                options = list(cands)
-                pick = options[self.rng.randrange(len(options))] if options else None
+        # the factor index: factors by slot (None once freed), and the sorted
+        # slots of each shape
+        facs: List[Optional[Expr]] = list(factors)
+        by_shape: Dict[str, List[int]] = {shape: [] for shape in _SHAPES}
+        for i, f in enumerate(facs):
+            for shape in f._shapes:
+                by_shape[shape].append(i)
+        live = len(facs)
+        while live > 1:
+            pick = self._pick(by_shape)
             if pick is None:
                 raise NotReducibleError(
                     "no rule applies to "
-                    + " * ".join(expr_text(f, top=False) for f in facs))
-            facs = self._apply(pick, facs, path)
-        return facs[0]
+                    + " * ".join(_wrapped(f) for f in facs if f is not None))
+            live -= self._apply(pick, facs, by_shape, path)
+        return next(f for f in facs if f is not None)
 
-    def _candidates(self, facs: List[Expr]) -> Iterator[Tuple[str, Tuple[int, ...]]]:
-        by_shape: Dict[str, List[int]] = defaultdict(list)
-        for i, f in enumerate(facs):
-            for shape in _factor_shapes(f):
-                by_shape[shape].append(i)
-        for name, (_, shapes, gate) in _RULES.items():
-            first = by_shape[shapes[0]] if shapes else ()
-            if not first or (gate is not None and not gate(by_shape)):
-                continue
-            if len(shapes) == 1:
-                yield from ((name, (i,)) for i in first)
-            elif shapes[1] == shapes[0]:
-                yield from ((name, pair) for pair in combinations(first, 2))
-            else:
-                yield from ((name, (i, j)) for i in first for j in by_shape[shapes[1]])
+    def _pick(self, by_shape: Dict[str, List[int]]) -> Optional[Tuple[str, Tuple[int, ...]]]:
+        """The rule instance to fire, or None when no rule applies."""
+        if self.rng is None:
+            for name, rule in _RULES.items():
+                if _candidate_count(rule, by_shape):
+                    return name, _candidate(rule.shapes, by_shape, 0)
+            return None
+        counts = [(name, rule.shapes, _candidate_count(rule, by_shape))
+                  for name, rule in _RULES.items()]
+        total = sum(count for _, _, count in counts)
+        if not total:
+            return None
+        r = self.rng.randrange(total)
+        for name, shapes, count in counts:
+            if r < count:
+                return name, _candidate(shapes, by_shape, r)
+            r -= count
+        raise AssertionError("unreachable")
 
-    def _apply(self, pick: Tuple[str, Tuple[int, ...]], facs: List[Expr],
-               path: Tuple[int, ...]) -> List[Expr]:
+    def _apply(self, pick: Tuple[str, Tuple[int, ...]], facs: List[Optional[Expr]],
+               by_shape: Dict[str, List[int]], path: Tuple[int, ...]) -> int:
+        """Fire ``pick``, update the factor index, and return the number of
+        factors that went away."""
         rule, idx = pick
         if len(idx) == 1:
             (i,) = idx
             old = facs[i]
+            _vacate(facs, by_shape, i)
             if isinstance(old, AtomC):  # R13
-                partner = next(j for j in range(len(facs)) if j != i)
-                self._log(rule, path, FreeOf([old, facs[partner]]), facs[partner])
-                return [f for j, f in enumerate(facs) if j != i]
+                partner = facs[_first_slot(by_shape, i)]
+                self._log(rule, path, _product_text((old, partner)),
+                          _product_fdim((old, partner)), partner._text, partner._fdim)
+                return 1
             new = _unfold(old)
-            self._log(rule, path, old, new)
-            return [new if j == i else f for j, f in enumerate(facs)]
+            self._log(rule, path, old._text, old._fdim, new._text, new._fdim)
+            _occupy(facs, by_shape, i, new)
+            return 0
 
         i, j = idx
         a, b = facs[i], facs[j]
@@ -716,18 +856,34 @@ class Normalizer:
             # R1-R5, R10, R11: the weight rule of the module docstring
             (parts_a, w_a), (parts_b, w_b) = _m2_share(a), _m2_share(b)
             inner = parts_a + parts_b + [AtomLF(Fraction(w_a + w_b - 1))]
-            self._log(rule, path, FreeOf([a, b]), Mat2Of(FreeOf(inner)))
+            self._log(rule, path, _product_text((a, b)), _product_fdim((a, b)),
+                      f"M2({_product_text(inner)})", _m2_fdim(_product_fdim(inner)))
             reduced_inner = self._reduce_factors(inner, path + (0,))
             replacement: Expr = Mat2Of(self._collapse_shell(reduced_inner, path + (0,)))
-        else:  # R7, R8: an LF atom absorbs LF(s) or R (which counts as 1)
+        else:  # R7, R8: an LF atom absorbs LF(s) or R, adding its fdim s or 1
             atom, other = (a, b) if isinstance(a, AtomLF) else (b, a)
-            replacement = AtomLF(atom.t + (other.t if isinstance(other, AtomLF) else 1))
-            self._log(rule, path, FreeOf([atom, other]), replacement)
+            merged = _product_fdim((atom, other))
+            replacement = AtomLF(_fraction(merged))
+            self._log(rule, path, _product_text((atom, other)), merged,
+                      replacement._text, replacement._fdim)
+        _vacate(facs, by_shape, i)
+        _vacate(facs, by_shape, j)
+        _occupy(facs, by_shape, min(i, j), replacement)
+        return 1
 
-        out = list(facs)
-        out[min(i, j)] = replacement
-        del out[max(i, j)]
-        return out
+
+def _vacate(facs: List[Optional[Expr]], by_shape: Dict[str, List[int]], i: int) -> None:
+    for shape in facs[i]._shapes:
+        slots = by_shape[shape]
+        del slots[bisect_left(slots, i)]
+    facs[i] = None
+
+
+def _occupy(facs: List[Optional[Expr]], by_shape: Dict[str, List[int]], i: int,
+            f: Expr) -> None:
+    facs[i] = f
+    for shape in f._shapes:
+        insort(by_shape[shape], i)
 
 
 def normalize(e: Union[Expr, str], seed: Optional[int] = None,

@@ -427,6 +427,19 @@ def trace(f: TrigPoly) -> PiValue:
     return PiValue({0: const, 1: lam})
 
 
+# Deepest nesting of parentheses that ``parse_trig`` accepts.  The parser
+# recurses three frames per level, so the deepest accepted text takes about
+# 300 of Python's default 1000 frames.
+MAX_TRIG_DEPTH = 100
+
+# Most pairs of terms that one product in ``parse_trig`` may multiply; an
+# n-term by an m-term polynomial is n*m pairs, and each pair gives at most
+# two terms.  A chain c[1]*c[2]*c[4]*... doubles its terms with every
+# factor, so it is rejected at the 15th factor, before that product is
+# formed; the 14 factors before it make 8192 terms.
+MAX_TRIG_TERMS = 4096
+
+
 def parse_trig(text: str) -> TrigPoly:
     """Parse the text encoding of a trig polynomial.
 
@@ -434,8 +447,21 @@ def parse_trig(text: str) -> TrigPoly:
     joined by an explicit ``*`` (no juxtaposition); a factor is a rational
     ``p/q``, one of ``c``, ``s``, ``c[k]``, ``s[k]``, or a parenthesized
     subexpression.  Examples: ``1/2 + 1/2*c[2]``, ``c*s - 3/2*s[4]``.
+
+    Text nested deeper than ``MAX_TRIG_DEPTH`` levels is rejected before
+    parsing starts, and a product of more than ``MAX_TRIG_TERMS`` pairs of
+    terms before it is multiplied out, both with ``ValueError``.
     """
     tokens = _trig_tokenize(text)
+    depth = 0
+    for tok in tokens:
+        if tok == "(":
+            depth += 1
+            if depth > MAX_TRIG_DEPTH:
+                raise ValueError(
+                    f"trig expression nests deeper than {MAX_TRIG_DEPTH} levels")
+        elif tok == ")":
+            depth -= 1
     pos = [0]
 
     def peek():
@@ -463,7 +489,13 @@ def parse_trig(text: str) -> TrigPoly:
         out = parse_factor()
         while peek() == "*":
             advance()
-            out = out * parse_factor()
+            factor = parse_factor()
+            pairs = len(out._terms) * len(factor._terms)
+            if pairs > MAX_TRIG_TERMS:
+                raise ValueError(
+                    f"trig product multiplies {pairs} pairs of terms, "
+                    f"more than {MAX_TRIG_TERMS}")
+            out = out * factor
         return out
 
     def parse_factor() -> TrigPoly:

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from freeprod import cli, freedim
+from freeprod.trigalg import MAX_TRIG_DEPTH, MAX_TRIG_TERMS
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -167,6 +168,24 @@ def test_normalize_seeded_is_confluent():
         assert out.splitlines()[0] == base.splitlines()[0]
 
 
+@pytest.mark.parametrize("extra", [(), ("--steps", "--json"), ("--seed", "2", "--steps")],
+                         ids=["text", "steps-json", "seeded-steps"])
+def test_normalize_stats_line(extra):
+    """--stats adds one line on stderr and leaves stdout as it is; without
+    it stderr stays empty."""
+    argv = ("normalize", "--expr", "C^64 * C^64", *extra)
+    plain, stats = _run(argv), _run((*argv, "--stats"))
+    assert plain.returncode == stats.returncode == 0
+    assert plain.stderr == ""
+    assert stats.stdout == plain.stdout
+    (line,) = stats.stderr.splitlines()
+    if "--seed" not in extra:
+        assert line == ("stats: steps=377 memo_hits=5 memo_misses=17 "
+                        "rule_counts=R1:63,R13:128,R3:31,R7:93,R5:31,R6inv:31")
+    else:
+        assert line.startswith("stats: steps=") and "memo_hits=0 memo_misses=0" in line
+
+
 def test_free_check_pq():
     out = json.loads(run_cli("free-check", "--model", "PQ", "--max-len", "8"))
     assert out["failures"] == []
@@ -233,6 +252,39 @@ def test_conservation_failure_exits_1(monkeypatch, capsys):
 def test_trace_bad_trig_token_exit_2(word, needle):
     line = run_cli_error("trace", "--word", word)
     assert needle in line and "Traceback" not in line
+
+
+def _cosine_sum(n):
+    return "(" + " + ".join(f"c[{k}]" for k in range(1, n + 1)) + ")"
+
+
+def _cosine_chain(n):
+    return "(" + "*".join(f"c[{2 ** k}]" for k in range(n)) + ")"
+
+
+# Trig letters at and one past the nesting bound and the bound on the pairs
+# of terms one product multiplies.  A chain c[1]*c[2]*c[4]*... doubles its
+# terms with every factor: its 15th factor would multiply 8192 pairs.
+assert 16 * 256 == MAX_TRIG_TERMS < 17 * 241 == MAX_TRIG_TERMS + 1
+TRIG_BOUNDS = {
+    "depth": ("(" * MAX_TRIG_DEPTH + "c" + ")" * MAX_TRIG_DEPTH, None),
+    "depth+1": ("(" * (MAX_TRIG_DEPTH + 1) + "c" + ")" * (MAX_TRIG_DEPTH + 1),
+                "nests deeper"),
+    "400-parens": ("(" * 400 + "c" + ")" * 400, "nests deeper"),
+    "pairs": (f"({_cosine_sum(16)}*{_cosine_sum(256)})", None),
+    "pairs+1": (f"({_cosine_sum(17)}*{_cosine_sum(241)})", "4097 pairs"),
+    "chain-14": (_cosine_chain(14), None),
+    "chain-15": (_cosine_chain(15), "8192 pairs"),
+}
+
+
+@pytest.mark.parametrize("letter,needle", TRIG_BOUNDS.values(), ids=TRIG_BOUNDS)
+def test_trace_trig_letter_bounds(letter, needle):
+    if needle is None:
+        assert "exact: " in run_cli("trace", "--word", f"{letter} u", timeout=30)
+    else:
+        line = run_cli_error("trace", "--word", f"{letter} u")
+        assert needle in line
 
 
 def test_tables_example61():
