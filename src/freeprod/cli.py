@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
 from typing import List, Optional, Sequence
@@ -219,12 +218,8 @@ def cmd_free_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    if args.stats:
-        rng = random.Random(args.seed) if args.seed is not None else None
-        engine = freedim.Normalizer(rng=rng)
-        nf, steps = engine.normalize(freedim.parse(args.expr))
-    else:
-        nf, steps = freedim.normalize(args.expr, seed=args.seed)
+    engine = freedim.Normalizer.with_seed(args.seed)
+    nf, steps = freedim.normalize(args.expr, engine=engine)
     if args.json:
         doc = {
             "input": args.expr,

@@ -30,10 +30,10 @@ conserves fdim because 4 fdim(f) = fdim(parts(f)) + w(f) + 1.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd, isqrt
 from operator import is_
 import random
@@ -112,7 +112,6 @@ def _product_fdim(factors: Iterable[Expr]) -> Pair:
     return reduce(_add, (f._fdim for f in factors))
 
 
-@lru_cache(maxsize=4096)
 def _fraction(p: Pair) -> Fraction:
     """The Fraction of a pair, for the public boundary: ``fdim`` and the
     step log."""
@@ -272,8 +271,9 @@ def fdim(e: Expr) -> Fraction:
 # normalizes in 0.01 s, since it repeats factor lists, and a product of
 # 1000 distinct M2(LF(t)) factors (2001 nodes) in 0.03 s.  The factor
 # index keeps a flat product from reclassifying its factors every round:
-# 8191 factors R (16381 steps) take 0.17 s, or 0.21 s with a seed, and
-# 8191 factors LF(3/2) take 0.11 s.
+# 8191 factors R (16381 steps) take 0.17-0.43 s, or 0.21-0.51 s with a
+# seed, as the shared machine's load varies, and 8191 factors LF(3/2) take
+# 0.11 s.
 MAX_EXPR_SIZE = 8192
 
 
@@ -550,10 +550,6 @@ _RULES: Dict[str, _Rule] = {
     "R6inv": _Rule("M2(LF(t)) -> LF(1 + (t - 1)/4), t > 1"),
 }
 
-# Every shape a factor can have; the factor index keeps a bucket for each.
-_SHAPES = ("C", "R", "LF", "LF(1)", "LF(t>1)", "sum", "matrix")
-
-
 def _unfold(f: Expr) -> Expr:
     """R9, R6 and R12: R or an LF atom as an M2 or a sum to pair with."""
     if isinstance(f, AtomR):
@@ -677,6 +673,14 @@ class Normalizer:
         # factor texts -> (result, length of the first path, its step range)
         self._memo: Dict[Tuple[str, ...], Tuple[Expr, int, int, int]] = {}
 
+    @classmethod
+    def with_seed(cls, seed: Optional[int] = None,
+                  max_steps: Optional[int] = None) -> "Normalizer":
+        """A normalizer drawing from ``random.Random(seed)``, or the
+        deterministic one when ``seed`` is None."""
+        rng = random.Random(seed) if seed is not None else None
+        return cls(rng=rng, max_steps=max_steps)
+
     # -- public entry ---------------------------------------------------------
 
     def normalize(self, e: Expr) -> Tuple[NormalForm, List[RewriteStep]]:
@@ -798,7 +802,7 @@ class Normalizer:
         # the factor index: factors by slot (None once freed), and the sorted
         # slots of each shape
         facs: List[Optional[Expr]] = list(factors)
-        by_shape: Dict[str, List[int]] = {shape: [] for shape in _SHAPES}
+        by_shape: Dict[str, List[int]] = defaultdict(list)
         for i, f in enumerate(facs):
             for shape in f._shapes:
                 by_shape[shape].append(i)
@@ -887,14 +891,20 @@ def _occupy(facs: List[Optional[Expr]], by_shape: Dict[str, List[int]], i: int,
 
 
 def normalize(e: Union[Expr, str], seed: Optional[int] = None,
-              max_steps: Optional[int] = None) -> Tuple[NormalForm, List[RewriteStep]]:
+              max_steps: Optional[int] = None,
+              engine: Optional[Normalizer] = None) -> Tuple[NormalForm, List[RewriteStep]]:
     """Normalize an expression (or source text).  ``seed`` switches to a
     seeded random choice among simultaneously applicable rules, used by the
-    confluence checks."""
+    confluence checks.  ``engine`` runs a given Normalizer instead, whose
+    counts can be read after the call; it takes the place of ``seed`` and
+    ``max_steps``."""
     if isinstance(e, str):
         e = parse(e)
-    rng = random.Random(seed) if seed is not None else None
-    return Normalizer(rng=rng, max_steps=max_steps).normalize(e)
+    if engine is None:
+        engine = Normalizer.with_seed(seed, max_steps)
+    elif seed is not None or max_steps is not None:
+        raise TypeError("give seed and max_steps to the engine, not with it")
+    return engine.normalize(e)
 
 
 # ---------------------------------------------------------------------------

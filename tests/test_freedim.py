@@ -503,17 +503,31 @@ def test_golden_flat_derivation_digest():
     assert digest == FLAT_DERIVATION_DIGEST
 
 
+def _best_normalize_time(e, runs=3):
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        normalize(e)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_flat_product_at_size_bound_within_budget():
     """The largest flat product ``parse`` admits.  It took 20.9 s while
-    every round reclassified every factor; it takes about 0.3 s on a 2-core
-    x86 machine with Python 3.11."""
+    every round reclassified every factor, which grows as n^2; it takes
+    about 0.4 s on a 2-core x86 machine with Python 3.11.  The budget is
+    relative, so a slow or loaded machine does not fail it: 8x the factors
+    take about 8x the time (64x at n^2), bounded here by 20x.  The
+    absolute bound only rules out a return to the quadratic loop."""
     e = parse(" * ".join(["R"] * 8191))
     assert expr_size(e) == MAX_EXPR_SIZE
-    start = time.perf_counter()
     nf, steps = normalize(e)
-    assert time.perf_counter() - start < 1.0
     assert nf == NormalForm(1, "LF", Fraction(32761))
     assert len(steps) == 16381
+    small = _best_normalize_time(parse(" * ".join(["R"] * 1024)))
+    large = _best_normalize_time(e)
+    assert large < 20 * small
+    assert large < 5.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
@@ -626,6 +640,18 @@ def test_memo_counters():
     _, steps = seeded.normalize(parse("C^64 * C^64"))
     assert (seeded.memo_hits, seeded.memo_misses) == (0, 0)
     assert sum(seeded.rule_counts.values()) == len(steps)
+
+
+def test_normalize_runs_a_given_engine():
+    """``normalize(engine=...)`` gives the seeded run's log and leaves the
+    engine's counts readable; a seed or budget next to it is refused."""
+    engine = Normalizer.with_seed(2)
+    nf, steps = normalize("M2(C^16) * C^16 * R", engine=engine)
+    assert (nf, steps) == normalize("M2(C^16) * C^16 * R", seed=2)
+    assert sum(engine.rule_counts.values()) == len(steps)
+    for kwargs in ({"seed": 2}, {"max_steps": 10}):
+        with pytest.raises(TypeError):
+            normalize("R * R", engine=engine, **kwargs)
 
 
 def test_divergence_guard_can_fire():
