@@ -734,8 +734,10 @@ class Normalizer:
         if isinstance(e, AtomLF):
             if e.t == 0:
                 return AtomC()
-            new = lf(e.t)  # rejects 0 < t < 1, makes t a Fraction
-            return e if type(e.t) is Fraction else new
+            n, d = e._fdim
+            if type(e.t) is Fraction and n >= d:  # t >= 1, as d > 0
+                return e
+            return lf(e.t)  # rejects t < 0 and 0 < t < 1, makes t a Fraction
         if isinstance(e, SumOf):
             left = self._canonicalize(e.left, path + (0,))
             right = self._canonicalize(e.right, path + (1,))

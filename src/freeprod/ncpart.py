@@ -3,16 +3,24 @@ and the interval-block linking property used by the cumulant machinery.
 
 A partition is *crossing* when there are a < b < c < d with a, c in one
 block and b, d in a different block.  Non-crossing partitions of an n-set
-are counted by the Catalan numbers.  The Kreweras complement K(p) lives on
-interleaved dual points 1', ..., n' (i' sits between i and i+1, n' after n)
-and is the coarsest partition of the primes whose union with p is still
-non-crossing on the 2n interleaved points.
+are counted by the Catalan numbers.  Equivalently, blocks nest like
+parentheses.  Call a block *open* at x when it has an element before x and
+one at or after x.  A partition is non-crossing exactly when, scanning
+1..n, each element either continues the innermost open block or opens a
+new one; a block continued from below the innermost would cross every
+block opened after it that is still open (Nica-Speicher, *Lectures on the
+Combinatorics of Free Probability*, 2006, Lecture 9).  This open-block
+rule is the one definition used here: `enumerate_nc` builds partitions by
+it and `NCPartition.from_blocks` validates by it.
 
-It is computed in closed form as the cycles of the permutation pi^-1 gamma,
-where pi has the blocks of p as its cycles, each in increasing order, and
-gamma = (1 2 ... n) (Biane, "Some properties of crossings and partitions",
-Discrete Math. 175, 1997; Nica-Speicher, *Lectures on the Combinatorics of
-Free Probability*, 2006, Lecture 9).
+The Kreweras complement K(p) lives on interleaved dual points 1', ..., n'
+(i' sits between i and i+1, n' after n) and is the coarsest partition of
+the primes whose union with p is still non-crossing on the 2n interleaved
+points.  It is computed in closed form as the cycles of the permutation
+pi^-1 gamma, where pi has the blocks of p as its cycles, each in
+increasing order, and gamma = (1 2 ... n) (Biane, "Some properties of
+crossings and partitions", Discrete Math. 175, 1997; Nica-Speicher,
+Lecture 9).
 """
 
 from __future__ import annotations
@@ -44,21 +52,32 @@ class NCPartition:
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "NCPartition":
+        """Validate and canonicalize.  One pass maps each element to its
+        block; one scan of 1..n then keeps the stack of open blocks and
+        checks the open-block rule of the module docstring."""
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
-        seen = set()
+        owner = {}
         for b in canon:
             if not b:
                 raise ValueError("empty block")
             for x in b:
                 if not (1 <= x <= n):
                     raise ValueError(f"element {x} outside 1..{n}")
-                if x in seen:
+                if x in owner:
                     raise ValueError(f"element {x} repeated")
-                seen.add(x)
-        if len(seen) != n:
+                owner[x] = b
+        if len(owner) != n:
             raise ValueError(f"blocks do not cover 1..{n}")
-        if _has_crossing(canon):
-            raise ValueError(f"blocks {canon} are crossing")
+        stack: List[Tuple[int, ...]] = []  # open blocks, innermost last
+        for x in range(1, n + 1):
+            b = owner[x]
+            if x == b[0]:
+                if x != b[-1]:
+                    stack.append(b)
+            elif stack[-1] is not b:
+                raise ValueError(f"blocks {canon} are crossing")
+            elif x == b[-1]:
+                stack.pop()
         return cls(n, canon)
 
     @classmethod
@@ -77,15 +96,6 @@ class NCPartition:
             for x in b:
                 idx[x - 1] = j
         return tuple(idx)
-
-    def block_of(self, x: int) -> Tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise ValueError(f"element {x} outside 1..{self.n}")
-
-    def same_block(self, x: int, y: int) -> bool:
-        return self.block_of(x) is self.block_of(y)
 
     def refines(self, other: "NCPartition") -> bool:
         """True when every block of self is contained in a block of other."""
@@ -113,66 +123,33 @@ class NCPartition:
         return self.encode()
 
 
-def _has_crossing(blocks: Blocks) -> bool:
-    m = len(blocks)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if _blocks_cross(blocks[i], blocks[j]):
-                return True
-    return False
-
-
-def _blocks_cross(b1: Tuple[int, ...], b2: Tuple[int, ...]) -> bool:
-    # b1, b2 sorted and disjoint; they cross iff, scanning the merged
-    # sequence, the runs alternate more than twice (ABAB pattern).
-    if b1[-1] < b2[0] or b2[-1] < b1[0]:
-        return False
-    merged = sorted((x, 0) for x in b1) + sorted((x, 1) for x in b2)
-    merged.sort()
-    switches = 0
-    prev = None
-    for _, tag in merged:
-        if tag != prev:
-            switches += 1
-            prev = tag
-    return switches > 3
-
-
 def enumerate_nc(n: int) -> List[NCPartition]:
     """All non-crossing partitions of {1..n}, lexicographic by
-    block-of-element vector.  Guarded to n <= 12."""
+    block-of-element vector.  Guarded to n <= 12.
+
+    Built by the open-block rule of the module docstring: element i joins
+    one of the blocks that may still grow, which closes every block opened
+    after it, or opens a new block.  Trying the growable blocks oldest
+    first, then the new block, visits the block vectors in increasing
+    order."""
     if not (1 <= n <= MAX_ENUM_N):
         raise SizeLimitError(f"n must be in 1..{MAX_ENUM_N}, got {n}")
     out: List[NCPartition] = []
-    # blocks under construction, as lists; assign[i] = block index of i+1
-    blocks: List[List[int]] = []
+    blocks: List[List[int]] = []  # by least element
 
-    def place(i: int) -> None:
+    def place(i: int, growable: List[List[int]]) -> None:
         if i > n:
-            out.append(NCPartition(n, tuple(tuple(b) for b in blocks)))
+            out.append(NCPartition(n, tuple(map(tuple, blocks))))
             return
-        for j, b in enumerate(blocks):
-            # appending i to block j keeps things non-crossing iff every
-            # block touched strictly between b's current max and i opened
-            # after that max (no block straddles the gap).
-            p = b[-1]
-            ok = True
-            for other in blocks:
-                if other is b:
-                    continue
-                if any(p < x < i for x in other) and other[0] < p:
-                    ok = False
-                    break
-            if ok:
-                b.append(i)
-                place(i + 1)
-                b.pop()
+        for k, b in enumerate(growable):
+            b.append(i)
+            place(i + 1, growable[:k + 1])
+            b.pop()
         blocks.append([i])
-        place(i + 1)
+        place(i + 1, growable + blocks[-1:])
         blocks.pop()
 
-    place(1)
-    out.sort(key=lambda p: p.block_index())
+    place(1, [])
     return out
 
 
@@ -242,7 +219,8 @@ def verify_kreweras_interval_lemma(n: int) -> LemmaReport:
     parts = 0
     intervals = 0
     for p in enumerate_nc(n):
-        if not p.same_block(1, n):
+        where = p.block_index()
+        if where[0] != where[n - 1]:
             continue
         parts += 1
         comp = kreweras(p)
@@ -251,7 +229,7 @@ def verify_kreweras_interval_lemma(n: int) -> LemmaReport:
             k = block[0]
             l = len(block) - 1
             target = (k + l) % n + 1  # k+l+1 wrapped into 1..n
-            if not p.same_block(k, target):
+            if where[k - 1] != where[target - 1]:
                 return LemmaReport(
                     n,
                     parts,

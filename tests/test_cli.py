@@ -62,10 +62,15 @@ def test_nc_kreweras():
     assert run_cli("nc-kreweras", "--p", "1,3|2|4") == "1,2|3,4\n"
 
 
-def test_nc_kreweras_long_partition_within_budget():
-    one_block = ",".join(str(i) for i in range(1, 241))
-    out = run_cli("nc-kreweras", "--p", one_block, timeout=5)
-    assert out == "|".join(str(i) for i in range(1, 241)) + "\n"
+@pytest.mark.parametrize("sep, n, out_sep", [(",", 240, "|"), ("|", 20000, ",")],
+                         ids=["one_block", "singletons"])
+def test_nc_kreweras_long_partition_within_budget(sep, n, out_sep):
+    """K(one block) is all singletons and back.  20000 singletons (about
+    108 KB, inside the 128 KiB limit on one Linux argument) need a
+    validator linear in the number of blocks."""
+    arg = sep.join(str(i) for i in range(1, n + 1))
+    out = run_cli("nc-kreweras", "--p", arg, timeout=5)
+    assert out == out_sep.join(str(i) for i in range(1, n + 1)) + "\n"
 
 
 def test_closed_stdout_exits_quietly():

@@ -271,6 +271,17 @@ def test_single_factor_normal_forms():
     assert normalize("M2(M2(LF(17)))")[0] == NormalForm(1, "LF", Fraction(5))
 
 
+def test_lf_atom_built_directly_is_checked_by_normalize():
+    """An LF atom that did not come through parse is checked, and its
+    parameter made a Fraction, when it is normalized."""
+    for t in (Fraction(1, 2), Fraction(-1)):
+        with pytest.raises(UnsupportedFragmentError):
+            normalize(AtomLF(t))
+    nf, steps = normalize(AtomLF(3))
+    assert (nf, steps) == normalize(AtomLF(Fraction(3)))
+    assert type(nf.param) is Fraction
+
+
 def test_not_reducible():
     with pytest.raises(NotReducibleError):
         normalize("C^2")

@@ -2,14 +2,17 @@
 
 The oracle enumerates ALL set partitions via restricted-growth strings and
 filters by a direct four-index crossing scan; the library's enumerator
-uses incremental pruning, so the two routes are independent.  The Kreweras
-oracles check maximality over every compatible complement and agreement
-with the greedy merge fixpoint of the interleaving definition; the library
-reads K(p) off the cycles of pi^-1 gamma instead.
+and validator follow the open-block stack rule instead, so the routes are
+independent.  The Kreweras oracles check maximality over every compatible
+complement and agreement with the greedy merge fixpoint of the
+interleaving definition, which tests crossings pairwise with its own ABAB
+scan (`_blocks_cross`); the library reads K(p) off the cycles of
+pi^-1 gamma instead.
 """
 
 import math
 from functools import lru_cache
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from freeprod.ncpart import (
     NCPartition,
     SizeLimitError,
-    _blocks_cross,
     enumerate_nc,
     interval_blocks,
     kreweras,
@@ -102,10 +104,19 @@ def test_enumerate_bell_filter_example():
     assert len(enumerate_nc(4)) == 14
 
 
+def _assert_strictly_increasing_block_vectors(n):
+    vecs = [p.block_index() for p in enumerate_nc(n)]
+    assert all(a < b for a, b in zip(vecs, vecs[1:]))
+
+
 def test_enumerate_order_is_lexicographic_by_block_vector():
-    for n in (3, 4, 5):
-        vecs = [p.block_index() for p in enumerate_nc(n)]
-        assert vecs == sorted(vecs)
+    for n in range(1, 12):
+        _assert_strictly_increasing_block_vectors(n)
+
+
+@pytest.mark.slow
+def test_enumerate_order_is_lexicographic_by_block_vector_n12():
+    _assert_strictly_increasing_block_vectors(12)
 
 
 def test_enumerate_guard():
@@ -127,6 +138,19 @@ def test_partition_validation():
         NCPartition.from_blocks(3, [[1, 2], [2, 3]])  # repeated
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_from_blocks_accepts_exactly_the_noncrossing(n):
+    """Against every set partition of {1..n}: accepted with its blocks kept
+    when the quadruple scan finds no crossing, refused as crossing
+    otherwise."""
+    for blocks in all_set_partitions(n):
+        if has_crossing_raw(blocks):
+            with pytest.raises(ValueError, match="are crossing"):
+                NCPartition.from_blocks(n, blocks)
+        else:
+            assert NCPartition.from_blocks(n, blocks).blocks == blocks
+
+
 def test_encode_decode_roundtrip():
     p = NCPartition.from_blocks(4, [[1, 3], [2], [4]])
     assert p.encode() == "1,3|2|4"
@@ -143,6 +167,22 @@ def test_kreweras_examples():
         assert kreweras(NCPartition.singletons(n)) == NCPartition.full(n)
     p = NCPartition.from_blocks(4, [[1, 3], [2], [4]])
     assert kreweras(p) == NCPartition.from_blocks(4, [[1, 2], [3, 4]])
+
+
+def _blocks_cross(b1: Tuple[int, ...], b2: Tuple[int, ...]) -> bool:
+    # b1, b2 sorted and disjoint; they cross iff, scanning the merged
+    # sequence, the runs alternate more than twice (ABAB pattern).
+    if b1[-1] < b2[0] or b2[-1] < b1[0]:
+        return False
+    merged = sorted((x, 0) for x in b1) + sorted((x, 1) for x in b2)
+    merged.sort()
+    switches = 0
+    prev = None
+    for _, tag in merged:
+        if tag != prev:
+            switches += 1
+            prev = tag
+    return switches > 3
 
 
 def greedy_kreweras(p):
