@@ -37,6 +37,7 @@ from functools import reduce
 from math import gcd, isqrt
 from operator import is_
 import random
+import re
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -112,10 +113,34 @@ def _product_fdim(factors: Iterable[Expr]) -> Pair:
     return reduce(_add, (f._fdim for f in factors))
 
 
+# The Fraction of each fdim pair, and the LF atom of each parameter pair, that
+# the engine has made.  Both are pure functions of the pair, so one object per
+# pair serves every caller; a table that reaches ``_TABLE_LIMIT`` entries
+# starts again empty, which bounds its memory in a long-lived process.
+_FRACTIONS: Dict[Pair, Fraction] = {}
+_LF_ATOMS: Dict[Pair, AtomLF] = {}
+_TABLE_LIMIT = 1 << 16
+
+
 def _fraction(p: Pair) -> Fraction:
-    """The Fraction of a pair, for the public boundary: ``fdim`` and the
-    step log."""
-    return Fraction(*p)
+    """The shared Fraction of a pair, for the public boundary: ``fdim``,
+    the step log and the parameter of an LF atom."""
+    q = _FRACTIONS.get(p)
+    if q is None:
+        if len(_FRACTIONS) >= _TABLE_LIMIT:
+            _FRACTIONS.clear()
+        q = _FRACTIONS[p] = Fraction(*p)
+    return q
+
+
+def _lf_atom(p: Pair) -> AtomLF:
+    """The shared LF atom whose parameter has the reduced pair p."""
+    atom = _LF_ATOMS.get(p)
+    if atom is None:
+        if len(_LF_ATOMS) >= _TABLE_LIMIT:
+            _LF_ATOMS.clear()
+        atom = _LF_ATOMS[p] = AtomLF(_fraction(p))
+    return atom
 
 
 class Expr:
@@ -125,10 +150,12 @@ class Expr:
     pair of ints; ``_text``; and ``_shapes``, the shapes under which the
     rule table sees it as a factor (none for LZ and products, which are
     never factors of a reduction).  They are not dataclass fields, so ==,
-    hash and repr ignore them."""
+    hash and repr ignore them.  The class flag ``_grouped`` marks sums and
+    products, whose text an operand puts in parentheses."""
 
     __slots__ = ()
     _shapes: Tuple[str, ...] = ()
+    _grouped = False
 
 
 @dataclass(frozen=True)
@@ -176,6 +203,7 @@ class SumOf(Expr):
     left: Expr
     right: Expr
     _shapes = ("sum",)
+    _grouped = True
 
     def __post_init__(self) -> None:
         vars(self).update(_fdim=_sum_fdim(self.left._fdim, self.right._fdim),
@@ -185,6 +213,7 @@ class SumOf(Expr):
 @dataclass(frozen=True)
 class FreeOf(Expr):
     factors: Tuple[Expr, ...]
+    _grouped = True
 
     def __init__(self, factors: Sequence[Expr]):
         factors = tuple(factors)
@@ -197,7 +226,7 @@ class FreeOf(Expr):
 
 def _wrapped(e: Expr) -> str:
     """The text of e as an operand: sums and products in parentheses."""
-    return f"({e._text})" if isinstance(e, (SumOf, FreeOf)) else e._text
+    return f"({e._text})" if e._grouped else e._text
 
 
 def _product_text(factors: Iterable[Expr]) -> str:
@@ -211,10 +240,16 @@ def _flatten(factors: Iterable[Expr]) -> List[Expr]:
 
 def lf(t) -> AtomLF:
     t = Fraction(t)
-    if t < 0 or (0 < t < 1):
+    return _checked_lf((t.numerator, t.denominator))
+
+
+def _checked_lf(p: Pair) -> AtomLF:
+    """The LF atom of the reduced pair p, which must be 0 or >= 1."""
+    n, d = p
+    if n < 0 or 0 < n < d:
         raise UnsupportedFragmentError(
-            f"LF parameter must be 0 or >= 1, got {t}")
-    return AtomLF(t)
+            f"LF parameter must be 0 or >= 1, got {Fraction(n, d)}")
+    return _lf_atom(p)
 
 
 def pow2sum(e: Expr, k: int) -> Expr:
@@ -267,13 +302,13 @@ def fdim(e: Expr) -> Fraction:
 
 
 # Largest expanded tree, in nodes, that ``parse`` accepts.  On a 2-core
-# x86 machine with Python 3.11, C^2048 * C^2048 (8191 nodes, 12281 steps)
-# normalizes in 0.01 s, since it repeats factor lists, and a product of
-# 1000 distinct M2(LF(t)) factors (2001 nodes) in 0.03 s.  The factor
-# index keeps a flat product from reclassifying its factors every round:
-# 8191 factors R (16381 steps) take 0.17-0.43 s, or 0.21-0.51 s with a
-# seed, as the shared machine's load varies, and 8191 factors LF(3/2) take
-# 0.11 s.
+# x86 machine with Python 3.11, whose speed varies with the shared load,
+# C^2048 * C^2048 (8191 nodes, 12281 steps) normalizes in 0.02-0.04 s,
+# since it repeats factor lists, and a product of 1000 distinct M2(LF(t))
+# factors (2001 nodes) in 0.07 s.  The factor index keeps a flat product
+# from reclassifying its factors every round: 8191 factors R (16381 steps)
+# take 0.32-0.34 s, or 0.43-0.59 s with a seed, and 8191 factors LF(3/2)
+# take 0.16-0.17 s.
 MAX_EXPR_SIZE = 8192
 
 
@@ -299,45 +334,23 @@ def _check_depth(depth: int) -> int:
     return depth
 
 
-_SINGLE = {")": "RPAREN", "*": "STAR", "^": "CARET", "/": "SLASH"}
+# One token per match, after any whitespace.  Integers and names are ASCII,
+# so ``int`` reads every INT; any other character but whitespace matches
+# only BAD, and trailing whitespace matches nothing.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<DSUM>\(\+\)) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<STAR>\*)
+  | (?P<CARET>\^) | (?P<SLASH>/) | (?P<INT>[0-9]+) | (?P<NAME>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<BAD>\S))""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            if text[i:i + 3] == "(+)":
-                out.append(("DSUM", "(+)", i))
-                i += 3
-            else:
-                out.append(("LPAREN", "(", i))
-                i += 1
-            continue
-        if ch in _SINGLE:
-            out.append((_SINGLE[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(("EOF", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        out.append((kind, m[kind], m.start(kind)))
+    out.append(("EOF", "", len(text)))
     return out
 
 
@@ -419,7 +432,8 @@ class _Parser:
         self.open -= levels
         return parsed
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> Pair:
+        """A rational number as a reduced pair."""
         tok = self.expect("INT")
         num = int(tok[1])
         if self.peek()[0] == "SLASH":
@@ -427,8 +441,9 @@ class _Parser:
             den = int(self.expect("INT")[1])
             if den == 0:
                 raise ParseError("zero denominator", tok[2])
-            return Fraction(num, den)
-        return Fraction(num)
+            g = gcd(num, den)
+            return num // g, den // g
+        return num, 1
 
     def parse_primary(self) -> Tuple[Expr, int]:
         tok = self.next()
@@ -443,7 +458,7 @@ class _Parser:
             self.expect("LPAREN")
             q = self.parse_rational()
             self.expect("RPAREN")
-            return lf(q), 1, 0
+            return _checked_lf(q), 1, 0
         if value[0] == "M" and value[1:].isdigit():
             k = int(value[1:])
             self.expect("LPAREN")
@@ -553,10 +568,15 @@ _RULES: Dict[str, _Rule] = {
 def _unfold(f: Expr) -> Expr:
     """R9, R6 and R12: R or an LF atom as an M2 or a sum to pair with."""
     if isinstance(f, AtomR):
-        return Mat2Of(AtomR())
-    if f.t > 1:
-        return Mat2Of(AtomLF(4 * f.t - 3))
-    return SumOf(AtomLF(Fraction(1)), AtomLF(Fraction(1)))
+        return Mat2Of(f)
+    n, d = f._fdim
+    if n > d:
+        # 4t - 3 = (4n - 3d)/d; gcd(4n - 3d, d) = gcd(4n, d) divides 4
+        a = 4 * n - 3 * d
+        g = gcd(a, d)
+        return Mat2Of(_lf_atom((a // g, d // g)))
+    one = _lf_atom((1, 1))
+    return SumOf(one, one)
 
 
 def _m2_share(f: Expr) -> Tuple[List[Expr], int]:
@@ -613,6 +633,13 @@ def _first_slot(by_shape: Dict[str, List[int]], skip: int) -> int:
     return min(j for slots in by_shape.values() for j in slots[:2] if j != skip)
 
 
+# The rules the factor loop can pick, in table order, for the deterministic
+# pick: name, first shape, second shape or None, and gate.
+_PICK_ORDER = [(name, rule.shapes[0], rule.shapes[1] if len(rule.shapes) > 1 else None,
+                rule.gate)
+               for name, rule in _RULES.items() if rule.shapes]
+
+
 class Normalizer:
     """Innermost-first reduction of free products to M2^n(LF_t) form.
 
@@ -636,6 +663,9 @@ class Normalizer:
     the two factors and its "after" pair from the parts and the LF weight
     by the M2 formula, so no node is built only to be logged, and a wrong
     weight still fails the check.  The log turns the pair into a Fraction.
+    Every LF atom the engine makes, and every Fraction it logs, is taken
+    from a module-level table keyed by the reduced pair, so equal
+    parameters and equal fdims share one object across all calls.
 
     The factor loop keeps an index instead of reclassifying the factors
     each round.  A factor keeps its slot, its position in the input list:
@@ -643,11 +673,13 @@ class Normalizer:
     unfold stays in its slot, and R13 frees the slot of the C.  Slot order
     is therefore list order.  For each shape the index holds the sorted
     slots of the factors that have it (a factor caches its shapes), updated
-    at each step.  A rule's instances are counted from the bucket sizes,
-    and instance r is mapped back to its slots arithmetically, so one round
-    costs O(number of rules) plus the bucket updates, and a seeded run makes
+    at each step.  A seeded pick counts each rule's instances from the
+    bucket sizes and maps instance r back to its slots arithmetically, so
+    one round costs O(number of rules) plus the bucket updates, and it makes
     the same ``randrange`` draws over the same instance order as listing
-    every instance would.
+    every instance would.  The deterministic pick counts nothing: instance
+    0 of the first rule that has one is the first slot of its first bucket,
+    with the second slot of that bucket or the first of another.
 
     A deterministic derivation of a factor list depends on nothing but the
     factors, and balanced trees meet the same list many times.  Within one
@@ -728,13 +760,13 @@ class Normalizer:
     def _canonicalize(self, e: Expr, path: Tuple[int, ...]) -> Expr:
         """LZ becomes LF(1) (rule R14); LF(0) is read as C by definition."""
         if isinstance(e, AtomLZ):
-            new = AtomLF(Fraction(1))
+            new = _lf_atom((1, 1))
             self._log("R14", path, e._text, e._fdim, new._text, new._fdim)
             return new
         if isinstance(e, AtomLF):
-            if e.t == 0:
-                return AtomC()
             n, d = e._fdim
+            if n == 0:
+                return AtomC()
             if type(e.t) is Fraction and n >= d:  # t >= 1, as d > 0
                 return e
             return lf(e.t)  # rejects t < 0 and 0 < t < 1, makes t a Fraction
@@ -769,8 +801,10 @@ class Normalizer:
     def _collapse_shell(self, e: Expr, path: Tuple[int, ...]) -> Expr:
         """Inside an enclosing M2, a child M2(LF(t)) with t > 1 decompresses
         so that amplification depth concentrates in the outermost shell."""
-        while isinstance(e, Mat2Of) and isinstance(e.inner, AtomLF) and e.inner.t > 1:
-            new = AtomLF(1 + (e.inner.t - 1) / 4)
+        while isinstance(e, Mat2Of) and isinstance(e.inner, AtomLF) \
+                and e.inner._fdim[0] > e.inner._fdim[1]:
+            # the new parameter 1 + (t - 1)/4 = (t + 3)/4 is the fdim of e
+            new = _lf_atom(e._fdim)
             self._log("R6inv", path, e._text, e._fdim, new._text, new._fdim)
             e = new
         return e
@@ -821,9 +855,20 @@ class Normalizer:
     def _pick(self, by_shape: Dict[str, List[int]]) -> Optional[Tuple[str, Tuple[int, ...]]]:
         """The rule instance to fire, or None when no rule applies."""
         if self.rng is None:
-            for name, rule in _RULES.items():
-                if _candidate_count(rule, by_shape):
-                    return name, _candidate(rule.shapes, by_shape, 0)
+            # instance 0 of the first rule that has one
+            for name, first_shape, second_shape, gate in _PICK_ORDER:
+                first = by_shape[first_shape]
+                if not first or (gate is not None and not gate(by_shape)):
+                    continue
+                if second_shape is None:
+                    return name, (first[0],)
+                if second_shape == first_shape:
+                    if len(first) > 1:
+                        return name, (first[0], first[1])
+                    continue
+                second = by_shape[second_shape]
+                if second:
+                    return name, (first[0], second[0])
             return None
         counts = [(name, rule.shapes, _candidate_count(rule, by_shape))
                   for name, rule in _RULES.items()]
@@ -848,8 +893,8 @@ class Normalizer:
             _vacate(facs, by_shape, i)
             if isinstance(old, AtomC):  # R13
                 partner = facs[_first_slot(by_shape, i)]
-                self._log(rule, path, _product_text((old, partner)),
-                          _product_fdim((old, partner)), partner._text, partner._fdim)
+                self._log(rule, path, f"{old._text} * {_wrapped(partner)}",
+                          _add(old._fdim, partner._fdim), partner._text, partner._fdim)
                 return 1
             new = _unfold(old)
             self._log(rule, path, old._text, old._fdim, new._text, new._fdim)
@@ -861,16 +906,16 @@ class Normalizer:
         if isinstance(a, (SumOf, Mat2Of)) or isinstance(b, (SumOf, Mat2Of)):
             # R1-R5, R10, R11: the weight rule of the module docstring
             (parts_a, w_a), (parts_b, w_b) = _m2_share(a), _m2_share(b)
-            inner = parts_a + parts_b + [AtomLF(Fraction(w_a + w_b - 1))]
-            self._log(rule, path, _product_text((a, b)), _product_fdim((a, b)),
+            inner = parts_a + parts_b + [_lf_atom((w_a + w_b - 1, 1))]
+            self._log(rule, path, f"{_wrapped(a)} * {_wrapped(b)}", _add(a._fdim, b._fdim),
                       f"M2({_product_text(inner)})", _m2_fdim(_product_fdim(inner)))
             reduced_inner = self._reduce_factors(inner, path + (0,))
             replacement: Expr = Mat2Of(self._collapse_shell(reduced_inner, path + (0,)))
         else:  # R7, R8: an LF atom absorbs LF(s) or R, adding its fdim s or 1
             atom, other = (a, b) if isinstance(a, AtomLF) else (b, a)
-            merged = _product_fdim((atom, other))
-            replacement = AtomLF(_fraction(merged))
-            self._log(rule, path, _product_text((atom, other)), merged,
+            merged = _add(atom._fdim, other._fdim)
+            replacement = _lf_atom(merged)
+            self._log(rule, path, f"{atom._text} * {other._text}", merged,
                       replacement._text, replacement._fdim)
         _vacate(facs, by_shape, i)
         _vacate(facs, by_shape, j)
@@ -987,7 +1032,7 @@ def prop_62_table(n_max: int, m_max: int, k_max: int, l_max: int) -> TableReport
     failures: List[dict] = []
 
     def base(k: int) -> Expr:
-        return AtomC() if k == 0 else AtomLF(Fraction(k))
+        return AtomC() if k == 0 else _lf_atom((k, 1))
 
     def sum_side(k: int, n: int) -> Expr:
         return pow2sum(base(k), 2 ** n)

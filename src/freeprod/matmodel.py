@@ -51,6 +51,20 @@ def harness_word_count(n_a: int, n_b: int, max_len: int) -> int:
     return total
 
 
+# A word of a freeness walk: its last generator name, linked to the word
+# before it (None for the empty word).
+_Word = Optional[Tuple[str, "_Word"]]
+
+
+def _word_text(word: _Word) -> str:
+    """The names of ``word`` in order, separated by spaces."""
+    names = []
+    while word is not None:
+        name, word = word
+        names.append(name)
+    return " ".join(reversed(names))
+
+
 class Mat2:
     """2x2 matrix over NCPoly, tied to a FreeProduct for multiplication."""
 
@@ -281,27 +295,31 @@ class MatrixModel:
 
         # Depth first, in the order of a recursive walk: each entry holds a
         # product still to be extended by one generator.  The explicit stack
-        # keeps long walks (PQ) clear of the recursion limit.
-        stack = [(None, None, [], False, gen_b, gen_a, max_len),
-                 (None, None, [], False, gen_a, gen_b, max_len)]
+        # keeps long walks (PQ) clear of the recursion limit.  A word is
+        # held as its last name linked to the word before it, so pushing a
+        # word costs O(1) however long it is.
+        stack = [(None, None, None, False, gen_b, gen_a, max_len),
+                 (None, None, None, False, gen_a, gen_b, max_len)]
         while stack:
-            prod, g, names, full_check, nxt, other, remaining = stack.pop()
+            prod, g, word, full_check, nxt, other, remaining = stack.pop()
             if g is not None:
                 prod = g if prod is None else prod @ g
                 report.words_checked += 1
-                self._check_product(report, prod, names, full_check)
+                self._check_product(report, prod, word, remaining == max_len - 1,
+                                    full_check)
             if remaining:
                 for name, h in reversed(nxt):
-                    stack.append((prod, h, names + [name], full_check or name in offdiag,
+                    stack.append((prod, h, (name, word), full_check or name in offdiag,
                                   other, nxt, remaining - 1))
         return report
 
-    def _check_product(self, report: CheckReport, prod: Mat2, names: List[str],
-                       full_check: bool) -> None:
-        if len(names) == 1:
+    def _check_product(self, report: CheckReport, prod: Mat2, word: _Word,
+                       single: bool, full_check: bool) -> None:
+        """Check the product of ``word``; ``single`` when it has one letter."""
+        if single:
             t = prod.Tr()
             if not t.is_zero():
-                report.failures.append({"word": " ".join(names), "entry": "Tr",
+                report.failures.append({"word": _word_text(word), "entry": "Tr",
                                         "value": str(t)})
             if not full_check:
                 return
@@ -310,7 +328,7 @@ class MatrixModel:
             t = self.fp.trace(prod.e[i][j])
             if not t.is_zero():
                 report.failures.append({
-                    "word": " ".join(names), "entry": f"{i + 1}{j + 1}", "value": str(t),
+                    "word": _word_text(word), "entry": f"{i + 1}{j + 1}", "value": str(t),
                 })
 
     # -- embedded submodels ---------------------------------------------------

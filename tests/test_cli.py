@@ -3,14 +3,17 @@ the model-file path.  Most tests run the module in a subprocess, which also
 exercises the packaging entry point; a few call ``cli.main`` in process to
 time it or to patch an engine."""
 
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeprod import cli, freedim
 from freeprod.trigalg import MAX_TRIG_DEPTH, MAX_TRIG_TERMS
@@ -189,6 +192,40 @@ def test_normalize_stats_line(extra):
                         "rule_counts=R1:63,R13:128,R3:31,R7:93,R5:31,R6inv:31")
     else:
         assert line.startswith("stats: steps=") and "memo_hits=0 memo_misses=0" in line
+
+
+# Any text; strings of grammar pieces, mostly malformed or unsupported; and
+# well-formed expressions, which reduce or are not reducible.
+_EXPR_PIECES = ["C", "R", "LZ", "LF(", "LF(3/2)", "LF(1/2)", "M2(", "M4(", "M3(", "(", ")",
+                " * ", " (+) ", "^2", "^4", "^16", "^3", "/", "0", "7", " ", "@", "²", "-"]
+_WELL_FORMED = st.recursive(
+    st.sampled_from(["C", "R", "LZ", "LF(0)", "LF(1)", "LF(3/2)", "LF(9/4)"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map("({0[0]} (+) {0[1]})".format),
+        sub.map("M2({})".format),
+        st.tuples(sub, sub).map("{0[0]} * {0[1]}".format),
+        st.tuples(sub, st.sampled_from([2, 4])).map("({0[0]})^{0[1]}".format)),
+    max_leaves=8)
+_EXPR_TEXT = st.one_of(st.text(max_size=30),
+                       st.lists(st.sampled_from(_EXPR_PIECES), max_size=14).map("".join),
+                       _WELL_FORMED)
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_EXPR_TEXT)
+def test_normalize_any_text_exits_cleanly(text):
+    """Every expression text ends in exit 0, 1 or 2 with no traceback, and
+    an exit 2 prints exactly one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(["normalize", "--expr", text])
+        except SystemExit as exc:  # argparse, when the text reads as an option
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(error_lines) == (code != 0), err.getvalue()
 
 
 def test_free_check_pq():

@@ -7,12 +7,14 @@ import json
 import random
 import sys
 import time
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeprod import freedim
 from freeprod.freedim import (
     MAX_EXPR_DEPTH,
     MAX_EXPR_SIZE,
@@ -31,7 +33,10 @@ from freeprod.freedim import (
     UnsupportedFragmentError,
     expr_size,
     expr_text,
+    _RULES,
     _candidate,
+    _candidate_count,
+    _tokenize,
     fdim,
     matpow,
     normalize,
@@ -79,6 +84,15 @@ def test_parse_errors_have_positions():
         parse("LF(3")
     with pytest.raises(ParseError):
         parse("Q * C")
+
+
+# Digits other than ASCII 0-9 are not integers: str.isdigit accepts a
+# superscript that int() rejects, and int() reads an Arabic-Indic digit.
+@pytest.mark.parametrize("text,pos", [("LF(²)", 3), ("C^²", 2), ("M²(R)", 1), ("LF(٣)", 3)])
+def test_parse_rejects_non_ascii_digits_at_their_position(text, pos):
+    with pytest.raises(ParseError, match=r"unexpected character") as exc:
+        parse(text)
+    assert exc.value.pos == pos
 
 
 def test_fragment_errors():
@@ -441,15 +455,25 @@ def test_golden_derivation_digest():
     assert hashlib.sha256(json.dumps(logs).encode()).hexdigest() == DERIVATION_DIGEST
 
 
+def prop_62_inputs(n_max, m_max, k_max, l_max):
+    """The expressions ``prop_62_table`` normalizes, in its order."""
+    def base(k):
+        return AtomC() if k == 0 else AtomLF(Fraction(k))
+
+    exprs = []
+    for left, right in [(pow2sum, pow2sum), (matpow, pow2sum), (matpow, matpow)]:
+        for n, m, k, l in product(range(1, n_max + 1), range(1, m_max + 1),
+                                  range(k_max + 1), range(l_max + 1)):
+            exprs.append(FreeOf([left(base(k), 2 ** n), right(base(l), 2 ** m)]))
+    return exprs
+
+
 def deep_corpus():
     """Balanced trees whose reductions meet the same factor lists many times
     over, at many different paths."""
     exprs = [FreeOf([pow2sum(AtomC(), 2 ** n), pow2sum(AtomC(), 2 ** m)])
              for n in range(1, 6) for m in range(1, 6)]
-    for left, right in [(pow2sum, pow2sum), (matpow, pow2sum), (matpow, matpow)]:
-        for n, m, k, l in product(range(1, 3), range(1, 3), range(3), range(3)):
-            exprs.append(FreeOf([left(AtomC() if k == 0 else AtomLF(Fraction(k)), 2 ** n),
-                                 right(AtomC() if l == 0 else AtomLF(Fraction(l)), 2 ** m)]))
+    exprs += prop_62_inputs(2, 2, 2, 2)
     return exprs + [parse(t) for t in ["M2(C^64) * C^64 * R",
                                        "(LF(3) (+) R)^16 * M2(LZ)^16",
                                        "M4(LZ) * C^8 * LF(9/4)"]]
@@ -549,6 +573,142 @@ def test_candidate_pairs_follow_combinations(n):
     pairs = list(combinations(slots, 2))
     by_shape = {"sum": slots}
     assert [_candidate(("sum", "sum"), by_shape, r) for r in range(len(pairs))] == pairs
+
+
+# One factor of each shape set the factor index knows: C, R, LF(1), LF(t > 1),
+# a sum and a matrix.
+_INDEX_FACTORS = [AtomC(), AtomR(), AtomLF(Fraction(1)), AtomLF(Fraction(9, 4)),
+                  SumOf(AtomC(), AtomR()), Mat2Of(AtomC())]
+
+
+@settings(deadline=None, database=None, max_examples=500)
+@given(st.lists(st.one_of(st.none(), st.sampled_from(_INDEX_FACTORS)), max_size=10))
+def test_deterministic_pick_is_first_counted_instance(slots):
+    """The deterministic pick reads the buckets directly; it must fire
+    instance 0 of the first rule, in table order, whose instance count is
+    nonzero, as the seeded pick counts them.  A None slot is a freed one."""
+    by_shape = defaultdict(list)
+    for i, f in enumerate(slots):
+        for shape in () if f is None else f._shapes:
+            by_shape[shape].append(i)
+    want = next(((name, _candidate(rule.shapes, by_shape, 0))
+                 for name, rule in _RULES.items() if _candidate_count(rule, by_shape)),
+                None)
+    assert Normalizer()._pick(by_shape) == want
+
+
+# Deterministic step logs and normal forms of 200 random fragments and the
+# inputs of prop_62_table(2, 2, 2, 2), recorded before the deterministic
+# pick stopped counting instances.
+PICK_CORPUS_DIGEST = "40ca624025a0c4b0151500176c0487554fa699d516b3c22e1ebde6f4ef9090f5"
+
+
+def test_pick_corpus_derivation_digest():
+    rng = random.Random(6200)
+    exprs = [rand_fragment(rng) for _ in range(200)] + prop_62_inputs(2, 2, 2, 2)
+    logs = []
+    for e in exprs:
+        nf, steps = normalize(e)
+        logs.append([nf.text(), [s.to_json() for s in steps]])
+    assert (len(exprs), sum(len(steps) for _, steps in logs)) == (308, 5072)
+    digest = hashlib.sha256(json.dumps(logs).encode()).hexdigest()
+    assert digest == PICK_CORPUS_DIGEST
+
+
+def test_engine_shares_lf_atoms_and_step_fractions():
+    """Equal LF parameters share one atom, and equal logged fdims one
+    Fraction, across ``normalize`` calls."""
+    _, first = normalize("C^8 * M2(LF(9/4)) * R")
+    _, second = normalize("LZ * C^4 * M2(LF(9/4))")
+    seen = {}
+    for s in first + second:
+        assert s.fdim_after is s.fdim_before
+        assert seen.setdefault(s.fdim_before, s.fdim_before) is s.fdim_before
+    assert parse("LF(9/4)") is parse("M2(LF(18/8))").inner
+    assert parse("LF(9/4)") == AtomLF(Fraction(9, 4))
+
+
+def test_shared_tables_stay_bounded(monkeypatch):
+    """A table that fills up starts again empty, and the log is the same."""
+    text = "LF(3/2) * LF(5/3) * LF(7/4) * LF(9/5) * LF(11/6) * R * C^4"
+    want = normalize(text)
+    monkeypatch.setattr(freedim, "_TABLE_LIMIT", 4)
+    monkeypatch.setattr(freedim, "_FRACTIONS", {})
+    monkeypatch.setattr(freedim, "_LF_ATOMS", {})
+    assert normalize(text) == want
+    assert 0 < len(freedim._FRACTIONS) <= 4 and 0 < len(freedim._LF_ATOMS) <= 4
+
+
+# -- the tokenizer against the character loop it replaced --------------------------
+
+
+_SINGLE = {")": "RPAREN", "*": "STAR", "^": "CARET", "/": "SLASH"}
+
+
+def reference_tokenize(text):
+    """The character-loop tokenizer that the one-regex ``_tokenize``
+    replaced, verbatim.  It differs only on non-ASCII digits and letters."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "(":
+            if text[i:i + 3] == "(+)":
+                out.append(("DSUM", "(+)", i))
+                i += 3
+            else:
+                out.append(("LPAREN", "(", i))
+                i += 1
+            continue
+        if ch in _SINGLE:
+            out.append((_SINGLE[ch], ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(("INT", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("NAME", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    out.append(("EOF", "", n))
+    return out
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+# The grammar's characters, ASCII junk (including the whitespace controls
+# \x0b, \x0c and \x1c-\x1f), and grammar pieces that the characters alone
+# seldom spell.
+_GRAMMAR_CHARS = "CLZRFM0123456789()+*^/ \t\n"
+_JUNK_CHARS = "@#_-.,:;xQa!~\x00\x0b\x0c\x1c\x1f\x7f"
+_TOKEN_TEXT = st.one_of(
+    st.text(alphabet=_GRAMMAR_CHARS + _JUNK_CHARS, max_size=40),
+    st.lists(st.sampled_from(["LF", "M2", "M16", "LZ", "C", "R", "(+)", "(", ")", " * ",
+                              "^", "/", "12", "0", " ", "x_1", "M2_", "(+", "@"]),
+             max_size=16).map("".join))
+
+
+@settings(deadline=None, database=None, max_examples=1000)
+@given(_TOKEN_TEXT)
+def test_tokenizer_matches_character_loop(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
 
 
 def fdim_oracle(e):

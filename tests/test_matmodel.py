@@ -2,6 +2,8 @@
 the freeness harnesses at module-test scale (the acceptance suite runs the
 full lengths)."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -184,6 +186,23 @@ def test_long_pq_walk_stays_off_the_recursion_limit(mm):
     report = mm.check_freeness(gen_a, gen_b, 1500, "PQ", offdiag)
     assert report.passed, report.failures[:3]
     assert report.words_checked == 3000
+
+
+def test_failures_name_their_words_in_walk_order(mm):
+    """Generators that are not free (the same 2P0 on both sides) fail on
+    every genuine word and on the full check of a lone off-diagonal one;
+    each failure names its word letter by letter.  The digest of the
+    failures was recorded while the walk still copied a name list per
+    word."""
+    p2 = mm.P0.scaled(2)
+    report = mm.check_freeness([("a", p2), ("a*", p2)], [("b", p2)], 4, "same", {"a*"})
+    assert report.words_checked == 21 and len(report.failures) == 38
+    assert [(f["word"], f["entry"]) for f in report.failures[:12]] == [
+        ("a b", "11"), ("a b", "22"), ("a b a", "11"), ("a b a", "22"),
+        ("a b a b", "11"), ("a b a b", "22"), ("a b a*", "11"), ("a b a*", "22"),
+        ("a b a* b", "11"), ("a b a* b", "22"), ("a*", "11"), ("a*", "22")]
+    digest = hashlib.sha256(json.dumps(report.failures).encode()).hexdigest()
+    assert digest == "0e051f7c3c7a3b48f4d8da9bb83e5b12e130726c8928fbe03b1e9daa164234be"
 
 
 def test_unknown_harness(mm):
