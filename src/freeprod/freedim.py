@@ -33,7 +33,6 @@ from bisect import bisect_left, insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt
 from operator import is_
 import random
@@ -110,7 +109,11 @@ def _sum_fdim(left: Pair, right: Pair) -> Pair:
 
 
 def _product_fdim(factors: Iterable[Expr]) -> Pair:
-    return reduce(_add, (f._fdim for f in factors))
+    it = iter(factors)
+    p = next(it)._fdim
+    for f in it:
+        p = _add(p, f._fdim)
+    return p
 
 
 # The Fraction of each fdim pair, and the LF atom of each parameter pair, that
@@ -143,23 +146,32 @@ def _lf_atom(p: Pair) -> AtomLF:
     return atom
 
 
+# Node kinds, one small int per class, on which the engine dispatches.  The
+# atoms come first, so ``kind < _K_M2`` marks an atom.
+_K_C, _K_LZ, _K_R, _K_LF, _K_M2, _K_SUM, _K_FREE = range(7)
+
+
 class Expr:
-    """A fragment expression.  Each node computes three values once, when it
+    """A fragment expression.  Each node computes four values once, when it
     is built, from its children's: ``_fdim``, its free dimension by the
     formulas of the module docstring as a reduced (numerator, denominator)
-    pair of ints; ``_text``; and ``_shapes``, the shapes under which the
-    rule table sees it as a factor (none for LZ and products, which are
-    never factors of a reduction).  They are not dataclass fields, so ==,
-    hash and repr ignore them.  The class flag ``_grouped`` marks sums and
-    products, whose text an operand puts in parentheses."""
+    pair of ints; ``_text``; ``_size``, the number of nodes in its tree;
+    and ``_shapes``, the shapes under which the rule table sees it as a
+    factor (none for LZ and products, which are never factors of a
+    reduction).  They are not dataclass fields, so ==, hash and repr ignore
+    them.  Each class sets ``_kind``, one of the ``_K_*`` ints, and the
+    flag ``_grouped`` marks sums and products, whose text an operand puts
+    in parentheses."""
 
     __slots__ = ()
     _shapes: Tuple[str, ...] = ()
     _grouped = False
+    _size = 1
 
 
 @dataclass(frozen=True)
 class AtomC(Expr):
+    _kind = _K_C
     _fdim = (0, 1)
     _text = "C"
     _shapes = ("C",)
@@ -167,12 +179,14 @@ class AtomC(Expr):
 
 @dataclass(frozen=True)
 class AtomLZ(Expr):
+    _kind = _K_LZ
     _fdim = (1, 1)
     _text = "LZ"
 
 
 @dataclass(frozen=True)
 class AtomR(Expr):
+    _kind = _K_R
     _fdim = (1, 1)
     _text = "R"
     _shapes = ("R",)
@@ -181,6 +195,7 @@ class AtomR(Expr):
 @dataclass(frozen=True)
 class AtomLF(Expr):
     t: Fraction
+    _kind = _K_LF
 
     def __post_init__(self) -> None:
         n, d = self.t.numerator, self.t.denominator
@@ -191,37 +206,41 @@ class AtomLF(Expr):
 @dataclass(frozen=True)
 class Mat2Of(Expr):
     inner: Expr
+    _kind = _K_M2
     _shapes = ("matrix",)
 
-    def __post_init__(self) -> None:
-        vars(self).update(_fdim=_m2_fdim(self.inner._fdim),
-                          _text=f"M2({self.inner._text})")
+    def __init__(self, inner: Expr):
+        vars(self).update(inner=inner, _fdim=_m2_fdim(inner._fdim),
+                          _text=f"M2({inner._text})", _size=1 + inner._size)
 
 
 @dataclass(frozen=True)
 class SumOf(Expr):
     left: Expr
     right: Expr
+    _kind = _K_SUM
     _shapes = ("sum",)
     _grouped = True
 
-    def __post_init__(self) -> None:
-        vars(self).update(_fdim=_sum_fdim(self.left._fdim, self.right._fdim),
-                          _text=f"{_wrapped(self.left)} (+) {_wrapped(self.right)}")
+    def __init__(self, left: Expr, right: Expr):
+        vars(self).update(left=left, right=right, _fdim=_sum_fdim(left._fdim, right._fdim),
+                          _text=f"{_wrapped(left)} (+) {_wrapped(right)}",
+                          _size=1 + left._size + right._size)
 
 
 @dataclass(frozen=True)
 class FreeOf(Expr):
     factors: Tuple[Expr, ...]
+    _kind = _K_FREE
     _grouped = True
 
     def __init__(self, factors: Sequence[Expr]):
         factors = tuple(factors)
         if len(factors) < 2:
             raise ValueError("free product needs at least two factors")
-        object.__setattr__(self, "factors", factors)
-        vars(self).update(_fdim=_product_fdim(factors),
-                          _text=_product_text(factors))
+        vars(self).update(factors=factors, _fdim=_product_fdim(factors),
+                          _text=_product_text(factors),
+                          _size=1 + sum([f._size for f in factors]))
 
 
 def _wrapped(e: Expr) -> str:
@@ -235,7 +254,7 @@ def _product_text(factors: Iterable[Expr]) -> str:
 
 def _flatten(factors: Iterable[Expr]) -> List[Expr]:
     """Free-product factors with the factors of nested products spliced in."""
-    return [g for f in factors for g in (f.factors if isinstance(f, FreeOf) else (f,))]
+    return [g for f in factors for g in (f.factors if f._kind == _K_FREE else (f,))]
 
 
 def lf(t) -> AtomLF:
@@ -281,13 +300,10 @@ def expr_text(e: Expr, top: bool = True) -> str:
 
 
 def expr_size(e: Expr) -> int:
-    if isinstance(e, Mat2Of):
-        return 1 + expr_size(e.inner)
-    if isinstance(e, SumOf):
-        return 1 + expr_size(e.left) + expr_size(e.right)
-    if isinstance(e, FreeOf):
-        return 1 + sum(expr_size(f) for f in e.factors)
-    return 1
+    """The number of nodes in the tree of e, as cached when it was built."""
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    return e._size
 
 
 def fdim(e: Expr) -> Fraction:
@@ -303,12 +319,12 @@ def fdim(e: Expr) -> Fraction:
 
 # Largest expanded tree, in nodes, that ``parse`` accepts.  On a 2-core
 # x86 machine with Python 3.11, whose speed varies with the shared load,
-# C^2048 * C^2048 (8191 nodes, 12281 steps) normalizes in 0.02-0.04 s,
+# C^2048 * C^2048 (8191 nodes, 12281 steps) normalizes in 0.02-0.03 s,
 # since it repeats factor lists, and a product of 1000 distinct M2(LF(t))
-# factors (2001 nodes) in 0.07 s.  The factor index keeps a flat product
+# factors (2001 nodes) in 0.04 s.  The factor index keeps a flat product
 # from reclassifying its factors every round: 8191 factors R (16381 steps)
-# take 0.32-0.34 s, or 0.43-0.59 s with a seed, and 8191 factors LF(3/2)
-# take 0.16-0.17 s.
+# take 0.23-0.27 s, or 0.39-0.49 s with a seed, and 8191 factors LF(3/2)
+# take 0.15-0.16 s.
 MAX_EXPR_SIZE = 8192
 
 
@@ -354,76 +370,72 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return out
 
 
-_ATOMS = {"C": AtomC, "LZ": AtomLZ, "R": AtomR}
+# One shared node per atom without parameters.
+_ATOMS = {"C": AtomC(), "LZ": AtomLZ(), "R": AtomR()}
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.open = 0
 
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
+    def expect(self, kind: str):
         tok = self.toks[self.i]
         self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
         if tok[0] != kind:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
-    # parse_* return the expression and the node count and height of its
-    # expanded tree.  ``self.open`` counts the levels of the groups around
-    # the current token, one per parenthesis and log2 k per Mk, so that
-    # deep nesting is rejected before the parser recurses into it.
+    # parse_* return the expression and the height of its expanded tree,
+    # whose node count the expression caches.  ``self.open`` counts the
+    # levels of the groups around the current token, one per parenthesis
+    # and log2 k per Mk, so that deep nesting is rejected before the parser
+    # recurses into it.
 
     def parse(self) -> Expr:
-        e, size, _ = self.parse_free()
-        tok = self.peek()
+        e, _ = self.parse_free()
+        tok = self.toks[self.i]
         if tok[0] != "EOF":
             raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
-        _check_size(size)
+        _check_size(e._size)
         return e
 
-    def parse_free(self) -> Tuple[Expr, int, int]:
+    def parse_free(self) -> Tuple[Expr, int]:
+        toks = self.toks
         factors = [self.parse_sum()]
-        while self.peek()[0] == "STAR":
-            self.next()
+        while toks[self.i][0] == "STAR":
+            self.i += 1
             factors.append(self.parse_sum())
         if len(factors) == 1:
             return factors[0]
-        # a spliced-in product loses its own node and level
-        size = 1 + sum(f_size - isinstance(f, FreeOf) for f, f_size, _ in factors)
-        height = _check_depth(1 + max(h - isinstance(f, FreeOf) for f, _, h in factors))
-        return FreeOf(_flatten(f for f, _, _ in factors)), size, height
+        # a spliced-in product loses its own level
+        height = _check_depth(1 + max(h - (f._kind == _K_FREE) for f, h in factors))
+        return FreeOf(_flatten(f for f, _ in factors)), height
 
-    def parse_sum(self) -> Tuple[Expr, int, int]:
-        e, size, height = self.parse_pow()
-        while self.peek()[0] == "DSUM":
-            self.next()
-            right, right_size, right_height = self.parse_pow()
+    def parse_sum(self) -> Tuple[Expr, int]:
+        toks = self.toks
+        e, height = self.parse_pow()
+        while toks[self.i][0] == "DSUM":
+            self.i += 1
+            right, right_height = self.parse_pow()
             height = _check_depth(1 + max(height, right_height))
-            e, size = SumOf(e, right), size + right_size + 1
-        return e, size, height
+            e = SumOf(e, right)
+        return e, height
 
-    def parse_pow(self) -> Tuple[Expr, int, int]:
-        e, size, height = self.parse_primary()
-        while self.peek()[0] == "CARET":
-            self.next()
+    def parse_pow(self) -> Tuple[Expr, int]:
+        toks = self.toks
+        e, height = self.parse_primary()
+        while toks[self.i][0] == "CARET":
+            self.i += 1
             k = int(self.expect("INT")[1])
             # both checked before pow2sum builds anything
-            size = _check_size(k * size + k - 1)
+            _check_size(k * e._size + k - 1)
             height = _check_depth(height + k.bit_length() - 1)
             e = pow2sum(e, k)
-        return e, size, height
+        return e, height
 
-    def parse_group(self, levels: int) -> Tuple[Expr, int, int]:
+    def parse_group(self, levels: int) -> Tuple[Expr, int]:
         """The product up to the closing parenthesis, in a group of
         ``levels`` levels."""
         self.open = _check_depth(self.open + levels)
@@ -436,8 +448,8 @@ class _Parser:
         """A rational number as a reduced pair."""
         tok = self.expect("INT")
         num = int(tok[1])
-        if self.peek()[0] == "SLASH":
-            self.next()
+        if self.toks[self.i][0] == "SLASH":
+            self.i += 1
             den = int(self.expect("INT")[1])
             if den == 0:
                 raise ParseError("zero denominator", tok[2])
@@ -446,25 +458,26 @@ class _Parser:
         return num, 1
 
     def parse_primary(self) -> Tuple[Expr, int]:
-        tok = self.next()
-        kind, value, pos = tok
+        kind, value, pos = self.toks[self.i]
+        self.i += 1
         if kind == "LPAREN":
             return self.parse_group(1)
         if kind != "NAME":
             raise ParseError(f"expected an atom, found {value!r}", pos)
-        if value in _ATOMS:
-            return _ATOMS[value](), 1, 0
+        atom = _ATOMS.get(value)
+        if atom is not None:
+            return atom, 0
         if value == "LF":
             self.expect("LPAREN")
             q = self.parse_rational()
             self.expect("RPAREN")
-            return _checked_lf(q), 1, 0
+            return _checked_lf(q), 0
         if value[0] == "M" and value[1:].isdigit():
             k = int(value[1:])
             self.expect("LPAREN")
             levels = max(k.bit_length() - 1, 1)  # matpow rejects k < 2
-            e, size, height = self.parse_group(levels)
-            return matpow(e, k), size + levels, _check_depth(height + levels)
+            e, height = self.parse_group(levels)
+            return matpow(e, k), _check_depth(height + levels)
         raise ParseError(f"unknown atom {value!r}", pos)
 
 
@@ -495,22 +508,29 @@ class NormalForm:
         """The fully decompressed parameter: LF(s) with the 2x2 compression
         inverted once per depth level, so s is the free dimension.  Defined
         when the core is LF with parameter > 1 and depth >= 1."""
-        if self.core != "LF" or self.param is None or self.param <= 1 or self.depth == 0:
+        q = self.param
+        if self.core != "LF" or q is None or q.numerator <= q.denominator or self.depth == 0:
             return None
         return self.fdim()
 
     def fdim(self) -> Fraction:
-        base = {"C": Fraction(0), "R": Fraction(1)}.get(self.core, self.param)
-        x = Fraction(base)
+        """The free dimension: the M2 formula applied ``depth`` times to the
+        reduced pair of the core."""
+        if self.core == "C":
+            p = (0, 1)
+        elif self.core == "R":
+            p = (1, 1)
+        else:
+            p = (self.param.numerator, self.param.denominator)
         for _ in range(self.depth):
-            x = 1 + (x - 1) / 4
-        return x
+            p = _m2_fdim(p)
+        return _fraction(p)
 
     def __str__(self):
         return self.text()
 
 
-@dataclass
+@dataclass(slots=True)
 class RewriteStep:
     rule: str
     description: str
@@ -564,10 +584,12 @@ _RULES: Dict[str, _Rule] = {
     "R14": _Rule("LZ -> LF(1)"),
     "R6inv": _Rule("M2(LF(t)) -> LF(1 + (t - 1)/4), t > 1"),
 }
+_DESCRIPTIONS = {name: rule.text for name, rule in _RULES.items()}
+
 
 def _unfold(f: Expr) -> Expr:
     """R9, R6 and R12: R or an LF atom as an M2 or a sum to pair with."""
-    if isinstance(f, AtomR):
+    if f._kind == _K_R:
         return Mat2Of(f)
     n, d = f._fdim
     if n > d:
@@ -581,9 +603,10 @@ def _unfold(f: Expr) -> Expr:
 
 def _m2_share(f: Expr) -> Tuple[List[Expr], int]:
     """The parts and the weight a factor brings to an M2 pairing."""
-    if isinstance(f, SumOf):
+    kind = f._kind
+    if kind == _K_SUM:
         return [f.left, f.right], 1
-    if isinstance(f, Mat2Of):
+    if kind == _K_M2:
         return [f.inner], 2
     return [], 3  # LF(1) or R
 
@@ -626,11 +649,10 @@ def _candidate(shapes: Tuple[str, ...], by_shape: Dict[str, List[int]],
     return first[a], first[a + 1 + r - a * (m - a) // 2]
 
 
-def _first_slot(by_shape: Dict[str, List[int]], skip: int) -> int:
-    """The lowest occupied slot other than ``skip``.  Every factor has a
-    shape, and ``skip`` is at most once in a bucket, so the answer is among
-    the first two slots of some bucket."""
-    return min(j for slots in by_shape.values() for j in slots[:2] if j != skip)
+def _first_slot(by_shape: Dict[str, List[int]]) -> int:
+    """The lowest occupied slot.  Every factor has a shape, so it is the
+    first slot of some bucket."""
+    return min([slots[0] for slots in by_shape.values() if slots])
 
 
 # The rules the factor loop can pick, in table order, for the deterministic
@@ -692,6 +714,10 @@ class Normalizer:
     list afresh, so their random draws are unaffected.  After ``normalize``,
     ``memo_hits`` and ``memo_misses`` count the lists taken from and
     entered into the memo, and ``rule_counts`` the logged steps per rule.
+
+    The engine dispatches on each node's ``_kind`` and reads its cached
+    ``_size``, ``_fdim``, ``_text`` and ``_shapes``, so it never walks a
+    tree only to measure it.
     """
 
     def __init__(self, rng: Optional[random.Random] = None,
@@ -700,7 +726,6 @@ class Normalizer:
         self.max_steps = max_steps
         self.steps: List[RewriteStep] = []
         self.memo_hits = self.memo_misses = 0
-        self.rule_counts: Counter[str] = Counter()
         self._budget = 0
         # factor texts -> (result, length of the first path, its step range)
         self._memo: Dict[Tuple[str, ...], Tuple[Expr, int, int, int]] = {}
@@ -713,29 +738,34 @@ class Normalizer:
         rng = random.Random(seed) if seed is not None else None
         return cls(rng=rng, max_steps=max_steps)
 
+    @property
+    def rule_counts(self) -> Counter[str]:
+        """The steps of the last ``normalize`` call per rule, in the order
+        the rules first fired; after a ``DivergenceError``, those logged."""
+        return Counter(s.rule for s in self.steps)
+
     # -- public entry ---------------------------------------------------------
 
     def normalize(self, e: Expr) -> Tuple[NormalForm, List[RewriteStep]]:
         self.steps = []
         self.memo_hits = self.memo_misses = 0
         self._budget = self.max_steps if self.max_steps is not None \
-            else 200 + 40 * expr_size(e)
+            else 200 + 40 * e._size
         try:
             e1 = self._canonicalize(e, ())
             red = self._reduce(e1, ())
         finally:
             self._memo.clear()
-            self.rule_counts = Counter(s.rule for s in self.steps)
         depth = 0
         core = red
-        while isinstance(core, Mat2Of):
+        while core._kind == _K_M2:
             depth += 1
             core = core.inner
-        if not isinstance(core, (AtomLF, AtomC, AtomR)):
+        if core._kind not in (_K_LF, _K_C, _K_R):
             raise NotReducibleError(
                 "expression reduces to "
                 f"{expr_text(red)}, which is not of the form M2^n(LF/C/R)")
-        param = core.t if isinstance(core, AtomLF) else None
+        param = core.t if core._kind == _K_LF else None
         return NormalForm(depth, core._shapes[0], param), self.steps
 
     # -- helpers --------------------------------------------------------------
@@ -751,57 +781,69 @@ class Normalizer:
         self._budget -= 1
         if self._budget < 0:
             raise DivergenceError("rewrite step limit exceeded")
-        q = _fraction(fdim_before)
-        self.steps.append(RewriteStep(rule, _RULES[rule].text, path, before, after, q, q))
+        q = _FRACTIONS.get(fdim_before)
+        if q is None:
+            q = _fraction(fdim_before)
+        self.steps.append(RewriteStep(rule, _DESCRIPTIONS[rule], path, before, after, q, q))
 
     # _canonicalize and _reduce return a subtree they leave unchanged as the
     # same object, which keeps its cached fdim and text.
 
     def _canonicalize(self, e: Expr, path: Tuple[int, ...]) -> Expr:
         """LZ becomes LF(1) (rule R14); LF(0) is read as C by definition."""
-        if isinstance(e, AtomLZ):
-            new = _lf_atom((1, 1))
-            self._log("R14", path, e._text, e._fdim, new._text, new._fdim)
-            return new
-        if isinstance(e, AtomLF):
-            n, d = e._fdim
-            if n == 0:
-                return AtomC()
-            if type(e.t) is Fraction and n >= d:  # t >= 1, as d > 0
-                return e
-            return lf(e.t)  # rejects t < 0 and 0 < t < 1, makes t a Fraction
-        if isinstance(e, SumOf):
-            left = self._canonicalize(e.left, path + (0,))
-            right = self._canonicalize(e.right, path + (1,))
-            return e if left is e.left and right is e.right else SumOf(left, right)
-        if isinstance(e, Mat2Of):
-            inner = self._canonicalize(e.inner, path + (0,))
-            return e if inner is e.inner else Mat2Of(inner)
-        if isinstance(e, FreeOf):
+        kind = e._kind
+        if kind == _K_FREE:
             factors = [self._canonicalize(f, path + (i,))
                        for i, f in enumerate(_flatten(e.factors))]
             same = len(factors) == len(e.factors) and all(map(is_, factors, e.factors))
             return e if same else FreeOf(factors)
-        return e
+        if kind == _K_SUM:
+            left = self._canonicalize(e.left, path + (0,))
+            right = self._canonicalize(e.right, path + (1,))
+            return e if left is e.left and right is e.right else SumOf(left, right)
+        if kind == _K_M2:
+            inner = self._canonicalize(e.inner, path + (0,))
+            return e if inner is e.inner else Mat2Of(inner)
+        if kind == _K_LF:
+            n, d = e._fdim
+            if n == 0:
+                return _ATOMS["C"]
+            if type(e.t) is Fraction and n >= d:  # t >= 1, as d > 0
+                return e
+            return lf(e.t)  # rejects t < 0 and 0 < t < 1, makes t a Fraction
+        if kind == _K_LZ:
+            new = _lf_atom((1, 1))
+            self._log("R14", path, e._text, e._fdim, new._text, new._fdim)
+            return new
+        return e  # C or R
 
     def _reduce(self, e: Expr, path: Tuple[int, ...]) -> Expr:
-        if isinstance(e, SumOf):
-            left = self._reduce(e.left, path + (0,))
-            right = self._reduce(e.right, path + (1,))
-            return e if left is e.left and right is e.right else SumOf(left, right)
-        if isinstance(e, Mat2Of):
-            inner = self._reduce(e.inner, path + (0,))
-            inner = self._collapse_shell(inner, path + (0,))
-            return e if inner is e.inner else Mat2Of(inner)
-        if isinstance(e, FreeOf):
-            factors = [self._reduce(f, path + (i,)) for i, f in enumerate(e.factors)]
+        """Reduce every product in e, innermost first.  Atoms are already
+        reduced, so they are passed over without a call."""
+        kind = e._kind
+        if kind == _K_FREE:
+            factors = [f if f._kind < _K_M2 else self._reduce(f, path + (i,))
+                       for i, f in enumerate(e.factors)]
             return self._reduce_factors(factors, path)
+        if kind == _K_SUM:
+            left, right = e.left, e.right
+            if left._kind >= _K_M2:
+                left = self._reduce(left, path + (0,))
+            if right._kind >= _K_M2:
+                right = self._reduce(right, path + (1,))
+            return e if left is e.left and right is e.right else SumOf(left, right)
+        if kind == _K_M2:
+            inner = e.inner
+            if inner._kind >= _K_M2:
+                sub = path + (0,)
+                inner = self._collapse_shell(self._reduce(inner, sub), sub)
+            return e if inner is e.inner else Mat2Of(inner)
         return e
 
     def _collapse_shell(self, e: Expr, path: Tuple[int, ...]) -> Expr:
         """Inside an enclosing M2, a child M2(LF(t)) with t > 1 decompresses
         so that amplification depth concentrates in the outermost shell."""
-        while isinstance(e, Mat2Of) and isinstance(e.inner, AtomLF) \
+        while e._kind == _K_M2 and e.inner._kind == _K_LF \
                 and e.inner._fdim[0] > e.inner._fdim[1]:
             # the new parameter 1 + (t - 1)/4 = (t + 3)/4 is the fdim of e
             new = _lf_atom(e._fdim)
@@ -890,51 +932,48 @@ class Normalizer:
         if len(idx) == 1:
             (i,) = idx
             old = facs[i]
-            _vacate(facs, by_shape, i)
-            if isinstance(old, AtomC):  # R13
-                partner = facs[_first_slot(by_shape, i)]
+            for shape in old._shapes:
+                slots = by_shape[shape]
+                del slots[bisect_left(slots, i)]
+            if old._kind == _K_C:  # R13
+                facs[i] = None
+                partner = facs[_first_slot(by_shape)]
                 self._log(rule, path, f"{old._text} * {_wrapped(partner)}",
                           _add(old._fdim, partner._fdim), partner._text, partner._fdim)
                 return 1
-            new = _unfold(old)
+            new = facs[i] = _unfold(old)
             self._log(rule, path, old._text, old._fdim, new._text, new._fdim)
-            _occupy(facs, by_shape, i, new)
+            for shape in new._shapes:
+                insort(by_shape[shape], i)
             return 0
 
         i, j = idx
         a, b = facs[i], facs[j]
-        if isinstance(a, (SumOf, Mat2Of)) or isinstance(b, (SumOf, Mat2Of)):
+        if a._kind >= _K_M2 or b._kind >= _K_M2:
             # R1-R5, R10, R11: the weight rule of the module docstring
             (parts_a, w_a), (parts_b, w_b) = _m2_share(a), _m2_share(b)
             inner = parts_a + parts_b + [_lf_atom((w_a + w_b - 1, 1))]
             self._log(rule, path, f"{_wrapped(a)} * {_wrapped(b)}", _add(a._fdim, b._fdim),
                       f"M2({_product_text(inner)})", _m2_fdim(_product_fdim(inner)))
-            reduced_inner = self._reduce_factors(inner, path + (0,))
-            replacement: Expr = Mat2Of(self._collapse_shell(reduced_inner, path + (0,)))
+            sub = path + (0,)
+            replacement = Mat2Of(self._collapse_shell(self._reduce_factors(inner, sub), sub))
         else:  # R7, R8: an LF atom absorbs LF(s) or R, adding its fdim s or 1
-            atom, other = (a, b) if isinstance(a, AtomLF) else (b, a)
+            atom, other = (a, b) if a._kind == _K_LF else (b, a)
             merged = _add(atom._fdim, other._fdim)
             replacement = _lf_atom(merged)
             self._log(rule, path, f"{atom._text} * {other._text}", merged,
                       replacement._text, replacement._fdim)
-        _vacate(facs, by_shape, i)
-        _vacate(facs, by_shape, j)
-        _occupy(facs, by_shape, min(i, j), replacement)
+        # the replacement takes the lower slot and the other is freed
+        for slot, f in ((i, a), (j, b)):
+            for shape in f._shapes:
+                slots = by_shape[shape]
+                del slots[bisect_left(slots, slot)]
+        if j < i:
+            i, j = j, i
+        facs[i], facs[j] = replacement, None
+        for shape in replacement._shapes:
+            insort(by_shape[shape], i)
         return 1
-
-
-def _vacate(facs: List[Optional[Expr]], by_shape: Dict[str, List[int]], i: int) -> None:
-    for shape in facs[i]._shapes:
-        slots = by_shape[shape]
-        del slots[bisect_left(slots, i)]
-    facs[i] = None
-
-
-def _occupy(facs: List[Optional[Expr]], by_shape: Dict[str, List[int]], i: int,
-            f: Expr) -> None:
-    facs[i] = f
-    for shape in f._shapes:
-        insort(by_shape[shape], i)
 
 
 def normalize(e: Union[Expr, str], seed: Optional[int] = None,
@@ -977,13 +1016,22 @@ class TableReport:
         }
 
 
+# Largest n_max of ``example_61_sequence``.  Its largest row,
+# C^(2^n_max) * C^(2^n_max), has 2^(n_max + 2) - 1 nodes, which must not
+# exceed MAX_EXPR_SIZE: 11 for 8192 nodes.
+EXAMPLE_61_MAX_N = (MAX_EXPR_SIZE + 1).bit_length() - 3
+
+
 def example_61_sequence(n_max: int) -> TableReport:
     """Balanced scalar sums: C^(2^n) * C^(2^n) normalizes to M2(LF(a_n))
     with a_n = 5 - 4/2^(n-1) (so a_1 = 1, and the decompressed alias is
     LF(2 - 1/2^(n-1)) once a_n > 1); mixed sizes give
-    C^(2^n) * C^(2^m) = M2(LF(5 - 2(1/2^(n-1) + 1/2^(m-1))))."""
-    if not (1 <= n_max <= 16):
-        raise ValueError("n_max must be in 1..16")
+    C^(2^n) * C^(2^m) = M2(LF(5 - 2(1/2^(n-1) + 1/2^(m-1)))).  The row
+    C^(2^n) * C^(2^m) has 2^(n+1) + 2^(m+1) - 1 nodes, so n_max is bounded,
+    before any tree is built, by the parser's MAX_EXPR_SIZE."""
+    if not (1 <= n_max <= EXAMPLE_61_MAX_N):
+        raise ValueError(f"n_max must be in 1..{EXAMPLE_61_MAX_N}: the row n = m = n_max "
+                         f"has 2^(n_max + 2) - 1 nodes, at most {MAX_EXPR_SIZE}")
     rows: List[dict] = []
     failures: List[dict] = []
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .ncpart import NCPartition, enumerate_nc, kreweras
+from .ncpart import enumerate_nc, kreweras
 from . import trigalg
 from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _frac
 
@@ -794,32 +794,6 @@ def r_diagonal_filter(letters: Sequence[HaarLetter]) -> bool:
     if all(abs(p) == 1 for p in powers):
         return all(a == -b for a, b in zip(powers, powers[1:]))
     return True
-
-
-def contributing_partitions(fp: FreeProduct, letters: Sequence[Letter]) -> List[NCPartition]:
-    """Partitions of the letter positions whose partitioned cumulant is not
-    forced to vanish: blocks must stay within one leg, and Haar blocks must
-    pass the alternating generator/inverse filter."""
-    letters = tuple(letters)
-    m = len(letters)
-    out = []
-    for p in enumerate_nc(m):
-        ok = True
-        for block in p.blocks:
-            picked = tuple(letters[i - 1] for i in block)
-            legs = {l.leg for l in picked}
-            if len(legs) > 1:
-                ok = False
-                break
-            leg = fp.leg(picked[0].leg)
-            if leg.kind == "haar":
-                if not r_diagonal_filter(picked):  # type: ignore[arg-type]
-                    ok = False
-                    break
-        if not ok:
-            continue
-        out.append(p)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,6 @@ class NCPartition:
         return cls(n, canon)
 
     @classmethod
-    def singletons(cls, n: int) -> "NCPartition":
-        return cls(n, tuple((i,) for i in range(1, n + 1)))
-
-    @classmethod
     def full(cls, n: int) -> "NCPartition":
         return cls(n, (tuple(range(1, n + 1)),))
 
@@ -96,14 +92,6 @@ class NCPartition:
             for x in b:
                 idx[x - 1] = j
         return tuple(idx)
-
-    def refines(self, other: "NCPartition") -> bool:
-        """True when every block of self is contained in a block of other."""
-        where = {}
-        for j, b in enumerate(other.blocks):
-            for x in b:
-                where[x] = j
-        return all(len({where[x] for x in b}) == 1 for b in self.blocks)
 
     def encode(self) -> str:
         return "|".join(",".join(str(x) for x in b) for b in self.blocks)

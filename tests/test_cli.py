@@ -334,6 +334,20 @@ def test_tables_example61():
     assert out.strip().endswith("0 failures")
 
 
+@pytest.mark.parametrize("n_max", ["12", "16", "1000000000"])
+def test_tables_example61_past_node_bound_exit_2(n_max, capsys):
+    """n-max 12 would build rows of 16383 nodes, past MAX_EXPR_SIZE; it is
+    refused at once with one error line."""
+    start = time.perf_counter()
+    assert cli.main(["tables", "--table", "example61", "--n-max", n_max]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: n_max must be in 1..11: the row n = m = n_max has 2^(n_max + 2) - 1 "
+        "nodes, at most 8192"]
+
+
 def test_model_file_trace(tmp_path):
     model = {
         "legs": [

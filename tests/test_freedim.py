@@ -7,7 +7,7 @@ import json
 import random
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -23,6 +23,8 @@ from freeprod.freedim import (
     AtomLZ,
     AtomR,
     DivergenceError,
+    EXAMPLE_61_MAX_N,
+    Expr,
     FreeOf,
     Mat2Of,
     NormalForm,
@@ -187,6 +189,13 @@ def test_deepest_accepted_expressions_run(text):
         nf, steps = normalize(e, seed=seed)
         assert nf == base
         json.dumps([s.to_json() for s in steps])
+
+
+@pytest.mark.parametrize("value", ["R * R", None, 3, (AtomC(),)])
+def test_measures_refuse_non_expressions(value):
+    for measure in (expr_size, expr_text, fdim):
+        with pytest.raises(TypeError, match="not an expression"):
+            measure(value)
 
 
 def test_expr_text_roundtrip():
@@ -738,6 +747,34 @@ _trees = st.recursive(
     max_leaves=12)
 
 
+def size_oracle(e):
+    """The node count by a walk of the tree."""
+    if isinstance(e, Mat2Of):
+        return 1 + size_oracle(e.inner)
+    if isinstance(e, SumOf):
+        return 1 + size_oracle(e.left) + size_oracle(e.right)
+    if isinstance(e, FreeOf):
+        return 1 + sum(map(size_oracle, e.factors))
+    return 1
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_trees)
+def test_cached_size_agrees_with_walk(e):
+    """``_size`` is counted when a node is built; products built directly
+    may nest unflattened, and each nested product keeps its own node."""
+    assert e._size == expr_size(e) == size_oracle(e)
+
+
+def test_cached_size_of_unflattened_products():
+    a, b, c = AtomC(), AtomR(), AtomLF(Fraction(3))
+    nested = FreeOf([FreeOf([a, b]), c])
+    assert nested._size == size_oracle(nested) == 5
+    assert FreeOf([a, b, c])._size == 4
+    deep = Mat2Of(FreeOf([SumOf(nested, a), FreeOf([nested, Mat2Of(b)])]))
+    assert deep._size == size_oracle(deep) == 17
+
+
 @settings(deadline=None, database=None, max_examples=300)
 @given(_trees)
 def test_fdim_agrees_with_fraction_oracle(e):
@@ -813,6 +850,74 @@ def test_memo_counters():
     assert sum(seeded.rule_counts.values()) == len(steps)
 
 
+def normal_form_fdim_oracle(nf):
+    """The free dimension of M2^depth(core) by x -> 1 + (x - 1)/4 in
+    Fraction, once per level."""
+    x = {"C": Fraction(0), "R": Fraction(1)}.get(nf.core, nf.param)
+    for _ in range(nf.depth):
+        x = 1 + (x - 1) / 4
+    return x
+
+
+@pytest.mark.parametrize("core,param", [("C", None), ("R", None)] + [
+    ("LF", Fraction(t)) for t in ("1", "5/4", "2", "7/3", "5", "1023/512")])
+def test_normal_form_fdim_and_alias_match_fraction_recurrence(core, param):
+    for depth in range(9):
+        nf = NormalForm(depth, core, param)
+        want = normal_form_fdim_oracle(nf)
+        got = nf.fdim()
+        assert type(got) is Fraction and got == want
+        has_alias = core == "LF" and param > 1 and depth > 0
+        assert nf.alias() == (want if has_alias else None)
+
+
+def test_rule_counts_after_divergence():
+    """After a ``DivergenceError`` the counts are those of the logged steps,
+    in the order each rule first fired."""
+    e = parse("C^64 * C^64 * M2(R) * LZ")
+    for limit in (0, 1, 7, 100, 300):
+        engine = Normalizer(max_steps=limit)
+        with pytest.raises(DivergenceError):
+            engine.normalize(e)
+        want = Counter(s.rule for s in engine.steps)
+        assert len(engine.steps) == limit
+        assert list(engine.rule_counts.items()) == list(want.items())
+
+
+# One node of each concrete expression class, with its kind.
+KIND_EXAMPLES = {
+    AtomC: (AtomC(), freedim._K_C),
+    AtomLZ: (AtomLZ(), freedim._K_LZ),
+    AtomR: (AtomR(), freedim._K_R),
+    AtomLF: (AtomLF(Fraction(9, 4)), freedim._K_LF),
+    Mat2Of: (Mat2Of(AtomLZ()), freedim._K_M2),
+    SumOf: (SumOf(AtomLZ(), AtomC()), freedim._K_SUM),
+    FreeOf: (FreeOf([FreeOf([AtomLZ(), AtomR()]), AtomC()]), freedim._K_FREE),
+}
+
+
+def test_every_expression_class_has_a_dispatched_kind():
+    """The engine dispatches on ``_kind``.  Every concrete Expr class sets
+    its own, the kinds are distinct and the atoms' come first, and each
+    class takes its branch: an LZ anywhere is rewritten by R14, and a
+    product is reduced.  A class added later fails here until it is given
+    a kind and its branch."""
+    assert set(Expr.__subclasses__()) == set(KIND_EXAMPLES)
+    kinds = [kind for _, kind in KIND_EXAMPLES.values()]
+    assert sorted(kinds) == list(range(len(kinds)))
+    for cls, (node, kind) in KIND_EXAMPLES.items():
+        assert vars(cls)["_kind"] == node._kind == kind
+        assert (kind < freedim._K_M2) == cls.__name__.startswith("Atom")
+        engine = Normalizer()
+        engine._budget = 100  # as ``normalize`` sets it
+        canonical = engine._canonicalize(node, ())
+        assert [s.rule for s in engine.steps] == ["R14"] * ("LZ" in node._text)
+        assert "LZ" not in canonical._text and fdim(canonical) == fdim(node)
+        reduced = engine._reduce(canonical, ())
+        assert (reduced is canonical) == (cls is not FreeOf)
+        assert fdim(reduced) == fdim(node)
+
+
 def test_normalize_runs_a_given_engine():
     """``normalize(engine=...)`` gives the seeded run's log and leaves the
     engine's counts readable; a seed or budget next to it is refused."""
@@ -869,10 +974,17 @@ def test_example_61_sequence():
 
 
 def test_example_61_guard():
-    with pytest.raises(ValueError):
-        example_61_sequence(0)
-    with pytest.raises(ValueError):
-        example_61_sequence(17)
+    """n_max is bounded by the node count of the largest row, before any
+    tree is built: 2^(n_max + 2) - 1 nodes at n = m = n_max."""
+    assert EXAMPLE_61_MAX_N == 11
+    row = FreeOf([pow2sum(AtomC(), 2 ** 11)] * 2)
+    assert row._size == 2 ** 13 - 1 <= MAX_EXPR_SIZE
+    assert FreeOf([pow2sum(AtomC(), 2 ** 12)] * 2)._size > MAX_EXPR_SIZE
+    for n_max in (0, 12, 16, 17, 10 ** 9):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"n_max must be in 1\.\.11"):
+            example_61_sequence(n_max)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_prop_62_table_small():

@@ -25,14 +25,13 @@ from freeprod.freeword import (
     TrigLeg,
     TrigLetter,
     UnknownNameError,
-    contributing_partitions,
     cumulants_to_moments,
     legs_from_model_dict,
     moments_to_cumulants,
     r_diagonal_filter,
     standard_model,
 )
-from freeprod.ncpart import NCPartition
+from freeprod.ncpart import NCPartition, enumerate_nc
 from freeprod.trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly
 
 from wordgen import (model_with_comm, rand_balanced_letters, rand_letters, rand_trig,
@@ -386,6 +385,23 @@ def test_r_diagonal_filter_cases(fp):
     assert r_diagonal_filter((u.gen(2), u.gen(-2)))
     with pytest.raises(TypeError):
         r_diagonal_filter((fp.leg("f").c(),))
+
+
+def contributing_partitions(fp, letters):
+    """Partitions of the letter positions whose partitioned cumulant is not
+    forced to vanish: blocks must stay within one leg, and Haar blocks must
+    pass the alternating generator/inverse filter."""
+    out = []
+    for p in enumerate_nc(len(letters)):
+        for block in p.blocks:
+            picked = tuple(letters[i - 1] for i in block)
+            if len({l.leg for l in picked}) > 1:
+                break
+            if fp.leg(picked[0].leg).kind == "haar" and not r_diagonal_filter(picked):
+                break
+        else:
+            out.append(p)
+    return out
 
 
 def test_contributing_partitions_nested_conjugation(fp):
