@@ -22,15 +22,11 @@ from typing import List, Optional, Sequence
 from . import freedim, freeword, matmodel, ncpart
 from .freeword import EvaluationLimitError, FamilySplitError, UnknownNameError
 from .ncpart import SizeLimitError
-from .trigalg import parse_trig
+from .trigalg import is_trig_atom, parse_trig
 
 
 class CliError(Exception):
     """Usage-level error (exit 2)."""
-
-
-def _print(*args):
-    print(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +39,13 @@ def cmd_nc_enum(args) -> int:
         doc = {"n": args.n, "count": len(parts)}
         if not args.count:
             doc["partitions"] = [p.encode() for p in parts]
-        _print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
         return 0
     if args.count:
-        _print(len(parts))
+        print(len(parts))
         return 0
     for p in parts:
-        _print(p.encode())
+        print(p.encode())
     return 0
 
 
@@ -57,22 +53,22 @@ def cmd_nc_kreweras(args) -> int:
     p = ncpart.NCPartition.decode(args.p)
     k = ncpart.kreweras(p)
     if args.json:
-        _print(json.dumps({"partition": p.encode(), "kreweras": k.encode()}, indent=2))
+        print(json.dumps({"partition": p.encode(), "kreweras": k.encode()}, indent=2))
     else:
-        _print(k.encode())
+        print(k.encode())
     return 0
 
 
 def cmd_nc_lemma(args) -> int:
     report = ncpart.verify_kreweras_interval_lemma(args.n)
     if args.json:
-        _print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json(), indent=2))
     else:
         status = "PASS" if report.passed else "FAIL"
-        _print(f"{status} n={report.n}: {report.partitions_checked} partitions, "
-               f"{report.intervals_checked} interval blocks checked")
+        print(f"{status} n={report.n}: {report.partitions_checked} partitions, "
+              f"{report.intervals_checked} interval blocks checked")
         if report.counterexample:
-            _print(f"counterexample: {report.counterexample}")
+            print(f"counterexample: {report.counterexample}")
     return 0 if report.passed else 1
 
 
@@ -80,10 +76,8 @@ def cmd_nc_lemma(args) -> int:
 # trace
 
 
-_TRIG_RE = re.compile(r"[cs](?:\[\d+\])?$")
-_RAT_RE = re.compile(r"\d+(?:/\d+)?$")
 _ELEM_RE = re.compile(r"d\{([^}]+)\}$")
-_HAAR_RE = re.compile(r"([A-Za-z_]\w*?)(\*|\^(-?\d+))?$")
+_HAAR_RE = re.compile(r"([A-Za-z_]\w*?)(\*|\^(-?[0-9]+))?$")
 
 
 def _word_tokens(text: str) -> List[str]:
@@ -115,7 +109,7 @@ def _word_tokens(text: str) -> List[str]:
 def _parse_word(fp: freeword.FreeProduct, text: str) -> List[freeword.Letter]:
     letters: List[freeword.Letter] = []
     for tok in _word_tokens(text):
-        if tok.startswith("(") or _TRIG_RE.match(tok) or _RAT_RE.match(tok):
+        if tok.startswith("(") or is_trig_atom(tok):
             letters.append(fp.leg("f").letter(parse_trig(tok)))
             continue
         m = _ELEM_RE.match(tok)
@@ -179,14 +173,14 @@ def cmd_trace(args) -> int:
         doc["bipartite"] = str(total)
         doc["agree"] = agree
     if args.json:
-        _print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        _print(f"word: {args.word}")
-        _print(f"exact: {doc['exact']}")
-        _print(f"numeric: {doc['numeric']!r}")
+        print(f"word: {args.word}")
+        print(f"exact: {doc['exact']}")
+        print(f"numeric: {doc['numeric']!r}")
         if args.bipartite:
-            _print(f"bipartite: {doc['bipartite']}")
-            _print(f"agree: {'yes' if agree else 'NO'}")
+            print(f"bipartite: {doc['bipartite']}")
+            print(f"agree: {'yes' if agree else 'NO'}")
     return 0 if agree else 1
 
 
@@ -209,7 +203,7 @@ def cmd_free_check(args) -> int:
     mm = matmodel.MatrixModel(freeword.standard_model(extra))
     gen_a, gen_b, offdiag = mm.generators(model)
     report = mm.check_freeness(gen_a, gen_b, max_len, model, offdiag)
-    _print(json.dumps(report.to_json(), indent=2))
+    print(json.dumps(report.to_json(), indent=2))
     return 0 if report.passed else 1
 
 
@@ -232,15 +226,15 @@ def cmd_normalize(args) -> int:
         }
         if args.steps:
             doc["steps"] = [s.to_json() for s in steps]
-        _print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        _print(nf.text())
+        print(nf.text())
         if nf.alias() is not None:
-            _print(f"alias: LF({nf.alias()})")
+            print(f"alias: LF({nf.alias()})")
         if args.steps:
             for i, s in enumerate(steps, 1):
-                _print(f"{i:3}. [{s.rule}] {s.before}  ->  {s.after}"
-                       f"   (fdim {s.fdim_before})")
+                print(f"{i:3}. [{s.rule}] {s.before}  ->  {s.after}"
+                      f"   (fdim {s.fdim_before})")
     if args.stats:
         # rules in the order they first fired
         counts = ",".join(f"{rule}:{n}" for rule, n in engine.rule_counts.items())
@@ -258,12 +252,12 @@ def cmd_tables(args) -> int:
     else:
         raise CliError(f"unknown table {args.table!r}")
     if args.json:
-        _print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json(), indent=2))
     else:
         for row in report.rows:
-            _print(" ".join(f"{k}={v}" for k, v in row.items()))
-        _print(f"{'PASS' if report.passed else 'FAIL'} {report.name}: "
-               f"{len(report.rows)} rows, {len(report.failures)} failures")
+            print(" ".join(f"{k}={v}" for k, v in row.items()))
+        print(f"{'PASS' if report.passed else 'FAIL'} {report.name}: "
+              f"{len(report.rows)} rows, {len(report.failures)} failures")
     return 0 if report.passed else 1
 
 

@@ -103,7 +103,11 @@ class NCPartition:
             chunk = chunk.strip()
             if not chunk:
                 raise ValueError("empty block in partition text")
-            blocks.append([int(x) for x in chunk.split(",")])
+            block = [x.strip() for x in chunk.split(",")]
+            for x in block:
+                if not (x.isascii() and x.isdigit()):
+                    raise ValueError(f"partition element {x!r} is not ASCII digits")
+            blocks.append([int(x) for x in block])
         size = n if n is not None else sum(len(b) for b in blocks)
         return cls.from_blocks(size, blocks)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 import math
+import re
 
 
 def _frac(x) -> Fraction:
@@ -440,6 +441,23 @@ MAX_TRIG_DEPTH = 100
 MAX_TRIG_TERMS = 4096
 
 
+# One token per match, after any whitespace: an operator, a rational p or
+# p/q, or c, s, c[k], s[k].  Numbers are ASCII, so ``int`` reads every one.
+# A ``c[`` or ``s[`` that is not followed by ASCII digits and ``]`` matches
+# only BAD, as does any other character but whitespace; trailing whitespace
+# matches nothing.
+_TRIG_TOKEN = re.compile(r"""\s*(?:
+    (?P<OP>[-+*()]) | (?P<RAT>(?P<P>[0-9]+)(?:/(?P<Q>[0-9]*))?)
+  | (?P<WAVE>(?P<KIND>[cs])(?:\[(?P<K>[0-9]+)\]|(?!\[))) | (?P<BAD>[cs]\[|\S))""",
+                         re.VERBOSE)
+
+
+def is_trig_atom(text: str) -> bool:
+    """Whether ``text`` is exactly one rational or one c, s, c[k], s[k]."""
+    m = _TRIG_TOKEN.fullmatch(text)
+    return m is not None and m.lastgroup in ("RAT", "WAVE")
+
+
 def parse_trig(text: str) -> TrigPoly:
     """Parse the text encoding of a trig polynomial.
 
@@ -448,47 +466,63 @@ def parse_trig(text: str) -> TrigPoly:
     ``p/q``, one of ``c``, ``s``, ``c[k]``, ``s[k]``, or a parenthesized
     subexpression.  Examples: ``1/2 + 1/2*c[2]``, ``c*s - 3/2*s[4]``.
 
-    Text nested deeper than ``MAX_TRIG_DEPTH`` levels is rejected before
-    parsing starts, and a product of more than ``MAX_TRIG_TERMS`` pairs of
-    terms before it is multiplied out, both with ``ValueError``.
+    Text nested deeper than ``MAX_TRIG_DEPTH`` levels is rejected while it
+    is tokenized, before parsing starts, and a product of more than
+    ``MAX_TRIG_TERMS`` pairs of terms before it is multiplied out, both
+    with ``ValueError``.
     """
-    tokens = _trig_tokenize(text)
+    toks: list = []  # operators as text, atoms as TrigPoly, None at the end
     depth = 0
-    for tok in tokens:
-        if tok == "(":
-            depth += 1
-            if depth > MAX_TRIG_DEPTH:
-                raise ValueError(
-                    f"trig expression nests deeper than {MAX_TRIG_DEPTH} levels")
-        elif tok == ")":
-            depth -= 1
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
+    for m in _TRIG_TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok = m[kind]
+        if kind == "OP":
+            if tok == "(":
+                depth += 1
+                if depth > MAX_TRIG_DEPTH:
+                    raise ValueError(
+                        f"trig expression nests deeper than {MAX_TRIG_DEPTH} levels")
+            elif tok == ")":
+                depth -= 1
+        elif kind == "RAT":
+            den = m["Q"]
+            if den == "":
+                raise ValueError(f"missing ASCII-digit denominator in {text!r}")
+            if den and not int(den):
+                raise ValueError(f"zero denominator in {text!r}")
+            tok = TrigPoly.const(Fraction(int(m["P"]), int(den or 1)))
+        elif kind == "WAVE":
+            k = int(m["K"] or 1)
+            tok = TrigPoly.cos(k) if m["KIND"] == "c" else TrigPoly.sin(k)
+        elif tok[1:] == "[":
+            raise ValueError(f"missing ']' or an index that is not ASCII digits "
+                             f"after {tok!r} in {text!r}")
+        else:
+            raise ValueError(f"unexpected character {tok!r} in trig expression")
+        toks.append(tok)
+    toks.append(None)
+    i = 0
 
     def parse_expr() -> TrigPoly:
-        negate = False
-        if peek() in ("+", "-"):
-            negate = advance() == "-"
+        nonlocal i
+        negate = toks[i] == "-"
+        if negate or toks[i] == "+":
+            i += 1
         total = parse_term()
         if negate:
             total = -total
-        while peek() in ("+", "-"):
-            op = advance()
+        while toks[i] in ("+", "-"):
+            op = toks[i]
+            i += 1
             term = parse_term()
             total = total - term if op == "-" else total + term
         return total
 
     def parse_term() -> TrigPoly:
+        nonlocal i
         out = parse_factor()
-        while peek() == "*":
-            advance()
+        while toks[i] == "*":
+            i += 1
             factor = parse_factor()
             pairs = len(out._terms) * len(factor._terms)
             if pairs > MAX_TRIG_TERMS:
@@ -499,67 +533,20 @@ def parse_trig(text: str) -> TrigPoly:
         return out
 
     def parse_factor() -> TrigPoly:
-        tok = advance()
+        nonlocal i
+        tok = toks[i]
+        i += 1
+        if isinstance(tok, TrigPoly):
+            return tok
         if tok == "(":
             inner = parse_expr()
-            if advance() != ")":
+            if toks[i] != ")":
                 raise ValueError(f"unbalanced parentheses in {text!r}")
+            i += 1
             return inner
-        if isinstance(tok, Fraction):
-            return TrigPoly.const(tok)
-        if isinstance(tok, tuple):
-            kind, k = tok
-            return TrigPoly.cos(k) if kind == "c" else TrigPoly.sin(k)
         raise ValueError(f"unexpected token {tok!r} in {text!r}")
 
     result = parse_expr()
-    if peek() is not None:
+    if toks[i] is not None:
         raise ValueError(f"trailing input in trig expression {text!r}")
     return result
-
-
-def _trig_tokenize(text: str):
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*()":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            i = j
-            if i < n and text[i] == "/":
-                i += 1
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise ValueError(f"missing denominator in {text!r}")
-                den = int(text[i:j])
-                if not den:
-                    raise ValueError(f"zero denominator in {text!r}")
-                out.append(Fraction(num, den))
-                i = j
-            else:
-                out.append(Fraction(num))
-        elif ch in "cs":
-            kind = ch
-            i += 1
-            k = 1
-            if i < n and text[i] == "[":
-                j = text.find("]", i)
-                if j < 0:
-                    raise ValueError(f"missing ']' in {text!r}")
-                k = int(text[i + 1:j])
-                i = j + 1
-            out.append((kind, k))
-        else:
-            raise ValueError(f"unexpected character {ch!r} in trig expression")
-    out.append(None)
-    return out

@@ -76,6 +76,18 @@ def test_nc_kreweras_long_partition_within_budget(sep, n, out_sep):
     assert out == out_sep.join(str(i) for i in range(1, n + 1)) + "\n"
 
 
+@pytest.mark.parametrize("text, element", [
+    ("1,\u0662", "\u0662"), ("1,+2", "+2"), ("1_0,2", "1_0"),
+    ("1,2,3,4,5,6,7,8,9,1_0", "1_0")])
+def test_nc_kreweras_element_not_ascii_digits_exit_2(text, element):
+    line = run_cli_error("nc-kreweras", "--p", text)
+    assert repr(element) in line
+
+
+def test_nc_kreweras_spaces_around_elements():
+    assert run_cli("nc-kreweras", "--p", " 1 , 3 | 2 |4 ") == "1,2|3,4\n"
+
+
 def test_closed_stdout_exits_quietly():
     """Output far beyond a pipe buffer into a reader that stops after 50
     bytes: no traceback, and an exit code of the CLI contract."""
@@ -228,6 +240,55 @@ def test_normalize_any_text_exits_cleanly(text):
     assert len(error_lines) == (code != 0), err.getvalue()
 
 
+def _main_exits_cleanly(argv):
+    """Run ``cli.main`` in process: exit 0, 1 or 2, no traceback, and
+    exactly one error line when the exit is nonzero."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse, when the text reads as an option
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(error_lines) == (code != 0), err.getvalue()
+
+
+# Letters of the standard model, trig expressions, junk, signs, and digits
+# that are not ASCII.
+_WORD_PIECES = ["c", "s", "c[2]", "s[3]", "u", "u*", "v", "v*", "u^2", "v^-1", "u^0",
+                "1/2", "3", "(c*s)", "(c - 1/2)", "(", ")", "d{g}", "w", " ", " ", "*",
+                "^", "-", "[", "]", "/", "0", "\u0663", "\u00b2", "_"]
+_WORD_TEXT = st.one_of(st.text(max_size=20),
+                       st.lists(st.sampled_from(_WORD_PIECES), max_size=10).map("".join),
+                       st.lists(st.sampled_from(_WORD_PIECES[:14]), min_size=1,
+                                max_size=6).map(" ".join))
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_WORD_TEXT)
+def test_trace_any_word_exits_cleanly(text):
+    _main_exits_cleanly(["trace", "--word", text])
+
+
+_PARTITION_PIECES = ["1", "2", "3", "4", "5", "12", "0", ",", ",", "|", "|", " ", "-1", "+2",
+                     "\u0662", "_", "x", "99999999999999999999"]
+_PARTITION_TEXT = st.one_of(
+    st.text(max_size=20),
+    st.lists(st.sampled_from(_PARTITION_PIECES), max_size=14).map("".join),
+    st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).flatmap(
+        lambda xs: st.lists(st.sampled_from(",|"), min_size=len(xs) - 1,
+                            max_size=len(xs) - 1).map(
+            lambda seps: "".join(f"{x}{sep}" for x, sep in zip(xs, seps)) + str(xs[-1]))))
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_PARTITION_TEXT)
+def test_nc_kreweras_any_text_exits_cleanly(text):
+    _main_exits_cleanly(["nc-kreweras", "--p", text])
+
+
 def test_free_check_pq():
     out = json.loads(run_cli("free-check", "--model", "PQ", "--max-len", "8"))
     assert out["failures"] == []
@@ -294,6 +355,14 @@ def test_conservation_failure_exits_1(monkeypatch, capsys):
 def test_trace_bad_trig_token_exit_2(word, needle):
     line = run_cli_error("trace", "--word", word)
     assert needle in line and "Traceback" not in line
+
+
+@pytest.mark.parametrize("word", ["c[\u0663]", "(c[1_0])", "(c[+3])", "(c[-3])",
+                                  "(1/\u0662)", "u^\u0663 u"])
+def test_trace_digits_not_ascii_exit_2(word):
+    """Digits in c[k], s[k], u^k and rationals are ASCII digits; ``int``
+    alone also read these as other letters."""
+    run_cli_error("trace", "--word", word)
 
 
 def _cosine_sum(n):

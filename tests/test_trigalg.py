@@ -7,13 +7,15 @@ symbolic reduction path.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from freeprod.trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, mul, trace
+from freeprod.trigalg import (MAX_TRIG_DEPTH, MAX_TRIG_TERMS, PI_ONE, PI_ZERO, PiValue,
+                              TrigPoly, mul, parse_trig, trace)
 
 
 C = TrigPoly.cos(1)
@@ -279,3 +281,188 @@ def test_trace_matches_sympy_integral(seed):
     got = sum((sp.Rational(q.numerator, q.denominator) / sp.pi**deg
                for deg, q in trace(mul(f, g)).items()), sp.Integer(0))
     assert sp.simplify(sp.expand(want - got)) == 0
+
+
+# -- the one-regex parse_trig against the character-loop parser it replaced ------
+
+
+def reference_parse_trig(text: str) -> TrigPoly:
+    """The parser that the one-regex ``parse_trig`` replaced, verbatim with
+    its tokenizer below.  It read digits with ``str.isdigit`` and ``int``.
+
+    Parse the text encoding of a trig polynomial.
+
+    Grammar: sums/differences of terms; a term is a product of factors
+    joined by an explicit ``*`` (no juxtaposition); a factor is a rational
+    ``p/q``, one of ``c``, ``s``, ``c[k]``, ``s[k]``, or a parenthesized
+    subexpression.  Examples: ``1/2 + 1/2*c[2]``, ``c*s - 3/2*s[4]``.
+
+    Text nested deeper than ``MAX_TRIG_DEPTH`` levels is rejected before
+    parsing starts, and a product of more than ``MAX_TRIG_TERMS`` pairs of
+    terms before it is multiplied out, both with ``ValueError``.
+    """
+    tokens = reference_trig_tokenize(text)
+    depth = 0
+    for tok in tokens:
+        if tok == "(":
+            depth += 1
+            if depth > MAX_TRIG_DEPTH:
+                raise ValueError(
+                    f"trig expression nests deeper than {MAX_TRIG_DEPTH} levels")
+        elif tok == ")":
+            depth -= 1
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]]
+
+    def advance():
+        tok = tokens[pos[0]]
+        pos[0] += 1
+        return tok
+
+    def parse_expr() -> TrigPoly:
+        negate = False
+        if peek() in ("+", "-"):
+            negate = advance() == "-"
+        total = parse_term()
+        if negate:
+            total = -total
+        while peek() in ("+", "-"):
+            op = advance()
+            term = parse_term()
+            total = total - term if op == "-" else total + term
+        return total
+
+    def parse_term() -> TrigPoly:
+        out = parse_factor()
+        while peek() == "*":
+            advance()
+            factor = parse_factor()
+            pairs = len(out._terms) * len(factor._terms)
+            if pairs > MAX_TRIG_TERMS:
+                raise ValueError(
+                    f"trig product multiplies {pairs} pairs of terms, "
+                    f"more than {MAX_TRIG_TERMS}")
+            out = out * factor
+        return out
+
+    def parse_factor() -> TrigPoly:
+        tok = advance()
+        if tok == "(":
+            inner = parse_expr()
+            if advance() != ")":
+                raise ValueError(f"unbalanced parentheses in {text!r}")
+            return inner
+        if isinstance(tok, Fraction):
+            return TrigPoly.const(tok)
+        if isinstance(tok, tuple):
+            kind, k = tok
+            return TrigPoly.cos(k) if kind == "c" else TrigPoly.sin(k)
+        raise ValueError(f"unexpected token {tok!r} in {text!r}")
+
+    result = parse_expr()
+    if peek() is not None:
+        raise ValueError(f"trailing input in trig expression {text!r}")
+    return result
+
+
+def reference_trig_tokenize(text: str):
+    """The character-loop tokenizer of ``reference_parse_trig``, verbatim."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*()":
+            out.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            num = int(text[i:j])
+            i = j
+            if i < n and text[i] == "/":
+                i += 1
+                j = i
+                while j < n and text[j].isdigit():
+                    j += 1
+                if j == i:
+                    raise ValueError(f"missing denominator in {text!r}")
+                den = int(text[i:j])
+                if not den:
+                    raise ValueError(f"zero denominator in {text!r}")
+                out.append(Fraction(num, den))
+                i = j
+            else:
+                out.append(Fraction(num))
+        elif ch in "cs":
+            kind = ch
+            i += 1
+            k = 1
+            if i < n and text[i] == "[":
+                j = text.find("]", i)
+                if j < 0:
+                    raise ValueError(f"missing ']' in {text!r}")
+                k = int(text[i + 1:j])
+                i = j + 1
+            out.append((kind, k))
+        else:
+            raise ValueError(f"unexpected character {ch!r} in trig expression")
+    out.append(None)
+    return out
+
+
+def _poly_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return "ValueError"
+
+
+def _reads_alike(text):
+    """ASCII, and only ASCII digits between each '[' and the next ']': the
+    reference's ``int`` then reads exactly what the token rule reads."""
+    return text.isascii() and all(inside.isdigit() or not inside
+                                  for inside in re.findall(r"\[([^\]]*)", text))
+
+
+# Grammar pieces, signs, ASCII junk, and the characters that ``int`` and
+# ``str.isdigit`` accept but the token rule refuses: a non-ASCII digit, a
+# superscript digit and the underscore.
+_TRIG_PIECES = ["c", "s", "c[", "s[", "[", "]", "c[2]", "s[10]", "0", "3", "12", "1/2", "/",
+                "+", "-", "*", "(", ")", " ", "\t", "q", "\u0663", "\u00b2", "_"]
+_WELL_FORMED_TRIG = st.recursive(
+    st.sampled_from(["c", "s", "c[3]", "s[2]", "c[0]", "1/2", "3", "0", "007/4"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map("({0[0]} + {0[1]})".format),
+        st.tuples(sub, sub).map("({0[0]} - {0[1]})".format),
+        st.tuples(sub, sub).map("{0[0]}*{0[1]}".format),
+        sub.map("(-{})".format)),
+    max_leaves=8)
+_TRIG_TEXT = st.one_of(st.text(st.characters(max_codepoint=127), max_size=20),
+                       st.lists(st.sampled_from(_TRIG_PIECES), max_size=16).map("".join),
+                       _WELL_FORMED_TRIG)
+
+
+@settings(deadline=None, database=None, max_examples=600)
+@given(_TRIG_TEXT)
+def test_parse_trig_agrees_with_reference(text):
+    """Where both read digits alike, the same TrigPoly or both ValueError;
+    anywhere else the token rule refuses the text."""
+    got = _poly_or_error(parse_trig, text)
+    if _reads_alike(text):
+        assert got == _poly_or_error(reference_parse_trig, text)
+    else:
+        assert got == "ValueError"
+
+
+@pytest.mark.parametrize("text", ["c[\u0663]", "c[1_0]", "c[+3]", "s[-3]", "c[ 3]",
+                                  "1/\u0662", "\u0663", "(c*\u0663)"])
+def test_parse_trig_refuses_what_int_was_lenient_about(text):
+    """The reference read these as other polynomials."""
+    assert isinstance(reference_parse_trig(text), TrigPoly)
+    with pytest.raises(ValueError):
+        parse_trig(text)
