@@ -20,8 +20,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import freedim, freeword, matmodel, ncpart
-from .freeword import EvaluationLimitError, FamilySplitError, UnknownNameError
-from .ncpart import SizeLimitError
+from .freeword import EvaluationLimitError, UnknownNameError
 from .trigalg import is_trig_atom, parse_trig
 
 
@@ -146,6 +145,8 @@ def _load_model_file(path: str) -> List[freeword.Leg]:
             doc = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read model file {path!r}: {exc.strerror or exc}") from None
+    except RecursionError:  # json's decoder, on arrays or objects nested too deeply
+        raise CliError(f"model file {path!r} nests too deeply") from None
     return freeword.legs_from_model_dict(doc)
 
 
@@ -188,21 +189,11 @@ def cmd_trace(args) -> int:
 # free-check
 
 
-_HARNESS_DEFAULT_LEN = {
-    "PQ": 12, "UX": 4, "PX": 6, "UQ": 6, "sum": 4, "matrix": 3,
-}
-
-
 def cmd_free_check(args) -> int:
-    model = args.model
-    if model not in _HARNESS_DEFAULT_LEN:
-        raise CliError(f"unknown model {model!r}; choose from "
-                       f"{sorted(_HARNESS_DEFAULT_LEN)}")
-    max_len = args.max_len if args.max_len is not None else _HARNESS_DEFAULT_LEN[model]
-    extra = _load_model_file(args.model_file) if args.model_file else []
-    mm = matmodel.MatrixModel(freeword.standard_model(extra))
-    gen_a, gen_b, offdiag = mm.generators(model)
-    report = mm.check_freeness(gen_a, gen_b, max_len, model, offdiag)
+    mm = matmodel.MatrixModel()
+    gen_a, gen_b, offdiag = mm.generators(args.model)
+    max_len = args.max_len if args.max_len is not None else matmodel.HARNESSES[args.model][0]
+    report = mm.check_freeness(gen_a, gen_b, max_len, args.model, offdiag)
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.passed else 1
 
@@ -302,9 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("free-check", help="run a freeness harness")
     p.add_argument("--model", required=True,
-                   help="one of PQ, UX, PX, UQ, sum, matrix")
+                   help="one of " + ", ".join(matmodel.HARNESSES))
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--model-file", help="JSON leg declarations")
     p.set_defaults(fn=cmd_free_check)
 
     p = sub.add_parser("normalize", help="normalize a free-product expression")
@@ -351,9 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # an engine's own invariant check failed (fdim conservation)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CliError, SizeLimitError, UnknownNameError, FamilySplitError,
-            EvaluationLimitError, freedim.ParseError, freedim.DivergenceError,
-            freedim.UnsupportedFragmentError, freedim.NotReducibleError,
+    except (CliError, UnknownNameError, EvaluationLimitError, freedim.DivergenceError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

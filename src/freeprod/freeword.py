@@ -36,6 +36,7 @@ holds the first element; mixed cumulants across distinct legs vanish.
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 from dataclasses import dataclass
@@ -61,6 +62,9 @@ class FamilySplitError(ValueError):
 
 class UnknownNameError(KeyError):
     """Unknown leg or element name."""
+
+    # KeyError's own __str__ would print the message quoted, as a key
+    __str__ = Exception.__str__
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +497,6 @@ class FreeProduct:
         self._plain = _Basis(self.leg, centered=False)
         self._centered = _Basis(self.leg, centered=True)
 
-    def add_leg(self, leg: Leg) -> Leg:
-        if leg.id in self.legs:
-            raise ValueError(f"duplicate leg id {leg.id!r}")
-        self.legs[leg.id] = leg
-        return leg
-
     def leg(self, leg_id: str) -> Leg:
         try:
             return self.legs[leg_id]
@@ -507,16 +505,15 @@ class FreeProduct:
 
     # -- normalization ------------------------------------------------------
 
-    def normalize(self, letters: Sequence[Letter], coeff=1) -> NCPoly:
+    def normalize(self, letters: Sequence[Letter]) -> NCPoly:
         """Merge same-leg neighbours, absorb identity components as scalars,
         and return the resulting combination of alternating words."""
-        coeff = coeff if isinstance(coeff, PiValue) else PiValue.of(coeff)
         ids = []
         for letter in letters:
             if letter.leg not in self.legs:
                 raise UnknownNameError(f"unknown leg {letter.leg!r}")
             ids.append(_intern(letter))
-        return NCPoly._of_ids(self._plain.fold({(): coeff}, ids, prune=False))
+        return NCPoly._of_ids(self._plain.fold({(): PI_ONE}, ids, prune=False))
 
     def word(self, letters: Sequence[Letter]) -> Word:
         """Normalize a letter sequence that is expected to stay a single
@@ -625,27 +622,15 @@ class FreeProduct:
             raise FamilySplitError(
                 f"families share legs {sorted(legs1 & legs2)}; they must be free"
             )
-        xs: List[object] = []
-        ys: List[object] = []
-        expect_x = True
+        # a letter of f1 takes the next x slot (even), any other the next y slot
+        seq: List[object] = []
         for i, letter in enumerate(word):
-            fam1 = i in f1
-            if expect_x:
-                if fam1:
-                    xs.append(letter)
-                    expect_x = False
-                else:
-                    xs.append(UNIT)
-                    ys.append(letter)
-            else:
-                if fam1:
-                    ys.append(UNIT)
-                    xs.append(letter)
-                else:
-                    ys.append(letter)
-                    expect_x = True
-        if not expect_x:
-            ys.append(UNIT)
+            if (i in f1) != (len(seq) % 2 == 0):
+                seq.append(UNIT)
+            seq.append(letter)
+        if len(seq) % 2:
+            seq.append(UNIT)
+        xs, ys = seq[0::2], seq[1::2]
         n = len(xs)
         if n > MAX_PARTITION_N:
             raise EvaluationLimitError(
@@ -808,11 +793,25 @@ def standard_model(extra_legs: Iterable[Leg] = ()) -> FreeProduct:
     return FreeProduct(legs)
 
 
+# A model-file rational written as a string: ASCII digits, an optional
+# leading '-' and an optional '/denominator'.
+_MODEL_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _is_model_rational(x) -> bool:
+    """A JSON integer (not a bool) or a string of ``_MODEL_RATIONAL``."""
+    if isinstance(x, str):
+        return _MODEL_RATIONAL.fullmatch(x) is not None
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def legs_from_model_dict(doc: dict) -> List[Leg]:
     """Parse the JSON model document: an object whose ``legs`` array holds
     declaration objects with ``kind`` in {"finite_comm", "haar"};
-    finite_comm legs carry ``m`` and an object of named rational vectors.
-    A document of the wrong shape raises ``ValueError`` naming the leg."""
+    finite_comm legs carry ``m`` and an object of named rational vectors,
+    each entry a JSON integer or a string ``p`` or ``p/q`` of ASCII digits
+    (``p`` may take a leading '-', ``q`` is nonzero).  A document of the
+    wrong shape raises ``ValueError`` naming the leg."""
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     decls = doc.get("legs", [])
@@ -841,8 +840,10 @@ def legs_from_model_dict(doc: dict) -> List[Leg]:
                         f"leg {leg_id!r}: element {name!r} must be a JSON array, "
                         f"got {type(vec).__name__}")
                 try:
+                    if not all(map(_is_model_rational, vec)):
+                        raise ValueError
                     leg.add_element(name, vec)
-                except (TypeError, ValueError, ZeroDivisionError):
+                except (ValueError, ZeroDivisionError):
                     raise ValueError(
                         f"leg {leg_id!r}: element {name!r} needs {m} rational "
                         f"entries, got {vec!r}") from None

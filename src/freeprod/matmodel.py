@@ -2,8 +2,8 @@
 exhaustive freeness harnesses.
 
 The ambient algebra is the free product of the trig leg (generated by
-c = cos theta, s = sin theta), two Haar unitaries u, v, and any declared
-finite commutative legs.  The model constants are
+c = cos theta, s = sin theta), two Haar unitaries u, v, and the two-atom
+commutative legs of the sum and matrix harnesses.  The model constants are
 
     U = (0 u; 0 0)        V = (0 v; 0 0)       W = (c -s; s c)
     X = W V W*            P = U U*             Q = X X* = W P W*
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .freeword import FreeProduct, NCPoly, standard_model
+from .freeword import FiniteCommLeg, FreeProduct, NCPoly, standard_model
 from .trigalg import PiValue, TrigPoly
 
 # The most words one freeness walk may visit.  The largest harness length
@@ -89,12 +89,6 @@ class Mat2:
     def diag(cls, fp: FreeProduct, a: NCPoly, d: NCPoly) -> "Mat2":
         z = NCPoly.zero()
         return cls(fp, ((a, z), (z, d)))
-
-    @classmethod
-    def scalar(cls, fp: FreeProduct, q) -> "Mat2":
-        one = NCPoly.unit(q)
-        z = NCPoly.zero()
-        return cls(fp, ((one, z), (z, one)))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         a, b = self.e, other.e
@@ -167,11 +161,19 @@ class CheckReport:
         }
 
 
-class MatrixModel:
-    """Model constants plus the verification harnesses."""
+# A harness's generators: the two families of named centered matrices and
+# the names of the partial-isometry generators among them.
+Generators = Tuple[List[Tuple[str, Mat2]], List[Tuple[str, Mat2]], frozenset]
 
-    def __init__(self, fp: Optional[FreeProduct] = None):
-        self.fp = fp if fp is not None else standard_model()
+
+class MatrixModel:
+    """Model constants plus the verification harnesses, over the standard
+    model and the two-atom legs A, B (matrix harness) and A1, A2, B1, B2
+    (sum harness), each with the centered element h = (1, -1)."""
+
+    def __init__(self):
+        self.fp = standard_model(FiniteCommLeg(leg_id, 2, {"h": (1, -1)})
+                                 for leg_id in ("A", "B", "A1", "A2", "B1", "B2"))
         f = self.fp.leg("f")
         u = self.fp.leg("u")
         v = self.fp.leg("v")
@@ -189,8 +191,8 @@ class MatrixModel:
         self.P = self.U @ self.U.adjoint()
         self.Q = self.X @ self.X.adjoint()
         half = Fraction(1, 2)
-        self.P0 = self.P - Mat2.scalar(fp_, half)
-        self.Q0 = self.Q - Mat2.scalar(fp_, half)
+        self.P0 = self.P - Mat2.identity(fp_).scaled(half)
+        self.Q0 = self.Q - Mat2.identity(fp_).scaled(half)
 
     def constants(self) -> Dict[str, Mat2]:
         return {
@@ -359,89 +361,59 @@ class MatrixModel:
 
     # -- standard generator sets -----------------------------------------------
 
-    def generators(self, harness: str) -> Tuple[List[Tuple[str, Mat2]],
-                                                List[Tuple[str, Mat2]],
-                                                frozenset]:
-        """The centered spanning sets for the named harness, plus the names
-        of the partial-isometry generators (whose presence in a word makes
-        all four entry traces vanish, not just the diagonal ones).
-
-        PQ: {2P0} vs {2Q0}; UX: {U, U*, 2P0} vs {X, X*, 2Q0};
-        PX: {2P0} vs {X, X*, 2Q0}; UQ: {U, U*, 2P0} vs {2Q0}; sum and
-        matrix: ``sum_model_generators`` and ``matrix_model_generators``.
-        """
-        if harness == "sum":
-            return sum_model_generators(self)
-        if harness == "matrix":
-            return matrix_model_generators(self)
-        p2 = ("2P0", self.P0.scaled(2))
-        q2 = ("2Q0", self.Q0.scaled(2))
-        a_full = [("U", self.U), ("U*", self.U.adjoint()), p2]
-        b_full = [("X", self.X), ("X*", self.X.adjoint()), q2]
-        offdiag = frozenset({"U", "U*", "X", "X*"})
-        table = {
-            "PQ": ([p2], [q2], frozenset()),
-            "UX": (a_full, b_full, offdiag),
-            "PX": ([p2], b_full, offdiag),
-            "UQ": (a_full, [q2], offdiag),
-        }
-        if harness not in table:
+    def generators(self, harness: str) -> Generators:
+        """The centered spanning sets of the named harness in ``HARNESSES``,
+        plus the names of the partial-isometry generators (whose presence in
+        a word makes all four entry traces vanish, not just the diagonal
+        ones)."""
+        if harness not in HARNESSES:
             raise ValueError(f"unknown harness {harness!r}; expected one of "
-                             f"{sorted([*table, 'sum', 'matrix'])}")
-        return table[harness]
+                             f"{sorted(HARNESSES)}")
+        return HARNESSES[harness][1](self)
 
 
-def _two_atom_leg(fp: FreeProduct, leg_id: str) -> "FiniteCommLeg":
-    from .freeword import FiniteCommLeg
+def _partial_isometry_generators(mm: MatrixModel, u_side: bool,
+                                 x_side: bool) -> Generators:
+    """{2P0}, or {U, U*, 2P0} with ``u_side``, against {2Q0}, or
+    {X, X*, 2Q0} with ``x_side``."""
+    p2 = ("2P0", mm.P0.scaled(2))
+    q2 = ("2Q0", mm.Q0.scaled(2))
+    gen_a = [("U", mm.U), ("U*", mm.U.adjoint()), p2] if u_side else [p2]
+    gen_b = [("X", mm.X), ("X*", mm.X.adjoint()), q2] if x_side else [q2]
+    offdiag = frozenset({"U", "U*", "X", "X*"}) if u_side or x_side else frozenset()
+    return gen_a, gen_b, offdiag
 
-    if leg_id in fp.legs:
-        return fp.legs[leg_id]  # type: ignore[return-value]
-    leg = FiniteCommLeg(leg_id, 2, {"h": (1, -1)})
-    fp.add_leg(leg)
-    return leg
+
+def _leg_h(mm: MatrixModel, leg_id: str) -> NCPoly:
+    """The centered element h = (1, -1) of a two-atom leg."""
+    return mm.fp.normalize([mm.fp.leg(leg_id).element("h")])
 
 
-def sum_model_generators(mm: MatrixModel) -> Tuple[List[Tuple[str, Mat2]],
-                                                   List[Tuple[str, Mat2]],
-                                                   frozenset]:
-    """Desk-scale direct-sum freeness instance: four fresh two-atom
-    commutative legs A1, A2, B1, B2; the first family embeds centered
-    pairs as diag(a1, a2), the second as W diag(b1, b2) W*.  The three
-    generators per side span the centered part of each two-summand sum."""
-    fp = mm.fp
-    a1 = _two_atom_leg(fp, "A1")
-    a2 = _two_atom_leg(fp, "A2")
-    b1 = _two_atom_leg(fp, "B1")
-    b2 = _two_atom_leg(fp, "B2")
+def sum_model_generators(mm: MatrixModel) -> Generators:
+    """Desk-scale direct-sum freeness instance over the two-atom legs A1,
+    A2, B1, B2: the first family embeds centered pairs as diag(a1, a2),
+    the second as W diag(b1, b2) W*.  The three generators per side span
+    the centered part of each two-summand sum."""
     one = NCPoly.unit()
     z = NCPoly.zero()
-    ha1 = fp.normalize([a1.element("h")])
-    ha2 = fp.normalize([a2.element("h")])
-    hb1 = fp.normalize([b1.element("h")])
-    hb2 = fp.normalize([b2.element("h")])
     gen_a = [
         ("a-sign", mm.embed_sum_model(one, -one)),
-        ("a-left", mm.embed_sum_model(ha1, z)),
-        ("a-right", mm.embed_sum_model(z, ha2)),
+        ("a-left", mm.embed_sum_model(_leg_h(mm, "A1"), z)),
+        ("a-right", mm.embed_sum_model(z, _leg_h(mm, "A2"))),
     ]
     gen_b = [
         ("b-sign", mm.embed_conjugated_sum(one, -one)),
-        ("b-left", mm.embed_conjugated_sum(hb1, z)),
-        ("b-right", mm.embed_conjugated_sum(z, hb2)),
+        ("b-left", mm.embed_conjugated_sum(_leg_h(mm, "B1"), z)),
+        ("b-right", mm.embed_conjugated_sum(z, _leg_h(mm, "B2"))),
     ]
     return gen_a, gen_b, frozenset()
 
 
-def matrix_model_generators(mm: MatrixModel) -> Tuple[List[Tuple[str, Mat2]],
-                                                      List[Tuple[str, Mat2]],
-                                                      frozenset]:
+def matrix_model_generators(mm: MatrixModel) -> Generators:
     """Desk-scale matrix-times-matrix freeness instance: 2x2 matrices over
-    a two-atom leg A embedded by conjugation with diag(1, u), against the
-    same shape over a leg B embedded by W diag(1, v)* . diag(1, v) W*.
+    the two-atom leg A embedded by conjugation with diag(1, u), against the
+    same shape over the leg B embedded by W diag(1, v)* . diag(1, v) W*.
     The seven generators per side span the centered 2x2 matrices."""
-    fp = mm.fp
-    a = _two_atom_leg(fp, "A")
-    b = _two_atom_leg(fp, "B")
     one = NCPoly.unit()
     z = NCPoly.zero()
 
@@ -457,8 +429,18 @@ def matrix_model_generators(mm: MatrixModel) -> Tuple[List[Tuple[str, Mat2]],
         ]
         return [(name, embed(entries)) for name, entries in shapes]
 
-    ha = fp.normalize([a.element("h")])
-    hb = fp.normalize([b.element("h")])
-    gen_a = [("a" + n, m) for n, m in side(ha, mm.embed_matrix_model)]
-    gen_b = [("b" + n, m) for n, m in side(hb, mm.embed_matrix_model_conj)]
+    gen_a = [("a" + n, m) for n, m in side(_leg_h(mm, "A"), mm.embed_matrix_model)]
+    gen_b = [("b" + n, m) for n, m in side(_leg_h(mm, "B"), mm.embed_matrix_model_conj)]
     return gen_a, gen_b, frozenset()
+
+
+# Every freeness harness: its name, the length ``free-check`` walks by
+# default, and the builder of its generators.
+HARNESSES: Dict[str, Tuple[int, Callable[[MatrixModel], Generators]]] = {
+    "PQ": (12, lambda mm: _partial_isometry_generators(mm, False, False)),
+    "UX": (4, lambda mm: _partial_isometry_generators(mm, True, True)),
+    "PX": (6, lambda mm: _partial_isometry_generators(mm, False, True)),
+    "UQ": (6, lambda mm: _partial_isometry_generators(mm, True, False)),
+    "sum": (4, sum_model_generators),
+    "matrix": (3, matrix_model_generators),
+}

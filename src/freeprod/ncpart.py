@@ -97,7 +97,7 @@ class NCPartition:
         return "|".join(",".join(str(x) for x in b) for b in self.blocks)
 
     @classmethod
-    def decode(cls, text: str, n: Optional[int] = None) -> "NCPartition":
+    def decode(cls, text: str) -> "NCPartition":
         blocks = []
         for chunk in text.split("|"):
             chunk = chunk.strip()
@@ -108,8 +108,7 @@ class NCPartition:
                 if not (x.isascii() and x.isdigit()):
                     raise ValueError(f"partition element {x!r} is not ASCII digits")
             blocks.append([int(x) for x in block])
-        size = n if n is not None else sum(len(b) for b in blocks)
-        return cls.from_blocks(size, blocks)
+        return cls.from_blocks(sum(len(b) for b in blocks), blocks)
 
     def __str__(self):
         return self.encode()

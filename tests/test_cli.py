@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeprod import cli, freedim
+from freeprod.matmodel import HARNESSES
 from freeprod.trigalg import MAX_TRIG_DEPTH, MAX_TRIG_TERMS
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -253,6 +255,7 @@ def _main_exits_cleanly(argv):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
     assert len(error_lines) == (code != 0), err.getvalue()
+    return code
 
 
 # Letters of the standard model, trig expressions, junk, signs, and digits
@@ -289,6 +292,69 @@ def test_nc_kreweras_any_text_exits_cleanly(text):
     _main_exits_cleanly(["nc-kreweras", "--p", text])
 
 
+# Harness names and junk, at lengths around 1 and far past the word bound.
+_HARNESS_TEXT = st.one_of(st.sampled_from(list(HARNESSES)), st.text(max_size=8))
+_HARNESS_LEN = st.one_of(st.integers(-2, 2), st.integers(10**6, 10**30))
+
+
+@settings(deadline=None, database=None, max_examples=120)
+@given(_HARNESS_TEXT, _HARNESS_LEN)
+def test_free_check_any_model_exits_cleanly(model, max_len):
+    _main_exits_cleanly(["free-check", "--model", model, "--max-len", str(max_len)])
+
+
+# Table names and junk, with bounds that are small or far out of range.
+_TABLE_TEXT = st.one_of(st.sampled_from(["example61", "prop62"]), st.text(max_size=8))
+_TABLE_BOUND = st.one_of(st.integers(-1, 2), st.integers(10**6, 10**30),
+                         st.integers(-10**30, -10**6))
+
+
+@settings(deadline=None, database=None, max_examples=120)
+@given(_TABLE_TEXT, st.lists(_TABLE_BOUND, min_size=4, max_size=4), st.booleans())
+def test_tables_any_bounds_exit_cleanly(table, bounds, as_json):
+    argv = ["tables", "--table", table]
+    for flag, bound in zip(("--n-max", "--m-max", "--k-max", "--l-max"), bounds):
+        argv += [flag, str(bound)]
+    _main_exits_cleanly(argv + ["--json"] * as_json)
+
+
+# Model documents: mostly leg declarations built from well-formed and
+# malformed pieces, with entries that are rationals, other numbers and junk;
+# also any JSON, as the document or as its legs.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda sub: st.lists(sub, max_size=4) | st.dictionaries(st.text(max_size=5), sub,
+                                                              max_size=4),
+    max_leaves=10)
+_ENTRY = st.integers() | st.sampled_from(
+    ["1", "-1", "1/2", "-3/4", "1/0", "0", 3, True, False, 1.5, None, "", "x",
+     "1e30000000", "\u0663", "1_0", "1.5", " 3 ", "+1", "1/-2"])
+_LEG = st.fixed_dictionaries(
+    {"id": st.sampled_from(["D", "E", "w", "u", ""]),
+     "kind": st.sampled_from(["finite_comm", "finite_comm", "haar", "x"]),
+     "m": st.sampled_from([2, 2, 3, 1, 0, "2", True, None]),
+     "elements": st.dictionaries(st.sampled_from(["g", "h", ""]),
+                                 st.lists(_ENTRY, min_size=1, max_size=3) | _JSON,
+                                 max_size=2)})
+_LEGS_DOC = st.fixed_dictionaries({"legs": st.lists(_LEG, max_size=3)})
+_MODEL_DOC = st.one_of(_LEGS_DOC, _LEGS_DOC, _LEGS_DOC, _JSON,
+                       st.fixed_dictionaries({"legs": _JSON}))
+_MODEL_WORD = st.one_of(
+    st.sampled_from(["d{g}", "d{g} u d{g} u*", "d{h} w d{g} w*", "w w*", "d{zz}", "c u"]),
+    _WORD_TEXT)
+
+
+@settings(deadline=None, database=None, max_examples=100)
+@given(_MODEL_DOC, _MODEL_WORD)
+def test_trace_any_model_file_exits_cleanly(doc, word):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        _main_exits_cleanly(["trace", "--word", word, "--model-file", path])
+
+
 def test_free_check_pq():
     out = json.loads(run_cli("free-check", "--model", "PQ", "--max-len", "8"))
     assert out["failures"] == []
@@ -307,6 +373,24 @@ def test_free_check_sum_short():
 
 def test_free_check_unknown_model_exit_2():
     run_cli("free-check", "--model", "ZZ", expect=2)
+    assert run_cli_error("free-check", "--model", "ZZ") == (
+        "error: unknown harness 'ZZ'; expected one of "
+        "['PQ', 'PX', 'UQ', 'UX', 'matrix', 'sum']")
+
+
+@pytest.mark.parametrize("model", HARNESSES)
+def test_free_check_default_length(model, capsys):
+    assert cli.main(["free-check", "--model", model]) == 0
+    assert json.loads(capsys.readouterr().out)["max_len"] == HARNESSES[model][0]
+
+
+def test_free_check_takes_no_model_file(tmp_path):
+    """No harness reads model-file legs, so free-check has no --model-file;
+    a model file once ended the matrix harness in a traceback."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"legs": [{"id": "A", "kind": "haar"}]}), encoding="utf-8")
+    argv = ["free-check", "--model", "matrix", "--max-len", "1", "--model-file", str(path)]
+    assert _main_exits_cleanly(argv) == 2
 
 
 @pytest.mark.parametrize("max_len", ["0", "-1"])
@@ -440,6 +524,16 @@ def test_missing_model_file_exit_2(tmp_path):
     assert "missing.json" in line
 
 
+def test_model_file_nested_too_deeply_exit_2(tmp_path, capsys):
+    """json's decoder raises RecursionError on deep nesting; it once ended
+    in a traceback and exit 1."""
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert cli.main(["trace", "--word", "c u", "--model-file", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: model file {str(path)!r} nests too deeply"]
+
+
 @pytest.mark.parametrize("m", [None, "two", 0])
 def test_model_file_bad_m_exit_2(tmp_path, m):
     leg = {"id": "D", "kind": "finite_comm", "elements": {}}
@@ -473,6 +567,34 @@ def test_model_file_bad_shape_exit_2(tmp_path, case):
     path.write_text(json.dumps(doc), encoding="utf-8")
     line = run_cli_error("trace", "--word", "c u", "--model-file", str(path))
     assert needle in line
+
+
+@pytest.mark.parametrize("entry", ["1e30000000", "\u0663", "1_0", True, False, "1.5", " 3 "])
+def test_model_file_entry_not_ascii_rational_exit_2(tmp_path, capsys, entry):
+    """An element entry is a JSON integer or an ASCII-digit string p or p/q;
+    Fraction() alone also read these, and spent minutes on 1e30000000."""
+    leg = {"id": "D", "kind": "finite_comm", "m": 2, "elements": {"g": [entry, "1"]}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"legs": [leg]}), encoding="utf-8")
+    start = time.perf_counter()
+    code = cli.main(["trace", "--word", "d{g} u d{g} u*", "--model-file", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: leg 'D': element 'g' needs 2 rational entries, got {[entry, '1']!r}"]
+
+
+@pytest.mark.parametrize("word, line", [
+    ("d{zz}", "error: no model element named 'zz'"),
+    ("d{g} u", "error: element name 'g' is ambiguous"),
+])
+def test_unknown_name_error_line(tmp_path, capsys, word, line):
+    legs = [{"id": leg_id, "kind": "finite_comm", "m": 2, "elements": {"g": [1, -1]}}
+            for leg_id in ("D", "E")]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"legs": legs}), encoding="utf-8")
+    assert cli.main(["trace", "--word", word, "--model-file", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 GOLDEN_INVOCATIONS = [

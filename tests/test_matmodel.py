@@ -12,6 +12,7 @@ import pytest
 
 from freeprod.freeword import NCPoly
 from freeprod.matmodel import (
+    HARNESSES,
     MAX_HARNESS_WORDS,
     Mat2,
     MatrixModel,
@@ -158,9 +159,6 @@ def test_freeness_length_guard(mm):
             mm.check_freeness(gen_a, gen_b, max_len, "PQ", offdiag)
 
 
-HARNESSES = ("PQ", "UX", "PX", "UQ", "sum", "matrix")
-
-
 @pytest.mark.parametrize("name", HARNESSES)
 def test_word_count_closed_form(mm, name):
     gen_a, gen_b, offdiag = mm.generators(name)
@@ -208,6 +206,20 @@ def test_failures_name_their_words_in_walk_order(mm):
 def test_unknown_harness(mm):
     with pytest.raises(ValueError, match=r"\['PQ', 'PX', 'UQ', 'UX', 'matrix', 'sum'\]"):
         mm.generators("XY")
+
+
+def test_model_legs_are_fixed_at_construction():
+    """The sum and matrix harnesses read two-atom legs the model built;
+    building every harness adds no leg."""
+    mm = MatrixModel()
+    legs = ["f", "u", "v", "A", "B", "A1", "A2", "B1", "B2"]
+    assert list(mm.fp.legs) == legs
+    for leg_id in legs[3:]:
+        leg = mm.fp.leg(leg_id)
+        assert (leg.m, leg.elements) == (2, {"h": (1, -1)})
+    for name in HARNESSES:
+        mm.generators(name)
+    assert list(mm.fp.legs) == legs
 
 
 @pytest.mark.parametrize("name,build", [("sum", sum_model_generators),
