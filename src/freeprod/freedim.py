@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import is_
@@ -39,6 +38,8 @@ import random
 import re
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
+
+from .record import FrozenRecord, Record
 
 
 class ParseError(ValueError):
@@ -151,14 +152,14 @@ def _lf_atom(p: Pair) -> AtomLF:
 _K_C, _K_LZ, _K_R, _K_LF, _K_M2, _K_SUM, _K_FREE = range(7)
 
 
-class Expr:
+class Expr(FrozenRecord):
     """A fragment expression.  Each node computes four values once, when it
     is built, from its children's: ``_fdim``, its free dimension by the
     formulas of the module docstring as a reduced (numerator, denominator)
     pair of ints; ``_text``; ``_size``, the number of nodes in its tree;
     and ``_shapes``, the shapes under which the rule table sees it as a
     factor (none for LZ and products, which are never factors of a
-    reduction).  They are not dataclass fields, so ==, hash and repr ignore
+    reduction).  They live outside ``_fields``, so ==, hash and repr ignore
     them.  Each class sets ``_kind``, one of the ``_K_*`` ints, and the
     flag ``_grouped`` marks sums and products, whose text an operand puts
     in parentheses."""
@@ -169,7 +170,6 @@ class Expr:
     _size = 1
 
 
-@dataclass(frozen=True)
 class AtomC(Expr):
     _kind = _K_C
     _fdim = (0, 1)
@@ -177,14 +177,12 @@ class AtomC(Expr):
     _shapes = ("C",)
 
 
-@dataclass(frozen=True)
 class AtomLZ(Expr):
     _kind = _K_LZ
     _fdim = (1, 1)
     _text = "LZ"
 
 
-@dataclass(frozen=True)
 class AtomR(Expr):
     _kind = _K_R
     _fdim = (1, 1)
@@ -192,20 +190,18 @@ class AtomR(Expr):
     _shapes = ("R",)
 
 
-@dataclass(frozen=True)
 class AtomLF(Expr):
-    t: Fraction
+    _fields = ("t",)
     _kind = _K_LF
 
-    def __post_init__(self) -> None:
-        n, d = self.t.numerator, self.t.denominator
-        vars(self).update(_fdim=(n, d), _text=f"LF({n})" if d == 1 else f"LF({n}/{d})",
+    def __init__(self, t: Fraction):
+        n, d = t.numerator, t.denominator
+        vars(self).update(t=t, _fdim=(n, d), _text=f"LF({n})" if d == 1 else f"LF({n}/{d})",
                           _shapes=("LF", "LF(1)" if n == d else "LF(t>1)"))
 
 
-@dataclass(frozen=True)
 class Mat2Of(Expr):
-    inner: Expr
+    _fields = ("inner",)
     _kind = _K_M2
     _shapes = ("matrix",)
 
@@ -214,10 +210,8 @@ class Mat2Of(Expr):
                           _text=f"M2({inner._text})", _size=1 + inner._size)
 
 
-@dataclass(frozen=True)
 class SumOf(Expr):
-    left: Expr
-    right: Expr
+    _fields = ("left", "right")
     _kind = _K_SUM
     _shapes = ("sum",)
     _grouped = True
@@ -228,9 +222,8 @@ class SumOf(Expr):
                           _size=1 + left._size + right._size)
 
 
-@dataclass(frozen=True)
 class FreeOf(Expr):
-    factors: Tuple[Expr, ...]
+    _fields = ("factors",)
     _kind = _K_FREE
     _grouped = True
 
@@ -492,13 +485,15 @@ def parse(text: str) -> Expr:
 # Normal forms and rewrite steps
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(FrozenRecord):
     """M2^depth(core) with core one of LF(t >= 1), C, R."""
 
-    depth: int
-    core: str  # "LF" | "C" | "R"
-    param: Optional[Fraction] = None
+    _fields = ("depth", "core", "param")
+
+    def __init__(self, depth: int, core: str, param: Optional[Fraction] = None):
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "param", param)
 
     def text(self) -> str:
         body = f"LF({self.param})" if self.core == "LF" else self.core
@@ -530,15 +525,19 @@ class NormalForm:
         return self.text()
 
 
-@dataclass(slots=True)
-class RewriteStep:
-    rule: str
-    description: str
-    path: Tuple[int, ...]
-    before: str
-    after: str
-    fdim_before: Fraction
-    fdim_after: Fraction
+class RewriteStep(Record):
+    _fields = __slots__ = ("rule", "description", "path", "before", "after",
+                           "fdim_before", "fdim_after")
+
+    def __init__(self, rule: str, description: str, path: Tuple[int, ...], before: str,
+                 after: str, fdim_before: Fraction, fdim_after: Fraction):
+        self.rule = rule
+        self.description = description
+        self.path = path
+        self.before = before
+        self.after = after
+        self.fdim_before = fdim_before
+        self.fdim_after = fdim_after
 
     def to_json(self) -> dict:
         return {
@@ -997,11 +996,13 @@ def normalize(e: Union[Expr, str], seed: Optional[int] = None,
 # Verified tables
 
 
-@dataclass
-class TableReport:
-    name: str
-    rows: List[dict]
-    failures: List[dict]
+class TableReport(Record):
+    _fields = ("name", "rows", "failures")
+
+    def __init__(self, name: str, rows: List[dict], failures: List[dict]):
+        self.name = name
+        self.rows = rows
+        self.failures = failures
 
     @property
     def passed(self) -> bool:

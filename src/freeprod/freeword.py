@@ -39,11 +39,11 @@ from __future__ import annotations
 import re
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ncpart import enumerate_nc, kreweras
+from .record import FrozenRecord
 from . import trigalg
 from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _frac
 
@@ -128,6 +128,8 @@ class HaarLeg(Leg):
     kind = "haar"
 
     def gen(self, power: int = 1) -> "HaarLetter":
+        if type(power) is not int:
+            raise TypeError(f"Haar power must be an int, got {type(power).__name__}")
         return HaarLetter(self.id, power)
 
     def mul(self, a: "HaarLetter", b: "HaarLetter") -> "HaarLetter":
@@ -198,12 +200,26 @@ class FiniteCommLeg(Leg):
 
 # ---------------------------------------------------------------------------
 # Letters and words
+#
+# The letters compare and hash their two fields directly rather than through
+# FrozenRecord's field-tuple getter: tuples of letters key the cumulant memo,
+# and the getter made the partitions workload's run_s about 5 % slower.
 
 
-@dataclass(frozen=True)
-class TrigLetter:
-    leg: str
-    poly: TrigPoly
+class TrigLetter(FrozenRecord):
+    _fields = ("leg", "poly")
+
+    def __init__(self, leg: str, poly: TrigPoly):
+        object.__setattr__(self, "leg", leg)
+        object.__setattr__(self, "poly", poly)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.leg == other.leg and self.poly == other.poly
+
+    def __hash__(self):
+        return hash((self.leg, self.poly))
 
     def text(self) -> str:
         terms = list(self.poly.items())
@@ -221,10 +237,20 @@ class TrigLetter:
         return self  # trig polynomials are real-valued
 
 
-@dataclass(frozen=True)
-class HaarLetter:
-    leg: str
-    power: int
+class HaarLetter(FrozenRecord):
+    _fields = ("leg", "power")
+
+    def __init__(self, leg: str, power: int):
+        object.__setattr__(self, "leg", leg)
+        object.__setattr__(self, "power", power)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.leg == other.leg and self.power == other.power
+
+    def __hash__(self):
+        return hash((self.leg, self.power))
 
     def text(self) -> str:
         if self.power == 1:
@@ -240,10 +266,20 @@ class HaarLetter:
         return HaarLetter(self.leg, -self.power)
 
 
-@dataclass(frozen=True)
-class CommLetter:
-    leg: str
-    vec: Tuple[Fraction, ...]
+class CommLetter(FrozenRecord):
+    _fields = ("leg", "vec")
+
+    def __init__(self, leg: str, vec: Tuple[Fraction, ...]):
+        object.__setattr__(self, "leg", leg)
+        object.__setattr__(self, "vec", vec)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.leg == other.leg and self.vec == other.vec
+
+    def __hash__(self):
+        return hash((self.leg, self.vec))
 
     def text(self) -> str:
         return "d{" + self.leg + ":" + ",".join(str(q) for q in self.vec) + "}"
@@ -271,9 +307,9 @@ UNIT = _Unit()
 
 # The letter intern table.  Every letter met anywhere gets one small int,
 # the same in every FreeProduct, so words are stored and compared as tuples
-# of ints and a letter's dataclass is hashed once.  Letters are immutable
-# values, so the table is an identity map: no answer depends on what it
-# holds.
+# of ints; a letter itself is hashed, over its leg and its value, only when
+# it is interned.  Letters are frozen records (assigning a field raises), so
+# the table is an identity map: no answer depends on what it holds.
 _LETTERS: List[Letter] = []
 _LETTER_LEGS: List[str] = []  # the leg name of each interned letter
 _LETTER_IDS: Dict[Letter, int] = {}

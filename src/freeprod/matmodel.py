@@ -21,11 +21,11 @@ checked as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .freeword import FiniteCommLeg, FreeProduct, NCPoly, standard_model
+from .record import Record
 from .trigalg import PiValue, TrigPoly
 
 # The most words one freeness walk may visit.  The largest harness length
@@ -139,14 +139,17 @@ class Mat2:
     __repr__ = __str__
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Identity-check outcome; failures carry the offending item."""
 
-    harness: str
-    max_len: int
-    words_checked: int
-    failures: List[dict] = field(default_factory=list)
+    _fields = ("harness", "max_len", "words_checked", "failures")
+
+    def __init__(self, harness: str, max_len: int, words_checked: int,
+                 failures: Optional[List[dict]] = None):
+        self.harness = harness
+        self.max_len = max_len
+        self.words_checked = words_checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

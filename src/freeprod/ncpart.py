@@ -25,8 +25,9 @@ Lecture 9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
+
+from .record import FrozenRecord, Record
 
 MAX_ENUM_N = 12
 MAX_LEMMA_N = 10
@@ -39,16 +40,18 @@ class SizeLimitError(ValueError):
 Blocks = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class NCPartition:
+class NCPartition(FrozenRecord):
     """A non-crossing partition of {1..n}.
 
     Blocks are stored sorted internally and ordered by least element;
     construction validates coverage, disjointness and non-crossingness.
     """
 
-    n: int
-    blocks: Blocks
+    _fields = ("n", "blocks")
+
+    def __init__(self, n: int, blocks: Blocks):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "NCPartition":
@@ -179,15 +182,18 @@ def interval_blocks(p: NCPartition) -> List[Tuple[int, ...]]:
     return [b for b in p.blocks if b[-1] - b[0] == len(b) - 1]
 
 
-@dataclass
-class LemmaReport:
+class LemmaReport(Record):
     """Outcome of the Kreweras interval-lemma sweep for one n."""
 
-    n: int
-    partitions_checked: int
-    intervals_checked: int
-    passed: bool
-    counterexample: Optional[dict] = None
+    _fields = ("n", "partitions_checked", "intervals_checked", "passed", "counterexample")
+
+    def __init__(self, n: int, partitions_checked: int, intervals_checked: int,
+                 passed: bool, counterexample: Optional[dict] = None):
+        self.n = n
+        self.partitions_checked = partitions_checked
+        self.intervals_checked = intervals_checked
+        self.passed = passed
+        self.counterexample = counterexample
 
     def to_json(self) -> dict:
         return {

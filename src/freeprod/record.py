@@ -1,0 +1,79 @@
+"""Value classes: records compared, hashed and printed by their fields.
+
+The package's records (expression nodes, letters, partitions, normal forms,
+rewrite steps and reports) are plain classes over these two bases, not
+``dataclasses``: importing ``dataclasses`` pulls in ``inspect``, ``ast``,
+``dis`` and ``tokenize``, and building each decorated class compiles
+generated code; together that was most of ``import freeprod``, which every
+command pays at cold start.  ``python -X importtime -c "import freeprod.cli"``
+shows the import tree.
+
+A record class names its fields, in constructor order, in ``_fields`` and
+writes its own ``__init__``.  The bases add what the decorator generated:
+
+* ``==`` between two instances of one class compares the field tuples; any
+  other operand gives ``NotImplemented``;
+* ``repr`` is ``Name(field=value, ...)``;
+* ``Record`` is mutable and unhashable; ``FrozenRecord`` hashes its field
+  tuple and raises ``AttributeError`` on any assignment, so its ``__init__``
+  stores each field with ``object.__setattr__``, which also keeps the
+  instance's attributes in the compact per-class layout that attribute
+  reads are fastest on (``vars(self).update`` would give each instance its
+  own dict).
+
+Each class gets ``_values``, an ``operator.attrgetter`` over its fields
+(called as ``cls._values(record)``), so comparing and hashing build the
+field tuple in C.
+
+Attributes outside ``_fields`` (the cached values of expression nodes) take
+no part in ``==``, hash or ``repr``.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+from typing import Callable, Tuple
+
+
+def _getter(fields: Tuple[str, ...]) -> Callable[[object], tuple]:
+    """The record -> field tuple function; ``attrgetter`` gives a bare value
+    for one name and takes no zero."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(fields[0])
+        return lambda record: (get(record),)
+    return lambda record: ()
+
+
+class Record:
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    _values = staticmethod(_getter(()))
+    __hash__ = None  # mutable
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = staticmethod(_getter(cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -45,7 +45,8 @@ class PiValue:
         d = {}
         if coeffs:
             for deg, q in dict(coeffs).items():
-                deg = int(deg)
+                if type(deg) is not int:
+                    raise TypeError(f"L-degree must be an int, got {type(deg).__name__}")
                 if deg < 0:
                     raise ValueError(f"negative L-degree {deg}")
                 q = _frac(q)
@@ -239,8 +240,9 @@ class TrigPoly:
         d = {}
         if terms:
             for (kind, k), q in dict(terms).items():
-                q = _frac(q)
-                _fold_term(d, kind, int(k), q)
+                if type(k) is not int:
+                    raise TypeError(f"trig index must be an int, got {type(k).__name__}")
+                _fold_term(d, kind, k, _frac(q))
         self._terms = d
         self._key = tuple(sorted(d.items()))
 

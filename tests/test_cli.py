@@ -51,6 +51,16 @@ def run_cli_error(*args):
     return lines[0]
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    """The package's records are plain classes (``freeprod.record``), so a
+    cold start does not import ``dataclasses`` and, with it, ``inspect``."""
+    code = ("import sys; before = set(sys.modules); import freeprod, freeprod.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env(), timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_nc_enum_count():
     assert run_cli("nc-enum", "--n", "4", "--count") == "14\n"
 

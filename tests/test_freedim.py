@@ -834,6 +834,27 @@ def test_text_identifies_tree():
             assert hash(x) == hash(y) and repr(x) == repr(y)
     assert equal_pairs > 2 * len(trees)  # distinct objects that are equal
     assert "_text" not in repr(trees[0]) and "_fdim" not in repr(trees[0])
+    # Each node class: its repr text, keyword construction, equality only
+    # within the class (not to a subclass over the same fields, nor to the
+    # field tuple), and no assignment, to a field or to a cached value.
+    for cls, fields, text in [
+            (AtomC, {}, "AtomC()"), (AtomLZ, {}, "AtomLZ()"), (AtomR, {}, "AtomR()"),
+            (AtomLF, dict(t=Fraction(5, 2)), "AtomLF(t=Fraction(5, 2))"),
+            (Mat2Of, dict(inner=AtomR()), "Mat2Of(inner=AtomR())"),
+            (SumOf, dict(left=a, right=AtomLF(Fraction(1))),
+             "SumOf(left=AtomC(), right=AtomLF(t=Fraction(1, 1)))"),
+            (FreeOf, dict(factors=(a, Mat2Of(AtomLZ()))),
+             "FreeOf(factors=(AtomC(), Mat2Of(inner=AtomLZ())))")]:
+        x = cls(**fields)
+        assert repr(x) == repr(cls(*fields.values())) == text
+        assert x == cls(*fields.values()) and hash(x) == hash(cls(*fields.values()))
+        twin = type(cls.__name__, (cls,), {})(**fields)
+        assert x != twin and twin != x and x != tuple(fields.values())
+        for name in [*fields, "_text", "_fdim"]:
+            with pytest.raises(AttributeError):
+                setattr(x, name, b)
+        assert repr(x) == text
+    assert len({AtomC(), AtomLZ(), AtomR()}) == 3
 
 
 def test_memo_counters():

@@ -80,6 +80,14 @@ def test_normalize_unknown_leg(fp):
         fp.leg("A").element("nope")
 
 
+@pytest.mark.parametrize("power", [1.5, 2.0, True, "1", Fraction(1)])
+def test_haar_power_must_be_an_int(power):
+    """A Haar letter's power is an int: gen(1.5) made a letter u^1.5."""
+    with pytest.raises(TypeError):
+        HaarLeg("u").gen(power)
+    assert HaarLeg("u").gen(-2) == HaarLetter("u", -2)
+
+
 def test_adjoint_reverses_and_inverts(fp):
     f, u = fp.leg("f"), fp.leg("u")
     nc = fp.normalize([f.c(), u.gen(2), f.s()])

@@ -252,6 +252,29 @@ def test_pivalue_rejects_negative_degree():
         PiValue.lam(1, -2)
 
 
+@pytest.mark.parametrize("deg", [1.9, 1.0, True, "1", Fraction(1)])
+def test_pivalue_degree_must_be_an_int(deg):
+    """A degree is an int, not a value that int() rounds (1.9 read as L)."""
+    with pytest.raises(TypeError):
+        PiValue({deg: 1})
+    with pytest.raises(TypeError):
+        PiValue.lam(1, deg)
+    assert str(PiValue({1: 1})) == "L"
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, False, "1", Fraction(1)])
+def test_trigpoly_index_must_be_an_int(k):
+    """An index is an int, not a value that int() rounds (c[1.5] read as c)."""
+    for kind in ("c", "s"):
+        with pytest.raises(TypeError):
+            TrigPoly({(kind, k): 1})
+    with pytest.raises(TypeError):
+        TrigPoly.cos(k)
+    with pytest.raises(TypeError):
+        TrigPoly.sin(k)
+    assert TrigPoly({("c", 1): 1}) == TrigPoly.cos(1)
+
+
 # -- sympy as an independent oracle for trace ------------------------------------
 
 
