@@ -27,7 +27,9 @@ Two independent trace algorithms are provided and cross-checked:
 * ``trace_bipartite`` - the non-crossing partition formula for a word
   alternating between two free families: the sum over pi in NC(n) of the
   partitioned cumulant of the first family times the partitioned trace of
-  the second family over the Kreweras complement of pi.
+  the second family over the Kreweras complement of pi.  The sum is
+  pruned: it walks only the partitions whose blocks all have a nonzero
+  cumulant.
 
 Free cumulants are obtained from moments by inverting m_n = sum over pi in
 NC(n) of k_pi, with k_pi multiplicative over blocks, through the block that
@@ -42,7 +44,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .ncpart import enumerate_nc, kreweras
+from .ncpart import enumerate_nc, kreweras, weighted_nc
 from .record import FrozenRecord
 from . import trigalg
 from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _frac
@@ -528,6 +530,9 @@ class FreeProduct:
                 raise ValueError(f"duplicate leg id {leg.id!r}")
             self.legs[leg.id] = leg
         self._tr_memo: Dict[IdWord, PiValue] = {}
+        # single-letter traces for the partition formula, apart from the
+        # fold's memo so that the two evaluators share no state
+        self._letter_traces: Dict[Letter, PiValue] = {}
         # free cumulants of same-leg letter tuples, memoized per instance
         self._cumulant = moments_to_cumulants(self.leg_moment)
         self._plain = _Basis(self.leg, centered=False)
@@ -577,7 +582,10 @@ class FreeProduct:
     # -- letter/leg oracles --------------------------------------------------
 
     def letter_trace(self, letter: Letter) -> PiValue:
-        return self.leg(letter.leg).trace(letter)
+        got = self._letter_traces.get(letter)
+        if got is None:
+            got = self._letter_traces[letter] = self.leg(letter.leg).trace(letter)
+        return got
 
     def leg_moment(self, letters: Tuple[Letter, ...]) -> PiValue:
         """Trace of the ordered in-leg product of same-leg letters."""
@@ -645,7 +653,10 @@ class FreeProduct:
             tr = sum over pi in NC(n) of k_pi[x] * tr_{K(pi)}[y].
 
         Cumulant-side blocks that mix legs vanish; trace-side blocks must
-        stay within one leg.
+        stay within one leg.  Only the partitions with k_pi[x] != 0 are
+        built: ``ncpart.weighted_nc`` multiplies a block's cumulant in as
+        the block closes and drops a branch at the first zero, with each
+        block's cumulant computed once per call.
         """
         word = tuple(word)
         f1 = set(f1_positions)
@@ -675,14 +686,8 @@ class FreeProduct:
         if n == 0:
             return PI_ONE
         total = PI_ZERO
-        for p in enumerate_nc(n):
-            kappa = PI_ONE
-            for block in p.blocks:
-                kappa = kappa * self._cum_block(tuple(xs[i - 1] for i in block))
-                if kappa.is_zero():
-                    break
-            if kappa.is_zero():
-                continue
+        for p, kappa in weighted_nc(
+                n, lambda block: self._cum_block(tuple(xs[i - 1] for i in block)), PI_ONE):
             comp = kreweras(p)
             tau = PI_ONE
             for block in comp.blocks:

@@ -10,8 +10,15 @@ one at or after x.  A partition is non-crossing exactly when, scanning
 new one; a block continued from below the innermost would cross every
 block opened after it that is still open (Nica-Speicher, *Lectures on the
 Combinatorics of Free Probability*, 2006, Lecture 9).  This open-block
-rule is the one definition used here: `enumerate_nc` builds partitions by
-it and `NCPartition.from_blocks` validates by it.
+rule is the one definition used here: one recursion builds partitions by
+it, either all of NC(n) (`enumerate_nc`) or only those whose blocks all
+carry a nonzero weight (`weighted_nc`, which drops a branch as soon as a
+block closes with weight zero), and `NCPartition.from_blocks` validates by
+it.
+
+The partitions of NC(n) with 1 ~ n, which the interval lemma is about, are
+those of NC(n-1) with n added to the block of 1 (`linked_nc`), so the
+lemma sweep builds Catalan(n-1) partitions instead of Catalan(n).
 
 The Kreweras complement K(p) lives on interleaved dual points 1', ..., n'
 (i' sits between i and i+1, n' after n) and is the coarsest partition of
@@ -25,7 +32,7 @@ Lecture 9).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .record import FrozenRecord, Record
 
@@ -119,31 +126,81 @@ class NCPartition(FrozenRecord):
 
 def enumerate_nc(n: int) -> List[NCPartition]:
     """All non-crossing partitions of {1..n}, lexicographic by
-    block-of-element vector.  Guarded to n <= 12.
+    block-of-element vector.  Guarded to n <= 12.  The weight-free case of
+    ``_open_block_walk``."""
+    return _open_block_walk(n, None, 1)
 
-    Built by the open-block rule of the module docstring: element i joins
-    one of the blocks that may still grow, which closes every block opened
-    after it, or opens a new block.  Trying the growable blocks oldest
-    first, then the new block, visits the block vectors in increasing
-    order."""
+
+def weighted_nc(n: int, weight: Callable[[Tuple[int, ...]], Any],
+                unit) -> List[Tuple[NCPartition, Any]]:
+    """The partitions p of NC(n) whose blocks' weights have a nonzero
+    product, each with that product (``unit`` times the weights), in the
+    order of ``enumerate_nc``.  Guarded to n <= 12.
+
+    ``weight`` maps a block, an increasing tuple of elements, to a ring
+    element that is falsy at zero; it is called at most once per block.  A
+    partition with a zero block is never built: the walk stops a branch at
+    the first block of weight zero."""
+    return _open_block_walk(n, weight, unit)
+
+
+def _open_block_walk(n: int, weight: Optional[Callable[[Tuple[int, ...]], Any]],
+                     unit: Any) -> list:
+    """The open-block rule of the module docstring as one recursion.
+    Element i closes the innermost block that may still grow and is placed
+    against the older ones, or joins that block, or, when it has closed
+    none, opens a new block.  Tried in that order, the joins run oldest
+    block first, so the leaves come in increasing block-vector order.
+
+    A closed block is final, so with ``weight`` its weight is multiplied
+    in as it closes (the blocks still open close at the end), and a
+    branch whose product turns zero is not followed; the leaves are then
+    (partition, product) pairs.  Without it they are the partitions."""
     if not (1 <= n <= MAX_ENUM_N):
         raise SizeLimitError(f"n must be in 1..{MAX_ENUM_N}, got {n}")
-    out: List[NCPartition] = []
+    out: list = []
     blocks: List[List[int]] = []  # by least element
+    growable: List[List[int]] = []  # blocks that may still grow, innermost last
+    memo: dict = {}
 
-    def place(i: int, growable: List[List[int]]) -> None:
+    def closed(value, b: List[int]):
+        key = tuple(b)
+        w = memo.get(key)
+        if w is None:
+            w = memo[key] = weight(key)
+        return value * w
+
+    def place(i: int, value, may_open: bool) -> None:
         if i > n:
-            out.append(NCPartition(n, tuple(map(tuple, blocks))))
+            if weight is None:
+                out.append(NCPartition(n, tuple(map(tuple, blocks))))
+                return
+            for b in reversed(growable):
+                value = closed(value, b)
+                if not value:
+                    return
+            out.append((NCPartition(n, tuple(map(tuple, blocks))), value))
             return
-        for k, b in enumerate(growable):
+        if len(growable) > 1:  # closing the last one would leave i nowhere
+            b = growable.pop()
+            v = value if weight is None else closed(value, b)
+            if v:
+                place(i, v, False)
+            growable.append(b)
+        if growable:
+            b = growable[-1]
             b.append(i)
-            place(i + 1, growable[:k + 1])
+            place(i + 1, value, True)
             b.pop()
-        blocks.append([i])
-        place(i + 1, growable + blocks[-1:])
-        blocks.pop()
+        if may_open:
+            b = [i]
+            blocks.append(b)
+            growable.append(b)
+            place(i + 1, value, True)
+            growable.pop()
+            blocks.pop()
 
-    place(1, [])
+    place(1, unit, True)
     return out
 
 
@@ -205,20 +262,33 @@ class LemmaReport(Record):
         }
 
 
+def linked_nc(n: int) -> List[NCPartition]:
+    """The partitions of NC(n) with 1 ~ n, lexicographic by block-of-element
+    vector, for 2 <= n <= 13: each q in NC(n-1) with n added to the block
+    of 1.
+
+    Adding n crosses nothing: a crossing a < b < c < n with b ~ 1 ~ n and
+    a ~ c would already cross in q, at 1 < a < b < c.  Deleting n from a
+    partition with 1 ~ n gives back q, so this is a bijection, and the
+    block vector of the result is q's followed by a 0, so the order is
+    q's."""
+    return [NCPartition(n, (q.blocks[0] + (n,),) + q.blocks[1:])
+            for q in enumerate_nc(n - 1)]
+
+
 def verify_kreweras_interval_lemma(n: int) -> LemmaReport:
     """For every p in NC(n) with 1 ~ n and every interval block
     (k, ..., k+l) of K(p), check that k and k+l+1 (wrapped, n+1 -> 1) lie
     in the same block of p.  Edge cases k = 1 and k+l = n are checked
-    exhaustively rather than assumed.
+    exhaustively rather than assumed.  The partitions come from
+    ``linked_nc``.
     """
     if not (2 <= n <= MAX_LEMMA_N):
         raise SizeLimitError(f"n must be in 2..{MAX_LEMMA_N}, got {n}")
     parts = 0
     intervals = 0
-    for p in enumerate_nc(n):
+    for p in linked_nc(n):
         where = p.block_index()
-        if where[0] != where[n - 1]:
-            continue
         parts += 1
         comp = kreweras(p)
         for block in interval_blocks(comp):

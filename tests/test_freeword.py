@@ -12,8 +12,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeprod.freeword import (
+    MAX_PARTITION_N,
+    UNIT,
     EvaluationLimitError,
     FamilySplitError,
     FiniteCommLeg,
@@ -31,7 +34,7 @@ from freeprod.freeword import (
     r_diagonal_filter,
     standard_model,
 )
-from freeprod.ncpart import NCPartition, enumerate_nc
+from freeprod.ncpart import NCPartition, enumerate_nc, kreweras
 from freeprod.trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly
 
 from wordgen import (model_with_comm, rand_balanced_letters, rand_letters, rand_trig,
@@ -328,6 +331,154 @@ def test_long_words_agree_with_bipartite(fp):
         assert fp.trace(fp.normalize(letters)) == want, seed
         nonzero += want != PI_ZERO
     assert nonzero >= 6  # the check is not carried by vanishing traces
+
+
+def reference_trace_bipartite(fp, word, f1_positions):
+    """``FreeProduct.trace_bipartite`` as it was before the pruned walk: the
+    full sum over NC(n), every partition's cumulant product formed block by
+    block."""
+    word = tuple(word)
+    f1 = set(f1_positions)
+    for i in f1:
+        if not (0 <= i < len(word)):
+            raise FamilySplitError(f"position {i} outside word")
+    legs1 = {word[i].leg for i in f1}
+    legs2 = {l.leg for i, l in enumerate(word) if i not in f1}
+    if legs1 & legs2:
+        raise FamilySplitError(
+            f"families share legs {sorted(legs1 & legs2)}; they must be free"
+        )
+    # a letter of f1 takes the next x slot (even), any other the next y slot
+    seq = []
+    for i, letter in enumerate(word):
+        if (i in f1) != (len(seq) % 2 == 0):
+            seq.append(UNIT)
+        seq.append(letter)
+    if len(seq) % 2:
+        seq.append(UNIT)
+    xs, ys = seq[0::2], seq[1::2]
+    n = len(xs)
+    if n > MAX_PARTITION_N:
+        raise EvaluationLimitError(
+            f"partition formula over {n} slots exceeds {MAX_PARTITION_N}"
+        )
+    if n == 0:
+        return PI_ONE
+    total = PI_ZERO
+    for p in enumerate_nc(n):
+        kappa = PI_ONE
+        for block in p.blocks:
+            kappa = kappa * fp._cum_block(tuple(xs[i - 1] for i in block))
+            if kappa.is_zero():
+                break
+        if kappa.is_zero():
+            continue
+        comp = kreweras(p)
+        tau = PI_ONE
+        for block in comp.blocks:
+            tau = tau * fp._trace_block(tuple(ys[i - 1] for i in block))
+            if tau.is_zero():
+                break
+        total = total + kappa * tau
+    return total
+
+
+def _outcome(evaluate, fp, word, f1):
+    try:
+        return evaluate(fp, word, f1)
+    except Exception as exc:  # the class is what the two routes must share
+        return type(exc)
+
+
+def _slots(sides):
+    """Slot pairs x y that ``trace_bipartite`` lays the letters out in: a
+    cumulant-side letter takes the next x slot, any other the next y slot,
+    and UNIT fills the gaps."""
+    length = 0
+    for cumulant_side in sides:
+        length += 1 + (cumulant_side != (length % 2 == 0))
+    return (length + 1) // 2
+
+
+@st.composite
+def bipartite_cases(draw, max_slots=7):
+    """Up to 14 letters of the trig, Haar and commutative legs, cut to the
+    longest prefix that fits ``max_slots`` slot pairs.  Each leg is put on
+    a random side, so the trace side may mix legs (mixed-block error), and
+    about one letter in twenty goes to the other side (shared-leg error)."""
+    fp = model_with_comm()
+    f, u, v, a, b = (fp.leg(name) for name in "fuvAB")
+    trig = st.builds(lambda key, q: f.letter(TrigPoly({key: q})),
+                     st.sampled_from([("c", 0), ("c", 1), ("c", 2), ("c", 3),
+                                      ("s", 1), ("s", 2), ("s", 3)]),
+                     st.fractions(-2, 2, max_denominator=3).filter(bool))
+    haar = st.builds(lambda leg, k: leg.gen(k), st.sampled_from([u, v]), st.integers(-2, 2))
+    comm = st.sampled_from([a.element("x"), a.element("y"), b.element("z"),
+                            b.letter([0, 1, 0])])
+    cumulant_legs = draw(st.sets(st.sampled_from("fuvAB")))
+    pairs = draw(st.lists(st.tuples(st.one_of(trig, haar, comm), st.integers(0, 19)),
+                          min_size=1, max_size=14))
+    sides = [(letter.leg in cumulant_legs) != (stray == 0) for letter, stray in pairs]
+    while _slots(sides) > max_slots:
+        sides.pop()
+    word = tuple(letter for letter, _ in pairs[:len(sides)])
+    return fp, word, [i for i, side in enumerate(sides) if side]
+
+
+@settings(deadline=None, database=None, max_examples=150)
+@given(bipartite_cases())
+def test_bipartite_matches_full_sum_reference(case):
+    fp, word, f1 = case
+    assert (_outcome(FreeProduct.trace_bipartite, fp, word, f1)
+            == _outcome(reference_trace_bipartite, fp, word, f1))
+
+
+def test_bipartite_matches_full_sum_reference_on_errors(fp):
+    """The two error paths the random cases reach: a leg on both sides, and
+    a Kreweras block of the trace side that mixes legs."""
+    f, u, a = fp.leg("f"), fp.leg("u"), fp.leg("A")
+    shared = ((u.gen(1), f.c(), u.gen(-1)), [0])
+    mixed = ((f.c(), u.gen(1), f.c(), a.element("x")), [0, 2])
+    for word, f1 in (shared, mixed):
+        got = _outcome(FreeProduct.trace_bipartite, fp, word, f1)
+        assert got is FamilySplitError
+        assert got == _outcome(reference_trace_bipartite, fp, word, f1)
+
+
+def test_bipartite_prunes_zero_cumulant_branches(fp, monkeypatch):
+    """A 20-letter word, x1 y1 ... x10 y10 with no padding: the walk weighs
+    about a hundred blocks.  Without the pruning it would weigh all 1023
+    nonempty subsets of {1..10}, since each is a block of some partition
+    in NC(10), which has 16796 partitions."""
+    letters = tuple(rand_balanced_letters(fp, random.Random(0), 20, 20))
+    f1 = [i for i, l in enumerate(letters) if not isinstance(l, TrigLetter)]
+    assert f1 == list(range(0, 20, 2))
+    blocks = []
+    cum_block = FreeProduct._cum_block
+
+    def counted(self, entries):
+        blocks.append(entries)
+        return cum_block(self, entries)
+
+    monkeypatch.setattr(FreeProduct, "_cum_block", counted)
+    got = fp.trace_bipartite(letters, f1)
+    assert got == fp.trace_word(letters) != PI_ZERO
+    assert len(blocks) <= 256
+
+
+def test_letter_trace_is_memoized_apart_from_the_fold(fp, monkeypatch):
+    """Each letter is traced by its leg once per free product, and the
+    partition formula leaves the fold's word memo untouched."""
+    calls = []
+    trace = FiniteCommLeg.trace
+    monkeypatch.setattr(FiniteCommLeg, "trace",
+                        lambda self, letter: calls.append(letter) or trace(self, letter))
+    y = fp.leg("A").element("y")
+    assert fp.letter_trace(y) == fp.letter_trace(y) == PiValue.of(Fraction(3, 2))
+    assert calls == [y]
+    f = fp.leg("f")
+    assert fp.trace_bipartite((y, f.c(), y, f.c()), [0, 2]) != PI_ZERO
+    assert fp._tr_memo == {}
 
 
 # -- the leg protocol -----------------------------------------------------------

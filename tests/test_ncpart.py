@@ -17,13 +17,17 @@ from typing import Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeprod import cli, ncpart
 from freeprod.ncpart import (
+    LemmaReport,
     NCPartition,
     SizeLimitError,
     enumerate_nc,
     interval_blocks,
     kreweras,
+    linked_nc,
     verify_kreweras_interval_lemma,
+    weighted_nc,
 )
 
 
@@ -235,6 +239,39 @@ def test_kreweras_matches_greedy_oracle(n):
         assert kreweras(p) == greedy_kreweras(p), p
 
 
+@settings(deadline=None, database=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_weighted_nc_is_the_filtered_product(n, salt):
+    """The pruned walk gives exactly the partitions whose block weights
+    have a nonzero product, with that product, in enumeration order, and
+    weighs each block at most once.  Weights are 0..3 from a hash of the
+    block, so about a quarter of the blocks are zero."""
+    def weight(block):
+        return hash((salt, block)) % 4
+
+    want = []
+    for p in enumerate_nc(n):
+        prod = math.prod(weight(b) for b in p.blocks)
+        if prod:
+            want.append((p.blocks, prod))
+    calls = []
+
+    def counted(block):
+        calls.append(block)
+        return weight(block)
+
+    got = weighted_nc(n, counted, 1)
+    assert [(p.blocks, v) for p, v in got] == want
+    assert len(calls) == len(set(calls))
+
+
+def test_weighted_nc_guard():
+    with pytest.raises(SizeLimitError):
+        weighted_nc(0, len, 1)
+    with pytest.raises(SizeLimitError):
+        weighted_nc(13, len, 1)
+
+
 _nc_cached = lru_cache(maxsize=None)(enumerate_nc)
 
 
@@ -296,6 +333,75 @@ def test_interval_blocks_examples():
     assert interval_blocks(p) == [(2,), (4,)]
     p = NCPartition.from_blocks(4, [[1, 4], [2, 3]])
     assert interval_blocks(p) == [(2, 3)]
+
+
+def reference_interval_lemma(n):
+    """The lemma sweep over all of NC(n), keeping the partitions with
+    1 ~ n by their block vector; K(p) is looked up on the module, so a
+    patched complement reaches both this and the library."""
+    parts = 0
+    intervals = 0
+    for p in enumerate_nc(n):
+        where = p.block_index()
+        if where[0] != where[n - 1]:
+            continue
+        parts += 1
+        comp = ncpart.kreweras(p)
+        for block in interval_blocks(comp):
+            intervals += 1
+            k = block[0]
+            l = len(block) - 1
+            target = (k + l) % n + 1
+            if where[k - 1] != where[target - 1]:
+                return LemmaReport(n, parts, intervals, False, {
+                    "partition": p.encode(),
+                    "kreweras": comp.encode(),
+                    "interval": list(block),
+                    "k": k,
+                    "expected_partner": target,
+                })
+    return LemmaReport(n, parts, intervals, True)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_linked_nc_is_the_filtered_enumeration(n):
+    """NC(n-1) with n added to the block of 1 gives exactly the partitions
+    of NC(n) with 1 ~ n, in enumeration order."""
+    want = [p.blocks for p in enumerate_nc(n)
+            if p.block_index()[0] == p.block_index()[n - 1]]
+    assert [p.blocks for p in linked_nc(n)] == want
+    assert len(want) == catalan(n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_interval_lemma_report_matches_filter_reference(n):
+    assert verify_kreweras_interval_lemma(n) == reference_interval_lemma(n)
+
+
+def singletons_of(p):
+    return singletons(p.n)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_interval_lemma_counterexample_matches_filter_reference(n, monkeypatch):
+    """With a wrong complement the sweep stops at its first counterexample;
+    walking the same partitions in the same order, both routes stop at the
+    same one."""
+    monkeypatch.setattr(ncpart, "kreweras", singletons_of)
+    report = verify_kreweras_interval_lemma(n)
+    assert not report.passed
+    assert report == reference_interval_lemma(n)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_nc_lemma_cli_bytes_match_filter_reference(n, monkeypatch, capsys):
+    outputs = []
+    for lemma in (verify_kreweras_interval_lemma, reference_interval_lemma):
+        monkeypatch.setattr(ncpart, "verify_kreweras_interval_lemma", lemma)
+        for extra in ([], ["--json"]):
+            assert cli.main(["nc-lemma", "--n", str(n), *extra]) == 0
+            outputs.append(capsys.readouterr())
+    assert outputs[:2] == outputs[2:]
 
 
 def test_interval_lemma_small_and_medium():
