@@ -25,7 +25,6 @@ from .freeword import (
     TrigLetter,
     cumulants_to_moments,
     moments_to_cumulants,
-    r_diagonal_filter,
     standard_model,
 )
 from .matmodel import Mat2, MatrixModel
@@ -39,7 +38,7 @@ __all__ = [
     "verify_kreweras_interval_lemma",
     "FreeProduct", "TrigLeg", "HaarLeg", "FiniteCommLeg",
     "TrigLetter", "HaarLetter", "CommLetter", "NCPoly",
-    "moments_to_cumulants", "cumulants_to_moments", "r_diagonal_filter",
+    "moments_to_cumulants", "cumulants_to_moments",
     "standard_model",
     "Mat2", "MatrixModel",
     "NormalForm", "Normalizer", "fdim", "normalize", "parse",

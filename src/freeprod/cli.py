@@ -195,6 +195,10 @@ def cmd_free_check(args) -> int:
     max_len = args.max_len if args.max_len is not None else matmodel.HARNESSES[args.model][0]
     report = mm.check_freeness(gen_a, gen_b, max_len, args.model, offdiag)
     print(json.dumps(report.to_json(), indent=2))
+    if args.stats:
+        print(f"stats: words_checked={report.words_checked} "
+              f"entries_traced={report.entries_traced} "
+              f"entries_derived={report.entries_derived}", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -295,6 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True,
                    help="one of " + ", ".join(matmodel.HARNESSES))
     p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--stats", action="store_true",
+                   help="print the words checked and the entry traces computed and "
+                        "taken from adjoint partners as one 'stats:' line on stderr")
     p.set_defaults(fn=cmd_free_check)
 
     p = sub.add_parser("normalize", help="normalize a free-product expression")

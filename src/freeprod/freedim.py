@@ -292,13 +292,6 @@ def expr_text(e: Expr, top: bool = True) -> str:
     return e._text if top else _wrapped(e)
 
 
-def expr_size(e: Expr) -> int:
-    """The number of nodes in the tree of e, as cached when it was built."""
-    if not isinstance(e, Expr):
-        raise TypeError(f"not an expression: {e!r}")
-    return e._size
-
-
 def fdim(e: Expr) -> Fraction:
     """Exact free dimension of a fragment expression."""
     if not isinstance(e, Expr):

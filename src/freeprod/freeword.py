@@ -795,34 +795,6 @@ def cumulants_to_moments(cumulant: Callable[[tuple], object]) -> Callable[[tuple
 
 
 # ---------------------------------------------------------------------------
-# R-diagonal support
-
-
-def r_diagonal_filter(letters: Sequence[HaarLetter]) -> bool:
-    """Whether a free cumulant of Haar-unitary letters can be nonzero.
-
-    Mixed legs or a nonzero total power force the cumulant to vanish.  For
-    generator/inverse tuples (all powers +-1) the cumulant survives only
-    when the powers strictly alternate.  Balanced tuples involving higher
-    powers are outside that criterion and are conservatively kept.
-    """
-    letters = tuple(letters)
-    if not letters:
-        raise ValueError("empty tuple")
-    for l in letters:
-        if not isinstance(l, HaarLetter):
-            raise TypeError(f"expected Haar letters, got {l!r}")
-    if len({l.leg for l in letters}) > 1:
-        return False
-    if sum(l.power for l in letters) != 0:
-        return False
-    powers = [l.power for l in letters]
-    if all(abs(p) == 1 for p in powers):
-        return all(a == -b for a, b in zip(powers, powers[1:]))
-    return True
-
-
-# ---------------------------------------------------------------------------
 # The standard model and model files
 
 

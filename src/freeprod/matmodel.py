@@ -29,7 +29,7 @@ from .record import Record
 from .trigalg import PiValue, TrigPoly
 
 # The most words one freeness walk may visit.  The largest harness length
-# in use, matrix:5, checks 39214 words (about 6 s on one core).
+# in use, matrix:5, checks 39214 words (about 3 s on one core).
 MAX_HARNESS_WORDS = 50_000
 
 
@@ -63,6 +63,54 @@ def _word_text(word: _Word) -> str:
         name, word = word
         names.append(name)
     return " ".join(reversed(names))
+
+
+# The entries checked on a genuine product: the diagonal ones, and all four
+# under a full check.
+_DIAGONAL = ((0, 0), (1, 1))
+_ALL_ENTRIES = ((0, 0), (1, 1), (0, 1), (1, 0))
+
+
+def _transposed(traces: List[PiValue]) -> List[PiValue]:
+    """Entry traces in ``_DIAGONAL`` or ``_ALL_ENTRIES`` order, rearranged
+    for the transposed matrix: the off-diagonal pair swaps."""
+    return traces if len(traces) == 2 else [traces[0], traces[1], traces[3], traces[2]]
+
+
+def _report_entries(report: "CheckReport", word: _Word,
+                    entries: Sequence[Tuple[int, int]], traces: List[PiValue]) -> None:
+    """Add a failure for each entry of ``word`` whose trace is not zero."""
+    for (i, j), t in zip(entries, traces):
+        if not t.is_zero():
+            report.failures.append({
+                "word": _word_text(word), "entry": f"{i + 1}{j + 1}", "value": str(t),
+            })
+
+
+def _adjoint_positions(families: Sequence[Sequence[Tuple[str, "Mat2"]]],
+                       offdiag: frozenset) -> Optional[List[List[int]]]:
+    """For each family, the position in that family of each generator's
+    adjoint, found by exact ``Mat2`` equality; a self-adjoint generator is
+    its own.
+
+    None when words cannot be paired with their adjoints: some generator's
+    adjoint is not in its own family, the map is not an involution (two
+    equal generators that are not self-adjoint), or it joins a generator
+    named in ``offdiag`` to one that is not."""
+    out = []
+    for family in families:
+        adj = []
+        for i, (name, g) in enumerate(family):
+            star = g.adjoint()
+            j = i if star == g else next(
+                (k for k, (_, h) in enumerate(family) if h == star), None)
+            if j is None or (name in offdiag) != (family[j][0] in offdiag):
+                return None
+            adj.append(j)
+        if any(adj[j] != i for i, j in enumerate(adj)):
+            return None
+        out.append(adj)
+    return out
 
 
 class Mat2:
@@ -150,6 +198,10 @@ class CheckReport(Record):
         self.max_len = max_len
         self.words_checked = words_checked
         self.failures = [] if failures is None else failures
+        # freeness walks: entry traces computed, and taken from an adjoint
+        # partner; outside _fields, so reports compare and print as before
+        self.entries_traced = 0
+        self.entries_derived = 0
 
     @property
     def passed(self) -> bool:
@@ -284,6 +336,19 @@ class MatrixModel:
         carries the matrix-trace identity: diag(1, -1) has Tr = 0 but its
         diagonal entries are not scalar-trace-free.
 
+        ``words_checked`` counts every word.  Adjoint pairing: when each
+        family is closed under adjoint (exact ``Mat2`` equality, generators
+        matched by position, not by name) and ``offdiag_names`` is closed
+        under that map, the walk meets every genuine product w and its
+        adjoint w*, at the same length and with the same entries checked.
+        The trace is a *-trace with real values, so tr((w*)_ij) = tr(w_ji):
+        whichever of the two comes second in the walk has its entries
+        derived from those of the first, transposed, rather than traced.
+        Otherwise every word is traced.  A longest word (a leaf of the walk)
+        forms only the entries it checks, each as sum_k p_ik g_kj, not its
+        product matrix.  The report's ``entries_traced`` and
+        ``entries_derived`` count the two kinds of entry.
+
         Precondition: every generator is centered (Tr = 0) - violations
         raise rather than report.
         """
@@ -297,44 +362,83 @@ class MatrixModel:
                 raise ValueError(f"generator {name} is not centered: Tr = {g.Tr()}")
         offdiag = frozenset(offdiag_names)
         report = CheckReport(harness, max_len, 0)
+        families = (list(gen_a), list(gen_b))
+        adj = _adjoint_positions(families, offdiag)
+        # Each family as its index and its members: (position, position of
+        # the adjoint, name, matrix).  Without pairing the second position
+        # is never read.
+        fams = [(f, [(pos, adj[f][pos] if adj else pos, name, g)
+                     for pos, (name, g) in enumerate(family)])
+                for f, family in enumerate(families)]
+        # The entry traces of words whose adjoint partner was checked first,
+        # under the word's key; each is popped when used.
+        pending: Dict[Tuple[int, int], List[PiValue]] = {}
 
         # Depth first, in the order of a recursive walk: each entry holds a
         # product still to be extended by one generator.  The explicit stack
         # keeps long walks (PQ) clear of the recursion limit.  A word is
         # held as its last name linked to the word before it, so pushing a
-        # word costs O(1) however long it is.
-        stack = [(None, None, None, False, gen_b, gen_a, max_len),
-                 (None, None, None, False, gen_a, gen_b, max_len)]
+        # word costs O(1) however long it is.  The same holds for its key,
+        # (remaining, rank): ``rank`` reads the start family's index and
+        # then the word's positions as the digits of one mixed-radix number,
+        # each position's radix the size of its family, and ``size`` is the
+        # product of those radices.  ``rev`` is the number of the adjoint's
+        # positions, without its start digit.
+        stack = [(None, None, None, 1, 0, 1, False, fams[1], fams[0], max_len),
+                 (None, None, None, 0, 0, 1, False, fams[0], fams[1], max_len)]
         while stack:
-            prod, g, word, full_check, nxt, other, remaining = stack.pop()
+            prod, g, word, rank, rev, size, full_check, nxt, other, remaining = stack.pop()
             if g is not None:
-                prod = g if prod is None else prod @ g
                 report.words_checked += 1
-                self._check_product(report, prod, word, remaining == max_len - 1,
-                                    full_check)
+                if prod is None:
+                    prod = g
+                    self._check_single(report, g, word, full_check)
+                else:
+                    entries = _ALL_ENTRIES if full_check else _DIAGONAL
+                    if remaining:
+                        prod = prod @ g
+                    key = (remaining, rank)
+                    traces = pending.pop(key, None)
+                    if traces is not None:
+                        report.entries_derived += len(traces)
+                    else:
+                        traces = ([self.fp.trace(prod.e[i][j]) for i, j in entries]
+                                  if remaining else
+                                  [self._leaf_trace(prod, g, i, j) for i, j in entries])
+                        report.entries_traced += len(traces)
+                        if adj:
+                            # the adjoint starts in the family of the last generator
+                            adj_key = (remaining, other[0] * size + rev)
+                            if adj_key != key:
+                                pending[adj_key] = _transposed(traces)
+                    _report_entries(report, word, entries, traces)
             if remaining:
-                for name, h in reversed(nxt):
-                    stack.append((prod, h, (name, word), full_check or name in offdiag,
-                                  other, nxt, remaining - 1))
+                radix = len(nxt[1])
+                for pos, adj_pos, name, h in reversed(nxt[1]):
+                    stack.append((prod, h, (name, word), rank * radix + pos,
+                                  adj_pos * size + rev, size * radix,
+                                  full_check or name in offdiag, other, nxt, remaining - 1))
+        assert not pending, f"{len(pending)} adjoint partners never walked"
         return report
 
-    def _check_product(self, report: CheckReport, prod: Mat2, word: _Word,
-                       single: bool, full_check: bool) -> None:
-        """Check the product of ``word``; ``single`` when it has one letter."""
-        if single:
-            t = prod.Tr()
-            if not t.is_zero():
-                report.failures.append({"word": _word_text(word), "entry": "Tr",
-                                        "value": str(t)})
-            if not full_check:
-                return
-        entries = [(0, 0), (1, 1)] + ([(0, 1), (1, 0)] if full_check else [])
-        for i, j in entries:
-            t = self.fp.trace(prod.e[i][j])
-            if not t.is_zero():
-                report.failures.append({
-                    "word": _word_text(word), "entry": f"{i + 1}{j + 1}", "value": str(t),
-                })
+    def _check_single(self, report: CheckReport, g: Mat2, word: _Word,
+                      full_check: bool) -> None:
+        """Check a lone generator: Tr, and all four entries under a full
+        check."""
+        t = g.Tr()
+        report.entries_traced += 2
+        if not t.is_zero():
+            report.failures.append({"word": _word_text(word), "entry": "Tr",
+                                    "value": str(t)})
+        if full_check:
+            report.entries_traced += 4
+            _report_entries(report, word, _ALL_ENTRIES,
+                            [self.fp.trace(g.e[i][j]) for i, j in _ALL_ENTRIES])
+
+    def _leaf_trace(self, prod: Mat2, g: Mat2, i: int, j: int) -> PiValue:
+        """The trace of entry (i, j) of ``prod @ g``, formed alone."""
+        mul, p, q = self.fp.mul, prod.e[i], g.e
+        return self.fp.trace(mul(p[0], q[0][j]) + mul(p[1], q[1][j]))
 
     # -- embedded submodels ---------------------------------------------------
 

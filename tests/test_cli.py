@@ -381,6 +381,19 @@ def test_free_check_sum_short():
     assert out["failures"] == []
 
 
+def test_free_check_stats_line(capsys):
+    """--stats adds one line on stderr and leaves stdout as it is; without
+    it stderr stays empty."""
+    argv = ["free-check", "--model", "UX", "--max-len", "3"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main(argv + ["--stats"]) == 0
+    stats = capsys.readouterr()
+    assert plain.err == ""
+    assert stats.out == plain.out
+    assert stats.err == "stats: words_checked=78 entries_traced=178 entries_derived=130\n"
+
+
 def test_free_check_unknown_model_exit_2():
     run_cli("free-check", "--model", "ZZ", expect=2)
     assert run_cli_error("free-check", "--model", "ZZ") == (

@@ -33,7 +33,6 @@ from freeprod.freedim import (
     ParseError,
     SumOf,
     UnsupportedFragmentError,
-    expr_size,
     expr_text,
     _RULES,
     _candidate,
@@ -127,7 +126,7 @@ def test_parse_bounds_expanded_size(text, size):
             parse(text)
     else:
         assert size <= MAX_EXPR_SIZE
-        assert expr_size(parse(text)) == size
+        assert parse(text)._size == size
 
 
 def parens(n, inner="C"):
@@ -182,7 +181,7 @@ def test_deepest_accepted_expressions_run(text):
     assert sys.getrecursionlimit() == 1000
     e = parse(text)
     assert parse(expr_text(e)) == e
-    assert expr_size(e) > 1
+    assert e._size > 1
     base, _ = normalize(e)
     assert base.fdim() == fdim(e)
     for seed in (0, 1):
@@ -193,7 +192,7 @@ def test_deepest_accepted_expressions_run(text):
 
 @pytest.mark.parametrize("value", ["R * R", None, 3, (AtomC(),)])
 def test_measures_refuse_non_expressions(value):
-    for measure in (expr_size, expr_text, fdim):
+    for measure in (expr_text, fdim):
         with pytest.raises(TypeError, match="not an expression"):
             measure(value)
 
@@ -564,7 +563,7 @@ def test_flat_product_at_size_bound_within_budget():
     take about 8x the time (64x at n^2), bounded here by 20x.  The
     absolute bound only rules out a return to the quadratic loop."""
     e = parse(" * ".join(["R"] * 8191))
-    assert expr_size(e) == MAX_EXPR_SIZE
+    assert e._size == MAX_EXPR_SIZE
     nf, steps = normalize(e)
     assert nf == NormalForm(1, "LF", Fraction(32761))
     assert len(steps) == 16381
@@ -763,7 +762,7 @@ def size_oracle(e):
 def test_cached_size_agrees_with_walk(e):
     """``_size`` is counted when a node is built; products built directly
     may nest unflattened, and each nested product keeps its own node."""
-    assert e._size == expr_size(e) == size_oracle(e)
+    assert e._size == size_oracle(e)
 
 
 def test_cached_size_of_unflattened_products():

@@ -31,7 +31,6 @@ from freeprod.freeword import (
     cumulants_to_moments,
     legs_from_model_dict,
     moments_to_cumulants,
-    r_diagonal_filter,
     standard_model,
 )
 from freeprod.ncpart import NCPartition, enumerate_nc, kreweras
@@ -533,6 +532,31 @@ def test_protocol_leg_fold_agrees_with_bipartite():
 
 
 # -- R-diagonal filter --------------------------------------------------------------
+
+
+def r_diagonal_filter(letters) -> bool:
+    """Whether a free cumulant of Haar-unitary letters can be nonzero; the
+    filter behind ``contributing_partitions``, which no engine calls.
+
+    Mixed legs or a nonzero total power force the cumulant to vanish.  For
+    generator/inverse tuples (all powers +-1) the cumulant survives only
+    when the powers strictly alternate.  Balanced tuples involving higher
+    powers are outside that criterion and are conservatively kept.
+    """
+    letters = tuple(letters)
+    if not letters:
+        raise ValueError("empty tuple")
+    for l in letters:
+        if not isinstance(l, HaarLetter):
+            raise TypeError(f"expected Haar letters, got {l!r}")
+    if len({l.leg for l in letters}) > 1:
+        return False
+    if sum(l.power for l in letters) != 0:
+        return False
+    powers = [l.power for l in letters]
+    if all(abs(p) == 1 for p in powers):
+        return all(a == -b for a, b in zip(powers, powers[1:]))
+    return True
 
 
 def test_r_diagonal_filter_cases(fp):

@@ -9,13 +9,16 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeprod.freeword import NCPoly
 from freeprod.matmodel import (
     HARNESSES,
     MAX_HARNESS_WORDS,
+    CheckReport,
     Mat2,
     MatrixModel,
+    _word_text,
     harness_word_count,
     matrix_model_generators,
     sum_model_generators,
@@ -241,6 +244,202 @@ def test_report_json_shape(mm):
     assert doc["failures"] == []
 
 
+# -- adjoint pairing and leaf entries --------------------------------------------
+
+
+def reference_check_freeness(mm, gen_a, gen_b, max_len, harness="freeness",
+                             offdiag_names=()):
+    """The walk before adjoint pairing and leaf entries, kept verbatim as the
+    oracle: it forms every word's full product and traces every checked
+    entry."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    if harness_word_count(len(gen_a), len(gen_b), max_len) > MAX_HARNESS_WORDS:
+        raise ValueError(f"{harness} up to max_len {max_len} would check more "
+                         f"than {MAX_HARNESS_WORDS} words")
+    for name, g in list(gen_a) + list(gen_b):
+        if not g.Tr().is_zero():
+            raise ValueError(f"generator {name} is not centered: Tr = {g.Tr()}")
+    offdiag = frozenset(offdiag_names)
+    report = CheckReport(harness, max_len, 0)
+    stack = [(None, None, None, False, gen_b, gen_a, max_len),
+             (None, None, None, False, gen_a, gen_b, max_len)]
+    while stack:
+        prod, g, word, full_check, nxt, other, remaining = stack.pop()
+        if g is not None:
+            prod = g if prod is None else prod @ g
+            report.words_checked += 1
+            _reference_check_product(mm, report, prod, word, remaining == max_len - 1,
+                                     full_check)
+        if remaining:
+            for name, h in reversed(nxt):
+                stack.append((prod, h, (name, word), full_check or name in offdiag,
+                              other, nxt, remaining - 1))
+    return report
+
+
+def _reference_check_product(mm, report, prod, word, single, full_check):
+    if single:
+        t = prod.Tr()
+        if not t.is_zero():
+            report.failures.append({"word": _word_text(word), "entry": "Tr",
+                                    "value": str(t)})
+        if not full_check:
+            return
+    entries = [(0, 0), (1, 1)] + ([(0, 1), (1, 0)] if full_check else [])
+    for i, j in entries:
+        t = mm.fp.trace(prod.e[i][j])
+        if not t.is_zero():
+            report.failures.append({
+                "word": _word_text(word), "entry": f"{i + 1}{j + 1}", "value": str(t),
+            })
+
+
+def assert_matches_reference(mm, gen_a, gen_b, max_len, offdiag=()):
+    """Check the walk against the reference and return its report."""
+    got = mm.check_freeness(gen_a, gen_b, max_len, "h", offdiag)
+    want = reference_check_freeness(mm, gen_a, gen_b, max_len, "h", offdiag)
+    assert got.to_json() == want.to_json()
+    return got
+
+
+def _adjoint_closure(family, picked):
+    """``picked`` (names and matrices of ``family``) with the adjoint of each
+    generator in it added from ``family`` where it is there."""
+    out = list(picked)
+    for _, g in picked:
+        for name, h in family:
+            if h == g.adjoint() and (name, h) not in out:
+                out.append((name, h))
+    return out
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(st.data())
+def test_walk_matches_reference(mm, data):
+    """Generator subsets of the harness families, shuffled, some closed under
+    adjoint and some not; off-diagonal name sets closed and not; lengths
+    1..4; free pairings and a family against itself or another harness's."""
+    families = {(name, side): mm.generators(name)[side] for name in HARNESSES
+                for side in (0, 1)}
+    keys = sorted(families)
+    key_a = data.draw(st.sampled_from(keys), "family a")
+    partner = (key_a[0], 1 - key_a[1])
+    key_b = data.draw(st.one_of(st.just(partner), st.just(key_a), st.sampled_from(keys)),
+                      "family b")
+    sides = []
+    for key in (key_a, key_b):
+        family = families[key]
+        order = data.draw(st.permutations(range(len(family))))
+        picked = [family[i] for i in order[:data.draw(st.integers(1, len(family)))]]
+        if data.draw(st.booleans(), "close under adjoint"):
+            picked = _adjoint_closure(family, picked)
+        sides.append(picked)
+    names = sorted({name for side in sides for name, _ in side})
+    offdiag = data.draw(st.one_of(st.just(mm.generators(key_a[0])[2]), st.just(set(names)),
+                                  st.sets(st.sampled_from(names))), "offdiag")
+    max_len = data.draw(st.integers(1, 4), "max_len")
+    while max_len > 1 and harness_word_count(len(sides[0]), len(sides[1]), max_len) > 400:
+        max_len -= 1
+    assert_matches_reference(mm, sides[0], sides[1], max_len, offdiag)
+
+
+@pytest.mark.parametrize("name, max_len, failures", [
+    ("UX", 4, 56), ("sum", 4, 56), ("matrix", 3, 80), ("PX", 5, 16)])
+def test_non_free_walk_matches_reference(mm, name, max_len, failures):
+    """A family walked against itself is not free: the failures, their order
+    and their values equal the reference's."""
+    gen_a, _, offdiag = mm.generators(name)
+    report = assert_matches_reference(mm, gen_a, gen_a, max_len, offdiag)
+    assert len(report.failures) == failures
+
+
+@pytest.mark.parametrize("name", HARNESSES)
+def test_all_entries_walk_matches_reference(mm, name):
+    """With every name off-diagonal, free words fail on off-diagonal entries
+    whose traces differ from their transposes', so a partner must take its
+    entries transposed."""
+    gen_a, gen_b, _ = mm.generators(name)
+    names = {n for n, _ in gen_a + gen_b}
+    report = assert_matches_reference(mm, gen_a, gen_b, 3, names)
+    assert report.failures and report.entries_derived > 0
+
+
+def test_pairing_keys_generators_by_position_not_name(mm):
+    """Names may repeat within a family and across the two: the pairing
+    follows positions, so it still pairs, and stays exact when the
+    families are not free."""
+    u, x, p2, q2 = mm.U, mm.X, mm.P0.scaled(2), mm.Q0.scaled(2)
+    gen_a = [("g", u), ("g", u.adjoint()), ("p", p2)]
+    gen_b = [("g", x), ("g", x.adjoint()), ("p", q2)]
+    report = assert_matches_reference(mm, gen_a, gen_b, 4, {"g"})
+    assert report.passed and report.entries_derived > 0
+    same = [("g", x), ("p", p2), ("g", x.adjoint())]
+    report = assert_matches_reference(mm, gen_a, same, 4, {"g"})
+    assert report.failures and report.entries_derived > 0
+
+
+@pytest.mark.parametrize("gen_a, offdiag", [
+    (["U", "U", "U*"], {"U", "U*", "X", "X*"}),  # U has two partners
+    (["U", "U*", "2P0"], {"U", "X", "X*"}),  # U* missing from offdiag
+    (["U", "2P0"], {"U", "X", "X*"}),  # U* missing from the family
+], ids=["not-involution", "offdiag-open", "family-open"])
+def test_unpairable_generators_take_the_plain_walk(mm, gen_a, offdiag):
+    mats = {"U": mm.U, "U*": mm.U.adjoint(), "2P0": mm.P0.scaled(2)}
+    _, gen_b, _ = mm.generators("UX")
+    gen_a = [(name, mats[name]) for name in gen_a]
+    for first, second in ((gen_a, gen_b), (gen_b, gen_a)):
+        report = assert_matches_reference(mm, first, second, 3, offdiag)
+        assert report.entries_derived == 0
+
+
+def test_entry_counts_ux3(mm):
+    """UX:3 checks 78 words.  Length 1: 6 Tr's (2 traces each) and 4 full
+    checks (4 each), 28 traced.  Length 2: 68 entries in 9 adjoint pairs,
+    34 traced and 34 derived.  Length 3: 212 entries; the 6 self-adjoint
+    words (U 2Q0 U*, U* 2Q0 U, 2P0 2Q0 2P0 and the b-side three) have 20,
+    all traced, and the other 192 split evenly.  Dropping X* from the
+    off-diagonal names leaves that set open under adjoint, so the plain walk
+    traces every checked entry: 24 + 64 + 104 + 100 = 292, by length and
+    start, with 2P0, 2Q0 and X* now diagonal-only."""
+    gen_a, gen_b, offdiag = mm.generators("UX")
+    report = mm.check_freeness(gen_a, gen_b, 3, "UX", offdiag)
+    assert (report.words_checked, report.entries_traced, report.entries_derived) == (
+        78, 178, 130)
+    plain = mm.check_freeness(gen_a, gen_b, 3, "UX", offdiag - {"X*"})
+    assert (plain.words_checked, plain.entries_traced, plain.entries_derived) == (
+        78, 292, 0)
+
+
+def assert_star_traced(mm, m):
+    for row in m.e:
+        for x in row:
+            assert mm.fp.trace(x.adjoint()) == mm.fp.trace(x)
+
+
+def test_generator_entries_are_star_traced(mm):
+    """tr(x*) = tr(x) for every entry of every harness generator: the
+    trace is a *-trace and every value is real, which the adjoint pairing
+    rests on."""
+    for name in HARNESSES:
+        gen_a, gen_b, _ = mm.generators(name)
+        for _, g in gen_a + gen_b:
+            assert_star_traced(mm, g)
+
+
+@settings(deadline=None, database=None, max_examples=30)
+@given(st.data())
+def test_product_entries_are_star_traced(mm, data):
+    """tr(x*) = tr(x) for every entry of random products of harness
+    generators, from any harnesses."""
+    gens = [g for name in HARNESSES for side in mm.generators(name)[:2] for _, g in side]
+    word = data.draw(st.lists(st.sampled_from(gens), min_size=2, max_size=4))
+    prod = word[0]
+    for g in word[1:]:
+        prod = prod @ g
+    assert_star_traced(mm, prod)
+
+
 # -- embedded submodels --------------------------------------------------------------
 
 
@@ -307,8 +506,8 @@ def test_matrix_model_harness_desk_scale():
 
 
 # One length past desk scale.  Each budget is several times the harness's
-# time on a 2-core machine with Python 3.11 (UX:7 1.3 s, sum:7 0.9 s, PX:8
-# 0.06 s, UX:8 4.0 s).
+# time on a 2-core machine with Python 3.11 (UX:7 0.7 s, sum:7 0.5 s, PX:8
+# 0.06 s, UX:8 2.3-2.7 s, matrix:5 2.5-3.0 s).
 
 
 @pytest.mark.slow
@@ -317,6 +516,7 @@ def test_matrix_model_harness_desk_scale():
     ("sum", 7, 6558, 10),
     ("PX", 8, 400, 5),
     ("UX", 8, 19680, 30),
+    ("matrix", 5, 39214, 30),
 ])
 def test_harness_past_desk_scale(name, max_len, words, budget_s):
     mm = MatrixModel()
