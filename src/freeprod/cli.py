@@ -207,8 +207,8 @@ def cmd_free_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    engine = freedim.Normalizer.with_seed(args.seed)
-    nf, steps = freedim.normalize(args.expr, engine=engine)
+    engine = freedim.Normalizer(args.seed)
+    nf, steps = engine.normalize(freedim.parse(args.expr))
     if args.json:
         doc = {
             "input": args.expr,

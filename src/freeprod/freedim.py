@@ -286,10 +286,10 @@ def matpow(e: Expr, k: int) -> Expr:
     return out
 
 
-def expr_text(e: Expr, top: bool = True) -> str:
+def expr_text(e: Expr) -> str:
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression: {e!r}")
-    return e._text if top else _wrapped(e)
+    return e._text
 
 
 def fdim(e: Expr) -> Fraction:
@@ -533,15 +533,8 @@ class RewriteStep(Record):
         self.fdim_after = fdim_after
 
     def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "description": self.description,
-            "path": list(self.path),
-            "before": self.before,
-            "after": self.after,
-            "fdim_before": str(self.fdim_before),
-            "fdim_after": str(self.fdim_after),
-        }
+        return {**super().to_json(), "path": list(self.path),
+                "fdim_before": str(self.fdim_before), "fdim_after": str(self.fdim_after)}
 
 
 class _Rule(NamedTuple):
@@ -658,13 +651,15 @@ class Normalizer:
     """Innermost-first reduction of free products to M2^n(LF_t) form.
 
     Each round of the factor loop fires one instance of the ``_RULES``
-    table.  The instances are listed in table order; ``rng`` selects among
-    them, and with the default None the first fires, which makes
-    derivations deterministic.  Four constructions carry out the rules: R13
-    drops a C factor; R9, R6 and R12 unfold one factor; R7 and R8 merge two
-    atoms into an LF atom; R1-R5, R10 and R11 pair two factors inside one
-    M2 by the weight rule of the module docstring.  The directed unfoldings
-    are gated so that both orders reach the same normal form:
+    table.  The instances are listed in table order; a ``seed`` draws among
+    them from ``random.Random(seed)``, and with the default None the first
+    fires, which makes derivations deterministic.  Four constructions carry
+    out the rules: R13 drops a C factor; R9, R6 and R12 unfold one factor;
+    R7 and R8 merge two atoms into an LF atom; R1-R5, R10 and R11 pair two
+    factors inside one M2 by the weight rule of the module docstring.  A
+    derivation longer than ``max_steps`` (by default 200 + 40 per node)
+    raises ``DivergenceError``.  The directed unfoldings are gated so that
+    both orders reach the same normal form:
 
     * R6 (compression of an LF atom) and R12 (doubling LF(1) into a sum)
       fire only when a sum or matrix factor is present to pair with;
@@ -712,23 +707,14 @@ class Normalizer:
     tree only to measure it.
     """
 
-    def __init__(self, rng: Optional[random.Random] = None,
-                 max_steps: Optional[int] = None):
-        self.rng = rng
+    def __init__(self, seed: Optional[int] = None, max_steps: Optional[int] = None):
+        self.rng = random.Random(seed) if seed is not None else None
         self.max_steps = max_steps
         self.steps: List[RewriteStep] = []
         self.memo_hits = self.memo_misses = 0
         self._budget = 0
         # factor texts -> (result, length of the first path, its step range)
         self._memo: Dict[Tuple[str, ...], Tuple[Expr, int, int, int]] = {}
-
-    @classmethod
-    def with_seed(cls, seed: Optional[int] = None,
-                  max_steps: Optional[int] = None) -> "Normalizer":
-        """A normalizer drawing from ``random.Random(seed)``, or the
-        deterministic one when ``seed`` is None."""
-        rng = random.Random(seed) if seed is not None else None
-        return cls(rng=rng, max_steps=max_steps)
 
     @property
     def rule_counts(self) -> Counter[str]:
@@ -968,21 +954,15 @@ class Normalizer:
         return 1
 
 
-def normalize(e: Union[Expr, str], seed: Optional[int] = None,
-              max_steps: Optional[int] = None,
-              engine: Optional[Normalizer] = None) -> Tuple[NormalForm, List[RewriteStep]]:
+def normalize(e: Union[Expr, str],
+              seed: Optional[int] = None) -> Tuple[NormalForm, List[RewriteStep]]:
     """Normalize an expression (or source text).  ``seed`` switches to a
     seeded random choice among simultaneously applicable rules, used by the
-    confluence checks.  ``engine`` runs a given Normalizer instead, whose
-    counts can be read after the call; it takes the place of ``seed`` and
-    ``max_steps``."""
+    confluence checks.  A ``Normalizer`` also takes a step budget, and its
+    counts can be read after the call."""
     if isinstance(e, str):
         e = parse(e)
-    if engine is None:
-        engine = Normalizer.with_seed(seed, max_steps)
-    elif seed is not None or max_steps is not None:
-        raise TypeError("give seed and max_steps to the engine, not with it")
-    return engine.normalize(e)
+    return Normalizer(seed).normalize(e)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,12 +982,7 @@ class TableReport(Record):
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "rows": self.rows,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
+        return {**super().to_json(), "passed": self.passed}
 
 
 # Largest n_max of ``example_61_sequence``.  Its largest row,

@@ -207,14 +207,6 @@ class CheckReport(Record):
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "harness": self.harness,
-            "max_len": self.max_len,
-            "words_checked": self.words_checked,
-            "failures": self.failures,
-        }
-
 
 # A harness's generators: the two families of named centered matrices and
 # the names of the partial-isometry generators among them.

@@ -213,6 +213,13 @@ def kreweras(p: NCPartition) -> NCPartition:
     gamma = (1 2 ... n) (Biane 1997; Nica-Speicher 2006, Lecture 9).  The
     orbit of s under x -> pi^-1(x + 1), indices mod n, is one block of
     K(p); the walk is linear in n.
+
+    The result is built directly, in ``NCPartition``'s canonical form.  Each
+    walk starts at the least element not yet seen, so the blocks come
+    ordered by least element.  Since pi lies below gamma in the absolute
+    order, so does pi^-1 gamma, whose cycles therefore run in increasing
+    cyclic order (Biane 1997): started at its least element, each block is
+    already sorted.
     """
     n = p.n
     prev = [0] * (n + 1)  # prev[x] = pi^-1(x), the element before x in its block
@@ -220,7 +227,7 @@ def kreweras(p: NCPartition) -> NCPartition:
         for i, x in enumerate(b):
             prev[x] = b[i - 1]
     seen = [False] * (n + 1)
-    blocks: List[List[int]] = []
+    blocks: List[Tuple[int, ...]] = []
     for s in range(1, n + 1):
         if seen[s]:
             continue
@@ -230,8 +237,8 @@ def kreweras(p: NCPartition) -> NCPartition:
             seen[x] = True
             block.append(x)
             x = prev[x % n + 1]
-        blocks.append(block)
-    return NCPartition.from_blocks(n, blocks)
+        blocks.append(tuple(block))
+    return NCPartition(n, tuple(blocks))
 
 
 def interval_blocks(p: NCPartition) -> List[Tuple[int, ...]]:
@@ -251,15 +258,6 @@ class LemmaReport(Record):
         self.intervals_checked = intervals_checked
         self.passed = passed
         self.counterexample = counterexample
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "partitions_checked": self.partitions_checked,
-            "intervals_checked": self.intervals_checked,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-        }
 
 
 def linked_nc(n: int) -> List[NCPartition]:

@@ -14,6 +14,9 @@ writes its own ``__init__``.  The bases add what the decorator generated:
 * ``==`` between two instances of one class compares the field tuples; any
   other operand gives ``NotImplemented``;
 * ``repr`` is ``Name(field=value, ...)``;
+* ``to_json`` is the dict of the fields in ``_fields`` order, which is the
+  key order the CLI prints (a report that adds a key or converts a value
+  extends this dict);
 * ``Record`` is mutable and unhashable; ``FrozenRecord`` hashes its field
   tuple and raises ``AttributeError`` on any assignment, so its ``__init__``
   stores each field with ``object.__setattr__``, which also keeps the
@@ -64,6 +67,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def to_json(self) -> dict:
+        return dict(zip(self._fields, self._values(self)))
 
 
 class FrozenRecord(Record):

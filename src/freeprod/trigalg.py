@@ -28,6 +28,30 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
+def _signed_sum(terms) -> str:
+    """The text of a sum of (coefficient, name) terms, name None for the
+    constant term: ``q``, ``name``, ``-name`` or ``q*name`` per term, a
+    negative term joined by `` - ``, the others by `` + ``; "0" when there
+    are no terms."""
+    out = ""
+    for q, name in terms:
+        if name is None:
+            body = str(q)
+        elif q == 1:
+            body = name
+        elif q == -1:
+            body = "-" + name
+        else:
+            body = f"{q}*{name}"
+        if not out:
+            out = body
+        elif body.startswith("-"):
+            out += " - " + body[1:]
+        else:
+            out += " + " + body
+    return out or "0"
+
+
 class PiValue:
     """An element of Q[L], L standing for 1/pi.  Immutable.
 
@@ -163,28 +187,8 @@ class PiValue:
         return float(sum(float(q) * lam**deg for deg, q in self.items()))
 
     def __str__(self):
-        if not self._num:
-            return "0"
-        parts = []
-        for deg, q in self.items():
-            if deg == 0:
-                body = str(q)
-            else:
-                lpow = "L" if deg == 1 else f"L^{deg}"
-                if q == 1:
-                    body = lpow
-                elif q == -1:
-                    body = "-" + lpow
-                else:
-                    body = f"{q}*{lpow}"
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
+        return _signed_sum((q, None if deg == 0 else "L" if deg == 1 else f"L^{deg}")
+                           for deg, q in self.items())
 
     def __repr__(self):
         return f"PiValue({self})"
@@ -313,28 +317,9 @@ class TrigPoly:
         return total
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for (kind, k), q in self._key:
-            if kind == "c" and k == 0:
-                body = str(q)
-            else:
-                name = kind if k == 1 else f"{kind}[{k}]"
-                if q == 1:
-                    body = name
-                elif q == -1:
-                    body = "-" + name
-                else:
-                    body = f"{q}*{name}"
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
+        return _signed_sum((q, None if kind == "c" and k == 0
+                            else kind if k == 1 else f"{kind}[{k}]")
+                           for (kind, k), q in self._key)
 
     def __repr__(self):
         return f"TrigPoly({self})"

@@ -240,16 +240,7 @@ _EXPR_TEXT = st.one_of(st.text(max_size=30),
 def test_normalize_any_text_exits_cleanly(text):
     """Every expression text ends in exit 0, 1 or 2 with no traceback, and
     an exit 2 prints exactly one error line."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(["normalize", "--expr", text])
-        except SystemExit as exc:  # argparse, when the text reads as an option
-            code = exc.code
-    assert code in (0, 1, 2)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
-    assert len(error_lines) == (code != 0), err.getvalue()
+    _main_exits_cleanly(["normalize", "--expr", text])
 
 
 def _main_exits_cleanly(argv):
@@ -434,7 +425,7 @@ def test_divergence_exits_2(monkeypatch, capsys):
     def diverge(*args, **kwargs):
         raise freedim.DivergenceError("rewrite step limit exceeded")
 
-    monkeypatch.setattr(freedim, "normalize", diverge)
+    monkeypatch.setattr(freedim.Normalizer, "normalize", diverge)
     assert cli.main(["normalize", "--expr", "R * R"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: rewrite step limit exceeded"]
@@ -637,3 +628,22 @@ GOLDEN_INVOCATIONS = [
                          ids=[" ".join(a) for a in GOLDEN_INVOCATIONS])
 def test_byte_identical_across_runs(argv):
     assert run_cli(*argv) == run_cli(*argv)
+
+
+# Recorded stdout of one invocation per report type, JSON key order
+# included (``json.dumps`` keeps the order ``to_json`` gives).
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+RECORDED_JSON = {
+    "nc-lemma_n4.json": ["nc-lemma", "--n", "4", "--json"],
+    "tables_example61_n2.json": ["tables", "--table", "example61", "--n-max", "2", "--json"],
+    "free-check_PQ_3.json": ["free-check", "--model", "PQ", "--max-len", "3"],
+    "normalize_RR_steps.json": ["normalize", "--expr", "R * R", "--steps", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_JSON)
+def test_json_bytes_match_recorded(name):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(RECORDED_JSON[name]) == 0
+    assert out.getvalue() == (GOLDEN_DIR / name).read_text(encoding="utf-8")

@@ -864,7 +864,7 @@ def test_memo_counters():
         assert engine.rule_counts == {"R1": 63, "R3": 31, "R5": 31, "R6inv": 31,
                                       "R7": 93, "R13": 128}
         assert sum(engine.rule_counts.values()) == len(steps) == 377
-    seeded = Normalizer(rng=random.Random(1))
+    seeded = Normalizer(seed=1)
     _, steps = seeded.normalize(parse("C^64 * C^64"))
     assert (seeded.memo_hits, seeded.memo_misses) == (0, 0)
     assert sum(seeded.rule_counts.values()) == len(steps)
@@ -939,29 +939,26 @@ def test_every_expression_class_has_a_dispatched_kind():
 
 
 def test_normalize_runs_a_given_engine():
-    """``normalize(engine=...)`` gives the seeded run's log and leaves the
-    engine's counts readable; a seed or budget next to it is refused."""
-    engine = Normalizer.with_seed(2)
-    nf, steps = normalize("M2(C^16) * C^16 * R", engine=engine)
+    """A seeded ``Normalizer`` gives the seeded run's log and leaves its
+    counts readable."""
+    engine = Normalizer(seed=2)
+    nf, steps = engine.normalize(parse("M2(C^16) * C^16 * R"))
     assert (nf, steps) == normalize("M2(C^16) * C^16 * R", seed=2)
     assert sum(engine.rule_counts.values()) == len(steps)
-    for kwargs in ({"seed": 2}, {"max_steps": 10}):
-        with pytest.raises(TypeError):
-            normalize("R * R", engine=engine, **kwargs)
 
 
 def test_divergence_guard_can_fire():
     with pytest.raises(DivergenceError):
-        normalize("R * R", max_steps=1)
+        Normalizer(max_steps=1).normalize(parse("R * R"))
 
 
 @pytest.mark.parametrize("text", ["C^64 * C^64", "M2(C^16) * C^16 * R"])
 def test_step_budget_is_exact(text):
     _, steps = normalize(text)
-    nf, again = normalize(text, max_steps=len(steps))
+    nf, again = Normalizer(max_steps=len(steps)).normalize(parse(text))
     assert [s.to_json() for s in again] == [s.to_json() for s in steps]
     with pytest.raises(DivergenceError):
-        normalize(text, max_steps=len(steps) - 1)
+        Normalizer(max_steps=len(steps) - 1).normalize(parse(text))
 
 
 def test_step_budget_inside_repeated_reductions():

@@ -183,6 +183,17 @@ def test_kreweras_examples():
     assert kreweras(p) == NCPartition.from_blocks(4, [[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kreweras_is_built_canonical(n):
+    """``kreweras`` builds its result without ``from_blocks``; the blocks
+    must already be what validating them gives: non-crossing, each sorted,
+    ordered by least element."""
+    for p in enumerate_nc(n):
+        comp = kreweras(p)
+        canon = NCPartition.from_blocks(n, comp.blocks)
+        assert comp == canon and comp.blocks == canon.blocks, p
+
+
 def _blocks_cross(b1: Tuple[int, ...], b2: Tuple[int, ...]) -> bool:
     # b1, b2 sorted and disjoint; they cross iff, scanning the merged
     # sequence, the runs alternate more than twice (ABAB pattern).
@@ -281,11 +292,31 @@ def nc_partitions(draw, max_n=10):
     return parts[draw(st.integers(0, len(parts) - 1))]
 
 
+@st.composite
+def large_nc_partitions(draw, max_n=60):
+    """A partition of up to ``max_n`` points, past what can be enumerated,
+    built by the open-block rule: each element opens a block or, after
+    closing some of the open blocks, continues the innermost one left."""
+    n = draw(st.integers(1, max_n))
+    blocks, stack = [], []
+    for x in range(1, n + 1):
+        closes = draw(st.integers(-1, len(stack) - 1))  # -1: open a block
+        if closes < 0:
+            stack.append([x])
+            blocks.append(stack[-1])
+        else:
+            del stack[len(stack) - closes:]
+            stack[-1].append(x)
+    return NCPartition.from_blocks(n, blocks)
+
+
 @settings(deadline=None, database=None)
-@given(nc_partitions())
+@given(st.one_of(nc_partitions(), large_nc_partitions()))
 def test_kreweras_twice_is_rotation(p):
     """K(K(p)) is p rotated by x -> x - 1 (mod n), and the block counts of
-    p and K(p) add up to n + 1."""
+    p and K(p) add up to n + 1.  The rotation is canonicalized by
+    ``from_blocks``, so this also checks that ``kreweras`` builds canonical
+    blocks on partitions too large to enumerate."""
     n = p.n
     comp = kreweras(p)
     assert len(p.blocks) + len(comp.blocks) == n + 1
