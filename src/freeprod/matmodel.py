@@ -65,16 +65,17 @@ def _word_text(word: _Word) -> str:
     return " ".join(reversed(names))
 
 
-# The entries checked on a genuine product: the diagonal ones, and all four
-# under a full check.
+# The entries a word checks: all four under a full check, else the diagonal
+# ones of a genuine product and none of a lone generator, whose Tr = 0 is the
+# walk's precondition.
 _DIAGONAL = ((0, 0), (1, 1))
 _ALL_ENTRIES = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
 def _transposed(traces: List[PiValue]) -> List[PiValue]:
-    """Entry traces in ``_DIAGONAL`` or ``_ALL_ENTRIES`` order, rearranged
-    for the transposed matrix: the off-diagonal pair swaps."""
-    return traces if len(traces) == 2 else [traces[0], traces[1], traces[3], traces[2]]
+    """Entry traces in the order of the entries checked, rearranged for the
+    transposed matrix: the off-diagonal pair, if any, swaps."""
+    return traces[:2] + traces[3:1:-1]
 
 
 def _report_entries(report: "CheckReport", word: _Word,
@@ -138,15 +139,15 @@ class Mat2:
         z = NCPoly.zero()
         return cls(fp, ((a, z), (z, d)))
 
+    def entry(self, other: "Mat2", i: int, j: int) -> NCPoly:
+        """Entry (i, j) of ``self @ other``, formed alone."""
+        mul, a, b = self.fp.mul, self.e[i], other.e
+        return mul(a[0], b[0][j]) + mul(a[1], b[1][j])
+
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        a, b = self.e, other.e
-        mul = self.fp.mul
-        return Mat2(self.fp, (
-            (mul(a[0][0], b[0][0]) + mul(a[0][1], b[1][0]),
-             mul(a[0][0], b[0][1]) + mul(a[0][1], b[1][1])),
-            (mul(a[1][0], b[0][0]) + mul(a[1][1], b[1][0]),
-             mul(a[1][0], b[0][1]) + mul(a[1][1], b[1][1])),
-        ))
+        e = self.entry
+        return Mat2(self.fp, ((e(other, 0, 0), e(other, 0, 1)),
+                              (e(other, 1, 0), e(other, 1, 1))))
 
     def __add__(self, other: "Mat2") -> "Mat2":
         a, b = self.e, other.e
@@ -224,8 +225,7 @@ class MatrixModel:
         f = self.fp.leg("f")
         u = self.fp.leg("u")
         v = self.fp.leg("v")
-        self._c = f.c()
-        self._s = f.s()
+        c, s = f.c(), f.s()
         self._u = u
         self._v = v
         nc = lambda *letters: self.fp.normalize(letters)  # noqa: E731
@@ -233,7 +233,7 @@ class MatrixModel:
         fp_ = self.fp
         self.U = Mat2(fp_, ((z, nc(u.gen(1))), (z, z)))
         self.V = Mat2(fp_, ((z, nc(v.gen(1))), (z, z)))
-        self.W = Mat2(fp_, ((nc(self._c), -nc(self._s)), (nc(self._s), nc(self._c))))
+        self.W = Mat2(fp_, ((nc(c), -nc(s)), (nc(s), nc(c))))
         self.X = self.W @ self.V @ self.W.adjoint()
         self.P = self.U @ self.U.adjoint()
         self.Q = self.X @ self.X.adjoint()
@@ -321,18 +321,19 @@ class MatrixModel:
                        offdiag_names: Iterable[str] = ()) -> CheckReport:
         """Every alternating product g1 h1 g2 h2 ... (all four start/end
         patterns, lengths 1..max_len) of centered generators must have
-        Tr = 0; genuine products (length >= 2) must also have both diagonal
-        entries of scalar trace 0, and products containing a generator
-        listed in ``offdiag_names`` (the partial-isometry generators) are
-        checked on all four entries.  A lone centered generator only
-        carries the matrix-trace identity: diag(1, -1) has Tr = 0 but its
-        diagonal entries are not scalar-trace-free.
+        Tr = 0.  Genuine products (length >= 2) must have both diagonal
+        entries of scalar trace 0, and every word containing a generator
+        listed in ``offdiag_names`` (the partial-isometry generators) is
+        checked on all four entries.  A lone generator's Tr = 0 is the
+        precondition, so it checks no entry unless it is a full check:
+        diag(1, -1) has Tr = 0 but its diagonal entries are not
+        scalar-trace-free.
 
         ``words_checked`` counts every word.  Adjoint pairing: when each
         family is closed under adjoint (exact ``Mat2`` equality, generators
         matched by position, not by name) and ``offdiag_names`` is closed
-        under that map, the walk meets every genuine product w and its
-        adjoint w*, at the same length and with the same entries checked.
+        under that map, the walk meets every word w and its adjoint w*, at
+        the same length and with the same entries checked.
         The trace is a *-trace with real values, so tr((w*)_ij) = tr(w_ji):
         whichever of the two comes second in the walk has its entries
         derived from those of the first, transposed, rather than traced.
@@ -350,8 +351,9 @@ class MatrixModel:
             raise ValueError(f"{harness} up to max_len {max_len} would check more "
                              f"than {MAX_HARNESS_WORDS} words")
         for name, g in list(gen_a) + list(gen_b):
-            if not g.Tr().is_zero():
-                raise ValueError(f"generator {name} is not centered: Tr = {g.Tr()}")
+            t = g.Tr()
+            if not t.is_zero():
+                raise ValueError(f"generator {name} is not centered: Tr = {t}")
         offdiag = frozenset(offdiag_names)
         report = CheckReport(harness, max_len, 0)
         families = (list(gen_a), list(gen_b))
@@ -382,28 +384,26 @@ class MatrixModel:
             prod, g, word, rank, rev, size, full_check, nxt, other, remaining = stack.pop()
             if g is not None:
                 report.words_checked += 1
-                if prod is None:
-                    prod = g
-                    self._check_single(report, g, word, full_check)
+                entries = (_ALL_ENTRIES if full_check else
+                           _DIAGONAL if prod is not None else ())
+                # a leaf forms no product, only its checked entries from its parent
+                parent = prod
+                prod = g if parent is None else parent @ g if remaining else None
+                key = (remaining, rank)
+                traces = pending.pop(key, None)
+                if traces is not None:
+                    report.entries_derived += len(traces)
                 else:
-                    entries = _ALL_ENTRIES if full_check else _DIAGONAL
-                    if remaining:
-                        prod = prod @ g
-                    key = (remaining, rank)
-                    traces = pending.pop(key, None)
-                    if traces is not None:
-                        report.entries_derived += len(traces)
-                    else:
-                        traces = ([self.fp.trace(prod.e[i][j]) for i, j in entries]
-                                  if remaining else
-                                  [self._leaf_trace(prod, g, i, j) for i, j in entries])
-                        report.entries_traced += len(traces)
-                        if adj:
-                            # the adjoint starts in the family of the last generator
-                            adj_key = (remaining, other[0] * size + rev)
-                            if adj_key != key:
-                                pending[adj_key] = _transposed(traces)
-                    _report_entries(report, word, entries, traces)
+                    traces = [self.fp.trace(prod.e[i][j] if prod is not None
+                                            else parent.entry(g, i, j))
+                              for i, j in entries]
+                    report.entries_traced += len(traces)
+                    if adj:
+                        # the adjoint starts in the family of the last generator
+                        adj_key = (remaining, other[0] * size + rev)
+                        if adj_key != key:
+                            pending[adj_key] = _transposed(traces)
+                _report_entries(report, word, entries, traces)
             if remaining:
                 radix = len(nxt[1])
                 for pos, adj_pos, name, h in reversed(nxt[1]):
@@ -412,25 +412,6 @@ class MatrixModel:
                                   full_check or name in offdiag, other, nxt, remaining - 1))
         assert not pending, f"{len(pending)} adjoint partners never walked"
         return report
-
-    def _check_single(self, report: CheckReport, g: Mat2, word: _Word,
-                      full_check: bool) -> None:
-        """Check a lone generator: Tr, and all four entries under a full
-        check."""
-        t = g.Tr()
-        report.entries_traced += 2
-        if not t.is_zero():
-            report.failures.append({"word": _word_text(word), "entry": "Tr",
-                                    "value": str(t)})
-        if full_check:
-            report.entries_traced += 4
-            _report_entries(report, word, _ALL_ENTRIES,
-                            [self.fp.trace(g.e[i][j]) for i, j in _ALL_ENTRIES])
-
-    def _leaf_trace(self, prod: Mat2, g: Mat2, i: int, j: int) -> PiValue:
-        """The trace of entry (i, j) of ``prod @ g``, formed alone."""
-        mul, p, q = self.fp.mul, prod.e[i], g.e
-        return self.fp.trace(mul(p[0], q[0][j]) + mul(p[1], q[1][j]))
 
     # -- embedded submodels ---------------------------------------------------
 

@@ -382,7 +382,7 @@ def test_free_check_stats_line(capsys):
     stats = capsys.readouterr()
     assert plain.err == ""
     assert stats.out == plain.out
-    assert stats.err == "stats: words_checked=78 entries_traced=178 entries_derived=130\n"
+    assert stats.err == "stats: words_checked=78 entries_traced=158 entries_derived=138\n"
 
 
 def test_free_check_unknown_model_exit_2():

@@ -125,6 +125,25 @@ def test_matrix_trace_is_tracial(mm, seed):
     assert (a @ b).Tr() == (b @ a).Tr()
 
 
+@pytest.mark.parametrize("name", HARNESSES)
+def test_product_entry(mm, name):
+    """a.entry(b, i, j) is entry (i, j) of a @ b, and both equal
+    sum_k a_ik b_kj formed here, for every ordered pair of generators of
+    the harness's two families.  ``@`` is built from ``entry``, so the sum
+    is what tells a wrong entry formula."""
+    gen_a, gen_b, _ = mm.generators(name)
+    gens = [g for _, g in gen_a + gen_b]
+    for a in gens:
+        for b in gens:
+            prod = a @ b
+            for i in range(2):
+                for j in range(2):
+                    want = NCPoly.zero()
+                    for k in range(2):
+                        want = want + mm.fp.mul(a.e[i][k], b.e[k][j])
+                    assert a.entry(b, i, j) == prod.e[i][j] == want
+
+
 # -- freeness harnesses ------------------------------------------------------------
 
 
@@ -394,21 +413,28 @@ def test_unpairable_generators_take_the_plain_walk(mm, gen_a, offdiag):
 
 
 def test_entry_counts_ux3(mm):
-    """UX:3 checks 78 words.  Length 1: 6 Tr's (2 traces each) and 4 full
-    checks (4 each), 28 traced.  Length 2: 68 entries in 9 adjoint pairs,
-    34 traced and 34 derived.  Length 3: 212 entries; the 6 self-adjoint
-    words (U 2Q0 U*, U* 2Q0 U, 2P0 2Q0 2P0 and the b-side three) have 20,
-    all traced, and the other 192 split evenly.  Dropping X* from the
-    off-diagonal names leaves that set open under adjoint, so the plain walk
-    traces every checked entry: 24 + 64 + 104 + 100 = 292, by length and
-    start, with 2P0, 2Q0 and X* now diagonal-only."""
+    """UX:3 checks 78 words.  Length 1: the full checks of lone U and X are
+    traced (4 each), U* and X* take theirs from them, and 2P0 and 2Q0 check
+    no entry, so 8 traced and 8 derived.  Length 2: 68 entries in 9 adjoint
+    pairs, 34 traced and 34 derived.  Length 3: 212 entries; the 6
+    self-adjoint words (U 2Q0 U*, U* 2Q0 U, 2P0 2Q0 2P0 and the b-side
+    three) have 20, all traced, and the other 192 split evenly.  Dropping X*
+    from the off-diagonal names leaves that set open under adjoint, so the
+    plain walk traces every checked entry: 12 + 64 + 104 + 100 = 280, by
+    length and start, with 2P0, 2Q0 and X* now diagonal-only.  At length 1
+    alone, UX checks the four partial isometries and matrix checks nothing."""
     gen_a, gen_b, offdiag = mm.generators("UX")
     report = mm.check_freeness(gen_a, gen_b, 3, "UX", offdiag)
     assert (report.words_checked, report.entries_traced, report.entries_derived) == (
-        78, 178, 130)
+        78, 158, 138)
     plain = mm.check_freeness(gen_a, gen_b, 3, "UX", offdiag - {"X*"})
     assert (plain.words_checked, plain.entries_traced, plain.entries_derived) == (
-        78, 292, 0)
+        78, 280, 0)
+    lone = mm.check_freeness(gen_a, gen_b, 1, "UX", offdiag)
+    assert (lone.words_checked, lone.entries_traced, lone.entries_derived) == (6, 8, 8)
+    gen_a, gen_b, offdiag = mm.generators("matrix")
+    lone = mm.check_freeness(gen_a, gen_b, 1, "matrix", offdiag)
+    assert (lone.words_checked, lone.entries_traced, lone.entries_derived) == (14, 0, 0)
 
 
 def assert_star_traced(mm, m):
