@@ -47,7 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from .ncpart import enumerate_nc, kreweras, weighted_nc
 from .record import FrozenRecord
 from . import trigalg
-from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _frac
+from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _as_pi, _frac
 
 MAX_WORD_LETTERS = 64
 MAX_CUMULANT_N = 10
@@ -94,9 +94,13 @@ class Leg:
 class TrigLeg(Leg):
     """The interval algebra of exact trig polynomials with trace
     (2/pi) * integral over [0, pi/2].  Basis letters are single cos/sin
-    terms with unit coefficient."""
+    terms with unit coefficient, one shared interned letter per (kind, k)."""
 
     kind = "trig"
+
+    def __init__(self, leg_id: str):
+        super().__init__(leg_id)
+        self._basis: Dict[Tuple[str, int], TrigLetter] = {}
 
     def letter(self, poly: TrigPoly) -> "TrigLetter":
         return TrigLetter(self.id, poly)
@@ -114,12 +118,18 @@ class TrigLeg(Leg):
         return trigalg.trace(letter.poly)
 
     def split(self, letter: "TrigLetter"):
+        # The basis letters come from the intern table, so the cache holds
+        # no second copy of any of them.
+        basis = self._basis
         out: List[Tuple[Fraction, Optional[Letter]]] = []
-        for (kind, k), q in letter.poly.items():
-            if kind == "c" and k == 0:
+        for key, q in letter.poly.items():
+            if key == ("c", 0):
                 out.append((q, None))
             else:
-                out.append((q, TrigLetter(self.id, TrigPoly({(kind, k): 1}))))
+                b = basis.get(key)
+                if b is None:
+                    b = basis[key] = _LETTERS[_intern(TrigLetter(self.id, TrigPoly({key: 1})))]
+                out.append((q, b))
         return out
 
 
@@ -457,9 +467,9 @@ class _Basis:
         scalar, parts = PI_ZERO, {}
         for q, b in leg.split(letter):
             if b is None:
-                scalar = PiValue.of(q)
+                scalar = _as_pi(q)
             else:
-                parts[_intern(b)] = PiValue.of(q)
+                parts[_intern(b)] = _as_pi(q)
         return (leg.trace(letter) if self._centered else scalar), parts
 
     def expand(self, x: int) -> tuple:

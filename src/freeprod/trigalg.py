@@ -178,7 +178,13 @@ class PiValue:
         try:
             return self._hash
         except AttributeError:
-            h = self._hash = hash((self._num, self._den))
+            # A value of degree 0 hashes as its rational, which it equals.
+            num = self._num
+            if len(num) > 1:
+                h = hash((num, self._den))
+            else:
+                h = hash(Fraction(num[0], self._den)) if num else 0
+            self._hash = h
             return h
 
     def eval_numeric(self) -> float:
@@ -233,22 +239,44 @@ PI_ONE = PiValue.of(1)
 class TrigPoly:
     """sum a_k cos(k theta) + sum b_k sin(k theta), rational, finitely many.
 
-    Terms are keyed ('c', k) with k >= 0 and ('s', k) with k >= 1; zero
-    coefficients are never stored, so equality and hashing are canonical.
-    The functions are real-valued, hence self-adjoint.
+    Terms are keyed ('c', k) with k >= 0 and ('s', k) with k >= 1.  Stored
+    as PiValue stores its values: integer numerators over one positive
+    common denominator, in lowest terms, zero numerators dropped and the
+    terms sorted by key, so each polynomial has exactly one representation.
+    Products reduce through the product-to-sum identities on the integers
+    and divide by one gcd.  The functions are real-valued, hence
+    self-adjoint.
     """
 
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms=None):
         d = {}
         if terms:
-            for (kind, k), q in dict(terms).items():
+            for key, q in dict(terms).items():
+                kind, k = key
                 if type(k) is not int:
                     raise TypeError(f"trig index must be an int, got {type(k).__name__}")
-                _fold_term(d, kind, k, _frac(q))
-        self._terms = d
-        self._key = tuple(sorted(d.items()))
+                if type(q) is not int:
+                    q = _frac(q)
+                # cos is even, sin is odd; sin(0) = 0.
+                if kind == "s":
+                    if k == 0:
+                        continue
+                    if k < 0:
+                        q = -q
+                elif kind != "c":
+                    raise ValueError(f"unknown term kind {kind!r}")
+                if q:
+                    # a canonical key is stored as given, so the caller's
+                    # tuple is shared rather than copied
+                    if k < 0 or key.__class__ is not tuple:
+                        key = (kind, -k if k < 0 else k)
+                    d[key] = d.get(key, 0) + q
+        den = lcm(*(q.denominator for q in d.values()))
+        self._terms = tuple(sorted((key, q.numerator * (den // q.denominator))
+                                   for key, q in d.items() if q))
+        self._den = den
 
     @classmethod
     def zero(cls) -> "TrigPoly":
@@ -256,33 +284,46 @@ class TrigPoly:
 
     @classmethod
     def const(cls, q) -> "TrigPoly":
-        return cls({("c", 0): _frac(q)})
+        return cls({("c", 0): q if type(q) is int else _frac(q)})
 
     @classmethod
     def cos(cls, k: int = 1, q=1) -> "TrigPoly":
-        return cls({("c", k): _frac(q)})
+        return cls({("c", k): q if type(q) is int else _frac(q)})
 
     @classmethod
     def sin(cls, k: int = 1, q=1) -> "TrigPoly":
-        return cls({("s", k): _frac(q)})
+        return cls({("s", k): q if type(q) is int else _frac(q)})
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def items(self):
-        return iter(self._key)
+        den = self._den
+        return ((key, Fraction(n, den)) for key, n in self._terms)
 
     def __add__(self, other):
-        other = _as_trig(other)
-        d = dict(self._terms)
-        for key, q in other._terms.items():
-            d[key] = d.get(key, Fraction(0)) + q
-        return TrigPoly(d)
+        if other.__class__ is not TrigPoly:
+            other = _as_trig(other)
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self._den, other._den
+        if da == db:
+            sa = sb = 1
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+        d = dict(a) if sa == 1 else {key: n * sa for key, n in a}
+        for key, n in b:
+            d[key] = d.get(key, 0) + n * sb
+        return _trig_reduced(d, da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly({key: -q for key, q in self._terms.items()})
+        return _trig(tuple((key, -n) for key, n in self._terms), self._den)
 
     def __sub__(self, other):
         return self + (-_as_trig(other))
@@ -292,8 +333,8 @@ class TrigPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _frac(other)
-            return TrigPoly({key: c * q for key, c in self._terms.items()})
+            return _trig_reduced({key: n * other.numerator for key, n in self._terms},
+                                 self._den * other.denominator)
         other = _as_trig(other)
         return mul(self, other)
 
@@ -304,14 +345,20 @@ class TrigPoly:
             other = TrigPoly.const(other)
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return self._key == other._key
+        return self._terms == other._terms and self._den == other._den
 
     def __hash__(self):
-        return hash(self._key)
+        # A constant hashes as its rational, which it equals.
+        terms = self._terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and terms[0][0] == _CONST_KEY:
+            return hash(Fraction(terms[0][1], self._den))
+        return hash((terms, self._den))
 
     def eval_numeric(self, theta: float) -> float:
         total = 0.0
-        for (kind, k), q in self._terms.items():
+        for (kind, k), q in self.items():
             f = math.cos if kind == "c" else math.sin
             total += float(q) * f(k * theta)
         return total
@@ -319,10 +366,39 @@ class TrigPoly:
     def __str__(self):
         return _signed_sum((q, None if kind == "c" and k == 0
                             else kind if k == 1 else f"{kind}[{k}]")
-                           for (kind, k), q in self._key)
+                           for (kind, k), q in self.items())
 
     def __repr__(self):
         return f"TrigPoly({self})"
+
+
+_CONST_KEY = ("c", 0)  # the key of the constant term
+
+
+def _trig(terms: tuple, den: int) -> TrigPoly:
+    """A TrigPoly from sorted (key, numerator) terms and a denominator
+    already in canonical form."""
+    f = object.__new__(TrigPoly)
+    f._terms = terms
+    f._den = den
+    return f
+
+
+def _trig_reduced(d: dict, den: int) -> TrigPoly:
+    """Canonical form of the numerators ``d`` (key -> int) over ``den``:
+    drop the zeros, divide out the common factor, sort by key."""
+    terms = [(key, n) for key, n in d.items() if n]
+    if not terms:
+        return _TRIG_ZERO
+    g = gcd(den, *(n for _, n in terms))
+    if g != 1:
+        terms = [(key, n // g) for key, n in terms]
+        den //= g
+    terms.sort()
+    return _trig(tuple(terms), den)
+
+
+_TRIG_ZERO = _trig((), 1)
 
 
 def _as_trig(x) -> TrigPoly:
@@ -333,28 +409,6 @@ def _as_trig(x) -> TrigPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to TrigPoly")
 
 
-def _fold_term(d: dict, kind: str, k: int, q: Fraction) -> None:
-    # cos is even, sin is odd; sin(0) = 0.
-    if kind == "c":
-        if k < 0:
-            k = -k
-    elif kind == "s":
-        if k < 0:
-            k, q = -k, -q
-        if k == 0:
-            return
-    else:
-        raise ValueError(f"unknown term kind {kind!r}")
-    if not q:
-        return
-    key = (kind, k)
-    new = d.get(key, Fraction(0)) + q
-    if new:
-        d[key] = new
-    else:
-        d.pop(key, None)
-
-
 def mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Exact product via product-to-sum:
 
@@ -363,26 +417,31 @@ def mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
         sin a cos b = (sin(a+b) + sin(a-b)) / 2
         cos a sin b = (sin(a+b) - sin(a-b)) / 2
 
-    Negative indices fold back by parity.
+    Negative indices fold back by parity.  The numerators multiply as
+    integers over the denominator 2 * f's * g's, reduced once at the end.
     """
-    half = Fraction(1, 2)
     d: dict = {}
-    for (k1, a), q1 in f._terms.items():
-        for (k2, b), q2 in g._terms.items():
-            q = q1 * q2 * half
-            if k1 == "c" and k2 == "c":
-                _fold_term(d, "c", a - b, q)
-                _fold_term(d, "c", a + b, q)
-            elif k1 == "s" and k2 == "s":
-                _fold_term(d, "c", a - b, q)
-                _fold_term(d, "c", a + b, -q)
-            elif k1 == "s" and k2 == "c":
-                _fold_term(d, "s", a + b, q)
-                _fold_term(d, "s", a - b, q)
-            else:  # cos * sin
-                _fold_term(d, "s", a + b, q)
-                _fold_term(d, "s", a - b, -q)
-    return TrigPoly(d)
+    get = d.get
+    for (k1, a), x in f._terms:
+        for (k2, b), y in g._terms:
+            n = x * y
+            if k1 == k2:
+                key = ("c", a - b if a >= b else b - a)
+                d[key] = get(key, 0) + n
+                key = ("c", a + b)
+                d[key] = get(key, 0) + (n if k1 == "c" else -n)
+            else:
+                key = ("s", a + b)
+                d[key] = get(key, 0) + n
+                # sin(a-b) for sin a cos b, -sin(a-b) = sin(b-a) for cos a sin b
+                e = a - b if k1 == "s" else b - a
+                if e > 0:
+                    key = ("s", e)
+                    d[key] = get(key, 0) + n
+                elif e < 0:
+                    key = ("s", -e)
+                    d[key] = get(key, 0) - n
+    return _trig_reduced(d, 2 * f._den * g._den)
 
 
 def trace(f: TrigPoly) -> PiValue:
@@ -392,27 +451,32 @@ def trace(f: TrigPoly) -> PiValue:
         (2/pi) int cos(k t) dt = (2/k) sin(k pi/2) * L
         (2/pi) int sin(k t) dt = (2/k) (1 - cos(k pi/2)) * L
     and sin(k pi/2), cos(k pi/2) take values in {0, +1, -1} by k mod 4,
-    so the result has degree <= 1 in L.
+    so the result has degree <= 1 in L.  The L coefficient is summed over
+    the least common multiple of the indices, as integers.
     """
-    const = Fraction(0)
-    lam = Fraction(0)
-    for (kind, k), q in f._terms.items():
+    const = 0
+    weighted = []  # (numerator * weight, k) of the terms with an L part
+    for (kind, k), n in f._terms:
         if kind == "c":
             if k == 0:
-                const += q
+                const = n
             else:
                 r = k % 4
                 if r == 1:
-                    lam += q * Fraction(2, k)
+                    weighted.append((2 * n, k))
                 elif r == 3:
-                    lam -= q * Fraction(2, k)
+                    weighted.append((-2 * n, k))
         else:
             r = k % 4
             if r == 2:
-                lam += q * Fraction(4, k)
+                weighted.append((4 * n, k))
             elif r % 2 == 1:
-                lam += q * Fraction(2, k)
-    return PiValue({0: const, 1: lam})
+                weighted.append((2 * n, k))
+    if not weighted:
+        return _reduced([const], f._den)
+    m = lcm(*(k for _, k in weighted))
+    lam = sum(n * (m // k) for n, k in weighted)
+    return _reduced([const * m, lam], f._den * m)
 
 
 # Deepest nesting of parentheses that ``parse_trig`` accepts.  The parser

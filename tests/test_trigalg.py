@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from freeprod.trigalg import (MAX_TRIG_DEPTH, MAX_TRIG_TERMS, PI_ONE, PI_ZERO, PiValue,
-                              TrigPoly, mul, parse_trig, trace)
+                              TrigPoly, _frac, _signed_sum, mul, parse_trig, trace)
 
 
 C = TrigPoly.cos(1)
@@ -489,3 +489,308 @@ def test_parse_trig_refuses_what_int_was_lenient_about(text):
     assert isinstance(reference_parse_trig(text), TrigPoly)
     with pytest.raises(ValueError):
         parse_trig(text)
+
+
+# -- the integer TrigPoly against the Fraction-dict one it replaced --------------
+
+
+class ReferenceTrigPoly:
+    """The Fraction-dict ``TrigPoly`` that the common-denominator one
+    replaced, verbatim with its ``_fold_term``, ``mul`` and ``trace`` below
+    but for the names.
+
+    sum a_k cos(k theta) + sum b_k sin(k theta), rational, finitely many.
+
+    Terms are keyed ('c', k) with k >= 0 and ('s', k) with k >= 1; zero
+    coefficients are never stored, so equality and hashing are canonical.
+    The functions are real-valued, hence self-adjoint.
+    """
+
+    __slots__ = ("_terms", "_key")
+
+    def __init__(self, terms=None):
+        d = {}
+        if terms:
+            for (kind, k), q in dict(terms).items():
+                if type(k) is not int:
+                    raise TypeError(f"trig index must be an int, got {type(k).__name__}")
+                reference_fold_term(d, kind, k, _frac(q))
+        self._terms = d
+        self._key = tuple(sorted(d.items()))
+
+    @classmethod
+    def zero(cls) -> "ReferenceTrigPoly":
+        return cls()
+
+    @classmethod
+    def const(cls, q) -> "ReferenceTrigPoly":
+        return cls({("c", 0): _frac(q)})
+
+    @classmethod
+    def cos(cls, k: int = 1, q=1) -> "ReferenceTrigPoly":
+        return cls({("c", k): _frac(q)})
+
+    @classmethod
+    def sin(cls, k: int = 1, q=1) -> "ReferenceTrigPoly":
+        return cls({("s", k): _frac(q)})
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def items(self):
+        return iter(self._key)
+
+    def __add__(self, other):
+        other = reference_as_trig(other)
+        d = dict(self._terms)
+        for key, q in other._terms.items():
+            d[key] = d.get(key, Fraction(0)) + q
+        return ReferenceTrigPoly(d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceTrigPoly({key: -q for key, q in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-reference_as_trig(other))
+
+    def __rsub__(self, other):
+        return reference_as_trig(other) + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            q = _frac(other)
+            return ReferenceTrigPoly({key: c * q for key, c in self._terms.items()})
+        other = reference_as_trig(other)
+        return reference_mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = ReferenceTrigPoly.const(other)
+        if not isinstance(other, ReferenceTrigPoly):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __str__(self):
+        return _signed_sum((q, None if kind == "c" and k == 0
+                            else kind if k == 1 else f"{kind}[{k}]")
+                           for (kind, k), q in self._key)
+
+
+def reference_as_trig(x) -> ReferenceTrigPoly:
+    if isinstance(x, ReferenceTrigPoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return ReferenceTrigPoly.const(x)
+    raise TypeError(f"cannot coerce {type(x).__name__} to TrigPoly")
+
+
+def reference_fold_term(d: dict, kind: str, k: int, q: Fraction) -> None:
+    # cos is even, sin is odd; sin(0) = 0.
+    if kind == "c":
+        if k < 0:
+            k = -k
+    elif kind == "s":
+        if k < 0:
+            k, q = -k, -q
+        if k == 0:
+            return
+    else:
+        raise ValueError(f"unknown term kind {kind!r}")
+    if not q:
+        return
+    key = (kind, k)
+    new = d.get(key, Fraction(0)) + q
+    if new:
+        d[key] = new
+    else:
+        d.pop(key, None)
+
+
+def reference_mul(f: ReferenceTrigPoly, g: ReferenceTrigPoly) -> ReferenceTrigPoly:
+    """Exact product via product-to-sum:
+
+        cos a cos b = (cos(a-b) + cos(a+b)) / 2
+        sin a sin b = (cos(a-b) - cos(a+b)) / 2
+        sin a cos b = (sin(a+b) + sin(a-b)) / 2
+        cos a sin b = (sin(a+b) - sin(a-b)) / 2
+
+    Negative indices fold back by parity.
+    """
+    half = Fraction(1, 2)
+    d: dict = {}
+    for (k1, a), q1 in f._terms.items():
+        for (k2, b), q2 in g._terms.items():
+            q = q1 * q2 * half
+            if k1 == "c" and k2 == "c":
+                reference_fold_term(d, "c", a - b, q)
+                reference_fold_term(d, "c", a + b, q)
+            elif k1 == "s" and k2 == "s":
+                reference_fold_term(d, "c", a - b, q)
+                reference_fold_term(d, "c", a + b, -q)
+            elif k1 == "s" and k2 == "c":
+                reference_fold_term(d, "s", a + b, q)
+                reference_fold_term(d, "s", a - b, q)
+            else:  # cos * sin
+                reference_fold_term(d, "s", a + b, q)
+                reference_fold_term(d, "s", a - b, -q)
+    return ReferenceTrigPoly(d)
+
+
+def reference_trace(f: ReferenceTrigPoly) -> PiValue:
+    """(2/pi) * integral of f over [0, pi/2], exactly, as an element of Q[L].
+
+    For k >= 1:
+        (2/pi) int cos(k t) dt = (2/k) sin(k pi/2) * L
+        (2/pi) int sin(k t) dt = (2/k) (1 - cos(k pi/2)) * L
+    and sin(k pi/2), cos(k pi/2) take values in {0, +1, -1} by k mod 4,
+    so the result has degree <= 1 in L.
+    """
+    const = Fraction(0)
+    lam = Fraction(0)
+    for (kind, k), q in f._terms.items():
+        if kind == "c":
+            if k == 0:
+                const += q
+            else:
+                r = k % 4
+                if r == 1:
+                    lam += q * Fraction(2, k)
+                elif r == 3:
+                    lam -= q * Fraction(2, k)
+        else:
+            r = k % 4
+            if r == 2:
+                lam += q * Fraction(4, k)
+            elif r % 2 == 1:
+                lam += q * Fraction(2, k)
+    return PiValue({0: const, 1: lam})
+
+
+# Coefficients as the constructor takes them: ints, Fractions and "p/q" text.
+_trig_coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds("{}/{}".format, st.integers(-12, 12), st.integers(1, 12)))
+
+
+@st.composite
+def _trig_term_dicts(draw):
+    """Term dicts over c[k], s[k] with negative indices and c[0]; sometimes
+    a term and its mirror c[-k] / s[-k] cancel after folding."""
+    d = draw(st.dictionaries(st.tuples(st.sampled_from("cs"), st.integers(-7, 7)),
+                             _trig_coeffs, max_size=5))
+    if d and draw(st.booleans()):
+        (kind, k), q = next(iter(d.items()))
+        q = _frac(q)
+        d[(kind, -k)] = (-q if kind == "c" else q) + (0 if k else -q)
+    return d
+
+
+def _same_poly(got: TrigPoly, want: ReferenceTrigPoly) -> None:
+    assert list(got.items()) == list(want.items())
+    assert all(type(q) is Fraction for _, q in got.items())
+    assert str(got) == str(want)
+    assert got.is_zero() == want.is_zero()
+    assert trace(got) == reference_trace(want)
+    assert str(trace(got)) == str(reference_trace(want))
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_trig_term_dicts(), _trig_term_dicts(), _trig_coeffs, st.integers(-5, 5))
+def test_trigpoly_agrees_with_fraction_reference(da, db, q, n):
+    a, b = TrigPoly(da), TrigPoly(db)
+    ra, rb = ReferenceTrigPoly(da), ReferenceTrigPoly(db)
+    q = _frac(q)
+    _same_poly(a, ra)
+    _same_poly(b, rb)
+    _same_poly(a + b, ra + rb)
+    _same_poly(a - b, ra - rb)
+    _same_poly(-a, -ra)
+    _same_poly(a * q, ra * q)
+    _same_poly(q * a, q * ra)
+    _same_poly(a * n, ra * n)
+    _same_poly(n - a, n - ra)
+    _same_poly(a + q, ra + q)
+    _same_poly(a * b, ra * rb)
+    _same_poly(mul(b, a), reference_mul(rb, ra))
+    _same_poly(mul(a, a), reference_mul(ra, ra))
+    assert (a == b) == (ra == rb)
+    assert (a == q) == (ra == q)
+    assert (a == n) == (ra == n)
+    # equal values built along different routes are one representation
+    for x, y in ((a + b - b, a), (mul(a, b), mul(b, a)), (mul(a + b, a), mul(a, a) + mul(b, a))):
+        assert x == y
+        assert hash(x) == hash(y)
+
+
+def test_trigpoly_error_messages_unchanged():
+    for bad in ({("x", 1): 1}, {("c", 1.0): 1}, {("c", 1): 1.5}, {("s", 0): None}):
+        for cls in (TrigPoly, ReferenceTrigPoly):
+            with pytest.raises((TypeError, ValueError)) as err:
+                cls(bad)
+            if cls is TrigPoly:
+                want = err
+            else:
+                assert (err.type, str(err.value)) == (want.type, str(want.value))
+    for build in (lambda cls: cls.cos(1.5), lambda cls: cls.sin(1, 1.5),
+                  lambda cls: cls.const(None), lambda cls: cls.cos(1) + 1.5):
+        errs = []
+        for cls in (TrigPoly, ReferenceTrigPoly):
+            with pytest.raises(TypeError) as err:
+                build(cls)
+            errs.append(str(err.value))
+        assert errs[0] == errs[1]
+
+
+def test_product_to_sum_all_four_kinds():
+    """One product per pair of kinds, with both index orders."""
+    s2, s3, c2, c3 = (TrigPoly.sin(2), TrigPoly.sin(3), TrigPoly.cos(2), TrigPoly.cos(3))
+    h = Fraction(1, 2)
+    assert mul(c3, c2) == TrigPoly.cos(1, h) + TrigPoly.cos(5, h)
+    assert mul(s3, s2) == TrigPoly.cos(1, h) - TrigPoly.cos(5, h)
+    assert mul(s3, c2) == TrigPoly.sin(5, h) + TrigPoly.sin(1, h)
+    assert mul(s2, c3) == TrigPoly.sin(5, h) - TrigPoly.sin(1, h)
+    assert mul(c3, s2) == TrigPoly.sin(5, h) - TrigPoly.sin(1, h)
+    assert mul(c2, s3) == TrigPoly.sin(5, h) + TrigPoly.sin(1, h)
+    assert mul(s2, s2) == TrigPoly.const(h) - TrigPoly.cos(4, h)
+
+
+def test_trigpoly_is_stored_in_lowest_terms():
+    """A product and a sum that land on an integer polynomial store it over
+    the denominator 1, as the constructor does."""
+    assert mul(C, C) * 2 - 1 == TrigPoly.cos(2)
+    for f in (mul(C, C) * 2 - 1, mul(S, S) * 4 + mul(C, C) * 4, TrigPoly.cos(2, Fraction(4, 2))):
+        assert f._den == 1
+        assert hash(f) == hash(TrigPoly(dict(f.items())))
+
+
+def test_trace_weights_by_index_mod_4():
+    lam = {1: 2, 2: 0, 3: -2, 4: 0, 5: 2, 7: -2}
+    for k, w in lam.items():
+        assert trace(TrigPoly.cos(k)) == PiValue.lam(Fraction(w, k))
+    sin = {1: 2, 2: 4, 3: 2, 4: 0, 6: 4}
+    for k, w in sin.items():
+        assert trace(TrigPoly.sin(k)) == PiValue.lam(Fraction(w, k))
+    assert trace(TrigPoly.cos(3) + TrigPoly.cos(1) * 3 + 5) == PiValue({0: 5, 1: Fraction(16, 3)})
+
+
+# -- a constant hashes as the rational it equals ---------------------------------
+
+
+@settings(deadline=None, database=None, max_examples=200)
+@given(st.one_of(st.integers(-50, 50), _rationals))
+def test_constants_hash_as_their_rational(q):
+    for value in (PiValue.of(q), TrigPoly.const(q), PiValue.of(q) + PiValue.lam(1) - PiValue.lam(1),
+                  mul(TrigPoly.const(q), TrigPoly.const(2)) * Fraction(1, 2)):
+        assert value == q
+        assert hash(value) == hash(q) == hash(Fraction(q))
+        assert len({value, q}) == 1
+    assert len({PI_ZERO, 0}) == len({TrigPoly.zero(), 0}) == 1
+    assert hash(TrigPoly.cos(0)) == hash(1)
