@@ -24,6 +24,17 @@ Two independent trace algorithms are provided and cross-checked:
   than the letters still to come are dropped on the way.  Memoized on the
   word.
 
+  The fold's prune rule takes a slack s: it keeps the words no longer
+  than the letters still to come plus s.  Folding x with slack s leaves
+  the *cut state* of x, its reduced centered words of at most s letters,
+  and that is all tr(x y) reads when every word of y has at most s
+  letters: ``cut_state`` builds it and ``pair`` folds y onto it with
+  slack 0.  The freeness walk traces its longest words this way, from
+  the state of the word one letter shorter.  This is the free product
+  written as a direct sum of tensor products of centered spaces
+  (Voiculescu-Dykema-Nica 1992; Nica-Speicher 2006, Lecture 6), cut at
+  length s; it is the same fold split in two, not a third evaluator.
+
 * ``trace_bipartite`` - the non-crossing partition formula for a word
   alternating between two free families: the sum over pi in NC(n) of the
   partitioned cumulant of the first family times the partitioned trace of
@@ -42,6 +53,7 @@ import re
 import sys
 import threading
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ncpart import enumerate_nc, kreweras, weighted_nc
@@ -284,14 +296,19 @@ class CommLetter(FrozenRecord):
     def __init__(self, leg: str, vec: Tuple[Fraction, ...]):
         object.__setattr__(self, "leg", leg)
         object.__setattr__(self, "vec", vec)
+        # compared and hashed as ints: the numerators over the least common
+        # denominator, which is unique for a given vector
+        den = lcm(*[x.denominator for x in vec])
+        object.__setattr__(self, "_key", (
+            leg, tuple([x.numerator * (den // x.denominator) for x in vec]), den))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.leg == other.leg and self.vec == other.vec
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.leg, self.vec))
+        return hash(self._key)
 
     def text(self) -> str:
         return "d{" + self.leg + ":" + ",".join(str(q) for q in self.vec) + "}"
@@ -400,6 +417,11 @@ class NCPoly:
         return self._terms.get(ids, PI_ZERO)
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
+        # NCPolys are immutable, so a zero summand gives back the other one
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         d = dict(self._terms)
         for w, c in other._terms.items():
             cur = d.get(w)
@@ -491,16 +513,17 @@ class _Basis:
         return got
 
     def fold(self, acc: Dict[IdWord, PiValue], letters: Sequence[int],
-             prune: bool) -> Dict[IdWord, PiValue]:
+             slack: Optional[int]) -> Dict[IdWord, PiValue]:
         """Append the letters one at a time to ``acc``, a combination of
         reduced words.  A letter x after a word ending in a letter a of its
         leg replaces a by ``products[a, x]``; after any other word it goes
-        in by its expansion.  With ``prune``, words longer than the letters
-        still to come are dropped."""
+        in by its expansion.  With a ``slack``, words longer than the
+        letters still to come plus the slack are dropped; None keeps every
+        word."""
         legs, expansions, products = _LETTER_LEGS, self.expansions, self.products
-        n = len(letters)
+        last = sys.maxsize if slack is None else len(letters) - 1 + slack
         for pos, x in enumerate(letters):
-            room = n - 1 - pos if prune else sys.maxsize
+            room = last - pos
             leg = legs[x]
             nxt: Dict[IdWord, PiValue] = {}
             for w, c in acc.items():
@@ -564,7 +587,7 @@ class FreeProduct:
             if letter.leg not in self.legs:
                 raise UnknownNameError(f"unknown leg {letter.leg!r}")
             ids.append(_intern(letter))
-        return NCPoly._of_ids(self._plain.fold({(): PI_ONE}, ids, prune=False))
+        return NCPoly._of_ids(self._plain.fold({(): PI_ONE}, ids, None))
 
     def word(self, letters: Sequence[Letter]) -> Word:
         """Normalize a letter sequence that is expected to stay a single
@@ -579,12 +602,14 @@ class FreeProduct:
         return terms[0][0]
 
     def mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
+        if not b._terms:
+            return b
         if not a._terms:
             return a
         out: Dict[IdWord, PiValue] = {}
         for w2, c2 in b._terms.items():
             piece = {w1: c1 * c2 for w1, c1 in a._terms.items()}
-            for w, c in self._plain.fold(piece, w2, prune=False).items():
+            for w, c in self._plain.fold(piece, w2, None).items():
                 cur = out.get(w)
                 out[w] = c if cur is None else cur + c
         return NCPoly._of_ids(out)
@@ -638,7 +663,7 @@ class FreeProduct:
         cached = self._tr_memo.get(word)
         if cached is not None:
             return cached
-        acc = self._centered.fold({(): PI_ONE}, word, prune=True)
+        acc = self._centered.fold({(): PI_ONE}, word, 0)
         result = acc.get((), PI_ZERO)
         self._tr_memo[word] = result
         return result
@@ -647,7 +672,44 @@ class FreeProduct:
         """Linear extension of the word trace to combinations."""
         total = PI_ZERO
         for w, c in nc._terms.items():
-            total = total + c * self._trace_word(w)
+            t = self._trace_word(w)
+            if t:
+                total = total + c * t
+        return total
+
+    # -- cut states ---------------------------------------------------------------
+
+    def cut_state(self, nc: NCPoly, slack: int,
+                  memo: Dict[IdWord, Dict[IdWord, PiValue]]) -> Dict[IdWord, PiValue]:
+        """The centered expansion of ``nc`` cut to its reduced words of at
+        most ``slack`` letters: all that ``pair`` needs to trace ``nc``
+        times a combination of words of at most ``slack`` letters, since
+        appending a letter shortens a reduced word by at most one.  A
+        word's state is kept in ``memo``, which the caller holds for one
+        slack.  At slack 0 the state is the trace."""
+        if not slack:
+            t = self.trace(nc)
+            return {(): t} if t else {}
+        out: Dict[IdWord, PiValue] = {}
+        for w, c in nc._terms.items():
+            state = memo.get(w)
+            if state is None:
+                state = memo[w] = self._centered.fold({(): PI_ONE}, w, slack)
+            for v, q in state.items():
+                add = c * q
+                cur = out.get(v)
+                out[v] = add if cur is None else cur + add
+        return out
+
+    def pair(self, state: Dict[IdWord, PiValue], nc: NCPoly) -> PiValue:
+        """tr(x nc) from the cut state of x (``cut_state``) at a slack no
+        shorter than any word of ``nc``: each word folded onto the state,
+        pruned as in the trace, gives its coefficient of the empty word."""
+        total = PI_ZERO
+        for w, c in nc._terms.items():
+            t = self._centered.fold(state, w, 0).get(())
+            if t:
+                total = total + c * t
         return total
 
     # -- trace by the partition formula ---------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .freeword import FiniteCommLeg, FreeProduct, NCPoly, standard_model
 from .record import Record
-from .trigalg import PiValue, TrigPoly
+from .trigalg import PI_ZERO, PiValue, TrigPoly
 
 # The most words one freeness walk may visit.  The largest harness length
 # in use, matrix:5, checks 39214 words (about 3 s on one core).
@@ -188,6 +188,49 @@ class Mat2:
     __repr__ = __str__
 
 
+class _LeafParent:
+    """The product ``left @ right`` of a word with one letter still to come,
+    never formed whole.  An entry is formed, once, when the word's own
+    check or one of its children reads it; a child, a leaf of the walk,
+    reads only the cut states (``FreeProduct.cut_state``) of the entries
+    its generator's nonzero entries meet, each also built once.  ``left``
+    is None for a lone generator, whose entries are those of ``right``."""
+
+    __slots__ = ("fp", "left", "right", "slack", "memo", "formed", "states")
+
+    def __init__(self, fp: FreeProduct, left: Optional[Mat2], right: Mat2,
+                 slack: int, memo: dict):
+        self.fp, self.left, self.right = fp, left, right
+        # the longest word of the children's generator entries, and the
+        # walk's memo of word states at that slack
+        self.slack, self.memo = slack, memo
+        self.formed: Dict[Tuple[int, int], NCPoly] = {}
+        self.states: Dict[Tuple[int, int], dict] = {}
+
+    def entry(self, i: int, j: int) -> NCPoly:
+        got = self.formed.get((i, j))
+        if got is None:
+            got = self.formed[i, j] = (self.right.e[i][j] if self.left is None
+                                       else self.left.entry(self.right, i, j))
+        return got
+
+    def child_trace(self, g: Mat2, i: int, j: int) -> PiValue:
+        """tr((self @ g)_ij) = sum over k of tr(p_ik g_kj), each term paired
+        from the cut state of p_ik."""
+        fp, total = self.fp, PI_ZERO
+        for k in (0, 1):
+            h = g.e[k][j]
+            if not h.is_zero():
+                state = self.states.get((i, k))
+                if state is None:
+                    state = self.states[i, k] = fp.cut_state(self.entry(i, k),
+                                                             self.slack, self.memo)
+                t = fp.pair(state, h)
+                if t:
+                    total = total + t
+        return total
+
+
 class CheckReport(Record):
     """Identity-check outcome; failures carry the offending item."""
 
@@ -337,10 +380,19 @@ class MatrixModel:
         The trace is a *-trace with real values, so tr((w*)_ij) = tr(w_ji):
         whichever of the two comes second in the walk has its entries
         derived from those of the first, transposed, rather than traced.
-        Otherwise every word is traced.  A longest word (a leaf of the walk)
-        forms only the entries it checks, each as sum_k p_ik g_kj, not its
-        product matrix.  The report's ``entries_traced`` and
-        ``entries_derived`` count the two kinds of entry.
+        Otherwise every word is traced.  The report's ``entries_traced``
+        and ``entries_derived`` count the two kinds of entry.
+
+        Only a word with two or more letters still to come forms its
+        product matrix (``Mat2 @``).  A word one letter short, the parent
+        of leaves, forms with ``Mat2.entry`` only the entries its own check
+        and its children read, each once.  A longest word (a leaf) forms
+        nothing: it traces each checked entry as sum_k tr(p_ik g_kj) from
+        the cut states (``FreeProduct.cut_state``) of its parent's entries
+        p_ik that meet a nonzero g_kj, each state built once per parent and
+        paired with g_kj (``FreeProduct.pair``).  A family's slack is the
+        longest word in its generators' entries; word states are memoized
+        for one walk.
 
         Precondition: every generator is centered (Tr = 0) - violations
         raise rather than report.
@@ -358,12 +410,17 @@ class MatrixModel:
         report = CheckReport(harness, max_len, 0)
         families = (list(gen_a), list(gen_b))
         adj = _adjoint_positions(families, offdiag)
-        # Each family as its index and its members: (position, position of
-        # the adjoint, name, matrix).  Without pairing the second position
-        # is never read.
+        # Each family as its index, its members: (position, position of the
+        # adjoint, name, matrix), and the slack of its words' states: the
+        # longest word in its generators' entries.  Without pairing the
+        # second position is never read.
         fams = [(f, [(pos, adj[f][pos] if adj else pos, name, g)
-                     for pos, (name, g) in enumerate(family)])
+                     for pos, (name, g) in enumerate(family)],
+                 max((len(w) for _, g in family for row in g.e for x in row
+                      for w, _ in x.terms()), default=0))
                 for f, family in enumerate(families)]
+        # The cut states of single words, per slack, for this walk only.
+        memos: Dict[int, dict] = {fam[2]: {} for fam in fams}
         # The entry traces of words whose adjoint partner was checked first,
         # under the word's key; each is popped when used.
         pending: Dict[Tuple[int, int], List[PiValue]] = {}
@@ -380,23 +437,33 @@ class MatrixModel:
         # positions, without its start digit.
         stack = [(None, None, None, 1, 0, 1, False, fams[1], fams[0], max_len),
                  (None, None, None, 0, 0, 1, False, fams[0], fams[1], max_len)]
+        trace = self.fp.trace
         while stack:
             prod, g, word, rank, rev, size, full_check, nxt, other, remaining = stack.pop()
             if g is not None:
                 report.words_checked += 1
                 entries = (_ALL_ENTRIES if full_check else
                            _DIAGONAL if prod is not None else ())
-                # a leaf forms no product, only its checked entries from its parent
+                # only a word with two or more letters still to come forms
+                # its product matrix; a leaf forms none
                 parent = prod
-                prod = g if parent is None else parent @ g if remaining else None
+                if remaining > 1:
+                    prod = g if parent is None else parent @ g
+                elif remaining:
+                    prod = _LeafParent(self.fp, parent, g, nxt[2], memos[nxt[2]])
                 key = (remaining, rank)
                 traces = pending.pop(key, None)
                 if traces is not None:
                     report.entries_derived += len(traces)
                 else:
-                    traces = [self.fp.trace(prod.e[i][j] if prod is not None
-                                            else parent.entry(g, i, j))
-                              for i, j in entries]
+                    if remaining > 1:
+                        traces = [trace(prod.e[i][j]) for i, j in entries]
+                    elif remaining:
+                        traces = [trace(prod.entry(i, j)) for i, j in entries]
+                    elif parent is None:
+                        traces = [trace(g.e[i][j]) for i, j in entries]
+                    else:
+                        traces = [parent.child_trace(g, i, j) for i, j in entries]
                     report.entries_traced += len(traces)
                     if adj:
                         # the adjoint starts in the family of the last generator

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from freeprod.freeword import (
     MAX_PARTITION_N,
     UNIT,
+    CommLetter,
     EvaluationLimitError,
     FamilySplitError,
     FiniteCommLeg,
@@ -217,6 +218,73 @@ def test_trace_word_length_guard(fp):
         letters.append(f.c())
     with pytest.raises(EvaluationLimitError):
         fp.trace_word(tuple(letters))
+
+
+# -- cut states ------------------------------------------------------------------
+
+
+def _pairing_model():
+    return standard_model([FiniteCommLeg("A", 2)])
+
+
+def _pairing_letters():
+    f, u, v, a = (_pairing_model().leg(name) for name in "fuvA")
+    return ([f.letter(TrigPoly({key: 1}))
+             for key in (("c", 0), ("c", 1), ("c", 2), ("s", 1), ("s", 2))]
+            + [leg.gen(k) for leg in (u, v) for k in (-2, -1, 1, 2)]
+            + [a.letter([x, y]) for x in range(-2, 3) for y in range(-2, 3)])
+
+
+PAIRING_LETTERS = _pairing_letters()
+
+
+def letter_polys(max_letters):
+    """Up to four raw letter sequences of the trig, Haar and two-atom legs,
+    each of at most ``max_letters`` letters (drawn as indices into
+    ``PAIRING_LETTERS``), with rational coefficients."""
+    letter = st.integers(0, len(PAIRING_LETTERS) - 1)
+    return st.lists(st.tuples(st.lists(letter, max_size=max_letters),
+                              st.fractions(-3, 3, max_denominator=4)), max_size=4)
+
+
+LETTER_POLYS = [letter_polys(n) for n in range(7)]
+
+
+def _nc_poly(fp, terms):
+    out = NCPoly.zero()
+    for letters, q in terms:
+        out = out + fp.normalize([PAIRING_LETTERS[i] for i in letters]).scaled(q)
+    return out
+
+
+@settings(deadline=None, database=None, max_examples=100)
+@given(st.data())
+def test_cut_state_pairing_matches_trace_of_product(data):
+    """The cut state of p at slack m, paired with g whose words have at most
+    m letters, gives tr(p g) as traced from the formed product; so does a
+    second p whose states come through the same memo."""
+    fp = _pairing_model()
+    m = data.draw(st.integers(0, 5), "slack")
+    g = _nc_poly(fp, data.draw(LETTER_POLYS[m], "g"))
+    memo = {}
+    for name in ("p", "q"):
+        p = _nc_poly(fp, data.draw(LETTER_POLYS[6], name))
+        state = fp.cut_state(p, m, memo)
+        assert all(len(w) <= m for w in state)
+        assert fp.pair(state, g) == fp.trace(fp.mul(p, g))
+
+
+def test_cut_state_keeps_the_words_a_pairing_reads(fp):
+    """tr(c c) = tr(c)^2 + tr((c - tr c)^2): at slack 1 the state of c
+    keeps its centered letter, which the pairing with c needs; at slack 0
+    it is tr(c) alone."""
+    f = fp.leg("f")
+    c = fp.normalize([f.c()])
+    want = fp.trace(fp.mul(c, c))
+    assert want == PiValue({0: Fraction(1, 2)}) != fp.trace(c) * fp.trace(c)
+    assert fp.pair(fp.cut_state(c, 1, {}), c) == want
+    assert fp.cut_state(c, 0, {}) == {(): fp.trace(c)}
+    assert fp.cut_state(NCPoly.zero(), 0, {}) == {}
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -667,3 +735,19 @@ def test_comm_leg_trace_is_uniform_average():
     assert fp.trace(nc) == PI_ONE  # mean of (3,0,0)
     sq = fp.mul(nc, nc)
     assert fp.trace(sq) == PiValue.of(3)  # mean of (9,0,0)
+
+
+@pytest.mark.parametrize("vec, same, other", [
+    ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 6), Fraction(2, 6)),
+     (Fraction(1, 2), Fraction(1, 4))),
+    ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)),
+     (Fraction(1, 3), Fraction(1, 3))),  # equal numerators, another denominator
+    ((1, -2, 0), (Fraction(1), Fraction(-2), Fraction(0)), (Fraction(1, 2), -1, 0)),
+])
+def test_comm_letters_compare_and_hash_by_leg_and_value(vec, same, other):
+    """Comm letters are equal, and hash alike, exactly when their legs and
+    their vectors are equal, whatever rationals spell the entries."""
+    x = CommLetter("A", vec)
+    assert x == CommLetter("A", same) and hash(x) == hash(CommLetter("A", same))
+    assert x != CommLetter("A", other)
+    assert x != CommLetter("B", vec)

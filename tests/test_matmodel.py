@@ -364,7 +364,7 @@ def test_walk_matches_reference(mm, data):
 
 
 @pytest.mark.parametrize("name, max_len, failures", [
-    ("UX", 4, 56), ("sum", 4, 56), ("matrix", 3, 80), ("PX", 5, 16)])
+    ("UX", 4, 56), ("sum", 4, 56), ("matrix", 3, 80), ("PX", 5, 16), ("UQ", 5, 120)])
 def test_non_free_walk_matches_reference(mm, name, max_len, failures):
     """A family walked against itself is not free: the failures, their order
     and their values equal the reference's."""
@@ -435,6 +435,24 @@ def test_entry_counts_ux3(mm):
     gen_a, gen_b, offdiag = mm.generators("matrix")
     lone = mm.check_freeness(gen_a, gen_b, 1, "matrix", offdiag)
     assert (lone.words_checked, lone.entries_traced, lone.entries_derived) == (14, 0, 0)
+
+
+@pytest.mark.parametrize("name, max_len, products", [
+    ("UX", 3, 0), ("UX", 4, 18), ("matrix", 3, 0), ("PX", 7, 72)])
+def test_walk_forms_products_only_two_letters_short(mm, name, max_len, products,
+                                                      monkeypatch):
+    """The walk calls ``Mat2 @`` once for each word of two or more
+    generators with at least two letters still to come: a lone generator
+    is its own product, a word one letter short forms only the entries
+    read from it, and a leaf forms none.  UX:4 has 18 words of length 2;
+    PX:7 has 6 + 12 + 18 + 36 words of lengths 2 to 5."""
+    gen_a, gen_b, offdiag = mm.generators(name)
+    calls = []
+    matmul = Mat2.__matmul__
+    monkeypatch.setattr(Mat2, "__matmul__",
+                        lambda self, other: calls.append(1) or matmul(self, other))
+    assert mm.check_freeness(gen_a, gen_b, max_len, name, offdiag).passed
+    assert len(calls) == products
 
 
 def assert_star_traced(mm, m):
