@@ -198,7 +198,8 @@ def cmd_free_check(args) -> int:
     if args.stats:
         print(f"stats: words_checked={report.words_checked} "
               f"entries_traced={report.entries_traced} "
-              f"entries_derived={report.entries_derived}", file=sys.stderr)
+              f"entries_derived={report.entries_derived} "
+              f"entries_skipped={report.entries_skipped}", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -300,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of " + ", ".join(matmodel.HARNESSES))
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--stats", action="store_true",
-                   help="print the words checked and the entry traces computed and "
-                        "taken from adjoint partners as one 'stats:' line on stderr")
+                   help="print the words checked and the entry traces computed, "
+                        "taken from adjoint partners and known to be zero from the "
+                        "word's degree as one 'stats:' line on stderr")
     p.set_defaults(fn=cmd_free_check)
 
     p = sub.add_parser("normalize", help="normalize a free-product expression")

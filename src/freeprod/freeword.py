@@ -45,6 +45,14 @@ Two independent trace algorithms are provided and cross-checked:
 Free cumulants are obtained from moments by inverting m_n = sum over pi in
 NC(n) of k_pi, with k_pi multiplicative over blocks, through the block that
 holds the first element; mixed cumulants across distinct legs vanish.
+
+A leg may grade its letters (``Leg.grade``): a Haar leg by the power of
+u, a two-atom leg by the parity of its centered letter.  Each grading
+comes from trace-preserving automorphisms of the leg, which extend to the
+free product (Voiculescu-Dykema-Nica 1992), so a word of nonzero degree in
+some leg has trace 0.  ``FreeProduct.grade`` gives the degrees the words
+of a combination share; the freeness walk skips the entries they force to
+zero.  Neither trace evaluator reads a grade.
 """
 
 from __future__ import annotations
@@ -92,12 +100,26 @@ class Leg:
     pairs with ``None`` standing for the identity).  Words over basis
     letters form a linear basis of the free product, so combinations built
     from them cancel exactly; so do words over the centered letters
-    b - tr(b), which is all the trace needs."""
+    b - tr(b), which is all the trace needs.
+
+    A leg may also supply ``grade``: a letter's degree, in Z or in
+    Z/``grade_modulus``, under a family of trace-preserving automorphisms
+    of the leg that scale a letter of degree d by the d-th power of a unit.
+    Each extends to the free product, fixing the other legs, so a word
+    whose letters of one leg sum to a nonzero degree there has trace 0.
+    The base leg grades nothing."""
 
     kind = "abstract"
+    # ``grade`` is read in Z/grade_modulus; 0 reads it in Z
+    grade_modulus = 0
 
     def __init__(self, leg_id: str):
         self.id = leg_id
+
+    def grade(self, letter: "Letter") -> Optional[int]:
+        """The letter's degree, or None: a leg with no grading, or a letter
+        that is not homogeneous."""
+        return None
 
     def __repr__(self):
         return f"{type(self).__name__}({self.id!r})"
@@ -165,14 +187,20 @@ class HaarLeg(Leg):
     def split(self, letter: "HaarLetter"):
         return [(Fraction(1), None if letter.power == 0 else letter)]
 
+    def grade(self, letter: "HaarLetter") -> int:
+        # the gauge w -> lambda w, |lambda| = 1, scales w^k by lambda^k
+        return letter.power
+
 
 class FiniteCommLeg(Leg):
     """m commuting atoms with uniform weights 1/m; elements are rational
     m-vectors, the trace is the mean of the entries.  Basis letters are the
     centered atom indicators e_i - 1/m (i = 2..m), which keeps them
-    trace-free."""
+    trace-free.  Two atoms are graded mod 2: swapping them keeps the trace
+    and sends the centered letter to its negative."""
 
     kind = "finite_comm"
+    grade_modulus = 2
 
     def __init__(self, leg_id: str, m: int, elements: Optional[dict] = None):
         super().__init__(leg_id)
@@ -220,6 +248,12 @@ class FiniteCommLeg(Leg):
                 centered = tuple(base + 1 if j == i else base for j in range(m))
                 out.append((q, CommLetter(self.id, centered)))
         return out
+
+    def grade(self, letter: "CommLetter") -> Optional[int]:
+        if self.m != 2:
+            return None
+        x, y = letter.vec
+        return 0 if x == y else 1 if x == -y else None
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +671,31 @@ class FreeProduct:
         """Free cumulant of same-leg letters, by ``moments_to_cumulants``
         over ``leg_moment``."""
         return self._cumulant(tuple(letters))
+
+    def grade(self, *ncs: NCPoly) -> Dict[str, Optional[int]]:
+        """The degree that every word of ``ncs`` has in each leg their
+        words touch: the sum of the leg's ``grade`` over the word's letters
+        of that leg, in Z/``grade_modulus``.  None where two words differ
+        or a letter has no grade.  An untouched leg, where every word has
+        degree 0, is left out."""
+        degrees = []
+        for nc in ncs:
+            for w in nc._terms:
+                d: Dict[str, Optional[int]] = {}
+                for i in w:
+                    letter = _LETTERS[i]
+                    g = self.leg(letter.leg).grade(letter)
+                    cur = d.get(letter.leg, 0)
+                    d[letter.leg] = None if g is None or cur is None else cur + g
+                degrees.append(d)
+        out: Dict[str, Optional[int]] = {}
+        for leg_id, leg in self.legs.items():
+            if any(leg_id in d for d in degrees):
+                m = leg.grade_modulus
+                seen = {g % m if m and g is not None else g
+                        for g in (d.get(leg_id, 0) for d in degrees)}
+                out[leg_id] = seen.pop() if len(seen) == 1 else None
+        return out
 
     # -- trace by a fold over the centered basis -------------------------------
 

@@ -374,7 +374,12 @@ def test_free_check_sum_short():
 
 def test_free_check_stats_line(capsys):
     """--stats adds one line on stderr and leaves stdout as it is; without
-    it stderr stays empty."""
+    it stderr stays empty.  UX:3 checks 296 entries in 78 words.  U and U*
+    carry u-charge +1 and -1, X and X* v-charge +1 and -1, and 2P0 and 2Q0
+    none, so only 8 words have degree 0: 2P0 2Q0 and its adjoint 2Q0 2P0
+    (2 entries each, one traced and one derived), and the 6 self-adjoint
+    words of length 3 (U 2Q0 U*, U* 2Q0 U, 2P0 2Q0 2P0 and the b-side
+    three: 20 entries, all traced).  The other 272 entries are skipped."""
     argv = ["free-check", "--model", "UX", "--max-len", "3"]
     assert cli.main(argv) == 0
     plain = capsys.readouterr()
@@ -382,7 +387,8 @@ def test_free_check_stats_line(capsys):
     stats = capsys.readouterr()
     assert plain.err == ""
     assert stats.out == plain.out
-    assert stats.err == "stats: words_checked=78 entries_traced=158 entries_derived=138\n"
+    assert stats.err == ("stats: words_checked=78 entries_traced=22 entries_derived=2 "
+                         "entries_skipped=272\n")
 
 
 def test_free_check_unknown_model_exit_2():

@@ -287,6 +287,101 @@ def test_cut_state_keeps_the_words_a_pairing_reads(fp):
     assert fp.cut_state(NCPoly.zero(), 0, {}) == {}
 
 
+# -- grades ----------------------------------------------------------------------
+
+
+def test_leg_grades():
+    """A Haar leg grades u^k by k, a two-atom leg its odd letters 1 and its
+    even ones 0 mod 2; a letter of both parts, a three-atom leg and the
+    trig leg have no grade."""
+    u, a, b, f = HaarLeg("u"), FiniteCommLeg("A", 2), FiniteCommLeg("B", 3), TrigLeg("f")
+    assert [u.grade(u.gen(k)) for k in (-2, -1, 0, 3)] == [-2, -1, 0, 3]
+    assert u.grade_modulus == 0 and a.grade_modulus == 2
+    centered = a.split(a.letter([1, -1]))[0][1]
+    assert centered.vec == (Fraction(-1, 2), Fraction(1, 2)) and a.grade(centered) == 1
+    assert [a.grade(a.letter(v)) for v in ([3, -3], [2, 2], [0, 0], [1, 2])] == [1, 0, 0, None]
+    assert b.grade(b.letter([1, -1, 0])) is None
+    assert f.grade(f.c()) is None and f.grade(f.letter(TrigPoly.cos(0))) is None
+
+
+def test_free_product_grade_of_combinations(fp):
+    """The degree every word shares, per leg the words touch; None where
+    two words differ; an untouched leg is left out."""
+    f, u, a = fp.leg("f"), fp.leg("u"), fp.leg("A")
+    uu = fp.normalize([u.gen(1), f.c(), u.gen(1), a.element("x")])
+    assert fp.grade(uu) == {"f": None, "u": 2, "A": 1}
+    assert fp.grade(uu, fp.normalize([u.gen(2)])) == {"f": None, "u": 2, "A": None}
+    assert fp.grade(uu, NCPoly.unit()) == {"f": None, "u": None, "A": None}
+    assert fp.grade(fp.normalize([a.element("x"), u.gen(1), a.element("x")])) == {
+        "u": 1, "A": 0}
+    assert fp.grade(NCPoly.unit()) == fp.grade() == {}
+
+
+def _graded_letters():
+    """The indices of the pairing letters whose legs grade them (Haar
+    powers, odd and even two-atom letters) and of the trig letters, which
+    no leg grades."""
+    fp = _pairing_model()
+    return [i for i, letter in enumerate(PAIRING_LETTERS)
+            if letter.leg == "f" or fp.leg(letter.leg).grade(letter) is not None]
+
+
+GRADED_LETTERS = _graded_letters()
+HOMOGENEOUS_TERMS = st.lists(st.tuples(st.lists(st.sampled_from(GRADED_LETTERS), max_size=4),
+                                       st.sampled_from([Fraction(p, q) for p in range(-3, 4)
+                                                        for q in (1, 2, 3)])),
+                             min_size=1, max_size=4)
+
+
+def _degrees(fp, nc):
+    """The degrees of ``nc`` in the graded legs u, v and A."""
+    got = fp.grade(nc)
+    return tuple(got.get(leg_id, 0) for leg_id in "uvA")
+
+
+def _homogeneous_poly(fp, terms):
+    """The sum of the normalized terms that have the first term's degrees."""
+    def degrees(letters):
+        return _degrees(fp, NCPoly({tuple(PAIRING_LETTERS[i] for i in letters): 1}))
+
+    first = degrees(terms[0][0])
+    return _nc_poly(fp, [(letters, q) for letters, q in terms if degrees(letters) == first])
+
+
+@settings(deadline=None, database=None, max_examples=100)
+@given(st.data())
+def test_product_of_homogeneous_polys_has_the_summed_degree(data):
+    """Every word of p q has degree(p) + degree(q) in each graded leg."""
+    fp = _pairing_model()
+    p, q = (_homogeneous_poly(fp, data.draw(HOMOGENEOUS_TERMS, name)) for name in "pq")
+    want = tuple((x + y) % 2 if leg_id == "A" else x + y
+                 for leg_id, x, y in zip("uvA", _degrees(fp, p), _degrees(fp, q)))
+    for w, _ in fp.mul(p, q).terms():
+        assert _degrees(fp, NCPoly({w: 1})) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_words_of_nonzero_degree_trace_to_zero(fp, seed):
+    """Normalized words are over basis letters, which every graded leg of
+    the model grades (u, v and the two-atom A; B has three atoms).  Those
+    of nonzero degree trace to 0 through both evaluators, neither of which
+    reads a grade; a fair share of those of degree 0 does not, so the
+    degree is what sets them apart."""
+    rng = random.Random(4400 + seed)
+    vanishing = nonzero = 0
+    for _ in range(40):
+        word = rand_word(fp, rng, 6)
+        f1 = [i for i, letter in enumerate(word) if letter.leg != "f"]
+        t = fp.trace_word(word)
+        assert fp.trace_bipartite(word, f1) == t
+        if any(_degrees(fp, NCPoly({word: 1}))):
+            assert t == PI_ZERO, word
+            vanishing += 1
+        else:
+            nonzero += t != PI_ZERO
+    assert vanishing >= 5 and nonzero >= 3
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_traciality(fp, seed):
     # 20 x 10 = 200 randomized pairs of total length <= 8
@@ -493,29 +588,40 @@ def _slots(sides):
     return (length + 1) // 2
 
 
+def _case_letters():
+    """The letters ``bipartite_cases`` draws from, by leg kind: trig terms
+    with a nonzero coefficient in [-2, 2] of denominator at most 3, powers
+    -2..2 of u and v, and named and raw letters of the two comm legs."""
+    fp = model_with_comm()
+    f, u, v, a, b = (fp.leg(name) for name in "fuvAB")
+    coeffs = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(-2 * q, 2 * q + 1)} - {0})
+    keys = [("c", 0), ("c", 1), ("c", 2), ("c", 3), ("s", 1), ("s", 2), ("s", 3)]
+    return ([f.letter(TrigPoly({key: q})) for key in keys for q in coeffs],
+            [leg.gen(k) for leg in (u, v) for k in range(-2, 3)],
+            [a.element("x"), a.element("y"), b.element("z"), b.letter([0, 1, 0])])
+
+
+# Built once: a strategy built inside the composite is built and validated
+# again on every example.
+CASE_LETTER = st.one_of(*(st.sampled_from(letters) for letters in _case_letters()))
+CASE_PAIRS = st.lists(st.tuples(CASE_LETTER, st.integers(0, 19)), min_size=1, max_size=14)
+CASE_CUMULANT_LEGS = st.sets(st.sampled_from("fuvAB"))
+
+
 @st.composite
 def bipartite_cases(draw, max_slots=7):
     """Up to 14 letters of the trig, Haar and commutative legs, cut to the
-    longest prefix that fits ``max_slots`` slot pairs.  Each leg is put on
-    a random side, so the trace side may mix legs (mixed-block error), and
-    about one letter in twenty goes to the other side (shared-leg error)."""
-    fp = model_with_comm()
-    f, u, v, a, b = (fp.leg(name) for name in "fuvAB")
-    trig = st.builds(lambda key, q: f.letter(TrigPoly({key: q})),
-                     st.sampled_from([("c", 0), ("c", 1), ("c", 2), ("c", 3),
-                                      ("s", 1), ("s", 2), ("s", 3)]),
-                     st.fractions(-2, 2, max_denominator=3).filter(bool))
-    haar = st.builds(lambda leg, k: leg.gen(k), st.sampled_from([u, v]), st.integers(-2, 2))
-    comm = st.sampled_from([a.element("x"), a.element("y"), b.element("z"),
-                            b.letter([0, 1, 0])])
-    cumulant_legs = draw(st.sets(st.sampled_from("fuvAB")))
-    pairs = draw(st.lists(st.tuples(st.one_of(trig, haar, comm), st.integers(0, 19)),
-                          min_size=1, max_size=14))
+    longest prefix that fits ``max_slots`` slot pairs, over a fresh model.
+    Each leg is put on a random side, so the trace side may mix legs
+    (mixed-block error), and about one letter in twenty goes to the other
+    side (shared-leg error)."""
+    cumulant_legs = draw(CASE_CUMULANT_LEGS)
+    pairs = draw(CASE_PAIRS)
     sides = [(letter.leg in cumulant_legs) != (stray == 0) for letter, stray in pairs]
     while _slots(sides) > max_slots:
         sides.pop()
     word = tuple(letter for letter, _ in pairs[:len(sides)])
-    return fp, word, [i for i, side in enumerate(sides) if side]
+    return model_with_comm(), word, [i for i, side in enumerate(sides) if side]
 
 
 @settings(deadline=None, database=None, max_examples=150)

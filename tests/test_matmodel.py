@@ -413,28 +413,68 @@ def test_unpairable_generators_take_the_plain_walk(mm, gen_a, offdiag):
 
 
 def test_entry_counts_ux3(mm):
-    """UX:3 checks 78 words.  Length 1: the full checks of lone U and X are
-    traced (4 each), U* and X* take theirs from them, and 2P0 and 2Q0 check
-    no entry, so 8 traced and 8 derived.  Length 2: 68 entries in 9 adjoint
-    pairs, 34 traced and 34 derived.  Length 3: 212 entries; the 6
-    self-adjoint words (U 2Q0 U*, U* 2Q0 U, 2P0 2Q0 2P0 and the b-side
-    three) have 20, all traced, and the other 192 split evenly.  Dropping X*
-    from the off-diagonal names leaves that set open under adjoint, so the
-    plain walk traces every checked entry: 12 + 64 + 104 + 100 = 280, by
-    length and start, with 2P0, 2Q0 and X* now diagonal-only.  At length 1
-    alone, UX checks the four partial isometries and matrix checks nothing."""
+    """UX:3 checks 78 words and 296 entries.  U and U* have u-charge +1 and
+    -1, X and X* v-charge +1 and -1, and 2P0 and 2Q0 degree 0, so a word has
+    degree 0 only when its charges cancel.  Length 1: the full checks of
+    lone U, U*, X and X* (16 entries) are skipped, and 2P0 and 2Q0 check no
+    entry.  Length 2: of the 68 entries, 2P0 2Q0 and its adjoint 2Q0 2P0
+    have degree 0, 2 entries each, one traced and one derived; the other 64
+    are skipped.  Length 3: the 6 self-adjoint words (U 2Q0 U*, U* 2Q0 U,
+    2P0 2Q0 2P0 and the b-side three) have degree 0 and 20 entries, all
+    traced; the other 192 of the 212 are skipped.  So 22 traced, 2
+    derived and 272 skipped, the 158 traced plus 138 derived of a walk
+    that skips nothing.  Dropping X* from the off-diagonal names leaves
+    that set open under adjoint, so the plain walk traces every checked
+    entry of degree 0, 4 at length 2 and the same 20 at length 3; with
+    X* diagonal-only, 256 of its 280 entries are skipped.  At length 1
+    alone, UX skips the four partial isometries' 16 entries and matrix
+    checks nothing."""
     gen_a, gen_b, offdiag = mm.generators("UX")
     report = mm.check_freeness(gen_a, gen_b, 3, "UX", offdiag)
-    assert (report.words_checked, report.entries_traced, report.entries_derived) == (
-        78, 158, 138)
+    counts = (report.entries_traced, report.entries_derived, report.entries_skipped)
+    assert (report.words_checked, *counts) == (78, 22, 2, 272)
+    assert sum(counts) == 158 + 138
     plain = mm.check_freeness(gen_a, gen_b, 3, "UX", offdiag - {"X*"})
-    assert (plain.words_checked, plain.entries_traced, plain.entries_derived) == (
-        78, 280, 0)
+    assert (plain.words_checked, plain.entries_traced, plain.entries_derived,
+            plain.entries_skipped) == (78, 24, 0, 256)
     lone = mm.check_freeness(gen_a, gen_b, 1, "UX", offdiag)
-    assert (lone.words_checked, lone.entries_traced, lone.entries_derived) == (6, 8, 8)
+    assert (lone.words_checked, lone.entries_traced, lone.entries_derived,
+            lone.entries_skipped) == (6, 0, 0, 16)
     gen_a, gen_b, offdiag = mm.generators("matrix")
     lone = mm.check_freeness(gen_a, gen_b, 1, "matrix", offdiag)
-    assert (lone.words_checked, lone.entries_traced, lone.entries_derived) == (14, 0, 0)
+    assert (lone.words_checked, lone.entries_traced, lone.entries_derived,
+            lone.entries_skipped) == (14, 0, 0, 0)
+
+
+@pytest.mark.parametrize("name, skipped", [
+    ("PQ", 0), ("UX", 272), ("PX", 56), ("UQ", 56), ("sum", 128), ("matrix", 1528)])
+def test_graded_harnesses_skip_entries(mm, name, skipped):
+    """At length 3 every harness but PQ skips entries: UX, PX and UQ by
+    u- and v-charge, sum by the parities of A1, A2, B1 and B2 alone, and
+    matrix by both.  PQ's 2P0 and 2Q0 have degree 0 in every leg."""
+    gen_a, gen_b, offdiag = mm.generators(name)
+    report = mm.check_freeness(gen_a, gen_b, 3, name, offdiag)
+    assert report.passed and report.entries_skipped == skipped
+
+
+def test_inhomogeneous_generator_turns_its_grade_off(mm):
+    """U + 2P0 has entries 1, u and -1: it is not homogeneous in u-charge,
+    though its first nonzero entry has charge 0.  Beside U and U* against
+    2Q0, no leg grades every generator, so the walk skips nothing; against
+    the X family the v-charge still counts.  Walked against itself, where
+    (U + 2P0) U* = P + 2P0 U* has tr((1, 1)) = 1, the failures are the
+    reference's."""
+    mixed = [("U+2P0", mm.U + mm.P0.scaled(2)), ("U", mm.U), ("U*", mm.U.adjoint())]
+    q2 = [("2Q0", mm.Q0.scaled(2))]
+    offdiag = {"U", "U*", "X", "X*"}
+    report = assert_matches_reference(mm, mixed, q2, 4, offdiag)
+    assert report.passed and report.entries_skipped == 0 and report.entries_traced > 0
+    _, x_side, _ = mm.generators("UX")
+    report = assert_matches_reference(mm, mixed, x_side, 3, offdiag)
+    assert report.passed and report.entries_skipped > 0
+    report = assert_matches_reference(mm, mixed, mixed, 3, offdiag)
+    assert report.entries_skipped == 0
+    assert {"word": "U+2P0 U*", "entry": "11", "value": "1"} in report.failures
 
 
 @pytest.mark.parametrize("name, max_len, products", [
@@ -550,8 +590,8 @@ def test_matrix_model_harness_desk_scale():
 
 
 # One length past desk scale.  Each budget is several times the harness's
-# time on a 2-core machine with Python 3.11 (UX:7 0.7 s, sum:7 0.5 s, PX:8
-# 0.06 s, UX:8 2.3-2.7 s, matrix:5 2.5-3.0 s).
+# time on a 2-core machine with Python 3.11 (UX:7 0.05 s, sum:7 0.05-0.08 s,
+# PX:8 0.014-0.024 s, UX:8 0.15-0.20 s, matrix:5 0.12-0.19 s).
 
 
 @pytest.mark.slow
