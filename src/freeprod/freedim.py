@@ -30,10 +30,10 @@ conserves fdim because 4 fdim(f) = fdim(parts(f)) + w(f) + 1.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
+from itertools import groupby, product
 from math import gcd, isqrt
-from operator import is_
 import random
 import re
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -90,23 +90,22 @@ def _add(p: Pair, q: Pair) -> Pair:
     return t // g2, s * (d2 // g2)
 
 
-def _quarter_plus(p: Pair, k: int) -> Pair:
-    """(p + k)/4 in lowest terms.  gcd(n + k d, d) = gcd(n, d) = 1, so only
-    gcd(n + k d, 4) divides out."""
-    n, d = p
-    a = n + k * d
+def _m2_fdim(inner: Pair) -> Pair:
+    """fdim(M2(B)) = 1 + (fdim B - 1)/4 = (fdim B + 3)/4.  For a reduced n/d,
+    gcd(n + 3d, d) = gcd(n, d) = 1, so only gcd(n + 3d, 4) divides out."""
+    n, d = inner
+    a = n + 3 * d
     g = gcd(a, 4)
     return a // g, 4 * d // g
 
 
-def _m2_fdim(inner: Pair) -> Pair:
-    """fdim(M2(B)) = 1 + (fdim B - 1)/4 = (fdim B + 3)/4."""
-    return _quarter_plus(inner, 3)
-
-
 def _sum_fdim(left: Pair, right: Pair) -> Pair:
-    """fdim(A (+) B) = (fdim A + fdim B)/4 + 1/2 = (fdim A + fdim B + 2)/4."""
-    return _quarter_plus(_add(left, right), 2)
+    """fdim(A (+) B) = (fdim A + fdim B)/4 + 1/2 = (fdim A + fdim B + 2)/4,
+    reduced as in ``_m2_fdim``."""
+    n, d = _add(left, right)
+    a = n + 2 * d
+    g = gcd(a, 4)
+    return a // g, 4 * d // g
 
 
 def _product_fdim(factors: Iterable[Expr]) -> Pair:
@@ -151,43 +150,56 @@ def _lf_atom(p: Pair) -> AtomLF:
 # atoms come first, so ``kind < _K_M2`` marks an atom.
 _K_C, _K_LZ, _K_R, _K_LF, _K_M2, _K_SUM, _K_FREE = range(7)
 
+# Factor shapes, one small int each, under which the rule table sees a factor;
+# ``_SHAPE_NAMES`` spells them, and its first three are the normal-form cores.
+_SHAPE_NAMES = ("C", "R", "LF", "LF(1)", "LF(t>1)", "sum", "matrix")
+_S_C, _S_R, _S_LF, _S_LF1, _S_LFT, _S_SUM, _S_MAT = range(len(_SHAPE_NAMES))
+
 
 class Expr(FrozenRecord):
-    """A fragment expression.  Each node computes four values once, when it
+    """A fragment expression.  Each node computes five values once, when it
     is built, from its children's: ``_fdim``, its free dimension by the
     formulas of the module docstring as a reduced (numerator, denominator)
     pair of ints; ``_text``; ``_size``, the number of nodes in its tree;
-    and ``_shapes``, the shapes under which the rule table sees it as a
-    factor (none for LZ and products, which are never factors of a
-    reduction).  They live outside ``_fields``, so ==, hash and repr ignore
-    them.  Each class sets ``_kind``, one of the ``_K_*`` ints, and the
-    flag ``_grouped`` marks sums and products, whose text an operand puts
-    in parentheses."""
+    ``_shapes``, the ``_S_*`` shapes under which the rule table sees it as
+    a factor (none for LZ and products, which are never factors of a
+    reduction); and ``_canon``, true when its tree holds no LZ, no LF(0),
+    no LF parameter that is not a ``Fraction`` and no product nested in a
+    product, so that canonicalizing leaves it as it is.  They live outside
+    ``_fields``, so ==, hash and repr ignore them.  Each class sets
+    ``_kind``, one of the ``_K_*`` ints, and the flag ``_grouped`` marks
+    sums and products, whose text an operand puts in parentheses.
+
+    The nodes store their fields and cached values with one
+    ``vars(self).update``, which builds a node faster than one
+    ``object.__setattr__`` per value (see ``freeprod.record``)."""
 
     __slots__ = ()
-    _shapes: Tuple[str, ...] = ()
+    _shapes: Tuple[int, ...] = ()
     _grouped = False
     _size = 1
+    _canon = True
 
 
 class AtomC(Expr):
     _kind = _K_C
     _fdim = (0, 1)
     _text = "C"
-    _shapes = ("C",)
+    _shapes = (_S_C,)
 
 
 class AtomLZ(Expr):
     _kind = _K_LZ
     _fdim = (1, 1)
     _text = "LZ"
+    _canon = False
 
 
 class AtomR(Expr):
     _kind = _K_R
     _fdim = (1, 1)
     _text = "R"
-    _shapes = ("R",)
+    _shapes = (_S_R,)
 
 
 class AtomLF(Expr):
@@ -197,29 +209,32 @@ class AtomLF(Expr):
     def __init__(self, t: Fraction):
         n, d = t.numerator, t.denominator
         vars(self).update(t=t, _fdim=(n, d), _text=f"LF({n})" if d == 1 else f"LF({n}/{d})",
-                          _shapes=("LF", "LF(1)" if n == d else "LF(t>1)"))
+                          _shapes=(_S_LF, _S_LF1 if n == d else _S_LFT),
+                          _canon=n >= d and type(t) is Fraction)  # t >= 1, as d > 0
 
 
 class Mat2Of(Expr):
     _fields = ("inner",)
     _kind = _K_M2
-    _shapes = ("matrix",)
+    _shapes = (_S_MAT,)
 
     def __init__(self, inner: Expr):
         vars(self).update(inner=inner, _fdim=_m2_fdim(inner._fdim),
-                          _text=f"M2({inner._text})", _size=1 + inner._size)
+                          _text=f"M2({inner._text})", _size=1 + inner._size,
+                          _canon=inner._canon)
 
 
 class SumOf(Expr):
     _fields = ("left", "right")
     _kind = _K_SUM
-    _shapes = ("sum",)
+    _shapes = (_S_SUM,)
     _grouped = True
 
     def __init__(self, left: Expr, right: Expr):
         vars(self).update(left=left, right=right, _fdim=_sum_fdim(left._fdim, right._fdim),
                           _text=f"{_wrapped(left)} (+) {_wrapped(right)}",
-                          _size=1 + left._size + right._size)
+                          _size=1 + left._size + right._size,
+                          _canon=left._canon and right._canon)
 
 
 class FreeOf(Expr):
@@ -231,9 +246,12 @@ class FreeOf(Expr):
         factors = tuple(factors)
         if len(factors) < 2:
             raise ValueError("free product needs at least two factors")
+        size, canon = 1, True
+        for f in factors:
+            size += f._size
+            canon = canon and f._canon and f._kind != _K_FREE
         vars(self).update(factors=factors, _fdim=_product_fdim(factors),
-                          _text=_product_text(factors),
-                          _size=1 + sum([f._size for f in factors]))
+                          _text=_product_text(factors), _size=size, _canon=canon)
 
 
 def _wrapped(e: Expr) -> str:
@@ -286,17 +304,19 @@ def matpow(e: Expr, k: int) -> Expr:
     return out
 
 
-def expr_text(e: Expr) -> str:
+def _checked_expr(e: Expr) -> Expr:
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression: {e!r}")
-    return e._text
+    return e
+
+
+def expr_text(e: Expr) -> str:
+    return _checked_expr(e)._text
 
 
 def fdim(e: Expr) -> Fraction:
     """Exact free dimension of a fragment expression."""
-    if not isinstance(e, Expr):
-        raise TypeError(f"not an expression: {e!r}")
-    return _fraction(e._fdim)
+    return _fraction(_checked_expr(e)._fdim)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +324,13 @@ def fdim(e: Expr) -> Fraction:
 
 
 # Largest expanded tree, in nodes, that ``parse`` accepts.  On a 2-core
-# x86 machine with Python 3.11, whose speed varies with the shared load,
-# C^2048 * C^2048 (8191 nodes, 12281 steps) normalizes in 0.02-0.03 s,
-# since it repeats factor lists, and a product of 1000 distinct M2(LF(t))
-# factors (2001 nodes) in 0.04 s.  The factor index keeps a flat product
-# from reclassifying its factors every round: 8191 factors R (16381 steps)
-# take 0.23-0.27 s, or 0.39-0.49 s with a seed, and 8191 factors LF(3/2)
-# take 0.15-0.16 s.
+# x86 machine with Python 3.11, whose speed varies with the shared load
+# (best of three runs, two rounds), C^2048 * C^2048 (8191 nodes, 12281
+# steps) normalizes in 0.02 s, since it repeats factor lists, and a product
+# of 1000 distinct M2(LF(t)) factors (2001 nodes) in 0.03-0.04 s.  The
+# factor index keeps a flat product from reclassifying its factors every
+# round: 8191 factors R (16381 steps) take 0.20 s, or 0.36-0.41 s with a
+# seed, and 8191 factors LF(3/2) take 0.09-0.14 s.
 MAX_EXPR_SIZE = 8192
 
 
@@ -336,22 +356,23 @@ def _check_depth(depth: int) -> int:
     return depth
 
 
-# One token per match, after any whitespace.  Integers and names are ASCII,
-# so ``int`` reads every INT; any other character but whitespace matches
-# only BAD, and trailing whitespace matches nothing.
-_TOKEN = re.compile(r"""\s*(?:
-    (?P<DSUM>\(\+\)) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<STAR>\*)
-  | (?P<CARET>\^) | (?P<SLASH>/) | (?P<INT>[0-9]+) | (?P<NAME>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<BAD>\S))""", re.VERBOSE)
+# One token per match, after any whitespace, in group 1; any other character
+# but whitespace matches only group 2, and trailing whitespace matches
+# nothing.  Integers and names are ASCII, so ``int`` reads every INT, and the
+# first character of a token that is not an operator tells INT from NAME.
+_TOKEN = re.compile(r"\s*(?:(\(\+\)|[()*^/]|[0-9]+|[A-Za-z][A-Za-z0-9_]*)|(\S))")
+_OPERATORS = {"(+)": "DSUM", "(": "LPAREN", ")": "RPAREN", "*": "STAR", "^": "CARET",
+              "/": "SLASH"}
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     out = []
+    operator = _OPERATORS.get
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
-        out.append((kind, m[kind], m.start(kind)))
+        tok = m[1]
+        if tok is None:
+            raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
+        out.append((operator(tok) or ("INT" if tok[0] <= "9" else "NAME"), tok, m.start(1)))
     out.append(("EOF", "", len(text)))
     return out
 
@@ -389,37 +410,38 @@ class _Parser:
 
     def parse_free(self) -> Tuple[Expr, int]:
         toks = self.toks
-        factors = [self.parse_sum()]
+        first = self.parse_sum()
+        if toks[self.i][0] != "STAR":
+            return first
+        factors = [first]
         while toks[self.i][0] == "STAR":
             self.i += 1
             factors.append(self.parse_sum())
-        if len(factors) == 1:
-            return factors[0]
         # a spliced-in product loses its own level
         height = _check_depth(1 + max(h - (f._kind == _K_FREE) for f, h in factors))
         return FreeOf(_flatten(f for f, _ in factors)), height
 
     def parse_sum(self) -> Tuple[Expr, int]:
+        """Operands joined by (+), each a primary with any number of ^k."""
         toks = self.toks
-        e, height = self.parse_pow()
-        while toks[self.i][0] == "DSUM":
+        e = None
+        while True:
+            right, right_height = self.parse_primary()
+            while toks[self.i][0] == "CARET":
+                self.i += 1
+                k = int(self.expect("INT")[1])
+                # both checked before pow2sum builds anything
+                _check_size(k * right._size + k - 1)
+                right_height = _check_depth(right_height + k.bit_length() - 1)
+                right = pow2sum(right, k)
+            if e is None:
+                e, height = right, right_height
+            else:
+                height = _check_depth(1 + max(height, right_height))
+                e = SumOf(e, right)
+            if toks[self.i][0] != "DSUM":
+                return e, height
             self.i += 1
-            right, right_height = self.parse_pow()
-            height = _check_depth(1 + max(height, right_height))
-            e = SumOf(e, right)
-        return e, height
-
-    def parse_pow(self) -> Tuple[Expr, int]:
-        toks = self.toks
-        e, height = self.parse_primary()
-        while toks[self.i][0] == "CARET":
-            self.i += 1
-            k = int(self.expect("INT")[1])
-            # both checked before pow2sum builds anything
-            _check_size(k * e._size + k - 1)
-            height = _check_depth(height + k.bit_length() - 1)
-            e = pow2sum(e, k)
-        return e, height
 
     def parse_group(self, levels: int) -> Tuple[Expr, int]:
         """The product up to the closing parenthesis, in a group of
@@ -429,19 +451,6 @@ class _Parser:
         self.expect("RPAREN")
         self.open -= levels
         return parsed
-
-    def parse_rational(self) -> Pair:
-        """A rational number as a reduced pair."""
-        tok = self.expect("INT")
-        num = int(tok[1])
-        if self.toks[self.i][0] == "SLASH":
-            self.i += 1
-            den = int(self.expect("INT")[1])
-            if den == 0:
-                raise ParseError("zero denominator", tok[2])
-            g = gcd(num, den)
-            return num // g, den // g
-        return num, 1
 
     def parse_primary(self) -> Tuple[Expr, int]:
         kind, value, pos = self.toks[self.i]
@@ -453,11 +462,18 @@ class _Parser:
         atom = _ATOMS.get(value)
         if atom is not None:
             return atom, 0
-        if value == "LF":
+        if value == "LF":  # LF(n) or LF(n/d)
             self.expect("LPAREN")
-            q = self.parse_rational()
+            tok = self.expect("INT")
+            num, den = int(tok[1]), 1
+            if self.toks[self.i][0] == "SLASH":
+                self.i += 1
+                den = int(self.expect("INT")[1])
+                if den == 0:
+                    raise ParseError("zero denominator", tok[2])
             self.expect("RPAREN")
-            return _checked_lf(q), 0
+            g = gcd(num, den)
+            return _checked_lf((num // g, den // g)), 0
         if value[0] == "M" and value[1:].isdigit():
             k = int(value[1:])
             self.expect("LPAREN")
@@ -504,12 +520,8 @@ class NormalForm(FrozenRecord):
     def fdim(self) -> Fraction:
         """The free dimension: the M2 formula applied ``depth`` times to the
         reduced pair of the core."""
-        if self.core == "C":
-            p = (0, 1)
-        elif self.core == "R":
-            p = (1, 1)
-        else:
-            p = (self.param.numerator, self.param.denominator)
+        q = self.param
+        p = (q.numerator, q.denominator) if self.core == "LF" else _ATOMS[self.core]._fdim
         for _ in range(self.depth):
             p = _m2_fdim(p)
         return _fraction(p)
@@ -537,35 +549,42 @@ class RewriteStep(Record):
                 "fdim_before": str(self.fdim_before), "fdim_after": str(self.fdim_after)}
 
 
+# The factor index of a factor list: for each ``_S_*`` shape, the sorted
+# slots of the factors that have it.
+Buckets = List[List[int]]
+
+
 class _Rule(NamedTuple):
     text: str
-    shapes: Tuple[str, ...] = ()
-    gate: Optional[Callable[[Dict[str, List[int]]], bool]] = None
+    shapes: Tuple[int, ...] = ()
+    gate: Optional[Callable[[Buckets], bool]] = None
 
 
-def _has_sum_or_matrix(by_shape: Dict[str, List[int]]) -> bool:
-    return bool(by_shape["sum"] or by_shape["matrix"])
+def _has_sum_or_matrix(buckets: Buckets) -> bool:
+    return bool(buckets[_S_SUM] or buckets[_S_MAT])
 
 
 # In priority order.  A pair rule whose two shapes agree takes two distinct
 # factors of that shape.  R14 and R6inv take no factors: they fire while
-# canonicalizing and when collapsing an M2 shell.
+# canonicalizing and when collapsing an M2 shell.  The rules that take a
+# factor of one shape first are listed together (a test checks it), so the
+# deterministic pick tests each bucket once.
 _RULES: Dict[str, _Rule] = {
-    "R13": _Rule("C * A -> A", ("C",)),
-    "R8": _Rule("LF(t) * R -> LF(t + 1)", ("R", "LF")),
-    "R10": _Rule("R * (A1 (+) A2) -> M2(A1 * A2 * LF(3))", ("R", "sum")),
-    "R11": _Rule("R * M2(B) -> M2(B * LF(4))", ("R", "matrix")),
-    "R9": _Rule("R -> M2(R)", ("R",),
-                lambda by: not by["LF"] and (len(by["R"]) > 1 or _has_sum_or_matrix(by))),
+    "R13": _Rule("C * A -> A", (_S_C,)),
+    "R8": _Rule("LF(t) * R -> LF(t + 1)", (_S_R, _S_LF)),
+    "R10": _Rule("R * (A1 (+) A2) -> M2(A1 * A2 * LF(3))", (_S_R, _S_SUM)),
+    "R11": _Rule("R * M2(B) -> M2(B * LF(4))", (_S_R, _S_MAT)),
+    "R9": _Rule("R -> M2(R)", (_S_R,),
+                lambda b: not b[_S_LF] and (len(b[_S_R]) > 1 or _has_sum_or_matrix(b))),
     "R1": _Rule("(A1 (+) A2) * (B1 (+) B2) -> M2(A1 * A2 * B1 * B2 * LF(1))",
-                ("sum", "sum")),
-    "R2": _Rule("(A1 (+) A2) * LF(1) -> M2(A1 * A2 * LF(3))", ("sum", "LF(1)")),
-    "R4": _Rule("(A1 (+) A2) * M2(B) -> M2(A1 * A2 * B * LF(2))", ("sum", "matrix")),
-    "R3": _Rule("M2(A) * M2(B) -> M2(A * B * LF(3))", ("matrix", "matrix")),
-    "R5": _Rule("M2(A) * LF(1) -> M2(A * LF(4))", ("matrix", "LF(1)")),
-    "R7": _Rule("LF(a) * LF(b) -> LF(a + b)", ("LF", "LF")),
-    "R6": _Rule("LF(t) -> M2(LF(4t - 3)), t > 1", ("LF(t>1)",), _has_sum_or_matrix),
-    "R12": _Rule("LF(1) -> LF(1) (+) LF(1)", ("LF(1)",), _has_sum_or_matrix),
+                (_S_SUM, _S_SUM)),
+    "R2": _Rule("(A1 (+) A2) * LF(1) -> M2(A1 * A2 * LF(3))", (_S_SUM, _S_LF1)),
+    "R4": _Rule("(A1 (+) A2) * M2(B) -> M2(A1 * A2 * B * LF(2))", (_S_SUM, _S_MAT)),
+    "R3": _Rule("M2(A) * M2(B) -> M2(A * B * LF(3))", (_S_MAT, _S_MAT)),
+    "R5": _Rule("M2(A) * LF(1) -> M2(A * LF(4))", (_S_MAT, _S_LF1)),
+    "R7": _Rule("LF(a) * LF(b) -> LF(a + b)", (_S_LF, _S_LF)),
+    "R6": _Rule("LF(t) -> M2(LF(4t - 3)), t > 1", (_S_LFT,), _has_sum_or_matrix),
+    "R12": _Rule("LF(1) -> LF(1) (+) LF(1)", (_S_LF1,), _has_sum_or_matrix),
     "R14": _Rule("LZ -> LF(1)"),
     "R6inv": _Rule("M2(LF(t)) -> LF(1 + (t - 1)/4), t > 1"),
 }
@@ -586,42 +605,52 @@ def _unfold(f: Expr) -> Expr:
     return SumOf(one, one)
 
 
-def _m2_share(f: Expr) -> Tuple[List[Expr], int]:
+def _m2_share(f: Expr) -> Tuple[Tuple[Expr, ...], int]:
     """The parts and the weight a factor brings to an M2 pairing."""
     kind = f._kind
     if kind == _K_SUM:
-        return [f.left, f.right], 1
+        return (f.left, f.right), 1
     if kind == _K_M2:
-        return [f.inner], 2
-    return [], 3  # LF(1) or R
+        return (f.inner,), 2
+    return (), 3  # LF(1) or R
 
 
-def _candidate_count(rule: _Rule, by_shape: Dict[str, List[int]]) -> int:
-    """The number of instances of ``rule`` among the factors in ``by_shape``:
+def _factor_index(facs: Sequence[Optional[Expr]]) -> Buckets:
+    """The buckets of a factor list, in which None marks a freed slot."""
+    # one list per shape, written out: a display builds faster than a loop
+    buckets: Buckets = [[], [], [], [], [], [], []]
+    for i, f in enumerate(facs):
+        if f is not None:
+            for shape in f._shapes:
+                buckets[shape].append(i)
+    return buckets
+
+
+def _candidate_count(rule: _Rule, buckets: Buckets) -> int:
+    """The number of instances of ``rule`` among the factors in ``buckets``:
     n for one shape, C(n, 2) for two factors of one shape, n1 n2 otherwise."""
     _, shapes, gate = rule
-    first = by_shape[shapes[0]] if shapes else ()
-    if not first or (gate is not None and not gate(by_shape)):
+    first = buckets[shapes[0]] if shapes else ()
+    if not first or (gate is not None and not gate(buckets)):
         return 0
     n = len(first)
     if len(shapes) == 1:
         return n
     if shapes[1] == shapes[0]:
         return n * (n - 1) // 2
-    return n * len(by_shape[shapes[1]])
+    return n * len(buckets[shapes[1]])
 
 
-def _candidate(shapes: Tuple[str, ...], by_shape: Dict[str, List[int]],
-               r: int) -> Tuple[int, ...]:
+def _candidate(shapes: Tuple[int, ...], buckets: Buckets, r: int) -> Tuple[int, ...]:
     """The slots of instance r of a rule taking ``shapes``.  Instances are
     ordered as the slots of one shape, as ``combinations`` of the slots of
     one shape, or as the slots of the first shape, each with every slot of
     the second."""
-    first = by_shape[shapes[0]]
+    first = buckets[shapes[0]]
     if len(shapes) == 1:
         return (first[r],)
     if shapes[1] != shapes[0]:
-        second = by_shape[shapes[1]]
+        second = buckets[shapes[1]]
         q, r = divmod(r, len(second))
         return first[q], second[r]
     # Pair (a, b), a < b, of positions in ``first``: with m = 2n - 1, row a
@@ -634,17 +663,23 @@ def _candidate(shapes: Tuple[str, ...], by_shape: Dict[str, List[int]],
     return first[a], first[a + 1 + r - a * (m - a) // 2]
 
 
-def _first_slot(by_shape: Dict[str, List[int]]) -> int:
+def _first_slot(buckets: Buckets) -> int:
     """The lowest occupied slot.  Every factor has a shape, so it is the
     first slot of some bucket."""
-    return min([slots[0] for slots in by_shape.values() if slots])
+    return min([slots[0] for slots in buckets if slots])
 
 
-# The rules the factor loop can pick, in table order, for the deterministic
-# pick: name, first shape, second shape or None, and gate.
-_PICK_ORDER = [(name, rule.shapes[0], rule.shapes[1] if len(rule.shapes) > 1 else None,
-                rule.gate)
-               for name, rule in _RULES.items() if rule.shapes]
+def _pick_order() -> List[tuple]:
+    """The rules the factor loop can pick, in table order, grouped by first
+    shape: (first shape, [(name, second shape or None, gate), ...]).  A group
+    is a run of consecutive rules, so walking the groups walks the table."""
+    picked = [(name, rule) for name, rule in _RULES.items() if rule.shapes]
+    return [(first, [(name, rule.shapes[1] if len(rule.shapes) > 1 else None, rule.gate)
+                     for name, rule in run])
+            for first, run in groupby(picked, key=lambda item: item[1].shapes[0])]
+
+
+_PICK_ORDER = _pick_order()
 
 
 class Normalizer:
@@ -680,15 +715,18 @@ class Normalizer:
     each round.  A factor keeps its slot, its position in the input list:
     a pair result takes the lower of its two slots and frees the other, an
     unfold stays in its slot, and R13 frees the slot of the C.  Slot order
-    is therefore list order.  For each shape the index holds the sorted
-    slots of the factors that have it (a factor caches its shapes), updated
-    at each step.  A seeded pick counts each rule's instances from the
-    bucket sizes and maps instance r back to its slots arithmetically, so
-    one round costs O(number of rules) plus the bucket updates, and it makes
-    the same ``randrange`` draws over the same instance order as listing
-    every instance would.  The deterministic pick counts nothing: instance
-    0 of the first rule that has one is the first slot of its first bucket,
-    with the second slot of that bucket or the first of another.
+    is therefore list order.  The index is a list of buckets, one per
+    ``_S_*`` shape id, each holding the sorted slots of the factors that
+    have that shape (a factor caches its shapes), updated at each step.  A
+    seeded pick counts each rule's instances from the bucket sizes and maps
+    instance r back to its slots arithmetically, so one round costs
+    O(number of rules) plus the bucket updates, and it makes the same
+    ``randrange`` draws over the same instance order as listing every
+    instance would.  The deterministic pick counts nothing: it walks
+    ``_PICK_ORDER``, the rules grouped by first shape, so an empty bucket
+    passes over all the rules that take its shape first, and instance 0 of
+    the first rule that has one is the first slot of its first bucket, with
+    the second slot of that bucket or the first of another.
 
     A deterministic derivation of a factor list depends on nothing but the
     factors, and balanced trees meet the same list many times.  Within one
@@ -704,7 +742,8 @@ class Normalizer:
 
     The engine dispatches on each node's ``_kind`` and reads its cached
     ``_size``, ``_fdim``, ``_text`` and ``_shapes``, so it never walks a
-    tree only to measure it.
+    tree only to measure it; canonicalizing returns at once a subtree whose
+    ``_canon`` flag is set.
     """
 
     def __init__(self, seed: Optional[int] = None, max_steps: Optional[int] = None):
@@ -725,6 +764,7 @@ class Normalizer:
     # -- public entry ---------------------------------------------------------
 
     def normalize(self, e: Expr) -> Tuple[NormalForm, List[RewriteStep]]:
+        _checked_expr(e)
         self.steps = []
         self.memo_hits = self.memo_misses = 0
         self._budget = self.max_steps if self.max_steps is not None \
@@ -744,7 +784,7 @@ class Normalizer:
                 "expression reduces to "
                 f"{expr_text(red)}, which is not of the form M2^n(LF/C/R)")
         param = core.t if core._kind == _K_LF else None
-        return NormalForm(depth, core._shapes[0], param), self.steps
+        return NormalForm(depth, _SHAPE_NAMES[core._shapes[0]], param), self.steps
 
     # -- helpers --------------------------------------------------------------
 
@@ -768,32 +808,27 @@ class Normalizer:
     # same object, which keeps its cached fdim and text.
 
     def _canonicalize(self, e: Expr, path: Tuple[int, ...]) -> Expr:
-        """LZ becomes LF(1) (rule R14); LF(0) is read as C by definition."""
+        """LZ becomes LF(1) (rule R14); LF(0) is read as C by definition;
+        nested products are spliced in.  A subtree whose ``_canon`` flag is
+        unset always changes, so it is rebuilt."""
+        if e._canon:
+            return e
         kind = e._kind
         if kind == _K_FREE:
-            factors = [self._canonicalize(f, path + (i,))
-                       for i, f in enumerate(_flatten(e.factors))]
-            same = len(factors) == len(e.factors) and all(map(is_, factors, e.factors))
-            return e if same else FreeOf(factors)
+            return FreeOf([self._canonicalize(f, path + (i,))
+                           for i, f in enumerate(_flatten(e.factors))])
         if kind == _K_SUM:
-            left = self._canonicalize(e.left, path + (0,))
-            right = self._canonicalize(e.right, path + (1,))
-            return e if left is e.left and right is e.right else SumOf(left, right)
+            return SumOf(self._canonicalize(e.left, path + (0,)),
+                         self._canonicalize(e.right, path + (1,)))
         if kind == _K_M2:
-            inner = self._canonicalize(e.inner, path + (0,))
-            return e if inner is e.inner else Mat2Of(inner)
+            return Mat2Of(self._canonicalize(e.inner, path + (0,)))
         if kind == _K_LF:
-            n, d = e._fdim
-            if n == 0:
+            if e._fdim[0] == 0:
                 return _ATOMS["C"]
-            if type(e.t) is Fraction and n >= d:  # t >= 1, as d > 0
-                return e
             return lf(e.t)  # rejects t < 0 and 0 < t < 1, makes t a Fraction
-        if kind == _K_LZ:
-            new = _lf_atom((1, 1))
-            self._log("R14", path, e._text, e._fdim, new._text, new._fdim)
-            return new
-        return e  # C or R
+        new = _lf_atom((1, 1))  # LZ
+        self._log("R14", path, e._text, e._fdim, new._text, new._fdim)
+        return new
 
     def _reduce(self, e: Expr, path: Tuple[int, ...]) -> Expr:
         """Reduce every product in e, innermost first.  Atoms are already
@@ -834,7 +869,7 @@ class Normalizer:
     def _reduce_factors(self, factors: List[Expr], path: Tuple[int, ...]) -> Expr:
         if self.rng is not None:
             return self._derive(factors, path)
-        key = tuple(f._text for f in factors)
+        key = tuple([f._text for f in factors])
         hit = self._memo.get(key)
         if hit is None:
             self.memo_misses += 1
@@ -854,56 +889,53 @@ class Normalizer:
             raise DivergenceError("rewrite step limit exceeded")
         return result
 
-    def _derive(self, factors: List[Expr], path: Tuple[int, ...]) -> Expr:
-        # the factor index: factors by slot (None once freed), and the sorted
-        # slots of each shape
-        facs: List[Optional[Expr]] = list(factors)
-        by_shape: Dict[str, List[int]] = defaultdict(list)
-        for i, f in enumerate(facs):
-            for shape in f._shapes:
-                by_shape[shape].append(i)
+    def _derive(self, facs: List[Optional[Expr]], path: Tuple[int, ...]) -> Expr:
+        """Reduce the factor list ``facs``, which it takes over: each slot
+        holds its factor, or None once freed."""
+        buckets = _factor_index(facs)
         live = len(facs)
         while live > 1:
-            pick = self._pick(by_shape)
+            pick = self._pick(buckets)
             if pick is None:
                 raise NotReducibleError(
-                    "no rule applies to "
-                    + " * ".join(_wrapped(f) for f in facs if f is not None))
-            live -= self._apply(pick, facs, by_shape, path)
-        return next(f for f in facs if f is not None)
+                    "no rule applies to " + _product_text([f for f in facs if f is not None]))
+            live -= self._apply(pick, facs, buckets, path)
+        return facs[_first_slot(buckets)]
 
-    def _pick(self, by_shape: Dict[str, List[int]]) -> Optional[Tuple[str, Tuple[int, ...]]]:
+    def _pick(self, buckets: Buckets) -> Optional[Tuple[str, Tuple[int, ...]]]:
         """The rule instance to fire, or None when no rule applies."""
         if self.rng is None:
-            # instance 0 of the first rule that has one
-            for name, first_shape, second_shape, gate in _PICK_ORDER:
-                first = by_shape[first_shape]
-                if not first or (gate is not None and not gate(by_shape)):
+            # instance 0 of the first rule that has one; an empty bucket
+            # passes over every rule that takes its shape first
+            for shape, rules in _PICK_ORDER:
+                first = buckets[shape]
+                if not first:
                     continue
-                if second_shape is None:
-                    return name, (first[0],)
-                if second_shape == first_shape:
-                    if len(first) > 1:
-                        return name, (first[0], first[1])
-                    continue
-                second = by_shape[second_shape]
-                if second:
-                    return name, (first[0], second[0])
+                for name, second, gate in rules:
+                    if gate is not None and not gate(buckets):
+                        continue
+                    if second is None:
+                        return name, (first[0],)
+                    if second == shape:
+                        if len(first) > 1:
+                            return name, (first[0], first[1])
+                    elif buckets[second]:
+                        return name, (first[0], buckets[second][0])
             return None
-        counts = [(name, rule.shapes, _candidate_count(rule, by_shape))
+        counts = [(name, rule.shapes, _candidate_count(rule, buckets))
                   for name, rule in _RULES.items()]
-        total = sum(count for _, _, count in counts)
+        total = sum([count for _, _, count in counts])
         if not total:
             return None
         r = self.rng.randrange(total)
         for name, shapes, count in counts:
             if r < count:
-                return name, _candidate(shapes, by_shape, r)
+                return name, _candidate(shapes, buckets, r)
             r -= count
         raise AssertionError("unreachable")
 
     def _apply(self, pick: Tuple[str, Tuple[int, ...]], facs: List[Optional[Expr]],
-               by_shape: Dict[str, List[int]], path: Tuple[int, ...]) -> int:
+               buckets: Buckets, path: Tuple[int, ...]) -> int:
         """Fire ``pick``, update the factor index, and return the number of
         factors that went away."""
         rule, idx = pick
@@ -911,18 +943,18 @@ class Normalizer:
             (i,) = idx
             old = facs[i]
             for shape in old._shapes:
-                slots = by_shape[shape]
+                slots = buckets[shape]
                 del slots[bisect_left(slots, i)]
             if old._kind == _K_C:  # R13
                 facs[i] = None
-                partner = facs[_first_slot(by_shape)]
+                partner = facs[_first_slot(buckets)]
                 self._log(rule, path, f"{old._text} * {_wrapped(partner)}",
                           _add(old._fdim, partner._fdim), partner._text, partner._fdim)
                 return 1
             new = facs[i] = _unfold(old)
             self._log(rule, path, old._text, old._fdim, new._text, new._fdim)
             for shape in new._shapes:
-                insort(by_shape[shape], i)
+                insort(buckets[shape], i)
             return 0
 
         i, j = idx
@@ -930,7 +962,7 @@ class Normalizer:
         if a._kind >= _K_M2 or b._kind >= _K_M2:
             # R1-R5, R10, R11: the weight rule of the module docstring
             (parts_a, w_a), (parts_b, w_b) = _m2_share(a), _m2_share(b)
-            inner = parts_a + parts_b + [_lf_atom((w_a + w_b - 1, 1))]
+            inner = [*parts_a, *parts_b, _lf_atom((w_a + w_b - 1, 1))]
             self._log(rule, path, f"{_wrapped(a)} * {_wrapped(b)}", _add(a._fdim, b._fdim),
                       f"M2({_product_text(inner)})", _m2_fdim(_product_fdim(inner)))
             sub = path + (0,)
@@ -942,15 +974,17 @@ class Normalizer:
             self._log(rule, path, f"{atom._text} * {other._text}", merged,
                       replacement._text, replacement._fdim)
         # the replacement takes the lower slot and the other is freed
-        for slot, f in ((i, a), (j, b)):
-            for shape in f._shapes:
-                slots = by_shape[shape]
-                del slots[bisect_left(slots, slot)]
+        for shape in a._shapes:
+            slots = buckets[shape]
+            del slots[bisect_left(slots, i)]
+        for shape in b._shapes:
+            slots = buckets[shape]
+            del slots[bisect_left(slots, j)]
         if j < i:
             i, j = j, i
         facs[i], facs[j] = replacement, None
         for shape in replacement._shapes:
-            insort(by_shape[shape], i)
+            insort(buckets[shape], i)
         return 1
 
 
@@ -1003,31 +1037,18 @@ def example_61_sequence(n_max: int) -> TableReport:
                          f"has 2^(n_max + 2) - 1 nodes, at most {MAX_EXPR_SIZE}")
     rows: List[dict] = []
     failures: List[dict] = []
-
-    def run(n: int, m: int) -> None:
-        expr = FreeOf([pow2sum(AtomC(), 2 ** n), pow2sum(AtomC(), 2 ** m)])
-        nf, _ = normalize(expr)
+    sizes = range(1, n_max + 1)
+    for n, m in [(n, n) for n in sizes] + [(n, m) for n in sizes for m in sizes if n != m]:
+        nf, _ = normalize(FreeOf([pow2sum(AtomC(), 2 ** n), pow2sum(AtomC(), 2 ** m)]))
         want = 5 - 2 * (Fraction(1, 2 ** (n - 1)) + Fraction(1, 2 ** (m - 1)))
         want_alias = 1 + (want - 1) / 4 if want > 1 else None
-        row = {
-            "n": n, "m": m,
-            "normal_form": nf.text(),
-            "parameter": str(nf.param),
-            "expected": str(want),
-            "alias": str(nf.alias()) if nf.alias() is not None else None,
-        }
+        alias = nf.alias()
+        row = {"n": n, "m": m, "normal_form": nf.text(), "parameter": str(nf.param),
+               "expected": str(want), "alias": None if alias is None else str(alias)}
         rows.append(row)
-        ok = (nf.depth == 1 and nf.core == "LF" and nf.param == want
-              and nf.alias() == want_alias)
-        if not ok:
+        if not (nf.depth == 1 and nf.core == "LF" and nf.param == want
+                and alias == want_alias):
             failures.append(row)
-
-    for n in range(1, n_max + 1):
-        run(n, n)
-    for n in range(1, n_max + 1):
-        for m in range(1, n_max + 1):
-            if n != m:
-                run(n, m)
     return TableReport("example61", rows, failures)
 
 
@@ -1047,43 +1068,20 @@ def prop_62_table(n_max: int, m_max: int, k_max: int, l_max: int) -> TableReport
             raise ValueError(f"{name} must be in 0..4")
     rows: List[dict] = []
     failures: List[dict] = []
-
-    def base(k: int) -> Expr:
-        return AtomC() if k == 0 else _lf_atom((k, 1))
-
-    def sum_side(k: int, n: int) -> Expr:
-        return pow2sum(base(k), 2 ** n)
-
-    def mat_side(k: int, n: int) -> Expr:
-        return matpow(base(k), 2 ** n)
-
-    def term_sum(k: int, n: int) -> Fraction:
-        return 2 * Fraction(k - 1, 2 ** (n - 1))
-
-    def term_mat(k: int, n: int) -> Fraction:
-        return Fraction(k - 1, 4 ** (n - 1))
-
-    cases = [
-        ("sum*sum", sum_side, sum_side, term_sum, term_sum),
-        ("mat*sum", mat_side, sum_side, term_mat, term_sum),
-        ("mat*mat", mat_side, mat_side, term_mat, term_mat),
-    ]
-    for label, left, right, lterm, rterm in cases:
-        for n in range(1, n_max + 1):
-            for m in range(1, m_max + 1):
-                for k in range(0, k_max + 1):
-                    for l in range(0, l_max + 1):
-                        expr = FreeOf([left(k, n), right(l, m)])
-                        nf, _ = normalize(expr)
-                        want = 5 + lterm(k, n) + rterm(l, m)
-                        row = {
-                            "family": label, "n": n, "m": m, "k": k, "l": l,
-                            "normal_form": nf.text(),
-                            "parameter": str(nf.param),
-                            "expected": str(want),
-                        }
-                        rows.append(row)
-                        if not (nf.depth == 1 and nf.core == "LF"
-                                and nf.param == want):
-                            failures.append(row)
+    # A side: its builder of S or M from LF_k and 2^n, and the c and b of
+    # its term c(k - 1)/b^(n - 1) in the parameter.
+    sums, mats = (pow2sum, 2, 2), (matpow, 1, 4)
+    for label, (left, lc, lb), (right, rc, rb) in (
+            ("sum*sum", sums, sums), ("mat*sum", mats, sums), ("mat*mat", mats, mats)):
+        for n, m, k, l in product(range(1, n_max + 1), range(1, m_max + 1),
+                                  range(k_max + 1), range(l_max + 1)):
+            nf, _ = normalize(FreeOf([left(_lf_atom((k, 1)) if k else AtomC(), 2 ** n),
+                                      right(_lf_atom((l, 1)) if l else AtomC(), 2 ** m)]))
+            want = (5 + Fraction(lc * (k - 1), lb ** (n - 1))
+                    + Fraction(rc * (l - 1), rb ** (m - 1)))
+            row = {"family": label, "n": n, "m": m, "k": k, "l": l,
+                   "normal_form": nf.text(), "parameter": str(nf.param), "expected": str(want)}
+            rows.append(row)
+            if not (nf.depth == 1 and nf.core == "LF" and nf.param == want):
+                failures.append(row)
     return TableReport("prop62", rows, failures)

@@ -19,10 +19,14 @@ writes its own ``__init__``.  The bases add what the decorator generated:
   extends this dict);
 * ``Record`` is mutable and unhashable; ``FrozenRecord`` hashes its field
   tuple and raises ``AttributeError`` on any assignment, so its ``__init__``
-  stores each field with ``object.__setattr__``, which also keeps the
-  instance's attributes in the compact per-class layout that attribute
-  reads are fastest on (``vars(self).update`` would give each instance its
-  own dict).
+  stores around it, in one of two ways.  ``object.__setattr__`` per field
+  keeps the instance's attributes in the compact per-class layout (the
+  normal forms, letters and partitions).  One ``vars(self).update(...)``
+  materializes a dict per instance but builds faster when a class stores
+  many values at once: the ``freedim`` nodes store their fields and cached
+  values this way.  On Python 3.11, 100k ``Mat2Of`` nodes (six values) took
+  0.12-0.13 s to build against 0.15-0.17 s, with a 184-byte instance dict
+  against 112 bytes; attribute reads cost the same.
 
 Each class gets ``_values``, an ``operator.attrgetter`` over its fields
 (called as ``cls._values(record)``), so comparing and hashing build the

@@ -5,9 +5,10 @@ termination on random fragment expressions."""
 import hashlib
 import json
 import random
+import re
 import sys
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -35,8 +36,11 @@ from freeprod.freedim import (
     UnsupportedFragmentError,
     expr_text,
     _RULES,
+    _PICK_ORDER,
+    _S_SUM,
     _candidate,
     _candidate_count,
+    _factor_index,
     _tokenize,
     fdim,
     matpow,
@@ -195,6 +199,22 @@ def test_measures_refuse_non_expressions(value):
     for measure in (expr_text, fdim):
         with pytest.raises(TypeError, match="not an expression"):
             measure(value)
+
+
+@pytest.mark.parametrize("value", ["R * R", None, 3, (AtomC(),)])
+def test_normalize_refuses_non_expressions(value):
+    """An engine takes only a tree, and refuses anything else before it
+    starts, with the measures' error; the module ``normalize`` parses text
+    first."""
+    engine = Normalizer()
+    engine.normalize(parse("LZ * R"))
+    logged = list(engine.steps)
+    with pytest.raises(TypeError, match="^not an expression: " + re.escape(repr(value)) + "$"):
+        engine.normalize(value)
+    assert engine.steps == logged
+    if not isinstance(value, str):
+        with pytest.raises(TypeError, match="not an expression"):
+            normalize(value)
 
 
 def test_expr_text_roundtrip():
@@ -579,8 +599,12 @@ def test_candidate_pairs_follow_combinations(n):
     ``combinations`` lists."""
     slots = list(range(5, 5 + 3 * n, 3))
     pairs = list(combinations(slots, 2))
-    by_shape = {"sum": slots}
-    assert [_candidate(("sum", "sum"), by_shape, r) for r in range(len(pairs))] == pairs
+    facs = [None] * slots[-1] + [SumOf(AtomC(), AtomR())]
+    for slot in slots:
+        facs[slot] = facs[-1]
+    buckets = _factor_index(facs)
+    assert buckets[_S_SUM] == slots
+    assert [_candidate((_S_SUM, _S_SUM), buckets, r) for r in range(len(pairs))] == pairs
 
 
 # One factor of each shape set the factor index knows: C, R, LF(1), LF(t > 1),
@@ -595,14 +619,29 @@ def test_deterministic_pick_is_first_counted_instance(slots):
     """The deterministic pick reads the buckets directly; it must fire
     instance 0 of the first rule, in table order, whose instance count is
     nonzero, as the seeded pick counts them.  A None slot is a freed one."""
-    by_shape = defaultdict(list)
-    for i, f in enumerate(slots):
-        for shape in () if f is None else f._shapes:
-            by_shape[shape].append(i)
-    want = next(((name, _candidate(rule.shapes, by_shape, 0))
-                 for name, rule in _RULES.items() if _candidate_count(rule, by_shape)),
+    buckets = _factor_index(slots)
+    want = next(((name, _candidate(rule.shapes, buckets, 0))
+                 for name, rule in _RULES.items() if _candidate_count(rule, buckets)),
                 None)
-    assert Normalizer()._pick(by_shape) == want
+    assert Normalizer()._pick(buckets) == want
+
+
+def test_pick_order_groups_are_contiguous_runs_of_the_table():
+    """The deterministic pick walks the rules grouped by first shape.  The
+    rules sharing a first shape are contiguous in table order, so each
+    shape has one group and the grouped walk is the flat table order."""
+    picked = [name for name, rule in _RULES.items() if rule.shapes]
+    firsts = [_RULES[name].shapes[0] for name in picked]
+    for shape in set(firsts):
+        at = [k for k, first in enumerate(firsts) if first == shape]
+        assert at == list(range(at[0], at[-1] + 1)), shape
+    assert [shape for shape, _ in _PICK_ORDER] == list(dict.fromkeys(firsts))
+    assert [name for _, rules in _PICK_ORDER for name, _, _ in rules] == picked
+    for shape, rules in _PICK_ORDER:
+        for name, second, gate in rules:
+            rule = _RULES[name]
+            assert rule.shapes == ((shape,) if second is None else (shape, second))
+            assert rule.gate is gate
 
 
 # Deterministic step logs and normal forms of 200 random fragments and the
@@ -763,6 +802,35 @@ def test_cached_size_agrees_with_walk(e):
     """``_size`` is counted when a node is built; products built directly
     may nest unflattened, and each nested product keeps its own node."""
     assert e._size == size_oracle(e)
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_trees)
+def test_canonical_flag_marks_the_trees_canonicalizing_keeps(e):
+    """``_canon`` holds exactly when canonicalizing returns the tree itself
+    and logs no step; the strategy draws LZ, LF(0) and nested products."""
+    check_canonical_flag(e)
+
+
+@pytest.mark.parametrize("e,canonical", [
+    (AtomLF(2), False), (AtomLF(Fraction(2)), True), (AtomLF(Fraction(0)), False),
+    (AtomLZ(), False), (AtomC(), True), (AtomR(), True),
+    (FreeOf([FreeOf([AtomR(), AtomR()]), AtomC()]), False),
+    (FreeOf([AtomR(), AtomR()]), True), (Mat2Of(SumOf(AtomC(), AtomLF(2))), False),
+    (SumOf(FreeOf([AtomR(), AtomC()]), AtomR()), True),
+])
+def test_canonical_flag_fixed_cases(e, canonical):
+    """An int LF parameter is made a Fraction, and a nested product is
+    spliced in, so neither is canonical; a product of atoms is."""
+    assert e._canon == canonical
+    check_canonical_flag(e)
+
+
+def check_canonical_flag(e):
+    engine = Normalizer()
+    engine._budget = 100  # as ``normalize`` sets it
+    kept = engine._canonicalize(e, ()) is e and not engine.steps
+    assert e._canon == kept
 
 
 def test_cached_size_of_unflattened_products():

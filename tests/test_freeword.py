@@ -238,13 +238,19 @@ def _pairing_letters():
 PAIRING_LETTERS = _pairing_letters()
 
 
+# The values ``st.fractions(-3, 3, max_denominator=4)`` can yield: every p/q
+# with 1 <= q <= 4 and |p/q| <= 3.  Sampling them from a list draws the same
+# support several times faster.
+SMALL_RATIONALS = sorted({Fraction(p, q) for q in range(1, 5) for p in range(-3 * q, 3 * q + 1)})
+
+
 def letter_polys(max_letters):
     """Up to four raw letter sequences of the trig, Haar and two-atom legs,
     each of at most ``max_letters`` letters (drawn as indices into
     ``PAIRING_LETTERS``), with rational coefficients."""
     letter = st.integers(0, len(PAIRING_LETTERS) - 1)
     return st.lists(st.tuples(st.lists(letter, max_size=max_letters),
-                              st.fractions(-3, 3, max_denominator=4)), max_size=4)
+                              st.sampled_from(SMALL_RATIONALS)), max_size=4)
 
 
 LETTER_POLYS = [letter_polys(n) for n in range(7)]
