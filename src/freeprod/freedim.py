@@ -34,8 +34,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product
 from math import gcd, isqrt
+from operator import itemgetter
 import random
 import re
+import sys
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -157,18 +159,20 @@ _S_C, _S_R, _S_LF, _S_LF1, _S_LFT, _S_SUM, _S_MAT = range(len(_SHAPE_NAMES))
 
 
 class Expr(FrozenRecord):
-    """A fragment expression.  Each node computes five values once, when it
+    """A fragment expression.  Each node computes six values once, when it
     is built, from its children's: ``_fdim``, its free dimension by the
     formulas of the module docstring as a reduced (numerator, denominator)
     pair of ints; ``_text``; ``_size``, the number of nodes in its tree;
     ``_shapes``, the ``_S_*`` shapes under which the rule table sees it as
     a factor (none for LZ and products, which are never factors of a
-    reduction); and ``_canon``, true when its tree holds no LZ, no LF(0),
-    no LF parameter that is not a ``Fraction`` and no product nested in a
-    product, so that canonicalizing leaves it as it is.  They live outside
-    ``_fields``, so ==, hash and repr ignore them.  Each class sets
-    ``_kind``, one of the ``_K_*`` ints, and the flag ``_grouped`` marks
-    sums and products, whose text an operand puts in parentheses.
+    reduction); ``_canon``, true when its tree holds no LZ, no LF(0), no LF
+    parameter that is not a ``Fraction`` and no product nested in a
+    product, so that canonicalizing leaves it as it is; and ``_reducible``,
+    true when its tree holds a product or an M2 directly around an
+    M2(LF(t)) with t > 1, the only subtrees that reducing changes.  They
+    live outside ``_fields``, so ==, hash and repr ignore them.  Each class
+    sets ``_kind``, one of the ``_K_*`` ints, and the flag ``_grouped``
+    marks sums and products, whose text an operand puts in parentheses.
 
     The nodes store their fields and cached values with one
     ``vars(self).update``, which builds a node faster than one
@@ -179,6 +183,7 @@ class Expr(FrozenRecord):
     _grouped = False
     _size = 1
     _canon = True
+    _reducible = False
 
 
 class AtomC(Expr):
@@ -221,7 +226,8 @@ class Mat2Of(Expr):
     def __init__(self, inner: Expr):
         vars(self).update(inner=inner, _fdim=_m2_fdim(inner._fdim),
                           _text=f"M2({inner._text})", _size=1 + inner._size,
-                          _canon=inner._canon)
+                          _canon=inner._canon,
+                          _reducible=inner._reducible or _is_compression(inner))
 
 
 class SumOf(Expr):
@@ -234,13 +240,15 @@ class SumOf(Expr):
         vars(self).update(left=left, right=right, _fdim=_sum_fdim(left._fdim, right._fdim),
                           _text=f"{_wrapped(left)} (+) {_wrapped(right)}",
                           _size=1 + left._size + right._size,
-                          _canon=left._canon and right._canon)
+                          _canon=left._canon and right._canon,
+                          _reducible=left._reducible or right._reducible)
 
 
 class FreeOf(Expr):
     _fields = ("factors",)
     _kind = _K_FREE
     _grouped = True
+    _reducible = True
 
     def __init__(self, factors: Sequence[Expr]):
         factors = tuple(factors)
@@ -252,6 +260,15 @@ class FreeOf(Expr):
             canon = canon and f._canon and f._kind != _K_FREE
         vars(self).update(factors=factors, _fdim=_product_fdim(factors),
                           _text=_product_text(factors), _size=size, _canon=canon)
+
+
+def _is_compression(e: Expr) -> bool:
+    """Whether e is M2(LF(t)) with t > 1, which decompresses inside an
+    enclosing M2 (rule R6inv)."""
+    if e._kind != _K_M2:
+        return False
+    inner = e.inner
+    return inner._kind == _K_LF and inner._fdim[0] > inner._fdim[1]
 
 
 def _wrapped(e: Expr) -> str:
@@ -325,12 +342,12 @@ def fdim(e: Expr) -> Fraction:
 
 # Largest expanded tree, in nodes, that ``parse`` accepts.  On a 2-core
 # x86 machine with Python 3.11, whose speed varies with the shared load
-# (best of three runs, two rounds), C^2048 * C^2048 (8191 nodes, 12281
-# steps) normalizes in 0.02 s, since it repeats factor lists, and a product
-# of 1000 distinct M2(LF(t)) factors (2001 nodes) in 0.03-0.04 s.  The
-# factor index keeps a flat product from reclassifying its factors every
-# round: 8191 factors R (16381 steps) take 0.20 s, or 0.36-0.41 s with a
-# seed, and 8191 factors LF(3/2) take 0.09-0.14 s.
+# (best of three runs, three rounds), C^2048 * C^2048 (8191 nodes, 12281
+# steps) normalizes in 0.010-0.015 s, since it repeats factor lists, and a
+# product of 1000 distinct M2(LF(t)) factors (2001 nodes) in 0.02-0.03 s.
+# The factor index keeps a flat product from reclassifying its factors
+# every round: 8191 factors R (16381 steps) take 0.12-0.19 s, or
+# 0.23-0.32 s with a seed, and 8191 factors LF(3/2) take 0.08-0.10 s.
 MAX_EXPR_SIZE = 8192
 
 
@@ -356,43 +373,83 @@ def _check_depth(depth: int) -> int:
     return depth
 
 
-# One token per match, after any whitespace, in group 1; any other character
-# but whitespace matches only group 2, and trailing whitespace matches
-# nothing.  Integers and names are ASCII, so ``int`` reads every INT, and the
-# first character of a token that is not an operator tells INT from NAME.
-_TOKEN = re.compile(r"\s*(?:(\(\+\)|[()*^/]|[0-9]+|[A-Za-z][A-Za-z0-9_]*)|(\S))")
+# One token per match, after any whitespace: an operator, an ASCII integer,
+# an ASCII name, or any other single character but whitespace, which is not
+# a token and which ``_tokenize`` rejects.  Trailing whitespace matches
+# nothing.  A match is a token exactly when its first character is in
+# ``_TOKEN_STARTS``, and then the first character tells INT from NAME and
+# ``int`` reads every INT.  The parser reads the token texts alone and asks
+# ``_tokenize`` for positions only when it raises.
+_TOKEN = re.compile(r"\s*(\(\+\)|[()*^/]|[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S)")
+_TOKEN_STARTS = frozenset("()*^/0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                          "abcdefghijklmnopqrstuvwxyz")
+_first_char = itemgetter(0)
 _OPERATORS = {"(+)": "DSUM", "(": "LPAREN", ")": "RPAREN", "*": "STAR", "^": "CARET",
               "/": "SLASH"}
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """The (kind, text, position) tokens of text, ending with EOF; it raises
+    at the first character that starts no token."""
     out = []
     operator = _OPERATORS.get
     for m in _TOKEN.finditer(text):
         tok = m[1]
-        if tok is None:
-            raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
+        if tok[0] not in _TOKEN_STARTS:
+            raise ParseError(f"unexpected character {tok!r}", m.start(1))
         out.append((operator(tok) or ("INT" if tok[0] <= "9" else "NAME"), tok, m.start(1)))
     out.append(("EOF", "", len(text)))
     return out
 
+
+# The longest integer literal ``int`` reads, or 0 for no limit (before Python
+# 3.10.7 there is none).
+_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # One shared node per atom without parameters.
 _ATOMS = {"C": AtomC(), "LZ": AtomLZ(), "R": AtomR()}
 
 
 class _Parser:
+    """Recursive descent over the token texts of one ``findall``, the empty
+    text standing for EOF.  ``self.i`` is the index of the current token."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = _TOKEN.findall(text)
+        if not _TOKEN_STARTS.issuperset(map(_first_char, self.toks)):
+            _tokenize(text)  # raises at the first stray character
+        self.toks.append("")
         self.i = 0
         self.open = 0
 
-    def expect(self, kind: str):
-        tok = self.toks[self.i]
-        self.i += 1
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
+    def error(self, message: str, i: int) -> ParseError:
+        """The error at token i, whose position is found only now."""
+        return ParseError(message, _tokenize(self.text)[i][2])
+
+    def expect(self, tok: str) -> None:
+        """Pass over the operator ``tok``."""
+        i = self.i
+        self.i = i + 1
+        if self.toks[i] != tok:
+            raise self.error(f"expected {_OPERATORS[tok]}, found {self.toks[i]!r}", i)
+
+    def expect_int(self) -> int:
+        i = self.i
+        self.i = i + 1
+        tok = self.toks[i]
+        if not tok.isdigit():  # ASCII, as every token is
+            raise self.error(f"expected INT, found {tok!r}", i)
+        return self.read_int(tok, i)
+
+    def read_int(self, digits: str, i: int) -> int:
+        """The integer of ``digits`` in token i, refused before ``int`` would
+        refuse it."""
+        limit = _int_digit_limit()
+        if limit and len(digits) > limit:
+            raise self.error(
+                f"integer of {len(digits)} digits is longer than the limit of {limit}", i)
+        return int(digits)
 
     # parse_* return the expression and the height of its expanded tree,
     # whose node count the expression caches.  ``self.open`` counts the
@@ -403,18 +460,18 @@ class _Parser:
     def parse(self) -> Expr:
         e, _ = self.parse_free()
         tok = self.toks[self.i]
-        if tok[0] != "EOF":
-            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
+        if tok:
+            raise self.error(f"unexpected trailing {tok!r}", self.i)
         _check_size(e._size)
         return e
 
     def parse_free(self) -> Tuple[Expr, int]:
         toks = self.toks
         first = self.parse_sum()
-        if toks[self.i][0] != "STAR":
+        if toks[self.i] != "*":
             return first
         factors = [first]
-        while toks[self.i][0] == "STAR":
+        while toks[self.i] == "*":
             self.i += 1
             factors.append(self.parse_sum())
         # a spliced-in product loses its own level
@@ -427,9 +484,9 @@ class _Parser:
         e = None
         while True:
             right, right_height = self.parse_primary()
-            while toks[self.i][0] == "CARET":
+            while toks[self.i] == "^":
                 self.i += 1
-                k = int(self.expect("INT")[1])
+                k = self.expect_int()
                 # both checked before pow2sum builds anything
                 _check_size(k * right._size + k - 1)
                 right_height = _check_depth(right_height + k.bit_length() - 1)
@@ -439,7 +496,7 @@ class _Parser:
             else:
                 height = _check_depth(1 + max(height, right_height))
                 e = SumOf(e, right)
-            if toks[self.i][0] != "DSUM":
+            if toks[self.i] != "(+)":
                 return e, height
             self.i += 1
 
@@ -448,39 +505,40 @@ class _Parser:
         ``levels`` levels."""
         self.open = _check_depth(self.open + levels)
         parsed = self.parse_free()
-        self.expect("RPAREN")
+        self.expect(")")
         self.open -= levels
         return parsed
 
     def parse_primary(self) -> Tuple[Expr, int]:
-        kind, value, pos = self.toks[self.i]
-        self.i += 1
-        if kind == "LPAREN":
+        i = self.i
+        tok = self.toks[i]
+        self.i = i + 1
+        if tok == "(":
             return self.parse_group(1)
-        if kind != "NAME":
-            raise ParseError(f"expected an atom, found {value!r}", pos)
-        atom = _ATOMS.get(value)
+        atom = _ATOMS.get(tok)
         if atom is not None:
             return atom, 0
-        if value == "LF":  # LF(n) or LF(n/d)
-            self.expect("LPAREN")
-            tok = self.expect("INT")
-            num, den = int(tok[1]), 1
-            if self.toks[self.i][0] == "SLASH":
+        if tok == "LF":  # LF(n) or LF(n/d)
+            self.expect("(")
+            at = self.i
+            num, den = self.expect_int(), 1
+            if self.toks[self.i] == "/":
                 self.i += 1
-                den = int(self.expect("INT")[1])
+                den = self.expect_int()
                 if den == 0:
-                    raise ParseError("zero denominator", tok[2])
-            self.expect("RPAREN")
+                    raise self.error("zero denominator", at)
+            self.expect(")")
             g = gcd(num, den)
             return _checked_lf((num // g, den // g)), 0
-        if value[0] == "M" and value[1:].isdigit():
-            k = int(value[1:])
-            self.expect("LPAREN")
+        if tok[:1] == "M" and tok[1:].isdigit():
+            k = self.read_int(tok[1:], i)
+            self.expect("(")
             levels = max(k.bit_length() - 1, 1)  # matpow rejects k < 2
             e, height = self.parse_group(levels)
             return matpow(e, k), _check_depth(height + levels)
-        raise ParseError(f"unknown atom {value!r}", pos)
+        if tok[:1].isalpha():
+            raise self.error(f"unknown atom {tok!r}", i)
+        raise self.error(f"expected an atom, found {tok!r}", i)
 
 
 def parse(text: str) -> Expr:
@@ -530,19 +588,62 @@ class NormalForm(FrozenRecord):
         return self.text()
 
 
-class RewriteStep(Record):
-    _fields = __slots__ = ("rule", "description", "path", "before", "after",
-                           "fdim_before", "fdim_after")
+# A side of a logged step, as the engine hands it over: its text, a node, a
+# tuple of factors for their product, or a list of factors for M2 of their
+# product.
+Side = Union[str, Expr, Tuple[Expr, ...], List[Expr]]
 
-    def __init__(self, rule: str, description: str, path: Tuple[int, ...], before: str,
-                 after: str, fdim_before: Fraction, fdim_after: Fraction):
+
+def _side_text(side: Side) -> str:
+    if isinstance(side, Expr):
+        return side._text
+    if type(side) is list:
+        return f"M2({_product_text(side)})"
+    return _product_text(side)
+
+
+class RewriteStep(Record):
+    """One logged rule application.  ``before`` and ``after`` read the
+    private slots ``_before`` and ``_after``, which hold a ``Side``: the
+    engine logs nodes and factor sequences, and a side is rendered to its
+    text on its first read and kept.  Most logs are never printed, so most
+    sides are never rendered."""
+
+    _fields = ("rule", "description", "path", "before", "after", "fdim_before", "fdim_after")
+    __slots__ = ("rule", "description", "path", "_before", "_after", "fdim_before",
+                 "fdim_after")
+
+    def __init__(self, rule: str, description: str, path: Tuple[int, ...], before: Side,
+                 after: Side, fdim_before: Fraction, fdim_after: Fraction):
         self.rule = rule
         self.description = description
         self.path = path
-        self.before = before
-        self.after = after
+        self._before = before
+        self._after = after
         self.fdim_before = fdim_before
         self.fdim_after = fdim_after
+
+    @property
+    def before(self) -> str:
+        side = self._before
+        if type(side) is not str:
+            side = self._before = _side_text(side)
+        return side
+
+    @before.setter
+    def before(self, text: str) -> None:
+        self._before = text
+
+    @property
+    def after(self) -> str:
+        side = self._after
+        if type(side) is not str:
+            side = self._after = _side_text(side)
+        return side
+
+    @after.setter
+    def after(self, text: str) -> None:
+        self._after = text
 
     def to_json(self) -> dict:
         return {**super().to_json(), "path": list(self.path),
@@ -702,11 +803,14 @@ class Normalizer:
       direct absorption R8 and some co-factor (sum, matrix, or a second
       R) can consume the unfolded copy.
 
-    A step is logged from the text and the fdim pair of each side, and the
-    two pairs must be equal.  A pair rule computes its "before" pair from
-    the two factors and its "after" pair from the parts and the LF weight
-    by the M2 formula, so no node is built only to be logged, and a wrong
-    weight still fails the check.  The log turns the pair into a Fraction.
+    A step is logged from each side and its fdim pair, and the two pairs
+    are checked equal at every step.  A side is logged unrendered, as a
+    node or as the factors of a product, and its text is rendered only
+    when it is read (see ``RewriteStep``).  A pair rule computes its
+    "before" pair from the two factors and its "after" pair from the parts
+    and the LF weight by the M2 formula, so no node is built only to be
+    logged, and a wrong weight still fails the check.  The log turns the
+    pair into a Fraction.
     Every LF atom the engine makes, and every Fraction it logs, is taken
     from a module-level table keyed by the reduced pair, so equal
     parameters and equal fdims share one object across all calls.
@@ -734,16 +838,18 @@ class Normalizer:
     under the tuple of the factors' texts (the text of a tree determines
     the tree) together with the steps it logged; a later reduction of the
     same list takes the result and logs the same steps again, their paths
-    moved under its own path, so the step log is the one a full
-    re-derivation gives, step budget included.  Seeded runs derive every
-    list afresh, so their random draws are unaffected.  After ``normalize``,
-    ``memo_hits`` and ``memo_misses`` count the lists taken from and
-    entered into the memo, and ``rule_counts`` the logged steps per rule.
+    moved under its own path and their sides still unrendered, so the step
+    log is the one a full re-derivation gives, step budget included.
+    Seeded runs derive every list afresh, so their random draws are
+    unaffected.  After ``normalize``, ``memo_hits`` and ``memo_misses``
+    count the lists taken from and entered into the memo, and
+    ``rule_counts`` the logged steps per rule.
 
     The engine dispatches on each node's ``_kind`` and reads its cached
     ``_size``, ``_fdim``, ``_text`` and ``_shapes``, so it never walks a
     tree only to measure it; canonicalizing returns at once a subtree whose
-    ``_canon`` flag is set.
+    ``_canon`` flag is set, and reducing passes over a subtree whose
+    ``_reducible`` flag is unset.
     """
 
     def __init__(self, seed: Optional[int] = None, max_steps: Optional[int] = None):
@@ -788,10 +894,10 @@ class Normalizer:
 
     # -- helpers --------------------------------------------------------------
 
-    def _log(self, rule: str, path: Tuple[int, ...], before: str, fdim_before: Pair,
-             after: str, fdim_after: Pair) -> None:
-        """Log one step from its two sides' texts and fdim pairs, which the
-        caller computes independently of each other."""
+    def _log(self, rule: str, path: Tuple[int, ...], before: Side, fdim_before: Pair,
+             after: Side, fdim_after: Pair) -> None:
+        """Log one step from its two sides, left unrendered, and their fdim
+        pairs, which the caller computes independently of each other."""
         if fdim_before != fdim_after:
             raise AssertionError(
                 f"rule {rule} broke fdim conservation: "
@@ -827,40 +933,41 @@ class Normalizer:
                 return _ATOMS["C"]
             return lf(e.t)  # rejects t < 0 and 0 < t < 1, makes t a Fraction
         new = _lf_atom((1, 1))  # LZ
-        self._log("R14", path, e._text, e._fdim, new._text, new._fdim)
+        self._log("R14", path, e, e._fdim, new, new._fdim)
         return new
 
     def _reduce(self, e: Expr, path: Tuple[int, ...]) -> Expr:
-        """Reduce every product in e, innermost first.  Atoms are already
-        reduced, so they are passed over without a call."""
+        """Reduce every product in e, innermost first, and decompress every
+        M2(LF(t > 1)) directly inside an M2.  A child whose ``_reducible``
+        flag is unset holds neither, so it is passed over without a call."""
         kind = e._kind
         if kind == _K_FREE:
-            factors = [f if f._kind < _K_M2 else self._reduce(f, path + (i,))
+            factors = [self._reduce(f, path + (i,)) if f._reducible else f
                        for i, f in enumerate(e.factors)]
             return self._reduce_factors(factors, path)
         if kind == _K_SUM:
             left, right = e.left, e.right
-            if left._kind >= _K_M2:
+            if left._reducible:
                 left = self._reduce(left, path + (0,))
-            if right._kind >= _K_M2:
+            if right._reducible:
                 right = self._reduce(right, path + (1,))
             return e if left is e.left and right is e.right else SumOf(left, right)
         if kind == _K_M2:
             inner = e.inner
-            if inner._kind >= _K_M2:
-                sub = path + (0,)
-                inner = self._collapse_shell(self._reduce(inner, sub), sub)
+            sub = path + (0,)
+            if inner._reducible:
+                inner = self._reduce(inner, sub)
+            inner = self._collapse_shell(inner, sub)
             return e if inner is e.inner else Mat2Of(inner)
         return e
 
     def _collapse_shell(self, e: Expr, path: Tuple[int, ...]) -> Expr:
         """Inside an enclosing M2, a child M2(LF(t)) with t > 1 decompresses
         so that amplification depth concentrates in the outermost shell."""
-        while e._kind == _K_M2 and e.inner._kind == _K_LF \
-                and e.inner._fdim[0] > e.inner._fdim[1]:
+        while _is_compression(e):
             # the new parameter 1 + (t - 1)/4 = (t + 3)/4 is the fdim of e
             new = _lf_atom(e._fdim)
-            self._log("R6inv", path, e._text, e._fdim, new._text, new._fdim)
+            self._log("R6inv", path, e, e._fdim, new, new._fdim)
             e = new
         return e
 
@@ -881,8 +988,9 @@ class Normalizer:
         result, base, start, stop = hit
         # replay as _log would: the step that overruns the budget is not logged
         logged = self.steps[start:min(stop, start + self._budget)]
+        # the raw sides are copied, so that a replay renders no text
         self.steps += [RewriteStep(s.rule, s.description, path + s.path[base:],
-                                   s.before, s.after, s.fdim_before, s.fdim_after)
+                                   s._before, s._after, s.fdim_before, s.fdim_after)
                        for s in logged]
         self._budget -= stop - start
         if self._budget < 0:
@@ -948,11 +1056,11 @@ class Normalizer:
             if old._kind == _K_C:  # R13
                 facs[i] = None
                 partner = facs[_first_slot(buckets)]
-                self._log(rule, path, f"{old._text} * {_wrapped(partner)}",
-                          _add(old._fdim, partner._fdim), partner._text, partner._fdim)
+                self._log(rule, path, (old, partner), _add(old._fdim, partner._fdim),
+                          partner, partner._fdim)
                 return 1
             new = facs[i] = _unfold(old)
-            self._log(rule, path, old._text, old._fdim, new._text, new._fdim)
+            self._log(rule, path, old, old._fdim, new, new._fdim)
             for shape in new._shapes:
                 insort(buckets[shape], i)
             return 0
@@ -963,16 +1071,16 @@ class Normalizer:
             # R1-R5, R10, R11: the weight rule of the module docstring
             (parts_a, w_a), (parts_b, w_b) = _m2_share(a), _m2_share(b)
             inner = [*parts_a, *parts_b, _lf_atom((w_a + w_b - 1, 1))]
-            self._log(rule, path, f"{_wrapped(a)} * {_wrapped(b)}", _add(a._fdim, b._fdim),
-                      f"M2({_product_text(inner)})", _m2_fdim(_product_fdim(inner)))
+            # a copy, since _derive takes over ``inner`` and frees its slots
+            self._log(rule, path, (a, b), _add(a._fdim, b._fdim),
+                      inner[:], _m2_fdim(_product_fdim(inner)))
             sub = path + (0,)
             replacement = Mat2Of(self._collapse_shell(self._reduce_factors(inner, sub), sub))
         else:  # R7, R8: an LF atom absorbs LF(s) or R, adding its fdim s or 1
             atom, other = (a, b) if a._kind == _K_LF else (b, a)
             merged = _add(atom._fdim, other._fdim)
             replacement = _lf_atom(merged)
-            self._log(rule, path, f"{atom._text} * {other._text}", merged,
-                      replacement._text, replacement._fdim)
+            self._log(rule, path, (atom, other), merged, replacement, replacement._fdim)
         # the replacement takes the lower slot and the other is freed
         for shape in a._shapes:
             slots = buckets[shape]

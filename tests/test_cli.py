@@ -175,6 +175,17 @@ def test_normalize_oversized_expression_exit_2(expr):
     assert "nodes" in line
 
 
+def test_normalize_overlong_integer_is_a_parse_error():
+    """An integer longer than ``int`` reads is refused at its token, not
+    with the interpreter's conversion message."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["normalize", "--expr", "LF(" + "9" * 5000 + ")"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == ("error: integer of 5000 digits is longer than the limit of "
+                              f"{sys.get_int_max_str_digits()} (at position 3)\n")
+
+
 @pytest.mark.parametrize("expr", [f"M{2 ** 600}(C) * R", "(" * 400 + "C" + ")" * 400],
                          ids=["M<2^600>", "400-parens"])
 def test_normalize_deeply_nested_expression_exit_2(expr):

@@ -11,9 +11,11 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from typing import Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freeprod import freedim
 from freeprod.freedim import (
@@ -38,9 +40,15 @@ from freeprod.freedim import (
     _RULES,
     _PICK_ORDER,
     _S_SUM,
+    _ATOMS,
+    _K_FREE,
     _candidate,
     _candidate_count,
+    _check_depth,
+    _check_size,
+    _checked_lf,
     _factor_index,
+    _flatten,
     _tokenize,
     fdim,
     matpow,
@@ -98,6 +106,27 @@ def test_parse_rejects_non_ascii_digits_at_their_position(text, pos):
     with pytest.raises(ParseError, match=r"unexpected character") as exc:
         parse(text)
     assert exc.value.pos == pos
+
+
+# An integer longer than ``int`` reads (4300 digits by default) is refused
+# at its token, in each of the three places the grammar has one.
+@pytest.mark.parametrize("prefix,suffix,pos", [
+    ("LF(", ")", 3), ("LF(1/", ")", 5), ("R * C^", "", 6), ("M", "(R)", 0)])
+def test_parse_refuses_integers_longer_than_int_reads(prefix, suffix, pos):
+    limit = sys.get_int_max_str_digits()
+    for digits in (limit + 1, 5000):
+        with pytest.raises(ParseError, match=f"^integer of {digits} digits is longer than "
+                                             f"the limit of {limit} ") as exc:
+            parse(prefix + "2" * digits + suffix)
+        assert exc.value.pos == pos
+    # at the limit int reads it: an LF numerator of any size is taken, and
+    # the fragment guards refuse the rest
+    text = prefix + "2" * limit + suffix
+    if prefix == "LF(":
+        assert parse(text) == AtomLF(Fraction(int("2" * limit)))
+    else:
+        with pytest.raises(UnsupportedFragmentError):
+            parse(text)
 
 
 def test_fragment_errors():
@@ -343,6 +372,36 @@ def test_steps_conserve_fdim_and_record_fragments():
         assert s.fdim_before == s.fdim_after
         assert s.before and s.after
     assert nf.fdim() == 2
+
+
+def test_step_sides_are_rendered_after_normalize_returns():
+    """A pair rule logs its result's factor list, which the derivation then
+    takes over and frees slot by slot; the log keeps its own copy, so the
+    side reads the same after ``normalize`` returns."""
+    _, steps = normalize("(R (+) LF(1)) * (LZ (+) LF(1))")
+    (r1,) = [s for s in steps if s.rule == "R1"]
+    assert r1.before == "(R (+) LF(1)) * (LF(1) (+) LF(1))"
+    assert r1.after == "M2(R * LF(1) * LF(1) * LF(1) * LF(1))"
+
+
+def test_replayed_steps_render_as_the_steps_they_copy():
+    """A memo replay copies a step's unrendered sides, and renders the same
+    texts.  A logged product side is a tuple made for its one step, so a
+    second step holding the same tuple is a replay."""
+    engine = Normalizer()
+    _, steps = engine.normalize(parse("C^8 * C^8"))
+    assert engine.memo_hits
+    first, pairs = {}, []
+    for s in steps:
+        if type(s._before) is tuple:
+            original = first.setdefault(id(s._before), s)
+            if original is not s:
+                pairs.append((original, s))
+    assert len(pairs) > 10
+    assert all(copy._after is original._after for original, copy in pairs)
+    for original, copy in pairs:
+        texts = copy.before, copy.after  # each copy before its original
+        assert texts == (original.before, original.after)
 
 
 def test_normal_form_text_and_fdim():
@@ -758,6 +817,125 @@ def test_tokenizer_matches_character_loop(text):
     assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
 
 
+# -- the parser against the token-tuple parser it replaced --------------------------
+
+
+class ReferenceParser:
+    """The parser that read (kind, text, position) tuples from ``_tokenize``,
+    verbatim; the engine's parser reads the token texts alone and finds a
+    position only when it raises."""
+
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
+        self.i = 0
+        self.open = 0
+
+    def expect(self, kind: str):
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        return tok
+
+    # parse_* return the expression and the height of its expanded tree,
+    # whose node count the expression caches.  ``self.open`` counts the
+    # levels of the groups around the current token, one per parenthesis
+    # and log2 k per Mk, so that deep nesting is rejected before the parser
+    # recurses into it.
+
+    def parse(self) -> Expr:
+        e, _ = self.parse_free()
+        tok = self.toks[self.i]
+        if tok[0] != "EOF":
+            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
+        _check_size(e._size)
+        return e
+
+    def parse_free(self) -> Tuple[Expr, int]:
+        toks = self.toks
+        first = self.parse_sum()
+        if toks[self.i][0] != "STAR":
+            return first
+        factors = [first]
+        while toks[self.i][0] == "STAR":
+            self.i += 1
+            factors.append(self.parse_sum())
+        # a spliced-in product loses its own level
+        height = _check_depth(1 + max(h - (f._kind == _K_FREE) for f, h in factors))
+        return FreeOf(_flatten(f for f, _ in factors)), height
+
+    def parse_sum(self) -> Tuple[Expr, int]:
+        """Operands joined by (+), each a primary with any number of ^k."""
+        toks = self.toks
+        e = None
+        while True:
+            right, right_height = self.parse_primary()
+            while toks[self.i][0] == "CARET":
+                self.i += 1
+                k = int(self.expect("INT")[1])
+                # both checked before pow2sum builds anything
+                _check_size(k * right._size + k - 1)
+                right_height = _check_depth(right_height + k.bit_length() - 1)
+                right = pow2sum(right, k)
+            if e is None:
+                e, height = right, right_height
+            else:
+                height = _check_depth(1 + max(height, right_height))
+                e = SumOf(e, right)
+            if toks[self.i][0] != "DSUM":
+                return e, height
+            self.i += 1
+
+    def parse_group(self, levels: int) -> Tuple[Expr, int]:
+        """The product up to the closing parenthesis, in a group of
+        ``levels`` levels."""
+        self.open = _check_depth(self.open + levels)
+        parsed = self.parse_free()
+        self.expect("RPAREN")
+        self.open -= levels
+        return parsed
+
+    def parse_primary(self) -> Tuple[Expr, int]:
+        kind, value, pos = self.toks[self.i]
+        self.i += 1
+        if kind == "LPAREN":
+            return self.parse_group(1)
+        if kind != "NAME":
+            raise ParseError(f"expected an atom, found {value!r}", pos)
+        atom = _ATOMS.get(value)
+        if atom is not None:
+            return atom, 0
+        if value == "LF":  # LF(n) or LF(n/d)
+            self.expect("LPAREN")
+            tok = self.expect("INT")
+            num, den = int(tok[1]), 1
+            if self.toks[self.i][0] == "SLASH":
+                self.i += 1
+                den = int(self.expect("INT")[1])
+                if den == 0:
+                    raise ParseError("zero denominator", tok[2])
+            self.expect("RPAREN")
+            g = gcd(num, den)
+            return _checked_lf((num // g, den // g)), 0
+        if value[0] == "M" and value[1:].isdigit():
+            k = int(value[1:])
+            self.expect("LPAREN")
+            levels = max(k.bit_length() - 1, 1)  # matpow rejects k < 2
+            e, height = self.parse_group(levels)
+            return matpow(e, k), _check_depth(height + levels)
+        raise ParseError(f"unknown atom {value!r}", pos)
+
+
+def _parse_outcome(parse_text, text):
+    """The tree and its cached values, or the error's class, text and
+    position."""
+    try:
+        e = parse_text(text)
+    except (ParseError, UnsupportedFragmentError) as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return e, e._size, e._fdim, e._canon
+
+
 def fdim_oracle(e):
     """The free dimension by the module docstring's formulas, in Fraction."""
     if isinstance(e, AtomC):
@@ -783,6 +961,35 @@ _trees = st.recursive(
         sub.map(Mat2Of),
         st.lists(sub, min_size=2, max_size=4).map(FreeOf)),
     max_leaves=12)
+
+
+_TREE_MUTANTS = st.tuples(_trees, st.integers(min_value=0),
+                          st.one_of(st.none(), st.sampled_from(_GRAMMAR_CHARS + _JUNK_CHARS)))
+
+
+def _mutated_text(drawn):
+    """The text of a drawn tree with one character deleted (None) or
+    inserted."""
+    e, at, char = drawn
+    text = expr_text(e)
+    at %= len(text) + 1
+    return text[:at] + text[at + 1:] if char is None else text[:at] + char + text[at:]
+
+
+@settings(deadline=None, database=None, max_examples=1000)
+@given(st.one_of(_TOKEN_TEXT, _trees.map(expr_text), _TREE_MUTANTS.map(_mutated_text)))
+@example("LF(3/0)")
+@example(" LF( 12 /00 ) * R")
+@example("M16(R")
+@example("M2 * R")
+@example("C^ * R")
+@example("(C (+) R")
+def test_parser_matches_token_tuple_parser(text):
+    """Both parsers give equal trees with equal cached values, or the same
+    error, message and position.  Most token soups and mutants are errors,
+    so the texts of drawn trees are mixed in."""
+    want = _parse_outcome(lambda t: ReferenceParser(t).parse(), text)
+    assert _parse_outcome(parse, text) == want
 
 
 def size_oracle(e):
@@ -831,6 +1038,45 @@ def check_canonical_flag(e):
     engine._budget = 100  # as ``normalize`` sets it
     kept = engine._canonicalize(e, ()) is e and not engine.steps
     assert e._canon == kept
+
+
+def subtrees(e):
+    yield e
+    for child in (e.factors if isinstance(e, FreeOf) else (e.left, e.right)
+                  if isinstance(e, SumOf) else (e.inner,) if isinstance(e, Mat2Of) else ()):
+        yield from subtrees(child)
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_trees)
+def test_reducible_flag_marks_every_subtree_reducing_changes(e):
+    """In a canonical tree, a subtree whose ``_reducible`` flag is unset
+    comes back from ``_reduce`` as itself, with no step logged.  Each
+    subtree is reduced on its own, so a flag wrongly unset on a child is
+    caught where the parent's flag would hide it."""
+    engine = Normalizer()
+    engine._budget = 100  # as ``normalize`` sets it
+    for sub in subtrees(engine._canonicalize(e, ())):
+        if not sub._reducible:
+            logged = len(engine.steps)
+            assert engine._reduce(sub, ()) is sub and len(engine.steps) == logged
+
+
+def test_reducible_flag_fixed_cases():
+    """An M2 directly around M2(LF(t > 1)) is flagged though it holds no
+    product, and decompresses; one level further out it is not."""
+    e = parse("M2(M2(LF(17)))")
+    assert e._reducible and not e.inner._reducible
+    engine = Normalizer()
+    engine._budget = 100  # as ``normalize`` sets it
+    assert engine._reduce(e, ()) == parse("M2(LF(5))")
+    assert [s.rule for s in engine.steps] == ["R6inv"]
+    assert [(s.before, s.after) for s in engine.steps] == [("M2(LF(17))", "LF(5)")]
+    for text in ["M2(LF(17)) (+) C", "M2(LF(1)) (+) M2(M2(C))", "M4(R)", "LF(3) (+) LZ"]:
+        e = parse(text)
+        assert not e._reducible
+        assert engine._reduce(e, ()) is e
+    assert parse("C (+) (R * R)")._reducible and parse("M2(C^2 * C)")._reducible
 
 
 def test_cached_size_of_unflattened_products():
