@@ -178,6 +178,8 @@ def test_normalize_oversized_expression_exit_2(expr):
 def test_normalize_overlong_integer_is_a_parse_error():
     """An integer longer than ``int`` reads is refused at its token, not
     with the interpreter's conversion message."""
+    if not 0 < sys.get_int_max_str_digits() < 5000:
+        pytest.skip("this interpreter's int reads 5000 digits")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["normalize", "--expr", "LF(" + "9" * 5000 + ")"])

@@ -114,7 +114,9 @@ def test_parse_rejects_non_ascii_digits_at_their_position(text, pos):
     ("LF(", ")", 3), ("LF(1/", ")", 5), ("R * C^", "", 6), ("M", "(R)", 0)])
 def test_parse_refuses_integers_longer_than_int_reads(prefix, suffix, pos):
     limit = sys.get_int_max_str_digits()
-    for digits in (limit + 1, 5000):
+    if not limit:
+        pytest.skip("this interpreter's int reads integers of any length")
+    for digits in (limit + 1, 2 * limit):
         with pytest.raises(ParseError, match=f"^integer of {digits} digits is longer than "
                                              f"the limit of {limit} ") as exc:
             parse(prefix + "2" * digits + suffix)
