@@ -33,7 +33,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product
-from math import gcd, isqrt
+from math import gcd, isqrt, log10
 from operator import itemgetter
 import random
 import re
@@ -285,6 +285,24 @@ def _flatten(factors: Iterable[Expr]) -> List[Expr]:
     return [g for f in factors for g in (f.factors if f._kind == _K_FREE else (f,))]
 
 
+# The most digits an integer in an error message is written with; a longer
+# one is written as its digit count, so a message stays one short line.
+MAX_SHOWN_DIGITS = 40
+
+
+def _int_text(n: int) -> str:
+    """n in decimal, or its digit count when it has more than
+    MAX_SHOWN_DIGITS digits; counted without ``str``, which refuses an
+    integer longer than ``int`` reads."""
+    m = abs(n)
+    if m < 10 ** MAX_SHOWN_DIGITS:
+        return str(n)
+    digits = max(int((m.bit_length() - 1) * log10(2)) - 1, MAX_SHOWN_DIGITS)
+    while 10 ** digits <= m:
+        digits += 1
+    return f"{'-' if n < 0 else ''}<{digits}-digit integer>"
+
+
 def lf(t) -> AtomLF:
     t = Fraction(t)
     return _checked_lf((t.numerator, t.denominator))
@@ -294,8 +312,8 @@ def _checked_lf(p: Pair) -> AtomLF:
     """The LF atom of the reduced pair p, which must be 0 or >= 1."""
     n, d = p
     if n < 0 or 0 < n < d:
-        raise UnsupportedFragmentError(
-            f"LF parameter must be 0 or >= 1, got {Fraction(n, d)}")
+        value = _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
+        raise UnsupportedFragmentError(f"LF parameter must be 0 or >= 1, got {value}")
     return _lf_atom(p)
 
 
@@ -354,7 +372,7 @@ MAX_EXPR_SIZE = 8192
 def _check_size(size: int) -> int:
     if size > MAX_EXPR_SIZE:
         raise UnsupportedFragmentError(
-            f"expression expands to {size} nodes, more than {MAX_EXPR_SIZE}")
+            f"expression expands to {_int_text(size)} nodes, more than {MAX_EXPR_SIZE}")
     return size
 
 

@@ -29,7 +29,7 @@ from .record import Record
 from .trigalg import PI_ZERO, PiValue, TrigPoly
 
 # The most words one freeness walk may visit.  The largest harness length
-# in use, matrix:5, checks 39214 words (0.12-0.19 s on one core, Python 3.11).
+# in use, matrix:5, checks 39214 words (0.14-0.24 s on one core, Python 3.11).
 MAX_HARNESS_WORDS = 50_000
 
 
@@ -72,14 +72,8 @@ _DIAGONAL = ((0, 0), (1, 1))
 _ALL_ENTRIES = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
-def _transposed(traces: List[PiValue]) -> List[PiValue]:
-    """Entry traces in the order of the entries checked, rearranged for the
-    transposed matrix: the off-diagonal pair, if any, swaps."""
-    return traces[:2] + traces[3:1:-1]
-
-
 def _report_entries(report: "CheckReport", word: _Word,
-                    entries: Sequence[Tuple[int, int]], traces: List[PiValue]) -> None:
+                    entries: Sequence[Tuple[int, int]], traces: Sequence[PiValue]) -> None:
     """Add a failure for each entry of ``word`` whose trace is not zero."""
     for (i, j), t in zip(entries, traces):
         if not t.is_zero():
@@ -133,6 +127,18 @@ def _certified_degrees(fp: FreeProduct, families: Sequence[Sequence[Tuple[str, "
             tuple(fp.legs[leg_id].grade_modulus for leg_id in legs))
 
 
+def _product_entry(mul: Callable, left: Callable[[int, int], NCPoly], right: "Mat2",
+                   i: int, j: int) -> NCPoly:
+    """Entry (i, j) of a product whose left factor has entry (i, k) =
+    ``left(i, k)``: sum_k left(i, k) right_kj, reading left(i, k) only where
+    right_kj is not zero.  The skipped terms are zero and add nothing."""
+    h0, h1 = right.e[0][j], right.e[1][j]
+    if h0.is_zero():
+        return h1 if h1.is_zero() else mul(left(i, 1), h1)
+    out = mul(left(i, 0), h0)
+    return out if h1.is_zero() else out + mul(left(i, 1), h1)
+
+
 class Mat2:
     """2x2 matrix over NCPoly, tied to a FreeProduct for multiplication."""
 
@@ -160,8 +166,8 @@ class Mat2:
 
     def entry(self, other: "Mat2", i: int, j: int) -> NCPoly:
         """Entry (i, j) of ``self @ other``, formed alone."""
-        mul, a, b = self.fp.mul, self.e[i], other.e
-        return mul(a[0], b[0][j]) + mul(a[1], b[1][j])
+        e = self.e
+        return _product_entry(self.fp.mul, lambda i, k: e[i][k], other, i, j)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         e = self.entry
@@ -177,9 +183,6 @@ class Mat2:
         a, b = self.e, other.e
         return Mat2(self.fp, tuple(
             tuple(a[i][j] - b[i][j] for j in range(2)) for i in range(2)))
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(self.fp, tuple(tuple(-x for x in row) for row in self.e))
 
     def scaled(self, q) -> "Mat2":
         return Mat2(self.fp, tuple(tuple(x.scaled(q) for x in row) for row in self.e))
@@ -207,43 +210,56 @@ class Mat2:
     __repr__ = __str__
 
 
-class _LeafParent:
-    """The product ``left @ right`` of a word with one letter still to come,
-    never formed whole.  An entry is formed, once, when the word's own
-    check or one of its children reads it; a child, a leaf of the walk,
-    reads only the cut states (``FreeProduct.cut_state``) of the entries
-    its generator's nonzero entries meet, each also built once.  ``left``
-    is None for a lone generator, whose entries are those of ``right``."""
+class _WordProduct:
+    """The product of a word of a freeness walk, formed entry by entry:
+    ``left`` is the product of the word without its last generator ``g``,
+    None for a lone generator, whose entries are g's.  Entry (i, j) is
+    formed once, when the word's check or a child reads it, and reads
+    ``left``'s entry (i, k) only where g_kj is not zero, so a subtree that
+    no check reads forms nothing.  ``left`` is dropped once all four entries
+    are formed, so a long walk keeps no chain of ancestors alive.
 
-    __slots__ = ("fp", "left", "right", "slack", "memo", "formed", "states")
+    ``entry`` recurses only past unformed entries, and a word is visited,
+    and its check reads its entries, before its children: a read goes back
+    only over ancestors whose checks read nothing or not that row.  Only
+    one-generator families (PQ) let a walk pass about 30 letters, and there
+    every other word is traced: PQ:1500 reads back at most three letters."""
 
-    def __init__(self, fp: FreeProduct, left: Optional[Mat2], right: Mat2,
+    __slots__ = ("fp", "left", "g", "slack", "memo", "formed", "unformed", "states")
+
+    def __init__(self, fp: FreeProduct, left: Optional["_WordProduct"], g: Mat2,
                  slack: int, memo: dict):
-        self.fp, self.left, self.right = fp, left, right
+        self.fp, self.left, self.g = fp, left, g
         # the longest word of the children's generator entries, and the
         # walk's memo of word states at that slack
         self.slack, self.memo = slack, memo
-        self.formed: Dict[Tuple[int, int], NCPoly] = {}
-        self.states: Dict[Tuple[int, int], dict] = {}
+        # entry (i, j) in slot 2i + j, None until formed; ``unformed`` counts them
+        self.formed = [x for row in g.e for x in row] if left is None else [None] * 4
+        self.unformed = 0 if left is None else 4
+        self.states: Optional[Dict[Tuple[int, int], dict]] = None
 
     def entry(self, i: int, j: int) -> NCPoly:
-        got = self.formed.get((i, j))
+        got = self.formed[2 * i + j]
         if got is None:
-            got = self.formed[i, j] = (self.right.e[i][j] if self.left is None
-                                       else self.left.entry(self.right, i, j))
+            got = self.formed[2 * i + j] = _product_entry(
+                self.fp.mul, self.left.entry, self.g, i, j)
+            self.unformed -= 1
+            if not self.unformed:
+                self.left = None
         return got
 
     def child_trace(self, g: Mat2, i: int, j: int) -> PiValue:
-        """tr((self @ g)_ij) = sum over k of tr(p_ik g_kj), each term paired
-        from the cut state of p_ik."""
+        """tr((self @ g)_ij) for a leaf child g: sum over k of tr(p_ik g_kj),
+        each term paired from the cut state of p_ik, built once."""
         fp, total = self.fp, PI_ZERO
+        states = self.states = {} if self.states is None else self.states
         for k in (0, 1):
             h = g.e[k][j]
             if not h.is_zero():
-                state = self.states.get((i, k))
+                state = states.get((i, k))
                 if state is None:
-                    state = self.states[i, k] = fp.cut_state(self.entry(i, k),
-                                                             self.slack, self.memo)
+                    state = states[i, k] = fp.cut_state(self.entry(i, k), self.slack,
+                                                        self.memo)
                 t = fp.pair(state, h)
                 if t:
                     total = total + t
@@ -333,21 +349,14 @@ class MatrixModel:
         for r in range(1, r_max + 1):
             pq_pow = pq_pow @ pq
             qp_pow = qp_pow @ qp
-            cos2r = TrigPoly.cos(2 * r)
-            sin2r = TrigPoly.sin(2 * r)
-            want_rot = self.trig_mat(((cos2r, sin2r), (-sin2r, cos2r)))
-            report.words_checked += 1
-            if pq_pow != want_rot:
-                report.failures.append({"r": r, "which": "(2P0.2Q0)^r",
-                                        "got": str(pq_pow)})
-            cos2 = TrigPoly.cos(2 * r + 2)
-            sin2 = TrigPoly.sin(2 * r + 2)
-            want_ref = self.trig_mat(((cos2, sin2), (sin2, -cos2)))
-            got = qp_pow @ q2
-            report.words_checked += 1
-            if got != want_ref:
-                report.failures.append({"r": r, "which": "(2Q0.2P0)^r 2Q0",
-                                        "got": str(got)})
+            c, s = TrigPoly.cos(2 * r), TrigPoly.sin(2 * r)
+            c2, s2 = TrigPoly.cos(2 * r + 2), TrigPoly.sin(2 * r + 2)
+            for which, got, want in (
+                    ("(2P0.2Q0)^r", pq_pow, ((c, s), (-s, c))),
+                    ("(2Q0.2P0)^r 2Q0", qp_pow @ q2, ((c2, s2), (s2, -c2)))):
+                report.words_checked += 1
+                if got != self.trig_mat(want):
+                    report.failures.append({"r": r, "which": which, "got": str(got)})
         return report
 
     def verify_partial_isometries(self) -> CheckReport:
@@ -411,21 +420,16 @@ class MatrixModel:
         sum of its generators' degrees.  A word of nonzero degree in some
         counted leg has trace 0 in every entry, by the leg's automorphisms:
         it traces nothing and fills no pending entry, and its adjoint, of
-        the negative degree, is skipped too.  It still forms the products
-        its children read.  The report's ``entries_traced``,
+        the negative degree, is skipped too.  It forms only the entries its
+        children read.  The report's ``entries_traced``,
         ``entries_derived`` and ``entries_skipped`` count the three kinds
         of entry.
 
-        Only a word with two or more letters still to come forms its
-        product matrix (``Mat2 @``).  A word one letter short, the parent
-        of leaves, forms with ``Mat2.entry`` only the entries its own check
-        and its children read, each once.  A longest word (a leaf) forms
-        nothing: it traces each checked entry as sum_k tr(p_ik g_kj) from
-        the cut states (``FreeProduct.cut_state``) of its parent's entries
-        p_ik that meet a nonzero g_kj, each state built once per parent and
-        paired with g_kj (``FreeProduct.pair``).  A family's slack is the
-        longest word in its generators' entries; word states are memoized
-        for one walk.
+        Every word but a leaf of two or more letters is a ``_WordProduct``,
+        which forms an entry of its product only when its check or a child
+        reads it.  Such a leaf forms nothing: it traces each checked entry
+        as sum_k tr(p_ik g_kj), pairing (``FreeProduct.pair``) g_kj with the
+        cut state (``FreeProduct.cut_state``) of its parent's p_ik.
 
         Precondition: every generator is centered (Tr = 0) - violations
         raise rather than report.
@@ -455,9 +459,9 @@ class MatrixModel:
                 for f, family in enumerate(families)]
         # The cut states of single words, per slack, for this walk only.
         memos: Dict[int, dict] = {fam[2]: {} for fam in fams}
-        # The entry traces of words whose adjoint partner was checked first,
-        # under the word's key; each is popped when used.
-        pending: Dict[Tuple[int, int], List[PiValue]] = {}
+        # The entry traces, as tuples, of words whose adjoint was checked first,
+        # by key, popped when used: a long PQ walk holds half its words here.
+        pending: Dict[Tuple[int, int], Tuple[PiValue, ...]] = {}
 
         # Depth first, in the order of a recursive walk: each entry holds a
         # product still to be extended by one generator.  The explicit stack
@@ -481,13 +485,12 @@ class MatrixModel:
                 report.words_checked += 1
                 entries = (_ALL_ENTRIES if full_check else
                            _DIAGONAL if prod is not None else ())
-                # only a word with two or more letters still to come forms
-                # its product matrix; a leaf forms none
+                # a leaf of two or more letters traces from its parent's
+                # cut states; every other word is a node of the walk
                 parent = prod
-                if remaining > 1:
-                    prod = g if parent is None else parent @ g
-                elif remaining:
-                    prod = _LeafParent(self.fp, parent, g, nxt[2], memos[nxt[2]])
+                leaf = not remaining and parent is not None
+                if not leaf:
+                    prod = _WordProduct(self.fp, parent, g, nxt[2], memos[nxt[2]])
                 key = (remaining, rank)
                 if any(degree):
                     # Every entry has trace 0, and so has every entry of the
@@ -498,20 +501,17 @@ class MatrixModel:
                 elif (traces := pending.pop(key, None)) is not None:
                     report.entries_derived += len(traces)
                 else:
-                    if remaining > 1:
-                        traces = [trace(prod.e[i][j]) for i, j in entries]
-                    elif remaining:
-                        traces = [trace(prod.entry(i, j)) for i, j in entries]
-                    elif parent is None:
-                        traces = [trace(g.e[i][j]) for i, j in entries]
-                    else:
+                    if leaf:
                         traces = [parent.child_trace(g, i, j) for i, j in entries]
+                    else:
+                        traces = [trace(prod.entry(i, j)) for i, j in entries]
                     report.entries_traced += len(traces)
                     if adj:
-                        # the adjoint starts in the family of the last generator
+                        # the adjoint starts in the family of the last generator;
+                        # transposing swaps the off-diagonal pair, if checked
                         adj_key = (remaining, other[0] * size + rev)
                         if adj_key != key:
-                            pending[adj_key] = _transposed(traces)
+                            pending[adj_key] = (*traces[:2], *traces[3:1:-1])
                 _report_entries(report, word, entries, traces)
             if remaining:
                 radix = len(nxt[1])

@@ -188,6 +188,26 @@ def test_normalize_overlong_integer_is_a_parse_error():
                               f"{sys.get_int_max_str_digits()} (at position 3)\n")
 
 
+@pytest.mark.parametrize("expr, line", [
+    ("C^" + "1" * 4300, "error: expression expands to <4300-digit integer> nodes, more than 8192"),
+    ("LF(1/" + "3" * 4300 + ")",
+     "error: LF parameter must be 0 or >= 1, got 1/<4300-digit integer>"),
+    ("LF(" + "1" * 4000 + "/" + "3" * 4001 + ")",
+     "error: LF parameter must be 0 or >= 1, got "
+     "<4000-digit integer>/<4001-digit integer>")],
+    ids=["pow", "lf-den", "lf-both"])
+def test_normalize_fragment_error_with_long_integers_is_one_short_line(expr, line):
+    """A fragment error names an over-long integer by its digit count, so
+    ``normalize --expr`` exits 2 with one short line, not thousands of
+    digits."""
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4300:
+        pytest.skip("this interpreter's int reads fewer than 4300 digits")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["normalize", "--expr", expr])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", line + "\n")
+
+
 @pytest.mark.parametrize("expr", [f"M{2 ** 600}(C) * R", "(" * 400 + "C" + ")" * 400],
                          ids=["M<2^600>", "400-parens"])
 def test_normalize_deeply_nested_expression_exit_2(expr):

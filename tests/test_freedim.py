@@ -51,6 +51,7 @@ from freeprod.freedim import (
     _flatten,
     _tokenize,
     fdim,
+    lf,
     matpow,
     normalize,
     parse,
@@ -129,6 +130,42 @@ def test_parse_refuses_integers_longer_than_int_reads(prefix, suffix, pos):
     else:
         with pytest.raises(UnsupportedFragmentError):
             parse(text)
+
+
+# Fragment errors write an integer of more than MAX_SHOWN_DIGITS (40) digits
+# as its digit count, so each message is one short line; shorter integers
+# are written in full, as before.
+@pytest.mark.parametrize("text,message", [
+    ("C^" + "1" * 4300, "expression expands to <4300-digit integer> nodes, more than 8192"),
+    ("C^" + "9" * 4300, "expression expands to <4301-digit integer> nodes, more than 8192"),
+    ("LF(1/" + "3" * 4300 + ")",
+     "LF parameter must be 0 or >= 1, got 1/<4300-digit integer>"),
+    ("LF(" + "1" * 4000 + "/" + "3" * 4001 + ")",
+     "LF parameter must be 0 or >= 1, got <4000-digit integer>/<4001-digit integer>"),
+    ("LF(1/" + "3" * 41 + ")", "LF parameter must be 0 or >= 1, got 1/<41-digit integer>"),
+    ("LF(1/" + "3" * 40 + ")", "LF parameter must be 0 or >= 1, got 1/" + "3" * 40),
+    ("C^" + "1" * 20, "expression expands to 22222222222222222221 nodes, more than 8192"),
+    ("C^8192", "expression expands to 16383 nodes, more than 8192"),
+    ("LF(2/4)", "LF parameter must be 0 or >= 1, got 1/2"),
+], ids=["pow-4300", "pow-4301", "lf-den-4300", "lf-4000-4001", "lf-den-41", "lf-den-40",
+        "pow-20", "pow-8192", "lf-half"])
+def test_fragment_errors_write_long_integers_as_digit_counts(text, message):
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4300:
+        pytest.skip("this interpreter's int reads fewer than 4300 digits")
+    with pytest.raises(UnsupportedFragmentError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("t,message", [
+    (Fraction(-7, 2), "got -7/2"), (-3, "got -3"),
+    (Fraction(-10 ** 45), "got -<46-digit integer>"),
+    (Fraction(1, 10 ** 45), "got 1/<46-digit integer>")],
+    ids=["neg-half", "neg-int", "neg-46", "den-46"])
+def test_lf_errors_write_long_integers_as_digit_counts(t, message):
+    with pytest.raises(UnsupportedFragmentError, match=f"^LF parameter must be 0 or >= 1, "
+                                                       f"{re.escape(message)}$"):
+        lf(t)
 
 
 def test_fragment_errors():

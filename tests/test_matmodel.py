@@ -11,13 +11,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeprod.freeword import NCPoly
+from freeprod.freeword import FreeProduct, NCPoly
 from freeprod.matmodel import (
     HARNESSES,
     MAX_HARNESS_WORDS,
     CheckReport,
     Mat2,
     MatrixModel,
+    _WordProduct,
     _word_text,
     harness_word_count,
     matrix_model_generators,
@@ -477,22 +478,83 @@ def test_inhomogeneous_generator_turns_its_grade_off(mm):
     assert {"word": "U+2P0 U*", "entry": "11", "value": "1"} in report.failures
 
 
-@pytest.mark.parametrize("name, max_len, products", [
-    ("UX", 3, 0), ("UX", 4, 18), ("matrix", 3, 0), ("PX", 7, 72)])
-def test_walk_forms_products_only_two_letters_short(mm, name, max_len, products,
-                                                      monkeypatch):
-    """The walk calls ``Mat2 @`` once for each word of two or more
-    generators with at least two letters still to come: a lone generator
-    is its own product, a word one letter short forms only the entries
-    read from it, and a leaf forms none.  UX:4 has 18 words of length 2;
-    PX:7 has 6 + 12 + 18 + 36 words of lengths 2 to 5."""
-    gen_a, gen_b, offdiag = mm.generators(name)
+def _count_muls(monkeypatch):
+    """The list that gains one item per ``FreeProduct.mul`` call from now on."""
     calls = []
+    mul = FreeProduct.mul
+    monkeypatch.setattr(FreeProduct, "mul",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    return calls
+
+
+@pytest.mark.parametrize("name, max_len, muls", [("UX", 4, 104), ("PX", 7, 460), ("PQ", 12, 116)])
+def test_walk_forms_entries_only_as_they_are_read(mm, name, max_len, muls, monkeypatch):
+    """The walk calls ``Mat2 @`` never: every word but a leaf of two or more
+    letters is a ``_WordProduct``, which forms an entry only when the word's
+    check or a child reads it.  Forming entry (i, j) of a word ending in g
+    costs one ``FreeProduct.mul`` per nonzero g_kj: one for the diagonal
+    2P0, one for the nonzero column of U (the second) or U* (the first),
+    none for their zero columns, two for 2Q0, X and X*, which have no zero
+    entry.  A lone generator forms nothing, and a node forms entries only
+    when some word extending it is traced by its own check, not derived or
+    skipped.
+
+    - PQ:12: the two starts give 20 nodes of lengths 2 to 11.  The 10
+      ending in 2P0 form all four entries, and so do 9 of the 10 ending in
+      2Q0; the 2Q0 node of length 11, whose leaf child 2P0 reads only its
+      diagonal, forms two.  10*4 + 9*4*2 + 2*2 = 116.
+    - PX:7: 36 nodes ending in 2P0 form four entries (144), 39 ending in X,
+      X* or 2Q0 form four (312; a word with X or X* checks all four, and a
+      2Q0 leaf reads whole rows), and 2P0 2Q0 2P0 2Q0 2P0 2Q0, whose leaf
+      child 2P0 reads its diagonal, forms two (4): 460.
+    - UX:4: its traced words of degree 0 read U X U*, U* X U and the rest
+      of their kind (6 nodes, all four entries, two products each: 12), and
+      through them one column of U X, U* X and the rest (6 nodes, 2 entries,
+      4 products each: 24); 2P0 then X, X* or 2Q0 (3 nodes, 8 each) and
+      2P0 after them (3, 4 each): 36; X, X* or 2Q0 then 2P0 (3, 4 each), X
+      2P0 X* and X* 2P0 X (2, 8 each) and the diagonal of 2Q0 2P0 2Q0 (4):
+      32.  24 + 12 + 36 + 32 = 104.
+
+    The walk that formed whole products (``Mat2 @``) for every word two or
+    more letters short made 156, 740 and 236."""
+    gen_a, gen_b, offdiag = mm.generators(name)
+    products = []
     matmul = Mat2.__matmul__
     monkeypatch.setattr(Mat2, "__matmul__",
-                        lambda self, other: calls.append(1) or matmul(self, other))
+                        lambda self, other: products.append(1) or matmul(self, other))
+    calls = _count_muls(monkeypatch)
     assert mm.check_freeness(gen_a, gen_b, max_len, name, offdiag).passed
-    assert len(calls) == products
+    assert (len(products), len(calls)) == (0, muls)
+
+
+def test_word_product_forms_each_entry_once_then_drops_left(mm, monkeypatch):
+    """A node forms an entry on its first read only, reading just the entries
+    of ``left`` that meet a nonzero entry of its generator, and drops
+    ``left`` after forming its fourth entry; a lone generator's node holds
+    the generator's entries and forms nothing."""
+    p2, q2 = mm.P0.scaled(2), mm.Q0.scaled(2)
+    want = p2 @ q2
+    want_pqp = want @ p2
+    calls = _count_muls(monkeypatch)
+    root = _WordProduct(mm.fp, None, p2, 0, {})
+    assert root.formed == [x for row in p2.e for x in row] and root.left is None
+    node = _WordProduct(mm.fp, root, q2, 0, {})
+    # 2Q0 has no zero entry: each entry of 2P0 2Q0 costs two products
+    for (i, j), cost in [((0, 0), 2), ((0, 0), 0), ((1, 0), 2), ((0, 1), 2), ((1, 0), 0)]:
+        before = len(calls)
+        assert node.entry(i, j) == want.e[i][j]
+        assert len(calls) - before == cost and node.left is root
+    assert node.entry(1, 1) == want.e[1][1] and len(calls) == 8 and node.left is None
+    assert [node.entry(i, j) for i in (0, 1) for j in (0, 1)] == node.formed
+    assert len(calls) == 8
+    # 2P0 is diagonal: entry (0, 0) of 2P0 2Q0 2P0 reads entry (0, 0) of a
+    # fresh 2P0 2Q0 alone, and U's zero first column reads nothing
+    middle = _WordProduct(mm.fp, root, q2, 0, {})
+    leafward = _WordProduct(mm.fp, middle, p2, 0, {})
+    assert leafward.entry(0, 0) == want_pqp.e[0][0]
+    assert middle.formed[1:] == [None, None, None] and len(calls) == 11
+    assert _WordProduct(mm.fp, node, mm.U, 0, {}).entry(1, 0).is_zero()
+    assert len(calls) == 11
 
 
 def assert_star_traced(mm, m):
