@@ -648,6 +648,7 @@ class RewriteStep(Record):
             side = self._before = _side_text(side)
         return side
 
+    # A Record's fields are assignable, so the sides keep their setters.
     @before.setter
     def before(self, text: str) -> None:
         self._before = text

@@ -13,7 +13,9 @@ use, t = tr in the *centered* basis of ``trace_word``.  Both bases are
 served by one fold that appends letters to a combination of reduced words,
 through two memoized tables built from the legs' ``mul``, ``trace`` and
 ``split``: a letter's expansion, and the product of a basis letter with a
-same-leg letter.
+same-leg letter.  The folds of one evaluation (one ``normalize``, ``mul``
+or trace) may make at most ``MAX_FOLD_WORDS`` words in all; past that
+they raise ``EvaluationLimitError``.
 
 Two independent trace algorithms are provided and cross-checked:
 
@@ -23,17 +25,6 @@ Two independent trace algorithms are provided and cross-checked:
   word.  An append shortens a word by at most one letter, so words longer
   than the letters still to come are dropped on the way.  Memoized on the
   word.
-
-  The fold's prune rule takes a slack s: it keeps the words no longer
-  than the letters still to come plus s.  Folding x with slack s leaves
-  the *cut state* of x, its reduced centered words of at most s letters,
-  and that is all tr(x y) reads when every word of y has at most s
-  letters: ``cut_state`` builds it and ``pair`` folds y onto it with
-  slack 0.  The freeness walk traces its longest words this way, from
-  the state of the word one letter shorter.  This is the free product
-  written as a direct sum of tensor products of centered spaces
-  (Voiculescu-Dykema-Nica 1992; Nica-Speicher 2006, Lecture 6), cut at
-  length s; it is the same fold split in two, not a third evaluator.
 
 * ``trace_bipartite`` - the non-crossing partition formula for a word
   alternating between two free families: the sum over pi in NC(n) of the
@@ -70,12 +61,16 @@ from . import trigalg
 from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _as_pi, _frac
 
 MAX_WORD_LETTERS = 64
+# The most words the folds of one evaluation may make, over all layers:
+# tracing c u repeated 22 times makes 139144, and repeated 24 times 364223
+# (1.6 s on one core, Python 3.11).
+MAX_FOLD_WORDS = 2 ** 18
 MAX_CUMULANT_N = 10
 MAX_PARTITION_N = 10
 
 
 class EvaluationLimitError(RuntimeError):
-    """Word length or tuple length exceeded the evaluator guard."""
+    """Word length, tuple length or fold work exceeded the evaluator guard."""
 
 
 class FamilySplitError(ValueError):
@@ -511,6 +506,10 @@ class _Basis:
       scalar is the identity coefficient (plain) or tr x (centered);
     * ``products[a, x]`` - (a - t(a)) x for a basis letter a of x's leg,
       the expansion of ax minus t(a) times the expansion of x.
+
+    ``budget`` is the words the folds may still make.  Each evaluation of
+    the free product sets it to ``MAX_FOLD_WORDS`` when it starts, so a
+    free product runs one evaluation at a time.
     """
 
     def __init__(self, leg: Callable[[str], Leg], centered: bool):
@@ -518,6 +517,7 @@ class _Basis:
         self._centered = centered
         self.expansions: Dict[int, tuple] = {}
         self.products: Dict[Tuple[int, int], tuple] = {}
+        self.budget = MAX_FOLD_WORDS
 
     def _expand(self, leg: Leg, letter: Letter) -> Tuple[PiValue, Dict[int, PiValue]]:
         scalar, parts = PI_ZERO, {}
@@ -547,15 +547,15 @@ class _Basis:
         return got
 
     def fold(self, acc: Dict[IdWord, PiValue], letters: Sequence[int],
-             slack: Optional[int]) -> Dict[IdWord, PiValue]:
+             prune: bool) -> Dict[IdWord, PiValue]:
         """Append the letters one at a time to ``acc``, a combination of
         reduced words.  A letter x after a word ending in a letter a of its
         leg replaces a by ``products[a, x]``; after any other word it goes
-        in by its expansion.  With a ``slack``, words longer than the
-        letters still to come plus the slack are dropped; None keeps every
-        word."""
+        in by its expansion.  With ``prune``, words longer than the letters
+        still to come are dropped; without it every word is kept."""
         legs, expansions, products = _LETTER_LEGS, self.expansions, self.products
-        last = sys.maxsize if slack is None else len(letters) - 1 + slack
+        last = len(letters) - 1 if prune else sys.maxsize
+        budget = self.budget
         for pos, x in enumerate(letters):
             room = last - pos
             leg = legs[x]
@@ -574,12 +574,17 @@ class _Basis:
                     cur = nxt.get(base)
                     nxt[base] = add if cur is None else cur + add
                 if size < room:
+                    if len(nxt) > budget:
+                        raise EvaluationLimitError(
+                            f"evaluation would make more than {MAX_FOLD_WORDS} words")
                     for b, q in parts:
                         w2 = base + (b,)
                         add = c * q
                         cur = nxt.get(w2)
                         nxt[w2] = add if cur is None else cur + add
             acc = nxt
+            budget -= len(acc)
+        self.budget = budget
         return acc
 
 
@@ -621,7 +626,8 @@ class FreeProduct:
             if letter.leg not in self.legs:
                 raise UnknownNameError(f"unknown leg {letter.leg!r}")
             ids.append(_intern(letter))
-        return NCPoly._of_ids(self._plain.fold({(): PI_ONE}, ids, None))
+        self._plain.budget = MAX_FOLD_WORDS
+        return NCPoly._of_ids(self._plain.fold({(): PI_ONE}, ids, False))
 
     def word(self, letters: Sequence[Letter]) -> Word:
         """Normalize a letter sequence that is expected to stay a single
@@ -641,9 +647,10 @@ class FreeProduct:
         if not a._terms:
             return a
         out: Dict[IdWord, PiValue] = {}
+        self._plain.budget = MAX_FOLD_WORDS
         for w2, c2 in b._terms.items():
             piece = {w1: c1 * c2 for w1, c1 in a._terms.items()}
-            for w, c in self._plain.fold(piece, w2, None).items():
+            for w, c in self._plain.fold(piece, w2, False).items():
                 cur = out.get(w)
                 out[w] = c if cur is None else cur + c
         return NCPoly._of_ids(out)
@@ -713,6 +720,7 @@ class FreeProduct:
         for a, b in zip(word, word[1:]):
             if a.leg == b.leg:
                 raise ValueError("word is not alternating-normalized")
+        self._centered.budget = MAX_FOLD_WORDS
         return self._trace_word(tuple(map(_intern, word)))
 
     def _trace_word(self, word: IdWord) -> PiValue:
@@ -722,7 +730,7 @@ class FreeProduct:
         cached = self._tr_memo.get(word)
         if cached is not None:
             return cached
-        acc = self._centered.fold({(): PI_ONE}, word, 0)
+        acc = self._centered.fold({(): PI_ONE}, word, True)
         result = acc.get((), PI_ZERO)
         self._tr_memo[word] = result
         return result
@@ -730,43 +738,9 @@ class FreeProduct:
     def trace(self, nc: NCPoly) -> PiValue:
         """Linear extension of the word trace to combinations."""
         total = PI_ZERO
+        self._centered.budget = MAX_FOLD_WORDS
         for w, c in nc._terms.items():
             t = self._trace_word(w)
-            if t:
-                total = total + c * t
-        return total
-
-    # -- cut states ---------------------------------------------------------------
-
-    def cut_state(self, nc: NCPoly, slack: int,
-                  memo: Dict[IdWord, Dict[IdWord, PiValue]]) -> Dict[IdWord, PiValue]:
-        """The centered expansion of ``nc`` cut to its reduced words of at
-        most ``slack`` letters: all that ``pair`` needs to trace ``nc``
-        times a combination of words of at most ``slack`` letters, since
-        appending a letter shortens a reduced word by at most one.  A
-        word's state is kept in ``memo``, which the caller holds for one
-        slack.  At slack 0 the state is the trace."""
-        if not slack:
-            t = self.trace(nc)
-            return {(): t} if t else {}
-        out: Dict[IdWord, PiValue] = {}
-        for w, c in nc._terms.items():
-            state = memo.get(w)
-            if state is None:
-                state = memo[w] = self._centered.fold({(): PI_ONE}, w, slack)
-            for v, q in state.items():
-                add = c * q
-                cur = out.get(v)
-                out[v] = add if cur is None else cur + add
-        return out
-
-    def pair(self, state: Dict[IdWord, PiValue], nc: NCPoly) -> PiValue:
-        """tr(x nc) from the cut state of x (``cut_state``) at a slack no
-        shorter than any word of ``nc``: each word folded onto the state,
-        pruned as in the trace, gives its coefficient of the empty word."""
-        total = PI_ZERO
-        for w, c in nc._terms.items():
-            t = self._centered.fold(state, w, 0).get(())
             if t:
                 total = total + c * t
         return total

@@ -26,10 +26,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .freeword import FiniteCommLeg, FreeProduct, NCPoly, standard_model
 from .record import Record
-from .trigalg import PI_ZERO, PiValue, TrigPoly
+from .trigalg import PiValue, TrigPoly
 
 # The most words one freeness walk may visit.  The largest harness length
-# in use, matrix:5, checks 39214 words (0.14-0.24 s on one core, Python 3.11).
+# in use, matrix:5, checks 39214 words (0.15-0.20 s on one core, Python 3.11).
 MAX_HARNESS_WORDS = 50_000
 
 
@@ -225,18 +225,13 @@ class _WordProduct:
     one-generator families (PQ) let a walk pass about 30 letters, and there
     every other word is traced: PQ:1500 reads back at most three letters."""
 
-    __slots__ = ("fp", "left", "g", "slack", "memo", "formed", "unformed", "states")
+    __slots__ = ("fp", "left", "g", "formed", "unformed")
 
-    def __init__(self, fp: FreeProduct, left: Optional["_WordProduct"], g: Mat2,
-                 slack: int, memo: dict):
+    def __init__(self, fp: FreeProduct, left: Optional["_WordProduct"], g: Mat2):
         self.fp, self.left, self.g = fp, left, g
-        # the longest word of the children's generator entries, and the
-        # walk's memo of word states at that slack
-        self.slack, self.memo = slack, memo
         # entry (i, j) in slot 2i + j, None until formed; ``unformed`` counts them
         self.formed = [x for row in g.e for x in row] if left is None else [None] * 4
         self.unformed = 0 if left is None else 4
-        self.states: Optional[Dict[Tuple[int, int], dict]] = None
 
     def entry(self, i: int, j: int) -> NCPoly:
         got = self.formed[2 * i + j]
@@ -247,23 +242,6 @@ class _WordProduct:
             if not self.unformed:
                 self.left = None
         return got
-
-    def child_trace(self, g: Mat2, i: int, j: int) -> PiValue:
-        """tr((self @ g)_ij) for a leaf child g: sum over k of tr(p_ik g_kj),
-        each term paired from the cut state of p_ik, built once."""
-        fp, total = self.fp, PI_ZERO
-        states = self.states = {} if self.states is None else self.states
-        for k in (0, 1):
-            h = g.e[k][j]
-            if not h.is_zero():
-                state = states.get((i, k))
-                if state is None:
-                    state = states[i, k] = fp.cut_state(self.entry(i, k), self.slack,
-                                                        self.memo)
-                t = fp.pair(state, h)
-                if t:
-                    total = total + t
-        return total
 
 
 class CheckReport(Record):
@@ -425,11 +403,9 @@ class MatrixModel:
         ``entries_derived`` and ``entries_skipped`` count the three kinds
         of entry.
 
-        Every word but a leaf of two or more letters is a ``_WordProduct``,
-        which forms an entry of its product only when its check or a child
-        reads it.  Such a leaf forms nothing: it traces each checked entry
-        as sum_k tr(p_ik g_kj), pairing (``FreeProduct.pair``) g_kj with the
-        cut state (``FreeProduct.cut_state``) of its parent's p_ik.
+        Every word is a ``_WordProduct``, which forms an entry of its
+        product only when its own check or a child reads it, and traces
+        each checked entry it does not derive or skip as tr of that entry.
 
         Precondition: every generator is centered (Tr = 0) - violations
         raise rather than report.
@@ -448,17 +424,12 @@ class MatrixModel:
         families = (list(gen_a), list(gen_b))
         adj = _adjoint_positions(families, offdiag)
         degrees, moduli = _certified_degrees(self.fp, families)
-        # Each family as its index, its members: (position, position of the
-        # adjoint, name, matrix, degrees), and the slack of its words'
-        # states: the longest word in its generators' entries.  Without
-        # pairing the second position is never read.
+        # Each family as its index and its members: (position, position of
+        # the adjoint, name, matrix, degrees).  Without pairing the second
+        # position is never read.
         fams = [(f, [(pos, adj[f][pos] if adj else pos, name, g, degrees[f][pos])
-                     for pos, (name, g) in enumerate(family)],
-                 max((len(w) for _, g in family for row in g.e for x in row
-                      for w, _ in x.terms()), default=0))
+                     for pos, (name, g) in enumerate(family)])
                 for f, family in enumerate(families)]
-        # The cut states of single words, per slack, for this walk only.
-        memos: Dict[int, dict] = {fam[2]: {} for fam in fams}
         # The entry traces, as tuples, of words whose adjoint was checked first,
         # by key, popped when used: a long PQ walk holds half its words here.
         pending: Dict[Tuple[int, int], Tuple[PiValue, ...]] = {}
@@ -485,12 +456,7 @@ class MatrixModel:
                 report.words_checked += 1
                 entries = (_ALL_ENTRIES if full_check else
                            _DIAGONAL if prod is not None else ())
-                # a leaf of two or more letters traces from its parent's
-                # cut states; every other word is a node of the walk
-                parent = prod
-                leaf = not remaining and parent is not None
-                if not leaf:
-                    prod = _WordProduct(self.fp, parent, g, nxt[2], memos[nxt[2]])
+                prod = _WordProduct(self.fp, prod, g)
                 key = (remaining, rank)
                 if any(degree):
                     # Every entry has trace 0, and so has every entry of the
@@ -501,10 +467,7 @@ class MatrixModel:
                 elif (traces := pending.pop(key, None)) is not None:
                     report.entries_derived += len(traces)
                 else:
-                    if leaf:
-                        traces = [parent.child_trace(g, i, j) for i, j in entries]
-                    else:
-                        traces = [trace(prod.entry(i, j)) for i, j in entries]
+                    traces = [trace(prod.entry(i, j)) for i, j in entries]
                     report.entries_traced += len(traces)
                     if adj:
                         # the adjoint starts in the family of the last generator;

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeprod import cli, freedim
+from freeprod.freeword import MAX_FOLD_WORDS
 from freeprod.matmodel import HARNESSES
 from freeprod.trigalg import MAX_TRIG_DEPTH, MAX_TRIG_TERMS
 
@@ -153,6 +154,17 @@ def test_trace_long_word_within_budget():
     out = run_cli("trace", "--word", " ".join(["c u"] * 12), timeout=60)
     assert "exact: 0\n" in out
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("pair, count", [("c u", 32), ("(c+s) u", 14)])
+def test_trace_word_work_bound(pair, count):
+    """c u repeated 32 times (64 letters) would fold for minutes, and (c+s) u
+    repeated 14 times normalizes to 2^14 terms that would too: each is
+    refused with one error line once its folds pass MAX_FOLD_WORDS."""
+    start = time.perf_counter()
+    line = run_cli_error("trace", "--word", " ".join([pair] * count))
+    assert time.perf_counter() - start < 5.0
+    assert line == f"error: evaluation would make more than {MAX_FOLD_WORDS} words"
 
 
 def test_trace_scalar_letter():

@@ -34,6 +34,7 @@ from freeprod.freeword import (
     moments_to_cumulants,
     standard_model,
 )
+from freeprod import freeword
 from freeprod.ncpart import NCPartition, enumerate_nc, kreweras
 from freeprod.trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly
 
@@ -220,7 +221,42 @@ def test_trace_word_length_guard(fp):
         fp.trace_word(tuple(letters))
 
 
-# -- cut states ------------------------------------------------------------------
+def test_fold_work_guard(monkeypatch):
+    """One evaluation may make MAX_FOLD_WORDS words over all its folds,
+    here 2000, and each evaluation counts afresh.  Tracing c u repeated 12
+    times makes 1127 words, and so does s u repeated 12 times after it;
+    repeated 14 times it would make 2957.  Normalizing (c+s) u repeated 6
+    times makes 252 words and 64 terms, each traced alone in at most 59
+    words; the trace of their sum counts all 3776.  Normalizing (c+s) u
+    repeated 8 times makes 1020 words, and 9 times 2044.  Multiplying the
+    64 terms by the 4 of (c+s) u (c+s) u makes 1024 words, and by the 8 of
+    three repeats 3072."""
+    monkeypatch.setattr(freeword, "MAX_FOLD_WORDS", 2000)
+    fp = standard_model()
+    f, u = fp.leg("f"), fp.leg("u")
+    for letter in (f.c(), f.s()):
+        assert fp.trace_word([letter, u.gen(1)] * 12) == PI_ZERO
+    with pytest.raises(EvaluationLimitError, match="more than 2000 words"):
+        fp.trace_word([f.c(), u.gen(1)] * 14)
+    both = [f.letter(TrigPoly.cos(1) + TrigPoly.sin(1)), u.gen(1)]
+    nc = fp.normalize(both * 6)
+    assert nc.nterms() == 64
+    with pytest.raises(EvaluationLimitError):
+        fp.trace(nc)
+    for w, c in nc.terms():
+        assert fp.trace(NCPoly({w: c})) == PI_ZERO
+    two = fp.normalize(both * 2)
+    for _ in range(2):
+        assert fp.normalize(both * 8).nterms() == 256
+    for _ in range(2):
+        assert fp.mul(nc, two).nterms() == 256
+    with pytest.raises(EvaluationLimitError):
+        fp.normalize(both * 9)
+    with pytest.raises(EvaluationLimitError):
+        fp.mul(nc, fp.normalize(both * 3))
+
+
+# -- grades ----------------------------------------------------------------------
 
 
 def _pairing_model():
@@ -238,62 +274,11 @@ def _pairing_letters():
 PAIRING_LETTERS = _pairing_letters()
 
 
-# The values ``st.fractions(-3, 3, max_denominator=4)`` can yield: every p/q
-# with 1 <= q <= 4 and |p/q| <= 3.  Sampling them from a list draws the same
-# support several times faster.
-SMALL_RATIONALS = sorted({Fraction(p, q) for q in range(1, 5) for p in range(-3 * q, 3 * q + 1)})
-
-
-def letter_polys(max_letters):
-    """Up to four raw letter sequences of the trig, Haar and two-atom legs,
-    each of at most ``max_letters`` letters (drawn as indices into
-    ``PAIRING_LETTERS``), with rational coefficients."""
-    letter = st.integers(0, len(PAIRING_LETTERS) - 1)
-    return st.lists(st.tuples(st.lists(letter, max_size=max_letters),
-                              st.sampled_from(SMALL_RATIONALS)), max_size=4)
-
-
-LETTER_POLYS = [letter_polys(n) for n in range(7)]
-
-
 def _nc_poly(fp, terms):
     out = NCPoly.zero()
     for letters, q in terms:
         out = out + fp.normalize([PAIRING_LETTERS[i] for i in letters]).scaled(q)
     return out
-
-
-@settings(deadline=None, database=None, max_examples=100)
-@given(st.data())
-def test_cut_state_pairing_matches_trace_of_product(data):
-    """The cut state of p at slack m, paired with g whose words have at most
-    m letters, gives tr(p g) as traced from the formed product; so does a
-    second p whose states come through the same memo."""
-    fp = _pairing_model()
-    m = data.draw(st.integers(0, 5), "slack")
-    g = _nc_poly(fp, data.draw(LETTER_POLYS[m], "g"))
-    memo = {}
-    for name in ("p", "q"):
-        p = _nc_poly(fp, data.draw(LETTER_POLYS[6], name))
-        state = fp.cut_state(p, m, memo)
-        assert all(len(w) <= m for w in state)
-        assert fp.pair(state, g) == fp.trace(fp.mul(p, g))
-
-
-def test_cut_state_keeps_the_words_a_pairing_reads(fp):
-    """tr(c c) = tr(c)^2 + tr((c - tr c)^2): at slack 1 the state of c
-    keeps its centered letter, which the pairing with c needs; at slack 0
-    it is tr(c) alone."""
-    f = fp.leg("f")
-    c = fp.normalize([f.c()])
-    want = fp.trace(fp.mul(c, c))
-    assert want == PiValue({0: Fraction(1, 2)}) != fp.trace(c) * fp.trace(c)
-    assert fp.pair(fp.cut_state(c, 1, {}), c) == want
-    assert fp.cut_state(c, 0, {}) == {(): fp.trace(c)}
-    assert fp.cut_state(NCPoly.zero(), 0, {}) == {}
-
-
-# -- grades ----------------------------------------------------------------------
 
 
 def test_leg_grades():

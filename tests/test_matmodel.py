@@ -264,7 +264,7 @@ def test_report_json_shape(mm):
     assert doc["failures"] == []
 
 
-# -- adjoint pairing and leaf entries --------------------------------------------
+# -- adjoint pairing and lazily formed entries -----------------------------------
 
 
 def reference_check_freeness(mm, gen_a, gen_b, max_len, harness="freeness",
@@ -487,36 +487,42 @@ def _count_muls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name, max_len, muls", [("UX", 4, 104), ("PX", 7, 460), ("PQ", 12, 116)])
+@pytest.mark.parametrize("name, max_len, muls", [("UX", 4, 172), ("PX", 7, 586), ("PQ", 12, 120)])
 def test_walk_forms_entries_only_as_they_are_read(mm, name, max_len, muls, monkeypatch):
-    """The walk calls ``Mat2 @`` never: every word but a leaf of two or more
-    letters is a ``_WordProduct``, which forms an entry only when the word's
-    check or a child reads it.  Forming entry (i, j) of a word ending in g
-    costs one ``FreeProduct.mul`` per nonzero g_kj: one for the diagonal
-    2P0, one for the nonzero column of U (the second) or U* (the first),
-    none for their zero columns, two for 2Q0, X and X*, which have no zero
-    entry.  A lone generator forms nothing, and a node forms entries only
-    when some word extending it is traced by its own check, not derived or
-    skipped.
+    """The walk calls ``Mat2 @`` never: every word is a ``_WordProduct``,
+    which forms an entry only when the word's check or a child reads it.
+    Forming entry (i, j) of a word ending in g costs one
+    ``FreeProduct.mul`` per nonzero g_kj: one for the diagonal 2P0, one for
+    the nonzero column of U (the second) or U* (the first), none for their
+    zero columns, two for 2Q0, X and X*, which have no zero entry.  A lone
+    generator forms nothing, and a node forms entries only when it or some
+    word extending it is traced by its own check, not derived or skipped.
 
-    - PQ:12: the two starts give 20 nodes of lengths 2 to 11.  The 10
-      ending in 2P0 form all four entries, and so do 9 of the 10 ending in
-      2Q0; the 2Q0 node of length 11, whose leaf child 2P0 reads only its
-      diagonal, forms two.  10*4 + 9*4*2 + 2*2 = 116.
-    - PX:7: 36 nodes ending in 2P0 form four entries (144), 39 ending in X,
-      X* or 2Q0 form four (312; a word with X or X* checks all four, and a
-      2Q0 leaf reads whole rows), and 2P0 2Q0 2P0 2Q0 2P0 2Q0, whose leaf
-      child 2P0 reads its diagonal, forms two (4): 460.
+    - PQ:12: the two starts give 22 nodes of lengths 2 to 12.  The 10
+      ending in 2P0 that a traced word reads form all four entries, and so
+      do the 9 ending in 2Q0 of lengths 2 to 10; the 2Q0 word of length 11,
+      whose child is derived, and the traced word of length 12 form their
+      diagonals.  10*4 + 9*4*2 + 2*2 + 2*2 = 120.
+    - PX:7: 40 nodes ending in 2P0 form all four entries (160) and so do 52
+      ending in X, X* or 2Q0 (416; a word with X or X* checks all four, and
+      a child ending in 2Q0 reads whole rows).  Three words of 2P0 and 2Q0
+      alone form only their diagonals: (2P0 2Q0)^3 (4), (2P0 2Q0)^3 2P0
+      (2) and (2Q0 2P0)^3 2Q0 (4).  160 + 416 + 10 = 586.
     - UX:4: its traced words of degree 0 read U X U*, U* X U and the rest
       of their kind (6 nodes, all four entries, two products each: 12), and
       through them one column of U X, U* X and the rest (6 nodes, 2 entries,
       4 products each: 24); 2P0 then X, X* or 2Q0 (3 nodes, 8 each) and
       2P0 after them (3, 4 each): 36; X, X* or 2Q0 then 2P0 (3, 4 each), X
       2P0 X* and X* 2P0 X (2, 8 each) and the diagonal of 2Q0 2P0 2Q0 (4):
-      32.  24 + 12 + 36 + 32 = 104.
+      32.  The traced words of length 4 form their own entries: U X U* X*,
+      its five kin and 2P0 X 2P0 X* and 2P0 X* 2P0 X all four (8 nodes, 8
+      each: 64), 2P0 2Q0 2P0 2Q0 its diagonal (4).
+      24 + 12 + 36 + 32 + 68 = 172.
 
     The walk that formed whole products (``Mat2 @``) for every word two or
-    more letters short made 156, 740 and 236."""
+    more letters short made 156, 740 and 236 calls; the one that traced the
+    longest words from cut states of their parents' entries made 116, 460
+    and 104, with more folds."""
     gen_a, gen_b, offdiag = mm.generators(name)
     products = []
     matmul = Mat2.__matmul__
@@ -536,9 +542,9 @@ def test_word_product_forms_each_entry_once_then_drops_left(mm, monkeypatch):
     want = p2 @ q2
     want_pqp = want @ p2
     calls = _count_muls(monkeypatch)
-    root = _WordProduct(mm.fp, None, p2, 0, {})
+    root = _WordProduct(mm.fp, None, p2)
     assert root.formed == [x for row in p2.e for x in row] and root.left is None
-    node = _WordProduct(mm.fp, root, q2, 0, {})
+    node = _WordProduct(mm.fp, root, q2)
     # 2Q0 has no zero entry: each entry of 2P0 2Q0 costs two products
     for (i, j), cost in [((0, 0), 2), ((0, 0), 0), ((1, 0), 2), ((0, 1), 2), ((1, 0), 0)]:
         before = len(calls)
@@ -549,11 +555,11 @@ def test_word_product_forms_each_entry_once_then_drops_left(mm, monkeypatch):
     assert len(calls) == 8
     # 2P0 is diagonal: entry (0, 0) of 2P0 2Q0 2P0 reads entry (0, 0) of a
     # fresh 2P0 2Q0 alone, and U's zero first column reads nothing
-    middle = _WordProduct(mm.fp, root, q2, 0, {})
-    leafward = _WordProduct(mm.fp, middle, p2, 0, {})
+    middle = _WordProduct(mm.fp, root, q2)
+    leafward = _WordProduct(mm.fp, middle, p2)
     assert leafward.entry(0, 0) == want_pqp.e[0][0]
     assert middle.formed[1:] == [None, None, None] and len(calls) == 11
-    assert _WordProduct(mm.fp, node, mm.U, 0, {}).entry(1, 0).is_zero()
+    assert _WordProduct(mm.fp, node, mm.U).entry(1, 0).is_zero()
     assert len(calls) == 11
 
 
