@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=4,
                    help=f"example61: 1..{freedim.EXAMPLE_61_MAX_N}, the largest row "
                         f"C^(2^n) * C^(2^n) having at most {freedim.MAX_EXPR_SIZE} nodes; "
-                        "prop62: 0..4")
+                        "prop62: 1..4")
     p.add_argument("--m-max", type=int, default=2)
     p.add_argument("--k-max", type=int, default=3)
     p.add_argument("--l-max", type=int, default=3)

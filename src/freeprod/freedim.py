@@ -361,11 +361,11 @@ def fdim(e: Expr) -> Fraction:
 # Largest expanded tree, in nodes, that ``parse`` accepts.  On a 2-core
 # x86 machine with Python 3.11, whose speed varies with the shared load
 # (best of three runs, three rounds), C^2048 * C^2048 (8191 nodes, 12281
-# steps) normalizes in 0.010-0.015 s, since it repeats factor lists, and a
+# steps) normalizes in 0.011-0.015 s, since it repeats factor lists, and a
 # product of 1000 distinct M2(LF(t)) factors (2001 nodes) in 0.02-0.03 s.
 # The factor index keeps a flat product from reclassifying its factors
-# every round: 8191 factors R (16381 steps) take 0.12-0.19 s, or
-# 0.23-0.32 s with a seed, and 8191 factors LF(3/2) take 0.08-0.10 s.
+# every round: 8191 factors R (16381 steps) take 0.14-0.21 s, or
+# 0.27-0.31 s with a seed, and 8191 factors LF(3/2) take 0.10 s.
 MAX_EXPR_SIZE = 8192
 
 
@@ -761,14 +761,14 @@ def _candidate_count(rule: _Rule, buckets: Buckets) -> int:
     return n * len(buckets[shapes[1]])
 
 
-def _candidate(shapes: Tuple[int, ...], buckets: Buckets, r: int) -> Tuple[int, ...]:
-    """The slots of instance r of a rule taking ``shapes``.  Instances are
-    ordered as the slots of one shape, as ``combinations`` of the slots of
-    one shape, or as the slots of the first shape, each with every slot of
-    the second."""
+def _candidate(shapes: Tuple[int, ...], buckets: Buckets, r: int) -> Tuple[int, int]:
+    """The slots (i, j) of instance r of a rule taking ``shapes``, j = -1
+    for a rule of one shape.  Instances are ordered as the slots of one
+    shape, as ``combinations`` of the slots of one shape, or as the slots of
+    the first shape, each with every slot of the second."""
     first = buckets[shapes[0]]
     if len(shapes) == 1:
-        return (first[r],)
+        return first[r], -1
     if shapes[1] != shapes[0]:
         second = buckets[shapes[1]]
         q, r = divmod(r, len(second))
@@ -800,6 +800,33 @@ def _pick_order() -> List[tuple]:
 
 
 _PICK_ORDER = _pick_order()
+
+# A rule instance the factor loop fires: the rule's name and the slots (i, j)
+# of its factors, j = -1 for a rule of one shape.
+Pick = Tuple[str, int, int]
+
+
+def _first_pick(buckets: Buckets) -> Optional[Pick]:
+    """The deterministic pick: instance 0 of the first rule, in table order,
+    that has one, or None when no rule applies.  It counts nothing: an
+    empty bucket passes over every rule that takes its shape first, and
+    instance 0 is the first slot of the first shape's bucket, with the
+    second slot of that bucket or the first of another."""
+    for shape, rules in _PICK_ORDER:
+        first = buckets[shape]
+        if not first:
+            continue
+        for name, second, gate in rules:
+            if gate is not None and not gate(buckets):
+                continue
+            if second is None:
+                return name, first[0], -1
+            if second == shape:
+                if len(first) > 1:
+                    return name, first[0], first[1]
+            elif buckets[second]:
+                return name, first[0], buckets[second][0]
+    return None
 
 
 class Normalizer:
@@ -834,6 +861,11 @@ class Normalizer:
     from a module-level table keyed by the reduced pair, so equal
     parameters and equal fdims share one object across all calls.
 
+    The verified tables read only the normal form, so they run the engine
+    by ``_run(e, keep_log=False)``: the same derivation, each step checked
+    for fdim conservation and spent from the budget, but no step kept.
+    ``normalize`` runs it with ``keep_log=True``.
+
     The factor loop keeps an index instead of reclassifying the factors
     each round.  A factor keeps its slot, its position in the input list:
     a pair result takes the lower of its two slots and frees the other, an
@@ -841,28 +873,29 @@ class Normalizer:
     is therefore list order.  The index is a list of buckets, one per
     ``_S_*`` shape id, each holding the sorted slots of the factors that
     have that shape (a factor caches its shapes), updated at each step.  A
+    round picks a ``Pick``, the rule's name and its slots (i, j), and fires
+    it by ``_apply_one`` when j = -1, by ``_apply_pair`` otherwise.  A
     seeded pick counts each rule's instances from the bucket sizes and maps
     instance r back to its slots arithmetically, so one round costs
     O(number of rules) plus the bucket updates, and it makes the same
     ``randrange`` draws over the same instance order as listing every
-    instance would.  The deterministic pick counts nothing: it walks
-    ``_PICK_ORDER``, the rules grouped by first shape, so an empty bucket
-    passes over all the rules that take its shape first, and instance 0 of
-    the first rule that has one is the first slot of its first bucket, with
-    the second slot of that bucket or the first of another.
+    instance would.  The deterministic pick, ``_first_pick``, counts
+    nothing.
 
     A deterministic derivation of a factor list depends on nothing but the
     factors, and balanced trees meet the same list many times.  Within one
-    ``normalize`` call, the first reduction of a factor list is remembered
-    under the tuple of the factors' texts (the text of a tree determines
-    the tree) together with the steps it logged; a later reduction of the
-    same list takes the result and logs the same steps again, their paths
-    moved under its own path and their sides still unrendered, so the step
-    log is the one a full re-derivation gives, step budget included.
-    Seeded runs derive every list afresh, so their random draws are
-    unaffected.  After ``normalize``, ``memo_hits`` and ``memo_misses``
-    count the lists taken from and entered into the memo, and
-    ``rule_counts`` the logged steps per rule.
+    run, the first reduction of a factor list is remembered under the tuple
+    of the factors' texts (the text of a tree determines the tree),
+    together with the steps spent from the budget before and after it,
+    which in a logging run are the bounds of its steps in the log.  A later
+    reduction of the same list takes the result and spends the same number
+    of steps, so the budget runs out at the step a full re-derivation
+    reaches; a logging run also logs those steps again, their paths moved
+    under its own path and their sides still unrendered.  Seeded runs
+    derive every list afresh, so their random draws are unaffected.  After
+    ``normalize``, ``memo_hits`` and ``memo_misses`` count the lists taken
+    from and entered into the memo, and ``rule_counts`` the logged steps
+    per rule.
 
     The engine dispatches on each node's ``_kind`` and reads its cached
     ``_size``, ``_fdim``, ``_text`` and ``_shapes``, so it never walks a
@@ -876,8 +909,11 @@ class Normalizer:
         self.max_steps = max_steps
         self.steps: List[RewriteStep] = []
         self.memo_hits = self.memo_misses = 0
-        self._budget = 0
-        # factor texts -> (result, length of the first path, its step range)
+        # the steps a run may take, and those it has spent
+        self._budget = self._spent = 0
+        self._keep_log = True
+        # factor texts -> (result, length of the first path, steps spent
+        # before and after its reduction)
         self._memo: Dict[Tuple[str, ...], Tuple[Expr, int, int, int]] = {}
 
     @property
@@ -886,12 +922,19 @@ class Normalizer:
         the rules first fired; after a ``DivergenceError``, those logged."""
         return Counter(s.rule for s in self.steps)
 
-    # -- public entry ---------------------------------------------------------
+    # -- entries --------------------------------------------------------------
 
     def normalize(self, e: Expr) -> Tuple[NormalForm, List[RewriteStep]]:
+        return self._run(e, True), self.steps
+
+    def _run(self, e: Expr, keep_log: bool) -> NormalForm:
+        """The normal form of e, with the steps logged in ``self.steps`` when
+        ``keep_log`` is true, and none kept otherwise."""
         _checked_expr(e)
         self.steps = []
         self.memo_hits = self.memo_misses = 0
+        self._keep_log = keep_log
+        self._spent = 0
         self._budget = self.max_steps if self.max_steps is not None \
             else 200 + 40 * e._size
         try:
@@ -909,25 +952,28 @@ class Normalizer:
                 "expression reduces to "
                 f"{expr_text(red)}, which is not of the form M2^n(LF/C/R)")
         param = core.t if core._kind == _K_LF else None
-        return NormalForm(depth, _SHAPE_NAMES[core._shapes[0]], param), self.steps
+        return NormalForm(depth, _SHAPE_NAMES[core._shapes[0]], param)
 
     # -- helpers --------------------------------------------------------------
 
     def _log(self, rule: str, path: Tuple[int, ...], before: Side, fdim_before: Pair,
              after: Side, fdim_after: Pair) -> None:
-        """Log one step from its two sides, left unrendered, and their fdim
-        pairs, which the caller computes independently of each other."""
+        """Check one step's fdim conservation from the pairs of its two
+        sides, which the caller computes independently of each other, spend
+        it from the budget and, in a logging run, log it with its sides
+        left unrendered."""
         if fdim_before != fdim_after:
             raise AssertionError(
                 f"rule {rule} broke fdim conservation: "
                 f"{_fraction(fdim_before)} != {_fraction(fdim_after)}")
-        self._budget -= 1
-        if self._budget < 0:
+        self._spent += 1
+        if self._spent > self._budget:
             raise DivergenceError("rewrite step limit exceeded")
-        q = _FRACTIONS.get(fdim_before)
-        if q is None:
-            q = _fraction(fdim_before)
-        self.steps.append(RewriteStep(rule, _DESCRIPTIONS[rule], path, before, after, q, q))
+        if self._keep_log:
+            q = _FRACTIONS.get(fdim_before)
+            if q is None:
+                q = _fraction(fdim_before)
+            self.steps.append(RewriteStep(rule, _DESCRIPTIONS[rule], path, before, after, q, q))
 
     # _canonicalize and _reduce return a subtree they leave unchanged as the
     # same object, which keeps its cached fdim and text.
@@ -999,20 +1045,22 @@ class Normalizer:
         hit = self._memo.get(key)
         if hit is None:
             self.memo_misses += 1
-            start = len(self.steps)
+            start = self._spent
             result = self._derive(factors, path)
-            self._memo[key] = (result, len(path), start, len(self.steps))
+            self._memo[key] = (result, len(path), start, self._spent)
             return result
         self.memo_hits += 1
         result, base, start, stop = hit
-        # replay as _log would: the step that overruns the budget is not logged
-        logged = self.steps[start:min(stop, start + self._budget)]
-        # the raw sides are copied, so that a replay renders no text
-        self.steps += [RewriteStep(s.rule, s.description, path + s.path[base:],
-                                   s._before, s._after, s.fdim_before, s.fdim_after)
-                       for s in logged]
-        self._budget -= stop - start
-        if self._budget < 0:
+        if self._keep_log:
+            # replay as _log would: the step that overruns the budget is not
+            # logged, and the raw sides are copied, so that a replay renders
+            # no text
+            logged = self.steps[start:min(stop, start + self._budget - self._spent)]
+            self.steps += [RewriteStep(s.rule, s.description, path + s.path[base:],
+                                       s._before, s._after, s.fdim_before, s.fdim_after)
+                           for s in logged]
+        self._spent += stop - start
+        if self._spent > self._budget:
             raise DivergenceError("rewrite step limit exceeded")
         return result
 
@@ -1020,35 +1068,26 @@ class Normalizer:
         """Reduce the factor list ``facs``, which it takes over: each slot
         holds its factor, or None once freed."""
         buckets = _factor_index(facs)
+        pick = _first_pick if self.rng is None else self._draw
         live = len(facs)
         while live > 1:
-            pick = self._pick(buckets)
-            if pick is None:
+            picked = pick(buckets)
+            if picked is None:
                 raise NotReducibleError(
                     "no rule applies to " + _product_text([f for f in facs if f is not None]))
-            live -= self._apply(pick, facs, buckets, path)
-        return facs[_first_slot(buckets)]
+            rule, i, j = picked
+            if j < 0:
+                live -= self._apply_one(rule, i, facs, buckets, path)
+            else:
+                self._apply_pair(rule, i, j, facs, buckets, path)
+                live -= 1
+        for f in facs:  # the one factor left
+            if f is not None:
+                return f
 
-    def _pick(self, buckets: Buckets) -> Optional[Tuple[str, Tuple[int, ...]]]:
-        """The rule instance to fire, or None when no rule applies."""
-        if self.rng is None:
-            # instance 0 of the first rule that has one; an empty bucket
-            # passes over every rule that takes its shape first
-            for shape, rules in _PICK_ORDER:
-                first = buckets[shape]
-                if not first:
-                    continue
-                for name, second, gate in rules:
-                    if gate is not None and not gate(buckets):
-                        continue
-                    if second is None:
-                        return name, (first[0],)
-                    if second == shape:
-                        if len(first) > 1:
-                            return name, (first[0], first[1])
-                    elif buckets[second]:
-                        return name, (first[0], buckets[second][0])
-            return None
+    def _draw(self, buckets: Buckets) -> Optional[Pick]:
+        """The seeded pick: an instance drawn uniformly from all instances,
+        listed in table order, or None when no rule applies."""
         counts = [(name, rule.shapes, _candidate_count(rule, buckets))
                   for name, rule in _RULES.items()]
         total = sum([count for _, _, count in counts])
@@ -1057,34 +1096,34 @@ class Normalizer:
         r = self.rng.randrange(total)
         for name, shapes, count in counts:
             if r < count:
-                return name, _candidate(shapes, buckets, r)
+                return (name, *_candidate(shapes, buckets, r))
             r -= count
         raise AssertionError("unreachable")
 
-    def _apply(self, pick: Tuple[str, Tuple[int, ...]], facs: List[Optional[Expr]],
-               buckets: Buckets, path: Tuple[int, ...]) -> int:
-        """Fire ``pick``, update the factor index, and return the number of
-        factors that went away."""
-        rule, idx = pick
-        if len(idx) == 1:
-            (i,) = idx
-            old = facs[i]
-            for shape in old._shapes:
-                slots = buckets[shape]
-                del slots[bisect_left(slots, i)]
-            if old._kind == _K_C:  # R13
-                facs[i] = None
-                partner = facs[_first_slot(buckets)]
-                self._log(rule, path, (old, partner), _add(old._fdim, partner._fdim),
-                          partner, partner._fdim)
-                return 1
-            new = facs[i] = _unfold(old)
-            self._log(rule, path, old, old._fdim, new, new._fdim)
-            for shape in new._shapes:
-                insort(buckets[shape], i)
-            return 0
+    def _apply_one(self, rule: str, i: int, facs: List[Optional[Expr]], buckets: Buckets,
+                   path: Tuple[int, ...]) -> int:
+        """Fire a one-factor rule at slot i, update the factor index, and
+        return the number of factors that went away."""
+        old = facs[i]
+        for shape in old._shapes:
+            slots = buckets[shape]
+            del slots[bisect_left(slots, i)]
+        if old._kind == _K_C:  # R13
+            facs[i] = None
+            partner = facs[_first_slot(buckets)]
+            self._log(rule, path, (old, partner), _add(old._fdim, partner._fdim),
+                      partner, partner._fdim)
+            return 1
+        new = facs[i] = _unfold(old)
+        self._log(rule, path, old, old._fdim, new, new._fdim)
+        for shape in new._shapes:
+            insort(buckets[shape], i)
+        return 0
 
-        i, j = idx
+    def _apply_pair(self, rule: str, i: int, j: int, facs: List[Optional[Expr]],
+                    buckets: Buckets, path: Tuple[int, ...]) -> None:
+        """Fire a two-factor rule at slots i and j and update the factor
+        index: the result takes the lower slot and the other is freed."""
         a, b = facs[i], facs[j]
         if a._kind >= _K_M2 or b._kind >= _K_M2:
             # R1-R5, R10, R11: the weight rule of the module docstring
@@ -1094,13 +1133,15 @@ class Normalizer:
             self._log(rule, path, (a, b), _add(a._fdim, b._fdim),
                       inner[:], _m2_fdim(_product_fdim(inner)))
             sub = path + (0,)
-            replacement = Mat2Of(self._collapse_shell(self._reduce_factors(inner, sub), sub))
+            reduced = self._reduce_factors(inner, sub)
+            if reduced._kind == _K_M2:
+                reduced = self._collapse_shell(reduced, sub)
+            replacement = Mat2Of(reduced)
         else:  # R7, R8: an LF atom absorbs LF(s) or R, adding its fdim s or 1
             atom, other = (a, b) if a._kind == _K_LF else (b, a)
             merged = _add(atom._fdim, other._fdim)
             replacement = _lf_atom(merged)
             self._log(rule, path, (atom, other), merged, replacement, replacement._fdim)
-        # the replacement takes the lower slot and the other is freed
         for shape in a._shapes:
             slots = buckets[shape]
             del slots[bisect_left(slots, i)]
@@ -1112,7 +1153,6 @@ class Normalizer:
         facs[i], facs[j] = replacement, None
         for shape in replacement._shapes:
             insort(buckets[shape], i)
-        return 1
 
 
 def normalize(e: Union[Expr, str],
@@ -1158,15 +1198,20 @@ def example_61_sequence(n_max: int) -> TableReport:
     LF(2 - 1/2^(n-1)) once a_n > 1); mixed sizes give
     C^(2^n) * C^(2^m) = M2(LF(5 - 2(1/2^(n-1) + 1/2^(m-1)))).  The row
     C^(2^n) * C^(2^m) has 2^(n+1) + 2^(m+1) - 1 nodes, so n_max is bounded,
-    before any tree is built, by the parser's MAX_EXPR_SIZE."""
+    before any tree is built, by the parser's MAX_EXPR_SIZE.
+
+    A row reads only the normal form, so the engine keeps no step log (see
+    ``Normalizer``); each step is still checked for fdim conservation."""
     if not (1 <= n_max <= EXAMPLE_61_MAX_N):
         raise ValueError(f"n_max must be in 1..{EXAMPLE_61_MAX_N}: the row n = m = n_max "
                          f"has 2^(n_max + 2) - 1 nodes, at most {MAX_EXPR_SIZE}")
+    engine = Normalizer()
     rows: List[dict] = []
     failures: List[dict] = []
     sizes = range(1, n_max + 1)
     for n, m in [(n, n) for n in sizes] + [(n, m) for n in sizes for m in sizes if n != m]:
-        nf, _ = normalize(FreeOf([pow2sum(AtomC(), 2 ** n), pow2sum(AtomC(), 2 ** m)]))
+        nf = engine._run(FreeOf([pow2sum(AtomC(), 2 ** n), pow2sum(AtomC(), 2 ** m)]),
+                         keep_log=False)
         want = 5 - 2 * (Fraction(1, 2 ** (n - 1)) + Fraction(1, 2 ** (m - 1)))
         want_alias = 1 + (want - 1) / 4 if want > 1 else None
         alias = nf.alias()
@@ -1188,11 +1233,18 @@ def prop_62_table(n_max: int, m_max: int, k_max: int, l_max: int) -> TableReport
         S(k,n) * S(l,m) -> M2(LF(5 + 2(k-1)/2^(n-1) + 2(l-1)/2^(m-1)))
         M(k,n) * S(l,m) -> M2(LF(5 + (k-1)/4^(n-1) + 2(l-1)/2^(m-1)))
         M(k,n) * M(l,m) -> M2(LF(5 + (k-1)/4^(n-1) + (l-1)/4^(m-1)))
+
+    for 1 <= n <= n_max, 1 <= m <= m_max, 0 <= k <= k_max and
+    0 <= l <= l_max.  n and m start at 1: with n = 0 a side is LF_k itself,
+    neither a sum nor an amplification, and outside the formula.  A row
+    reads only the normal form, so the engine keeps no step log (see
+    ``Normalizer``); each step is still checked for fdim conservation.
     """
-    for name, val in (("n_max", n_max), ("m_max", m_max),
-                      ("k_max", k_max), ("l_max", l_max)):
-        if not (0 <= val <= 4):
-            raise ValueError(f"{name} must be in 0..4")
+    for name, val, low in (("n_max", n_max, 1), ("m_max", m_max, 1),
+                           ("k_max", k_max, 0), ("l_max", l_max, 0)):
+        if not (low <= val <= 4):
+            raise ValueError(f"{name} must be in {low}..4")
+    engine = Normalizer()
     rows: List[dict] = []
     failures: List[dict] = []
     # A side: its builder of S or M from LF_k and 2^n, and the c and b of
@@ -1202,8 +1254,9 @@ def prop_62_table(n_max: int, m_max: int, k_max: int, l_max: int) -> TableReport
             ("sum*sum", sums, sums), ("mat*sum", mats, sums), ("mat*mat", mats, mats)):
         for n, m, k, l in product(range(1, n_max + 1), range(1, m_max + 1),
                                   range(k_max + 1), range(l_max + 1)):
-            nf, _ = normalize(FreeOf([left(_lf_atom((k, 1)) if k else AtomC(), 2 ** n),
-                                      right(_lf_atom((l, 1)) if l else AtomC(), 2 ** m)]))
+            nf = engine._run(FreeOf([left(_lf_atom((k, 1)) if k else AtomC(), 2 ** n),
+                                     right(_lf_atom((l, 1)) if l else AtomC(), 2 ** m)]),
+                             keep_log=False)
             want = (5 + Fraction(lc * (k - 1), lb ** (n - 1))
                     + Fraction(rc * (l - 1), rb ** (m - 1)))
             row = {"family": label, "n": n, "m": m, "k": k, "l": l,

@@ -566,6 +566,16 @@ def test_tables_example61_past_node_bound_exit_2(n_max, capsys):
         "nodes, at most 8192"]
 
 
+@pytest.mark.parametrize("flag,name", [("--n-max", "n_max"), ("--m-max", "m_max")])
+def test_tables_prop62_without_rows_exit_2(flag, name, capsys):
+    """n = 0 or m = 0 is outside Proposition 6.2, and would pass a table of
+    no rows; it is refused with one error line."""
+    assert cli.main(["tables", "--table", "prop62", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {name} must be in 1..4"]
+
+
 def test_model_file_trace(tmp_path):
     model = {
         "legs": [

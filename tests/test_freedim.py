@@ -48,6 +48,7 @@ from freeprod.freedim import (
     _check_size,
     _checked_lf,
     _factor_index,
+    _first_pick,
     _flatten,
     _tokenize,
     fdim,
@@ -718,10 +719,10 @@ def test_deterministic_pick_is_first_counted_instance(slots):
     instance 0 of the first rule, in table order, whose instance count is
     nonzero, as the seeded pick counts them.  A None slot is a freed one."""
     buckets = _factor_index(slots)
-    want = next(((name, _candidate(rule.shapes, buckets, 0))
+    want = next(((name, *_candidate(rule.shapes, buckets, 0))
                  for name, rule in _RULES.items() if _candidate_count(rule, buckets)),
                 None)
-    assert Normalizer()._pick(buckets) == want
+    assert _first_pick(buckets) == want
 
 
 def test_pick_order_groups_are_contiguous_runs_of_the_table():
@@ -1370,3 +1371,179 @@ def test_prop_62_table_small():
 def test_prop_62_guard():
     with pytest.raises(ValueError):
         prop_62_table(5, 1, 1, 1)
+
+
+def test_prop_62_guard_bounds_each_argument():
+    """n and m count the 2^n summands or the M_{2^n} levels of a side, so
+    they start at 1: with n = 0 a side is LF_k itself, outside the formula.
+    k and l start at 0, LF_0 being C."""
+    for args, name, low in [((0, 1, 1, 1), "n_max", 1), ((1, 0, 1, 1), "m_max", 1),
+                            ((1, 1, -1, 1), "k_max", 0), ((1, 1, 1, -1), "l_max", 0),
+                            ((1, 5, 1, 1), "m_max", 1), ((1, 1, 1, 5), "l_max", 0)]:
+        with pytest.raises(ValueError, match=rf"^{name} must be in {low}\.\.4$"):
+            prop_62_table(*args)
+    report = prop_62_table(1, 1, 0, 0)
+    assert report.passed and len(report.rows) == 3
+    assert len(prop_62_table(4, 1, 1, 0).rows) == 3 * 4 * 2
+
+
+# -- the tables' run without a step log ---------------------------------------------
+
+
+def example_61_inputs(n_max):
+    """The expressions ``example_61_sequence`` normalizes, in its order."""
+    sizes = range(1, n_max + 1)
+    pairs = [(n, n) for n in sizes] + [(n, m) for n in sizes for m in sizes if n != m]
+    return [FreeOf([pow2sum(AtomC(), 2 ** n), pow2sum(AtomC(), 2 ** m)]) for n, m in pairs]
+
+
+LOG_FREE_CORPORA = {
+    "deep": deep_corpus,
+    "prop62": lambda: prop_62_inputs(3, 3, 4, 4),
+    "example61": lambda: example_61_inputs(7),
+    "flat": lambda: [parse(t) for t in flat_corpus()],
+}
+
+
+@pytest.mark.parametrize("corpus", LOG_FREE_CORPORA)
+def test_log_free_run_matches_logged_run(corpus):
+    """The tables' run keeps no log but derives as ``normalize`` does: the
+    same normal form and memo counts, the same steps spent, and so a
+    ``DivergenceError`` exactly when the budget is below the logged steps."""
+    for e in LOG_FREE_CORPORA[corpus]():
+        logged = Normalizer()
+        nf, steps = logged.normalize(e)
+        engine = Normalizer()
+        assert engine._run(e, False) == nf
+        assert (engine.memo_hits, engine.memo_misses) == (logged.memo_hits,
+                                                          logged.memo_misses)
+        assert engine.steps == [] and engine._spent == len(steps)
+        assert Normalizer(max_steps=len(steps))._run(e, False) == nf
+        if steps:
+            with pytest.raises(DivergenceError):
+                Normalizer(max_steps=len(steps) - 1)._run(e, False)
+
+
+def test_log_free_budget_inside_repeated_reductions():
+    """Every budget below the logged steps raises, wherever the limit falls
+    (many limits fall inside the reduction of a repeated factor list)."""
+    e = parse("C^16 * C^16 * M2(R) * LZ")
+    _, steps = normalize(e)
+    for limit in range(len(steps)):
+        with pytest.raises(DivergenceError):
+            Normalizer(max_steps=limit)._run(e, False)
+
+
+def test_tables_check_conservation_without_a_log(monkeypatch):
+    share = freedim._m2_share
+
+    def wrong_weight(f):
+        parts, weight = share(f)
+        return parts, weight + 1
+
+    monkeypatch.setattr(freedim, "_m2_share", wrong_weight)
+    for build in (lambda: example_61_sequence(2), lambda: prop_62_table(1, 1, 1, 1)):
+        with pytest.raises(AssertionError, match="broke fdim conservation"):
+            build()
+
+
+# -- a closed form for every normal form --------------------------------------------
+
+
+def _spliced_factors(e):
+    """e as a list of free-product factors, nested products spliced in."""
+    if isinstance(e, FreeOf):
+        return [g for f in e.factors for g in _spliced_factors(f)]
+    return [e]
+
+
+def closed_form(e):
+    """The normal-form text that Dykema's LF(s) * LF(t) = LF(s + t) and
+    M2(LF(t)) = LF(1 + (t - 1)/4) give for e, or None where ``normalize``
+    raises ``NotReducibleError``.  Of the factors, LF(0) counts as C and LZ
+    as LF(1).  Two or more that are not C give M2(LF(4f - 3)), f the fdim
+    of e, when one is a sum or an M2 or none is an LF; LF(f) otherwise.
+    One such factor is the normal form itself, where an M2 decompresses a
+    reduced M2(LF(t > 1)) inside it once, and a sum has none."""
+    rest = [f for f in _spliced_factors(e)
+            if not isinstance(f, AtomC) and not (isinstance(f, AtomLF) and f.t == 0)]
+    if len(rest) >= 2:
+        f = fdim_oracle(e)
+        if (any(isinstance(g, (SumOf, Mat2Of)) for g in rest)
+                or not any(isinstance(g, (AtomLF, AtomLZ)) for g in rest)):
+            return f"M2(LF({4 * f - 3}))"
+        return f"LF({f})"
+    if not rest:
+        return "C"
+    (g,) = rest
+    if isinstance(g, SumOf):
+        return None
+    if isinstance(g, Mat2Of):
+        inner = closed_form(g.inner)
+        if inner is None:
+            return None
+        reduced = parse(inner)
+        if isinstance(reduced, Mat2Of) and isinstance(reduced.inner, AtomLF) \
+                and reduced.inner.t > 1:
+            return f"M2(LF({fdim_oracle(reduced)}))"
+        return f"M2({inner})"
+    return "R" if isinstance(g, AtomR) else f"LF({fdim_oracle(g)})"
+
+
+def check_closed_form(e, seeds=(None,)):
+    """The normal form of e, under each seed, is its closed form."""
+    want = closed_form(e)
+    for seed in seeds:
+        if want is None:
+            with pytest.raises(NotReducibleError):
+                normalize(e, seed=seed)
+        else:
+            assert normalize(e, seed=seed)[0].text() == want, (expr_text(e), seed)
+    return want
+
+
+@pytest.mark.parametrize("text,want", [
+    ("M2(C) * C", "M2(C)"), ("C * (C (+) LF(2))", None), ("C * LF(0)", "C"),
+    ("LZ * C^1", "LF(1)"), ("C * R", "R"), ("M2(M2(LF(17))) * C", "M2(LF(5))"),
+    ("M2(C (+) C)", None), ("M2(C * M2(R * R))", "M2(LF(5/4))"), ("M4(C * R)", "M2(M2(R))"),
+    ("R * R * R", "M2(LF(9))"), ("R * LF(3/2) * LZ", "LF(7/2)"), ("C^2 * C^2", "M2(LF(1))"),
+])
+def test_closed_form_fixed_cases(text, want):
+    """Both forms of two or more factors that are not C, and the single
+    factor: an atom, an M2 that decompresses its reduced inner M2(LF(t)),
+    and a sum, which is not a normal form."""
+    assert check_closed_form(parse(text)) == want
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_trees)
+def test_closed_form_of_drawn_trees(e):
+    check_closed_form(e)
+
+
+def test_closed_form_of_golden_corpora():
+    """The corpora of the golden digests, as the digests record them: the
+    derivation and flat corpora deterministic and under seeds 0-2, the
+    deep and pick corpora deterministic.  Then 1000 random fragments,
+    which give both forms."""
+    rng = random.Random(4242)
+    for e in CONFLUENCE_CORPUS + DERIVATION_CORPUS + [rand_fragment(rng) for _ in range(100)]:
+        check_closed_form(parse(e) if isinstance(e, str) else e, seeds=(None, 0, 1, 2))
+    for text in flat_corpus():
+        check_closed_form(parse(text), seeds=(None, 0, 1, 2))
+    rng = random.Random(6200)
+    for e in deep_corpus() + [rand_fragment(rng) for _ in range(200)]:
+        check_closed_form(e)
+    rng = random.Random(9100)
+    forms = Counter(check_closed_form(rand_fragment(rng))[:3] for _ in range(1000))
+    assert set(forms) == {"M2(", "LF("}
+
+
+def test_closed_form_of_tables():
+    """Each row of both tables at the benchmark's sizes, against the closed
+    form of its input."""
+    for report, inputs in [(example_61_sequence(7), example_61_inputs(7)),
+                           (prop_62_table(3, 3, 4, 4), prop_62_inputs(3, 3, 4, 4))]:
+        assert report.passed and len(report.rows) == len(inputs)
+        for row, e in zip(report.rows, inputs):
+            assert row["normal_form"] == closed_form(e), row
