@@ -318,7 +318,9 @@ def _checked_lf(p: Pair) -> AtomLF:
 
 
 def pow2sum(e: Expr, k: int) -> Expr:
-    """Balanced k-summand uniform sum, k a power of two."""
+    """Balanced k-summand uniform sum, k a power of two.  A sum of more
+    than ``MAX_EXPR_SIZE`` nodes is refused before any node is built."""
+    _check_size(k * e._size + k - 1)
     if k < 1 or k & (k - 1):
         raise UnsupportedFragmentError(f"sum power must be a power of two, got {k}")
     if k == 1:
@@ -359,13 +361,14 @@ def fdim(e: Expr) -> Fraction:
 
 
 # Largest expanded tree, in nodes, that ``parse`` accepts.  On a 2-core
-# x86 machine with Python 3.11, whose speed varies with the shared load
-# (best of three runs, three rounds), C^2048 * C^2048 (8191 nodes, 12281
-# steps) normalizes in 0.011-0.015 s, since it repeats factor lists, and a
-# product of 1000 distinct M2(LF(t)) factors (2001 nodes) in 0.02-0.03 s.
-# The factor index keeps a flat product from reclassifying its factors
-# every round: 8191 factors R (16381 steps) take 0.14-0.21 s, or
-# 0.27-0.31 s with a seed, and 8191 factors LF(3/2) take 0.10 s.
+# x86 machine with Python 3.11, whose speed varies with the shared load, a
+# first ``normalize`` in a fresh process (median and range of 15 processes)
+# takes 0.020 s (0.018-0.021) for C^2048 * C^2048 (8191 nodes, 12281
+# steps), since it repeats factor lists, and 0.035 s (0.034-0.041) for a
+# product of 1000 distinct M2(LF(t)) factors (2001 nodes).  The factor
+# index keeps a flat product from reclassifying its factors every round:
+# 8191 factors R (16381 steps) take 0.21 s (0.15-0.23), or 0.33 s
+# (0.25-0.44) with a seed, and 8191 factors LF(3/2) take 0.14 s (0.11-0.16).
 MAX_EXPR_SIZE = 8192
 
 
@@ -505,10 +508,8 @@ class _Parser:
             while toks[self.i] == "^":
                 self.i += 1
                 k = self.expect_int()
-                # both checked before pow2sum builds anything
-                _check_size(k * right._size + k - 1)
+                right = pow2sum(right, k)  # the size is checked before it builds
                 right_height = _check_depth(right_height + k.bit_length() - 1)
-                right = pow2sum(right, k)
             if e is None:
                 e, height = right, right_height
             else:
@@ -829,6 +830,29 @@ def _first_pick(buckets: Buckets) -> Optional[Pick]:
     return None
 
 
+# A step of a plan: the method that fires it (``_apply_one`` or
+# ``_apply_pair``), the rule's name and its slots (i, j), j the partner's slot
+# for R13 and -1 for an unfold.
+PlanStep = Tuple[Callable, str, int, int]
+
+# The plans of deterministic derivations, keyed by the tuple of the factors'
+# shapes, which fixes every pick (see ``Normalizer``).  Only lists of at most
+# ``_PLAN_MAX_FACTORS`` factors are recorded, so that a flat product of
+# thousands of factors makes no key and no plan it would not read again.  On
+# a 2-core x86 machine with Python 3.11, replaying a plan took about 0.73 of
+# the time of deriving by picks at every length from 3 to 64 factors, and
+# recording one cost 3-8 % of a derivation that never recurs.  In one pass
+# of the benchmark's rewrite workload only shape sequences of 2-5 factors
+# recur, and bounds from 5 to 64 gave the same pass time.  The table starts
+# again empty when it reaches ``_PLAN_LIMIT`` plans.  Each step is one
+# shared tuple from ``_PLAN_STEPS``, which as slots are below
+# ``_PLAN_MAX_FACTORS`` holds a few thousand steps at most.
+_PLANS: Dict[Tuple[Tuple[int, ...], ...], Tuple[PlanStep, ...]] = {}
+_PLAN_STEPS: Dict[PlanStep, PlanStep] = {}
+_PLAN_MAX_FACTORS = 16
+_PLAN_LIMIT = 1 << 12
+
+
 class Normalizer:
     """Innermost-first reduction of free products to M2^n(LF_t) form.
 
@@ -874,13 +898,30 @@ class Normalizer:
     ``_S_*`` shape id, each holding the sorted slots of the factors that
     have that shape (a factor caches its shapes), updated at each step.  A
     round picks a ``Pick``, the rule's name and its slots (i, j), and fires
-    it by ``_apply_one`` when j = -1, by ``_apply_pair`` otherwise.  A
+    it by ``_apply_pair`` when j >= 0, by ``_apply_one`` otherwise, which
+    for R13 is given the slot of the partner, the lowest live slot.  A
     seeded pick counts each rule's instances from the bucket sizes and maps
     instance r back to its slots arithmetically, so one round costs
     O(number of rules) plus the bucket updates, and it makes the same
     ``randrange`` draws over the same instance order as listing every
     instance would.  The deterministic pick, ``_first_pick``, counts
     nothing.
+
+    The deterministic picks of a factor list depend on nothing but the
+    ``_shapes`` of its factors, in order.  A pick reads only which buckets
+    are empty, their first two slots and, in R9's gate, whether two R
+    factors are present; each result has a shape its rule fixes (M2 for
+    the M2 pairings, R9 and R6, an LF atom of t >= 2 for R7 and R8, a sum
+    for R12); and R13's partner is the lowest live slot.  So the module
+    table ``_PLANS`` keeps, across runs, the steps the factor loop fired on
+    a list, each a ``PlanStep`` with R13's partner slot in it, under the
+    tuple of the list's shapes.  A later list with those shapes replays
+    the plan: ``_apply_one`` and ``_apply_pair`` fire with no factor index,
+    no pick and no bucket update, and log, check and spend each step as
+    before.  Only lists of at most ``_PLAN_MAX_FACTORS`` factors are
+    recorded, a list that raises records nothing, the table starts again
+    empty at ``_PLAN_LIMIT`` plans, and seeded runs neither read nor write
+    it.
 
     A deterministic derivation of a factor list depends on nothing but the
     factors, and balanced trees meet the same list many times.  Within one
@@ -1066,9 +1107,30 @@ class Normalizer:
 
     def _derive(self, facs: List[Optional[Expr]], path: Tuple[int, ...]) -> Expr:
         """Reduce the factor list ``facs``, which it takes over: each slot
-        holds its factor, or None once freed."""
+        holds its factor, or None once freed.  A deterministic run replays
+        the plan of the list's shapes when ``_PLANS`` has one."""
+        key = plan = None
+        if self.rng is None and len(facs) <= _PLAN_MAX_FACTORS:
+            key = tuple([f._shapes for f in facs])
+            plan = _PLANS.get(key)
+        if plan is None:
+            self._fire_picks(facs, path, key)
+        else:
+            for fire, rule, i, j in plan:
+                fire(self, rule, i, j, facs, path)
+        for f in facs:  # the one factor left
+            if f is not None:
+                return f
+
+    def _fire_picks(self, facs: List[Optional[Expr]], path: Tuple[int, ...],
+                    key: Optional[Tuple[Tuple[int, ...], ...]]) -> None:
+        """Reduce ``facs`` by picks from its factor index, which this keeps
+        up to date; with a ``key``, record the steps fired as the plan of
+        ``key`` once the list is reduced."""
         buckets = _factor_index(facs)
         pick = _first_pick if self.rng is None else self._draw
+        one, pair = Normalizer._apply_one, Normalizer._apply_pair
+        steps: List[PlanStep] = []
         live = len(facs)
         while live > 1:
             picked = pick(buckets)
@@ -1076,14 +1138,33 @@ class Normalizer:
                 raise NotReducibleError(
                     "no rule applies to " + _product_text([f for f in facs if f is not None]))
             rule, i, j = picked
+            old = facs[i]
+            for shape in old._shapes:
+                slots = buckets[shape]
+                del slots[bisect_left(slots, i)]
             if j < 0:
-                live -= self._apply_one(rule, i, facs, buckets, path)
+                fire, at = one, i
+                if old._kind == _K_C:  # R13: the partner is the lowest live slot
+                    j = _first_slot(buckets)
+                    live -= 1
             else:
-                self._apply_pair(rule, i, j, facs, buckets, path)
+                for shape in facs[j]._shapes:
+                    slots = buckets[shape]
+                    del slots[bisect_left(slots, j)]
+                fire, at = pair, min(i, j)
                 live -= 1
-        for f in facs:  # the one factor left
-            if f is not None:
-                return f
+            fire(self, rule, i, j, facs, path)
+            new = facs[at]
+            if new is not None:
+                for shape in new._shapes:
+                    insort(buckets[shape], at)
+            if key is not None:
+                step = (fire, rule, i, j)
+                steps.append(_PLAN_STEPS.setdefault(step, step))
+        if key is not None:
+            if len(_PLANS) >= _PLAN_LIMIT:
+                _PLANS.clear()
+            _PLANS[key] = tuple(steps)
 
     def _draw(self, buckets: Buckets) -> Optional[Pick]:
         """The seeded pick: an instance drawn uniformly from all instances,
@@ -1100,30 +1181,25 @@ class Normalizer:
             r -= count
         raise AssertionError("unreachable")
 
-    def _apply_one(self, rule: str, i: int, facs: List[Optional[Expr]], buckets: Buckets,
-                   path: Tuple[int, ...]) -> int:
-        """Fire a one-factor rule at slot i, update the factor index, and
-        return the number of factors that went away."""
+    def _apply_one(self, rule: str, i: int, j: int, facs: List[Optional[Expr]],
+                   path: Tuple[int, ...]) -> None:
+        """Fire a one-factor rule at slot i: R13 frees the slot of the C
+        there, whose partner is at slot j; an unfold (j = -1) stays in its
+        slot."""
         old = facs[i]
-        for shape in old._shapes:
-            slots = buckets[shape]
-            del slots[bisect_left(slots, i)]
-        if old._kind == _K_C:  # R13
+        if j >= 0:  # R13
             facs[i] = None
-            partner = facs[_first_slot(buckets)]
+            partner = facs[j]
             self._log(rule, path, (old, partner), _add(old._fdim, partner._fdim),
                       partner, partner._fdim)
-            return 1
-        new = facs[i] = _unfold(old)
-        self._log(rule, path, old, old._fdim, new, new._fdim)
-        for shape in new._shapes:
-            insort(buckets[shape], i)
-        return 0
+        else:
+            new = facs[i] = _unfold(old)
+            self._log(rule, path, old, old._fdim, new, new._fdim)
 
     def _apply_pair(self, rule: str, i: int, j: int, facs: List[Optional[Expr]],
-                    buckets: Buckets, path: Tuple[int, ...]) -> None:
-        """Fire a two-factor rule at slots i and j and update the factor
-        index: the result takes the lower slot and the other is freed."""
+                    path: Tuple[int, ...]) -> None:
+        """Fire a two-factor rule at slots i and j: the result takes the
+        lower slot and the other is freed."""
         a, b = facs[i], facs[j]
         if a._kind >= _K_M2 or b._kind >= _K_M2:
             # R1-R5, R10, R11: the weight rule of the module docstring
@@ -1142,17 +1218,9 @@ class Normalizer:
             merged = _add(atom._fdim, other._fdim)
             replacement = _lf_atom(merged)
             self._log(rule, path, (atom, other), merged, replacement, replacement._fdim)
-        for shape in a._shapes:
-            slots = buckets[shape]
-            del slots[bisect_left(slots, i)]
-        for shape in b._shapes:
-            slots = buckets[shape]
-            del slots[bisect_left(slots, j)]
         if j < i:
             i, j = j, i
         facs[i], facs[j] = replacement, None
-        for shape in replacement._shapes:
-            insort(buckets[shape], i)
 
 
 def normalize(e: Union[Expr, str],

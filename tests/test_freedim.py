@@ -202,6 +202,43 @@ def test_parse_bounds_expanded_size(text, size):
         assert parse(text)._size == size
 
 
+def test_pow2sum_refuses_oversized_sums_before_building():
+    """``pow2sum`` states the size rule of ^k once, for ``parse`` and for a
+    direct call: a sum of more than MAX_EXPR_SIZE nodes is refused, with
+    the parser's message, before any node or text is built."""
+    assert pow2sum(AtomC(), 4096)._size == 8191
+    assert pow2sum(SumOf(AtomC(), AtomR()), 2048)._size == 8191
+    for e, k, size in [(AtomC(), 8192, 16383), (AtomC(), 2 ** 20, 2 ** 21 - 1),
+                       (AtomC(), 2 ** 30, 2 ** 31 - 1), (SumOf(AtomC(), AtomR()), 4096, 16383),
+                       (AtomC(), 3 * 2 ** 20, 3 * 2 ** 21 - 1)]:
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedFragmentError,
+                           match=rf"^expression expands to {size} nodes, more than 8192$"):
+            pow2sum(e, k)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(UnsupportedFragmentError) as direct:
+        pow2sum(AtomC(), 8192)
+    with pytest.raises(UnsupportedFragmentError) as parsed:
+        parse("C^8192")
+    assert str(direct.value) == str(parsed.value)
+
+
+# A ^k that breaks two limits reports the size first, then the power, then
+# the nesting.  M(2^99)(C) is 99 levels deep.
+@pytest.mark.parametrize("text,message", [
+    (f"C^{2 ** 101}", f"expression expands to {2 ** 102 - 1} nodes, more than 8192"),
+    (f"M{2 ** 99}(C)^5", "sum power must be a power of two, got 5"),
+    (f"M{2 ** 99}(C)^4", "expression nests deeper than 100 levels"),
+    (f"M{2 ** 99}(C)^2", None),
+])
+def test_sum_power_errors_in_order(text, message):
+    if message is None:
+        assert parse(text)._size == 201
+    else:
+        with pytest.raises(UnsupportedFragmentError, match=rf"^{re.escape(message)}$"):
+            parse(text)
+
+
 def parens(n, inner="C"):
     return "(" * n + inner + ")" * n
 
@@ -862,8 +899,9 @@ def test_tokenizer_matches_character_loop(text):
 
 class ReferenceParser:
     """The parser that read (kind, text, position) tuples from ``_tokenize``,
-    verbatim; the engine's parser reads the token texts alone and finds a
-    position only when it raises."""
+    verbatim but for the size check of ^k, which ``pow2sum`` now makes; the
+    engine's parser reads the token texts alone and finds a position only
+    when it raises."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -913,10 +951,8 @@ class ReferenceParser:
             while toks[self.i][0] == "CARET":
                 self.i += 1
                 k = int(self.expect("INT")[1])
-                # both checked before pow2sum builds anything
-                _check_size(k * right._size + k - 1)
-                right_height = _check_depth(right_height + k.bit_length() - 1)
                 right = pow2sum(right, k)
+                right_height = _check_depth(right_height + k.bit_length() - 1)
             if e is None:
                 e, height = right, right_height
             else:
@@ -1445,6 +1481,191 @@ def test_tables_check_conservation_without_a_log(monkeypatch):
     for build in (lambda: example_61_sequence(2), lambda: prop_62_table(1, 1, 1, 1)):
         with pytest.raises(AssertionError, match="broke fdim conservation"):
             build()
+
+
+# -- the plan table --------------------------------------------------------------
+
+
+def derivation(e, seed=None):
+    """What a logged run shows: the normal form or the error, the step log,
+    the memo counts and the rule counts."""
+    engine = Normalizer(seed)
+    try:
+        outcome = engine.normalize(e)[0].text()
+    except NotReducibleError as exc:
+        outcome = f"NotReducibleError: {exc}"
+    return (outcome, [s.to_json() for s in engine.steps], engine.memo_hits,
+            engine.memo_misses, list(engine.rule_counts.items()))
+
+
+def random_fragments(seed, count):
+    rng = random.Random(seed)
+    return [rand_fragment(rng) for _ in range(count)]
+
+
+PLAN_CORPORA = {
+    "derivation": lambda: [parse(t) for t in DERIVATION_CORPUS],
+    "deep": deep_corpus,
+    "flat": lambda: [parse(t) for t in flat_corpus()],
+    "pick": lambda: random_fragments(6200, 200) + prop_62_inputs(2, 2, 2, 2),
+    "prop62": lambda: prop_62_inputs(3, 3, 4, 4),
+    "example61": lambda: example_61_inputs(7),
+    "fragments": lambda: random_fragments(9300, 1000),
+}
+
+
+@pytest.mark.parametrize("corpus", PLAN_CORPORA)
+def test_plan_table_replays_every_derivation(corpus, monkeypatch):
+    """Each input derives alike with no plan table, from an emptied table
+    and from a warm one: the same step log, normal form, memo counts and
+    rule counts."""
+    exprs = PLAN_CORPORA[corpus]()
+    monkeypatch.setattr(freedim, "_PLAN_MAX_FACTORS", 0)
+    want = [derivation(e) for e in exprs]
+    monkeypatch.undo()
+    monkeypatch.setattr(freedim, "_PLANS", {})
+    for e, logged in zip(exprs, want):
+        freedim._PLANS.clear()
+        assert derivation(e) == logged, expr_text(e)
+        assert freedim._PLANS or e._kind != _K_FREE
+        assert derivation(e) == logged, expr_text(e)
+
+
+def test_plan_table_keeps_every_budget(monkeypatch):
+    """Every budget below the log stops a derivation after exactly that
+    many steps, from a warm table and from an emptied one; and a run the
+    budget stopped leaves no plan that a full run would then replay."""
+    monkeypatch.setattr(freedim, "_PLANS", {})
+    e = parse("C^16 * C^16 * M2(R) * LZ * (R (+) LF(3/2)) * LF(2)")
+    want = derivation(e)
+    full = want[1]
+    for limit in range(len(full)):
+        for warm in (True, False):
+            if not warm:
+                freedim._PLANS.clear()
+            engine = Normalizer(max_steps=limit)
+            with pytest.raises(DivergenceError):
+                engine.normalize(e)
+            assert [s.to_json() for s in engine.steps] == full[:limit]
+        assert derivation(e) == want, limit
+
+
+def test_raising_derivation_stores_no_plan(monkeypatch):
+    """A factor list that no rule reduces raises the same error twice and
+    leaves no plan; and a ``NotReducibleError`` input gives the same
+    message from an emptied and a warm table."""
+    monkeypatch.setattr(freedim, "_PLANS", {})
+    for _ in range(2):
+        engine = Normalizer()
+        with pytest.raises(NotReducibleError, match=r"^no rule applies to LZ \* LZ$"):
+            engine._derive([AtomLZ(), AtomLZ()], ())
+        assert freedim._PLANS == {}
+    for text in ("C * C^2", "M2(C^2) * C", "C^2"):
+        freedim._PLANS.clear()
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(NotReducibleError) as err:
+                normalize(text)
+            messages.add(str(err.value))
+        assert len(messages) == 1, text
+
+
+def test_seeded_runs_leave_the_plan_table_alone(monkeypatch):
+    """A seeded run neither reads nor writes a plan: the table is the same
+    after it, and its log is the same from an emptied table and a warm
+    one."""
+    monkeypatch.setattr(freedim, "_PLANS", {})
+    texts = DERIVATION_CORPUS + flat_corpus()[55:65]
+    seeded = {(t, seed): derivation(parse(t), seed) for t in texts for seed in (0, 1, 2)}
+    assert freedim._PLANS == {}
+    for t in texts:
+        derivation(parse(t))
+    table = dict(freedim._PLANS)
+    assert table
+    for (t, seed), want in seeded.items():
+        assert derivation(parse(t), seed) == want
+    assert freedim._PLANS == table
+
+
+def test_plan_table_records_only_short_lists(monkeypatch):
+    """A list of at most ``_PLAN_MAX_FACTORS`` factors is recorded, and a
+    longer one is not."""
+    monkeypatch.setattr(freedim, "_PLANS", {})
+    bound = freedim._PLAN_MAX_FACTORS
+    normalize(" * ".join(["R"] * bound))
+    assert (freedim._S_R,) * bound in {tuple(s[-1] for s in key) for key in freedim._PLANS}
+    freedim._PLANS.clear()
+    normalize(" * ".join(["R"] * (bound + 1)))
+    assert freedim._PLANS and max(map(len, freedim._PLANS)) <= 2
+
+
+def test_plan_table_stays_bounded(monkeypatch):
+    """A full table starts again empty, and the logs are the same."""
+    texts = [" * ".join(t) for t in product(["C", "R", "LF(1)", "LF(3/2)", "C^2", "M2(R)"],
+                                            repeat=3)]
+    monkeypatch.setattr(freedim, "_PLAN_MAX_FACTORS", 0)
+    want = [derivation(parse(t)) for t in texts]
+    monkeypatch.undo()
+    monkeypatch.setattr(freedim, "_PLANS", {})
+    monkeypatch.setattr(freedim, "_PLAN_LIMIT", 5)
+    for _ in range(2):
+        for t, logged in zip(texts, want):
+            assert derivation(parse(t)) == logged
+            assert 0 < len(freedim._PLANS) <= 5
+
+
+# Factors as ``_derive`` meets them, by their last shape: C, R, LF(1),
+# LF(t > 1), a sum and a matrix of reduced factors.
+_reduced = st.recursive(
+    st.sampled_from([AtomC(), AtomR(), AtomLF(Fraction(1)), AtomLF(Fraction(9, 4))]),
+    lambda sub: st.one_of(st.tuples(sub, sub).map(lambda lr: SumOf(*lr)), sub.map(Mat2Of)),
+    max_leaves=4)
+_BY_SHAPE = [
+    st.just(AtomC()), st.just(AtomR()), st.just(AtomLF(Fraction(1))),
+    st.fractions(min_value=1, max_value=16).filter(lambda t: t > 1).map(AtomLF),
+    st.tuples(_reduced, _reduced).map(lambda lr: SumOf(*lr)), _reduced.map(Mat2Of),
+]
+_SHAPE_LISTS = st.lists(st.integers(0, 5), min_size=2, max_size=8).flatmap(
+    lambda codes: st.tuples(*[st.tuples(*[_BY_SHAPE[c] for c in codes])] * 2))
+
+# The shapes each rule's result has, which a plan takes for granted.
+_RESULT_SHAPES = {"R7": (freedim._S_LF, freedim._S_LFT), "R8": (freedim._S_LF, freedim._S_LFT),
+                  "R9": (freedim._S_MAT,), "R6": (freedim._S_MAT,), "R12": (_S_SUM,)}
+
+
+@settings(deadline=None, database=None, max_examples=200)
+@given(_SHAPE_LISTS)
+def test_plans_depend_only_on_factor_shapes(lists):
+    """Each result has the shape its rule fixes: R7 and R8 give LF(t > 1),
+    the other pair rules M2, R9 and R6 M2 and R12 a sum, and R13 leaves its
+    partner as it was.  So two lists of the same shapes get the same plan."""
+    apply_one, apply_pair = Normalizer._apply_one, Normalizer._apply_pair
+
+    def checked_one(self, rule, i, j, facs, path):
+        partner = facs[j] if j >= 0 else None
+        apply_one(self, rule, i, j, facs, path)
+        if rule == "R13":
+            assert facs[i] is None and facs[j] is partner
+        else:
+            assert facs[i]._shapes == _RESULT_SHAPES[rule]
+
+    def checked_pair(self, rule, i, j, facs, path):
+        apply_pair(self, rule, i, j, facs, path)
+        assert facs[max(i, j)] is None
+        assert facs[min(i, j)]._shapes == _RESULT_SHAPES.get(rule, (freedim._S_MAT,))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Normalizer, "_apply_one", checked_one)
+        patch.setattr(Normalizer, "_apply_pair", checked_pair)
+        patch.setattr(freedim, "_PLAN_STEPS", {})
+        plans = []
+        for facs in lists:
+            patch.setattr(freedim, "_PLANS", {})
+            engine = Normalizer()
+            engine._budget = 10 ** 6
+            engine._derive(list(facs), ())
+            plans.append(freedim._PLANS[tuple(f._shapes for f in facs)])
+    assert plans[0] == plans[1]
 
 
 # -- a closed form for every normal form --------------------------------------------
