@@ -320,7 +320,7 @@ def _checked_lf(p: Pair) -> AtomLF:
 def pow2sum(e: Expr, k: int) -> Expr:
     """Balanced k-summand uniform sum, k a power of two.  A sum of more
     than ``MAX_EXPR_SIZE`` nodes is refused before any node is built."""
-    _check_size(k * e._size + k - 1)
+    _check_sum_size(e, k)
     if k < 1 or k & (k - 1):
         raise UnsupportedFragmentError(f"sum power must be a power of two, got {k}")
     if k == 1:
@@ -363,12 +363,12 @@ def fdim(e: Expr) -> Fraction:
 # Largest expanded tree, in nodes, that ``parse`` accepts.  On a 2-core
 # x86 machine with Python 3.11, whose speed varies with the shared load, a
 # first ``normalize`` in a fresh process (median and range of 15 processes)
-# takes 0.020 s (0.018-0.021) for C^2048 * C^2048 (8191 nodes, 12281
-# steps), since it repeats factor lists, and 0.035 s (0.034-0.041) for a
+# takes 0.018 s (0.017-0.025) for C^2048 * C^2048 (8191 nodes, 12281
+# steps), since it repeats factor lists, and 0.034 s (0.033-0.040) for a
 # product of 1000 distinct M2(LF(t)) factors (2001 nodes).  The factor
 # index keeps a flat product from reclassifying its factors every round:
-# 8191 factors R (16381 steps) take 0.21 s (0.15-0.23), or 0.33 s
-# (0.25-0.44) with a seed, and 8191 factors LF(3/2) take 0.14 s (0.11-0.16).
+# 8191 factors R (16381 steps) take 0.21 s (0.15-0.22), or 0.35 s
+# (0.26-0.43) with a seed, and 8191 factors LF(3/2) take 0.15 s (0.10-0.16).
 MAX_EXPR_SIZE = 8192
 
 
@@ -377,6 +377,11 @@ def _check_size(size: int) -> int:
         raise UnsupportedFragmentError(
             f"expression expands to {_int_text(size)} nodes, more than {MAX_EXPR_SIZE}")
     return size
+
+
+def _check_sum_size(e: Expr, k: int) -> None:
+    """The size rule of ``pow2sum(e, k)``: k copies of e and k - 1 sums."""
+    _check_size(k * e._size + k - 1)
 
 
 # Largest height of the expanded tree, and deepest nesting of parentheses
@@ -508,8 +513,10 @@ class _Parser:
             while toks[self.i] == "^":
                 self.i += 1
                 k = self.expect_int()
-                right = pow2sum(right, k)  # the size is checked before it builds
+                # both checked before pow2sum builds anything
+                _check_sum_size(right, k)
                 right_height = _check_depth(right_height + k.bit_length() - 1)
+                right = pow2sum(right, k)
             if e is None:
                 e, height = right, right_height
             else:
@@ -837,20 +844,25 @@ PlanStep = Tuple[Callable, str, int, int]
 
 # The plans of deterministic derivations, keyed by the tuple of the factors'
 # shapes, which fixes every pick (see ``Normalizer``).  Only lists of at most
-# ``_PLAN_MAX_FACTORS`` factors are recorded, so that a flat product of
-# thousands of factors makes no key and no plan it would not read again.  On
-# a 2-core x86 machine with Python 3.11, replaying a plan took about 0.73 of
-# the time of deriving by picks at every length from 3 to 64 factors, and
-# recording one cost 3-8 % of a derivation that never recurs.  In one pass
-# of the benchmark's rewrite workload only shape sequences of 2-5 factors
-# recur, and bounds from 5 to 64 gave the same pass time.  The table starts
-# again empty when it reaches ``_PLAN_LIMIT`` plans.  Each step is one
-# shared tuple from ``_PLAN_STEPS``, which as slots are below
-# ``_PLAN_MAX_FACTORS`` holds a few thousand steps at most.
+# ``_PLAN_MAX_FACTORS`` factors are recorded, so that a list which does not
+# recur, such as a flat product of thousands of factors, makes no key and no
+# plan.  On a 2-core x86 machine with Python 3.11, replaying a plan took
+# about 0.73 of the time of deriving by picks at every length from 3 to 64
+# factors, and recording one cost 3-8 % of a derivation that never recurs.
+# The lists that recur in the benchmark's rewrite pass and in the tables at
+# their largest sizes (example61 at 11, prop62 at 4, 4, 4, 4) have 2-5
+# factors.  In 20 interleaved in-process rounds of a full rewrite pass, with
+# the table emptied before each, bounds 2, 3 and 4 took 1.18, 1.08 and 1.06
+# of the time of bound 16, and bounds 5 and 8 the same as 16 (1.005 and
+# 1.01); 5 is the smallest that gives it all.  The table starts again empty
+# when it reaches ``_TABLE_LIMIT`` plans; a factor has one of six shape
+# tuples, so lists of at most 5 factors make fewer than 10 000 keys, and the
+# limit matters only for a larger bound.  Each step is one shared tuple from
+# ``_PLAN_STEPS``, which as slots are below ``_PLAN_MAX_FACTORS`` holds a few
+# hundred steps at most.
 _PLANS: Dict[Tuple[Tuple[int, ...], ...], Tuple[PlanStep, ...]] = {}
 _PLAN_STEPS: Dict[PlanStep, PlanStep] = {}
-_PLAN_MAX_FACTORS = 16
-_PLAN_LIMIT = 1 << 12
+_PLAN_MAX_FACTORS = 5
 
 
 class Normalizer:
@@ -920,7 +932,7 @@ class Normalizer:
     no pick and no bucket update, and log, check and spend each step as
     before.  Only lists of at most ``_PLAN_MAX_FACTORS`` factors are
     recorded, a list that raises records nothing, the table starts again
-    empty at ``_PLAN_LIMIT`` plans, and seeded runs neither read nor write
+    empty at ``_TABLE_LIMIT`` plans, and seeded runs neither read nor write
     it.
 
     A deterministic derivation of a factor list depends on nothing but the
@@ -1151,7 +1163,7 @@ class Normalizer:
                 for shape in facs[j]._shapes:
                     slots = buckets[shape]
                     del slots[bisect_left(slots, j)]
-                fire, at = pair, min(i, j)
+                fire, at = pair, i if i < j else j
                 live -= 1
             fire(self, rule, i, j, facs, path)
             new = facs[at]
@@ -1162,7 +1174,7 @@ class Normalizer:
                 step = (fire, rule, i, j)
                 steps.append(_PLAN_STEPS.setdefault(step, step))
         if key is not None:
-            if len(_PLANS) >= _PLAN_LIMIT:
+            if len(_PLANS) >= _TABLE_LIMIT:
                 _PLANS.clear()
             _PLANS[key] = tuple(steps)
 

@@ -203,9 +203,9 @@ def test_parse_bounds_expanded_size(text, size):
 
 
 def test_pow2sum_refuses_oversized_sums_before_building():
-    """``pow2sum`` states the size rule of ^k once, for ``parse`` and for a
-    direct call: a sum of more than MAX_EXPR_SIZE nodes is refused, with
-    the parser's message, before any node or text is built."""
+    """``pow2sum`` checks the size rule of ^k itself, so a direct call is
+    bounded as ``parse`` is: a sum of more than MAX_EXPR_SIZE nodes is
+    refused, with the parser's message, before any node or text is built."""
     assert pow2sum(AtomC(), 4096)._size == 8191
     assert pow2sum(SumOf(AtomC(), AtomR()), 2048)._size == 8191
     for e, k, size in [(AtomC(), 8192, 16383), (AtomC(), 2 ** 20, 2 ** 21 - 1),
@@ -223,12 +223,15 @@ def test_pow2sum_refuses_oversized_sums_before_building():
     assert str(direct.value) == str(parsed.value)
 
 
-# A ^k that breaks two limits reports the size first, then the power, then
-# the nesting.  M(2^99)(C) is 99 levels deep.
+# A ^k that breaks two limits reports the size first, then the nesting, then
+# the power.  M(2^99)(C) is 99 levels deep, and ^k adds log2 k levels
+# (rounded down for a k that is no power of two).
 @pytest.mark.parametrize("text,message", [
     (f"C^{2 ** 101}", f"expression expands to {2 ** 102 - 1} nodes, more than 8192"),
-    (f"M{2 ** 99}(C)^5", "sum power must be a power of two, got 5"),
+    (f"C^{2 ** 101 + 1}", f"expression expands to {2 ** 102 + 1} nodes, more than 8192"),
+    (f"M{2 ** 99}(C)^5", "expression nests deeper than 100 levels"),
     (f"M{2 ** 99}(C)^4", "expression nests deeper than 100 levels"),
+    (f"M{2 ** 99}(C)^3", "sum power must be a power of two, got 3"),
     (f"M{2 ** 99}(C)^2", None),
 ])
 def test_sum_power_errors_in_order(text, message):
@@ -899,9 +902,8 @@ def test_tokenizer_matches_character_loop(text):
 
 class ReferenceParser:
     """The parser that read (kind, text, position) tuples from ``_tokenize``,
-    verbatim but for the size check of ^k, which ``pow2sum`` now makes; the
-    engine's parser reads the token texts alone and finds a position only
-    when it raises."""
+    verbatim; the engine's parser reads the token texts alone and finds a
+    position only when it raises."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -951,8 +953,10 @@ class ReferenceParser:
             while toks[self.i][0] == "CARET":
                 self.i += 1
                 k = int(self.expect("INT")[1])
-                right = pow2sum(right, k)
+                # both checked before pow2sum builds anything
+                _check_size(k * right._size + k - 1)
                 right_height = _check_depth(right_height + k.bit_length() - 1)
+                right = pow2sum(right, k)
             if e is None:
                 e, height = right, right_height
             else:
@@ -1514,8 +1518,11 @@ PLAN_CORPORA = {
 }
 
 
+# The recording bound as set, and one that records every list, so that the
+# replay of lists longer than the bound is checked too.
+@pytest.mark.parametrize("bound", [None, MAX_EXPR_SIZE])
 @pytest.mark.parametrize("corpus", PLAN_CORPORA)
-def test_plan_table_replays_every_derivation(corpus, monkeypatch):
+def test_plan_table_replays_every_derivation(corpus, bound, monkeypatch):
     """Each input derives alike with no plan table, from an emptied table
     and from a warm one: the same step log, normal form, memo counts and
     rule counts."""
@@ -1524,10 +1531,12 @@ def test_plan_table_replays_every_derivation(corpus, monkeypatch):
     want = [derivation(e) for e in exprs]
     monkeypatch.undo()
     monkeypatch.setattr(freedim, "_PLANS", {})
+    if bound is not None:
+        monkeypatch.setattr(freedim, "_PLAN_MAX_FACTORS", bound)
     for e, logged in zip(exprs, want):
         freedim._PLANS.clear()
         assert derivation(e) == logged, expr_text(e)
-        assert freedim._PLANS or e._kind != _K_FREE
+        assert freedim._PLANS or e._kind != _K_FREE or bound is None
         assert derivation(e) == logged, expr_text(e)
 
 
@@ -1607,7 +1616,7 @@ def test_plan_table_stays_bounded(monkeypatch):
     want = [derivation(parse(t)) for t in texts]
     monkeypatch.undo()
     monkeypatch.setattr(freedim, "_PLANS", {})
-    monkeypatch.setattr(freedim, "_PLAN_LIMIT", 5)
+    monkeypatch.setattr(freedim, "_TABLE_LIMIT", 5)
     for _ in range(2):
         for t, logged in zip(texts, want):
             assert derivation(parse(t)) == logged
@@ -1658,6 +1667,7 @@ def test_plans_depend_only_on_factor_shapes(lists):
         patch.setattr(Normalizer, "_apply_one", checked_one)
         patch.setattr(Normalizer, "_apply_pair", checked_pair)
         patch.setattr(freedim, "_PLAN_STEPS", {})
+        patch.setattr(freedim, "_PLAN_MAX_FACTORS", len(lists[0]))
         plans = []
         for facs in lists:
             patch.setattr(freedim, "_PLANS", {})
