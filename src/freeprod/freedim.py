@@ -330,10 +330,12 @@ def pow2sum(e: Expr, k: int) -> Expr:
 
 
 def matpow(e: Expr, k: int) -> Expr:
-    """k x k amplification as iterated M2, k a power of two."""
+    """k x k amplification as iterated M2, k a power of two.  More than
+    ``MAX_EXPR_DEPTH`` levels of M2 are refused before any is built."""
     if k < 2 or k & (k - 1):
         raise UnsupportedFragmentError(
             f"matrix size must be a power of two >= 2, got {k}")
+    _check_depth(k.bit_length() - 1)
     out = e
     while k > 1:
         out = Mat2Of(out)

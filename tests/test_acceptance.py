@@ -26,7 +26,7 @@ from freeprod.matmodel import MatrixModel
 from freeprod.ncpart import enumerate_nc, kreweras, verify_kreweras_interval_lemma
 from freeprod.trigalg import PiValue
 
-from test_cli import GOLDEN_INVOCATIONS, run_cli
+from test_cli import GOLDEN_INVOCATIONS, run_process
 from test_freedim import CONFLUENCE_CORPUS, rand_fragment
 from test_ncpart import brute_force_nc, catalan, union_noncrossing_raw
 from wordgen import model_with_comm, rand_word
@@ -261,7 +261,8 @@ def test_criterion_9_fdim_conservation():
 
 
 def test_criterion_10_cli_determinism():
-    """Every golden CLI invocation is byte-identical across two runs."""
+    """Every golden CLI invocation is byte-identical across two fresh
+    processes with different hash seeds."""
     with Budget("criterion 10 (CLI determinism)", 120):
         for argv in GOLDEN_INVOCATIONS:
-            assert run_cli(*argv) == run_cli(*argv)
+            assert run_process(*argv, hash_seed=1) == run_process(*argv, hash_seed=2)

@@ -1,12 +1,14 @@
 """CLI behaviour: golden outputs, exit codes, byte-level determinism, and
-the model-file path.  Most tests run the module in a subprocess, which also
-exercises the packaging entry point; a few call ``cli.main`` in process to
-time it or to patch an engine."""
+the model-file path.  The tests call ``cli.main`` in process through
+``run_main``; only the checks of the process itself (what a cold import
+loads, a stdout closed early, byte-identical output under two hash seeds)
+start a fresh interpreter."""
 
 import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tempfile
@@ -16,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeprod import cli, freedim
+from freeprod import cli, freedim, ncpart
 from freeprod.freeword import MAX_FOLD_WORDS
 from freeprod.matmodel import HARNESSES
 from freeprod.trigalg import MAX_TRIG_DEPTH, MAX_TRIG_TERMS
@@ -30,26 +32,69 @@ def _env():
     return env
 
 
-def _run(args, timeout=None):
-    return subprocess.run(
-        [sys.executable, "-m", "freeprod.cli", *args],
-        capture_output=True, text=True, env=_env(), timeout=timeout)
+def run_process(*args, hash_seed):
+    """Run ``python -m freeprod.cli`` in a fresh interpreter with the given
+    ``PYTHONHASHSEED``; it must exit 0.  Return its stdout."""
+    env = _env()
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    proc = subprocess.run([sys.executable, "-m", "freeprod.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, (proc.returncode, proc.stdout, proc.stderr)
+    return proc.stdout
+
+
+def run_main(*args, timeout=None):
+    """Run ``cli.main`` in process and return (exit code, stdout, stderr).
+    argparse's ``SystemExit`` is an exit code.  A ``timeout`` in seconds
+    fails the test by ``SIGALRM`` once it runs out, so a broken guard fails
+    at its bound instead of hanging the suite."""
+    def expire(signum, frame):
+        pytest.fail(f"freeprod {' '.join(args)} ran past its {timeout} s timeout")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, timeout or 0)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_cli(*args, expect=0, timeout=None):
-    proc = _run(args, timeout)
-    assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
-    return proc.stdout
+    code, out, err = run_main(*args, timeout=timeout)
+    assert code == expect, (code, out, err)
+    return out
 
 
 def run_cli_error(*args):
     """Run an invocation that must exit 2 at once with one error line and
     no traceback; return that line."""
-    proc = _run(args, timeout=30)
-    assert proc.returncode == 2, (proc.returncode, proc.stdout, proc.stderr)
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    code, out, err = run_main(*args, timeout=30)
+    assert code == 2, (code, out, err)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
     return lines[0]
+
+
+def test_run_main_reads_exit_codes_and_enforces_its_timeout(monkeypatch):
+    """argparse's usage error is exit 2, and an engine that runs past the
+    timeout fails the test at that bound and leaves no alarm set."""
+    code, out, err = run_main("nc-enum")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("freeprod nc-enum: error: the following arguments "
+                                    "are required: --n")
+    monkeypatch.setattr(ncpart, "enumerate_nc", lambda n: time.sleep(30))
+    start = time.perf_counter()
+    with pytest.raises(pytest.fail.Exception, match="ran past its 0.2 s timeout"):
+        run_main("nc-enum", "--n", "3", timeout=0.2)
+    assert time.perf_counter() - start < 5.0
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def test_import_leaves_out_dataclasses_and_inspect():
@@ -192,12 +237,10 @@ def test_normalize_overlong_integer_is_a_parse_error():
     with the interpreter's conversion message."""
     if not 0 < sys.get_int_max_str_digits() < 5000:
         pytest.skip("this interpreter's int reads 5000 digits")
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["normalize", "--expr", "LF(" + "9" * 5000 + ")"])
-    assert (code, out.getvalue()) == (2, "")
-    assert err.getvalue() == ("error: integer of 5000 digits is longer than the limit of "
-                              f"{sys.get_int_max_str_digits()} (at position 3)\n")
+    code, out, err = run_main("normalize", "--expr", "LF(" + "9" * 5000 + ")")
+    assert (code, out) == (2, "")
+    assert err == ("error: integer of 5000 digits is longer than the limit of "
+                   f"{sys.get_int_max_str_digits()} (at position 3)\n")
 
 
 @pytest.mark.parametrize("expr, line", [
@@ -214,10 +257,7 @@ def test_normalize_fragment_error_with_long_integers_is_one_short_line(expr, lin
     digits."""
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4300:
         pytest.skip("this interpreter's int reads fewer than 4300 digits")
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["normalize", "--expr", expr])
-    assert (code, out.getvalue(), err.getvalue()) == (2, "", line + "\n")
+    assert run_main("normalize", "--expr", expr) == (2, "", line + "\n")
 
 
 @pytest.mark.parametrize("expr", [f"M{2 ** 600}(C) * R", "(" * 400 + "C" + ")" * 400],
@@ -251,11 +291,12 @@ def test_normalize_stats_line(extra):
     """--stats adds one line on stderr and leaves stdout as it is; without
     it stderr stays empty."""
     argv = ("normalize", "--expr", "C^64 * C^64", *extra)
-    plain, stats = _run(argv), _run((*argv, "--stats"))
-    assert plain.returncode == stats.returncode == 0
-    assert plain.stderr == ""
-    assert stats.stdout == plain.stdout
-    (line,) = stats.stderr.splitlines()
+    plain_code, plain_out, plain_err = run_main(*argv)
+    code, out, err = run_main(*argv, "--stats")
+    assert plain_code == code == 0
+    assert plain_err == ""
+    assert out == plain_out
+    (line,) = err.splitlines()
     if "--seed" not in extra:
         assert line == ("stats: steps=377 memo_hits=5 memo_misses=17 "
                         "rule_counts=R1:63,R13:128,R3:31,R7:93,R5:31,R6inv:31")
@@ -289,18 +330,14 @@ def test_normalize_any_text_exits_cleanly(text):
 
 
 def _main_exits_cleanly(argv):
-    """Run ``cli.main`` in process: exit 0, 1 or 2, no traceback, and
-    exactly one error line when the exit is nonzero."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse, when the text reads as an option
-            code = exc.code
+    """Exit 0, 1 or 2 (argparse's, when the text reads as an option,
+    included), no traceback, and exactly one error line when the exit is
+    nonzero."""
+    code, out, err = run_main(*argv)
     assert code in (0, 1, 2)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
-    assert len(error_lines) == (code != 0), err.getvalue()
+    assert "Traceback" not in out + err
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == (code != 0), err
     return code
 
 
@@ -417,7 +454,7 @@ def test_free_check_sum_short():
     assert out["failures"] == []
 
 
-def test_free_check_stats_line(capsys):
+def test_free_check_stats_line():
     """--stats adds one line on stderr and leaves stdout as it is; without
     it stderr stays empty.  UX:3 checks 296 entries in 78 words.  U and U*
     carry u-charge +1 and -1, X and X* v-charge +1 and -1, and 2P0 and 2Q0
@@ -426,13 +463,13 @@ def test_free_check_stats_line(capsys):
     words of length 3 (U 2Q0 U*, U* 2Q0 U, 2P0 2Q0 2P0 and the b-side
     three: 20 entries, all traced).  The other 272 entries are skipped."""
     argv = ["free-check", "--model", "UX", "--max-len", "3"]
-    assert cli.main(argv) == 0
-    plain = capsys.readouterr()
-    assert cli.main(argv + ["--stats"]) == 0
-    stats = capsys.readouterr()
-    assert plain.err == ""
-    assert stats.out == plain.out
-    assert stats.err == ("stats: words_checked=78 entries_traced=22 entries_derived=2 "
+    code, plain_out, plain_err = run_main(*argv)
+    assert code == 0
+    code, stats_out, stats_err = run_main(*argv, "--stats")
+    assert code == 0
+    assert plain_err == ""
+    assert stats_out == plain_out
+    assert stats_err == ("stats: words_checked=78 entries_traced=22 entries_derived=2 "
                          "entries_skipped=272\n")
 
 
@@ -444,9 +481,8 @@ def test_free_check_unknown_model_exit_2():
 
 
 @pytest.mark.parametrize("model", HARNESSES)
-def test_free_check_default_length(model, capsys):
-    assert cli.main(["free-check", "--model", model]) == 0
-    assert json.loads(capsys.readouterr().out)["max_len"] == HARNESSES[model][0]
+def test_free_check_default_length(model):
+    assert json.loads(run_cli("free-check", "--model", model))["max_len"] == HARNESSES[model][0]
 
 
 def test_free_check_takes_no_model_file(tmp_path):
@@ -466,23 +502,21 @@ def test_free_check_bad_max_len_exit_2(max_len):
 
 def test_free_check_word_budget_exit_2():
     start = time.perf_counter()
-    assert cli.main(["free-check", "--model", "UX", "--max-len", "99"]) == 2
-    assert time.perf_counter() - start < 1.0
     line = run_cli_error("free-check", "--model", "UX", "--max-len", "99")
+    assert time.perf_counter() - start < 1.0
     assert "more than" in line and "words" in line
 
 
-def test_divergence_exits_2(monkeypatch, capsys):
+def test_divergence_exits_2(monkeypatch):
     def diverge(*args, **kwargs):
         raise freedim.DivergenceError("rewrite step limit exceeded")
 
     monkeypatch.setattr(freedim.Normalizer, "normalize", diverge)
-    assert cli.main(["normalize", "--expr", "R * R"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: rewrite step limit exceeded"]
+    assert run_main("normalize", "--expr", "R * R") == (
+        2, "", "error: rewrite step limit exceeded\n")
 
 
-def test_conservation_failure_exits_1(monkeypatch, capsys):
+def test_conservation_failure_exits_1(monkeypatch):
     share = freedim._m2_share
 
     def wrong_weight(f):
@@ -490,9 +524,8 @@ def test_conservation_failure_exits_1(monkeypatch, capsys):
         return parts, weight + 1
 
     monkeypatch.setattr(freedim, "_m2_share", wrong_weight)
-    assert cli.main(["normalize", "--expr", "R * R"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: rule R11 broke fdim conservation: 2 != 5/2"]
+    assert run_main("normalize", "--expr", "R * R") == (
+        1, "", "error: rule R11 broke fdim conservation: 2 != 5/2\n")
 
 
 @pytest.mark.parametrize("word,needle", [
@@ -553,27 +586,23 @@ def test_tables_example61():
 
 
 @pytest.mark.parametrize("n_max", ["12", "16", "1000000000"])
-def test_tables_example61_past_node_bound_exit_2(n_max, capsys):
+def test_tables_example61_past_node_bound_exit_2(n_max):
     """n-max 12 would build rows of 16383 nodes, past MAX_EXPR_SIZE; it is
     refused at once with one error line."""
     start = time.perf_counter()
-    assert cli.main(["tables", "--table", "example61", "--n-max", n_max]) == 2
+    result = run_main("tables", "--table", "example61", "--n-max", n_max)
     assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: n_max must be in 1..11: the row n = m = n_max has 2^(n_max + 2) - 1 "
-        "nodes, at most 8192"]
+    assert result == (
+        2, "", "error: n_max must be in 1..11: the row n = m = n_max has 2^(n_max + 2) - 1 "
+        "nodes, at most 8192\n")
 
 
 @pytest.mark.parametrize("flag,name", [("--n-max", "n_max"), ("--m-max", "m_max")])
-def test_tables_prop62_without_rows_exit_2(flag, name, capsys):
+def test_tables_prop62_without_rows_exit_2(flag, name):
     """n = 0 or m = 0 is outside Proposition 6.2, and would pass a table of
     no rows; it is refused with one error line."""
-    assert cli.main(["tables", "--table", "prop62", flag, "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {name} must be in 1..4"]
+    assert run_main("tables", "--table", "prop62", flag, "0") == (
+        2, "", f"error: {name} must be in 1..4\n")
 
 
 def test_model_file_trace(tmp_path):
@@ -599,14 +628,13 @@ def test_missing_model_file_exit_2(tmp_path):
     assert "missing.json" in line
 
 
-def test_model_file_nested_too_deeply_exit_2(tmp_path, capsys):
+def test_model_file_nested_too_deeply_exit_2(tmp_path):
     """json's decoder raises RecursionError on deep nesting; it once ended
     in a traceback and exit 1."""
     path = tmp_path / "model.json"
     path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
-    assert cli.main(["trace", "--word", "c u", "--model-file", str(path)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: model file {str(path)!r} nests too deeply"]
+    assert run_main("trace", "--word", "c u", "--model-file", str(path)) == (
+        2, "", f"error: model file {str(path)!r} nests too deeply\n")
 
 
 @pytest.mark.parametrize("m", [None, "two", 0])
@@ -645,31 +673,29 @@ def test_model_file_bad_shape_exit_2(tmp_path, case):
 
 
 @pytest.mark.parametrize("entry", ["1e30000000", "\u0663", "1_0", True, False, "1.5", " 3 "])
-def test_model_file_entry_not_ascii_rational_exit_2(tmp_path, capsys, entry):
+def test_model_file_entry_not_ascii_rational_exit_2(tmp_path, entry):
     """An element entry is a JSON integer or an ASCII-digit string p or p/q;
     Fraction() alone also read these, and spent minutes on 1e30000000."""
     leg = {"id": "D", "kind": "finite_comm", "m": 2, "elements": {"g": [entry, "1"]}}
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"legs": [leg]}), encoding="utf-8")
     start = time.perf_counter()
-    code = cli.main(["trace", "--word", "d{g} u d{g} u*", "--model-file", str(path)])
+    result = run_main("trace", "--word", "d{g} u d{g} u*", "--model-file", str(path))
     assert time.perf_counter() - start < 2.0
-    assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: leg 'D': element 'g' needs 2 rational entries, got {[entry, '1']!r}"]
+    assert result == (
+        2, "", f"error: leg 'D': element 'g' needs 2 rational entries, got {[entry, '1']!r}\n")
 
 
 @pytest.mark.parametrize("word, line", [
     ("d{zz}", "error: no model element named 'zz'"),
     ("d{g} u", "error: element name 'g' is ambiguous"),
 ])
-def test_unknown_name_error_line(tmp_path, capsys, word, line):
+def test_unknown_name_error_line(tmp_path, word, line):
     legs = [{"id": leg_id, "kind": "finite_comm", "m": 2, "elements": {"g": [1, -1]}}
             for leg_id in ("D", "E")]
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"legs": legs}), encoding="utf-8")
-    assert cli.main(["trace", "--word", word, "--model-file", str(path)]) == 2
-    assert capsys.readouterr().err.splitlines() == [line]
+    assert run_main("trace", "--word", word, "--model-file", str(path)) == (2, "", line + "\n")
 
 
 GOLDEN_INVOCATIONS = [
@@ -685,12 +711,6 @@ GOLDEN_INVOCATIONS = [
 ]
 
 
-@pytest.mark.parametrize("argv", GOLDEN_INVOCATIONS,
-                         ids=[" ".join(a) for a in GOLDEN_INVOCATIONS])
-def test_byte_identical_across_runs(argv):
-    assert run_cli(*argv) == run_cli(*argv)
-
-
 # Recorded stdout of one invocation per report type, JSON key order
 # included (``json.dumps`` keeps the order ``to_json`` gives).
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -704,7 +724,4 @@ RECORDED_JSON = {
 
 @pytest.mark.parametrize("name", RECORDED_JSON)
 def test_json_bytes_match_recorded(name):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert cli.main(RECORDED_JSON[name]) == 0
-    assert out.getvalue() == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert run_cli(*RECORDED_JSON[name]) == (GOLDEN_DIR / name).read_text(encoding="utf-8")

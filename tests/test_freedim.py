@@ -223,6 +223,31 @@ def test_pow2sum_refuses_oversized_sums_before_building():
     assert str(direct.value) == str(parsed.value)
 
 
+def test_matpow_refuses_deep_towers_before_building():
+    """``matpow`` checks the nesting rule of Mk itself, after the power of
+    two, so a direct call is bounded as ``parse`` is: a tower of more than
+    MAX_EXPR_DEPTH levels of M2 is refused, with the parser's message,
+    before any level is built."""
+    assert matpow(AtomC(), 2 ** MAX_EXPR_DEPTH)._size == MAX_EXPR_DEPTH + 1
+    with pytest.raises(UnsupportedFragmentError) as parsed:
+        parse(f"M{2 ** (MAX_EXPR_DEPTH + 1)}(C)")
+    for k in (2 ** (MAX_EXPR_DEPTH + 1), 2 ** 20000):
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedFragmentError) as direct:
+            matpow(AtomC(), k)
+        assert time.perf_counter() - start < 0.1
+        assert str(direct.value) == str(parsed.value) == (
+            f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
+    with pytest.raises(UnsupportedFragmentError, match=r"^matrix size must be a power of two"):
+        matpow(AtomC(), 3 * 2 ** 200)
+
+
+@pytest.mark.parametrize("factors", [[], [AtomC()]], ids=["none", "one"])
+def test_free_product_needs_two_factors(factors):
+    with pytest.raises(ValueError, match=r"^free product needs at least two factors$"):
+        FreeOf(factors)
+
+
 # A ^k that breaks two limits reports the size first, then the nesting, then
 # the power.  M(2^99)(C) is 99 levels deep, and ^k adds log2 k levels
 # (rounded down for a k that is no power of two).
@@ -1577,6 +1602,14 @@ def test_raising_derivation_stores_no_plan(monkeypatch):
                 normalize(text)
             messages.add(str(err.value))
         assert len(messages) == 1, text
+
+
+def test_seeded_pick_with_no_rule_raises_as_the_deterministic_one():
+    """With no rule instance left, the seeded pick ``_draw`` gives None and
+    the derivation raises the deterministic run's message."""
+    for seed in (None, 0):
+        with pytest.raises(NotReducibleError, match=r"^no rule applies to LZ \* LZ$"):
+            Normalizer(seed=seed)._derive([AtomLZ(), AtomLZ()], ())
 
 
 def test_seeded_runs_leave_the_plan_table_alone(monkeypatch):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeprod.freeword import (
+    MAX_CUMULANT_N,
     MAX_PARTITION_N,
     UNIT,
     CommLetter,
@@ -203,6 +204,14 @@ def test_trace_mixed_haar_vanishes(fp):
     f, u, v = fp.leg("f"), fp.leg("u"), fp.leg("v")
     w = fp.word([u.gen(1), f.s(), v.gen(1), f.s(), u.gen(-1), v.gen(-1)])
     assert fp.trace_word(w) == PI_ZERO
+
+
+@pytest.mark.parametrize("poly", [TrigPoly.cos(1) + TrigPoly.sin(1), TrigPoly.cos(1, 2)],
+                         ids=["sum", "scalar-multiple"])
+def test_word_refuses_a_sequence_that_is_not_one_unit_word(fp, poly):
+    with pytest.raises(ValueError, match=r"^letter sequence does not normalize to a single "
+                                         r"unit-coefficient word: "):
+        fp.word([fp.leg("f").letter(poly)])
 
 
 def test_trace_rejects_non_alternating(fp):
@@ -460,6 +469,23 @@ def test_moment_cumulant_roundtrip_on_leg(fp):
     assert cum(xs) == fp.leg_cumulant(xs)
 
 
+def test_leg_moment_refuses_two_legs(fp):
+    with pytest.raises(ValueError, match=r"^moment tuple must come from a single leg$"):
+        fp.leg_moment((fp.leg("f").c(), fp.leg("u").gen(1)))
+
+
+@pytest.mark.parametrize("transform, name", [(moments_to_cumulants, "cumulant"),
+                                             (cumulants_to_moments, "moment")])
+def test_transforms_refuse_empty_and_overlong_tuples(transform, name):
+    functional = transform(lambda xs: 1)
+    with pytest.raises(ValueError, match=r"^empty tuple$"):
+        functional(())
+    assert functional((0,) * MAX_CUMULANT_N) is not None
+    with pytest.raises(EvaluationLimitError,
+                       match=rf"^{name} length {MAX_CUMULANT_N + 1} exceeds {MAX_CUMULANT_N}$"):
+        functional((0,) * (MAX_CUMULANT_N + 1))
+
+
 def test_cumulant_length_guard(fp):
     u = fp.leg("u")
     letters = tuple(u.gen(1 if i % 2 == 0 else -1) for i in range(12))
@@ -480,6 +506,20 @@ def test_bipartite_single_letter(fp):
 def test_bipartite_conjugation(fp):
     w = fp.word(letters_cucu(fp))
     assert fp.trace_bipartite(w, [1, 3]) == PiValue.lam(4, deg=2)
+
+
+def test_bipartite_guards(fp):
+    """The empty word has trace 1; a position outside the word and a word
+    of more than MAX_PARTITION_N slot pairs are refused."""
+    f, u = fp.leg("f"), fp.leg("u")
+    assert fp.trace_bipartite((), []) == PI_ONE
+    for pos in (2, -1):
+        with pytest.raises(FamilySplitError, match=rf"^position {pos} outside word$"):
+            fp.trace_bipartite((f.c(), u.gen(1)), [pos])
+    n = MAX_PARTITION_N + 1
+    with pytest.raises(EvaluationLimitError,
+                       match=rf"^partition formula over {n} slots exceeds {MAX_PARTITION_N}$"):
+        fp.trace_bipartite((u.gen(1), f.c()) * n, range(0, 2 * n, 2))
 
 
 def test_bipartite_rejects_shared_leg(fp):
@@ -824,6 +864,13 @@ def test_legs_from_model_dict_rejects_bad_m(m):
         decl["m"] = m
     with pytest.raises(ValueError, match="'D'"):
         legs_from_model_dict({"legs": [decl]})
+
+
+def test_comm_leg_guards():
+    with pytest.raises(ValueError, match=r"^need at least one atom$"):
+        FiniteCommLeg("D", 0)
+    with pytest.raises(ValueError, match=r"^vector must have 2 entries$"):
+        FiniteCommLeg("D", 2).letter((1,))
 
 
 def test_comm_leg_trace_is_uniform_average():

@@ -1,12 +1,15 @@
-"""Static checks of the package source with the standard library's ``ast``:
-no module under ``src/freeprod`` imports a name it never uses."""
+"""Static checks of the source with the standard library's ``ast``: no
+module under ``src/freeprod`` imports a name it never uses, every private
+module-level name it defines is read somewhere in the package, and only
+``tests/test_cli.py`` starts subprocesses."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "freeprod"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "freeprod"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -69,3 +72,75 @@ def test_an_unused_import_is_found():
                      "def f(p: 'b') -> 'c':\n"
                      "    return 'a'\n")
     assert [name for name, _ in _imports(tree) if name not in _used(tree)] == ["a"]
+
+
+def _private_definitions(tree):
+    """(name, line) of every private name the module binds at its top
+    level: functions, classes and assignment targets whose name starts
+    with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = [(sub.id, node.lineno) for target in targets for sub in ast.walk(target)
+                     if isinstance(sub, ast.Name)]
+        else:
+            continue
+        yield from ((name, line) for name, line in found
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(tree):
+    """Every name the module reads, as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_name_is_read():
+    trees = {m.name: ast.parse(m.read_text(encoding="utf-8"), filename=str(m))
+             for m in MODULES}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    unread = [f"{module}:{line} {name}" for module, tree in trees.items()
+              for name, line in _private_definitions(tree) if name not in read]
+    assert not unread, unread
+
+
+def test_an_unread_private_name_is_found():
+    """The check sees private functions, classes and assignment targets
+    that nothing reads, and counts calls, attributes and imports as
+    reads; public and dunder names are not its concern."""
+    tree = ast.parse("import y\n"
+                     "from z import _d\n"
+                     "_a, _b = 1, 2\n"
+                     "_c: int = _a\n"
+                     "__version__ = '1'\n"
+                     "public = 3\n"
+                     "def _f(): return y._e\n"
+                     "def _g(): return _f()\n"
+                     "class _H: pass\n"
+                     "_e = _d\n")
+    read = set(_reads(tree))
+    assert [name for name, _ in _private_definitions(tree) if name not in read] == [
+        "_b", "_c", "_g", "_H"]
+
+
+def _imports_subprocess(tree):
+    return any(isinstance(node, ast.Import) and any(a.name == "subprocess" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "subprocess"
+               for node in ast.walk(tree))
+
+
+def test_only_the_cli_tests_start_subprocesses():
+    """A new CLI test calls ``cli.main`` in process (``test_cli.run_main``);
+    a fresh interpreter is kept for the checks of the process itself."""
+    users = [path.name for path in sorted(TESTS.glob("*.py"))
+             if _imports_subprocess(ast.parse(path.read_text(encoding="utf-8")))]
+    assert users == ["test_cli.py"]
+    assert _imports_subprocess(ast.parse("from subprocess import run"))
+    assert not _imports_subprocess(ast.parse("import subprocessing"))
