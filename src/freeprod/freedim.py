@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 from math import gcd, isqrt, log10
 from operator import itemgetter
 import random
@@ -334,7 +334,7 @@ def matpow(e: Expr, k: int) -> Expr:
     ``MAX_EXPR_DEPTH`` levels of M2 are refused before any is built."""
     if k < 2 or k & (k - 1):
         raise UnsupportedFragmentError(
-            f"matrix size must be a power of two >= 2, got {k}")
+            f"matrix size must be a power of two >= 2, got {_int_text(k)}")
     _check_depth(k.bit_length() - 1)
     out = e
     while k > 1:
@@ -696,9 +696,7 @@ def _has_sum_or_matrix(buckets: Buckets) -> bool:
 
 # In priority order.  A pair rule whose two shapes agree takes two distinct
 # factors of that shape.  R14 and R6inv take no factors: they fire while
-# canonicalizing and when collapsing an M2 shell.  The rules that take a
-# factor of one shape first are listed together (a test checks it), so the
-# deterministic pick tests each bucket once.
+# canonicalizing and when collapsing an M2 shell.
 _RULES: Dict[str, _Rule] = {
     "R13": _Rule("C * A -> A", (_S_C,)),
     "R8": _Rule("LF(t) * R -> LF(t + 1)", (_S_R, _S_LF)),
@@ -756,21 +754,6 @@ def _factor_index(facs: Sequence[Optional[Expr]]) -> Buckets:
     return buckets
 
 
-def _candidate_count(rule: _Rule, buckets: Buckets) -> int:
-    """The number of instances of ``rule`` among the factors in ``buckets``:
-    n for one shape, C(n, 2) for two factors of one shape, n1 n2 otherwise."""
-    _, shapes, gate = rule
-    first = buckets[shapes[0]] if shapes else ()
-    if not first or (gate is not None and not gate(buckets)):
-        return 0
-    n = len(first)
-    if len(shapes) == 1:
-        return n
-    if shapes[1] == shapes[0]:
-        return n * (n - 1) // 2
-    return n * len(buckets[shapes[1]])
-
-
 def _candidate(shapes: Tuple[int, ...], buckets: Buckets, r: int) -> Tuple[int, int]:
     """The slots (i, j) of instance r of a rule taking ``shapes``, j = -1
     for a rule of one shape.  Instances are ordered as the slots of one
@@ -799,44 +782,44 @@ def _first_slot(buckets: Buckets) -> int:
     return min([slots[0] for slots in buckets if slots])
 
 
-def _pick_order() -> List[tuple]:
-    """The rules the factor loop can pick, in table order, grouped by first
-    shape: (first shape, [(name, second shape or None, gate), ...]).  A group
-    is a run of consecutive rules, so walking the groups walks the table."""
-    picked = [(name, rule) for name, rule in _RULES.items() if rule.shapes]
-    return [(first, [(name, rule.shapes[1] if len(rule.shapes) > 1 else None, rule.gate)
-                     for name, rule in run])
-            for first, run in groupby(picked, key=lambda item: item[1].shapes[0])]
-
-
-_PICK_ORDER = _pick_order()
-
 # A rule instance the factor loop fires: the rule's name and the slots (i, j)
 # of its factors, j = -1 for a rule of one shape.
 Pick = Tuple[str, int, int]
 
 
-def _first_pick(buckets: Buckets) -> Optional[Pick]:
-    """The deterministic pick: instance 0 of the first rule, in table order,
-    that has one, or None when no rule applies.  It counts nothing: an
-    empty bucket passes over every rule that takes its shape first, and
-    instance 0 is the first slot of the first shape's bucket, with the
-    second slot of that bucket or the first of another."""
-    for shape, rules in _PICK_ORDER:
-        first = buckets[shape]
-        if not first:
+def _pick(buckets: Buckets, rng: Optional[random.Random]) -> Optional[Pick]:
+    """The rule instance a round of the factor loop fires, or None when no
+    rule applies.  The instances are listed in table order, each rule's in
+    ``_candidate``'s order and a gated rule's only while its gate holds: a
+    rule of one shape has n, a pair of one shape C(n, 2) and any other pair
+    n1 n2.  With no ``rng`` the first fires, read straight from the
+    buckets; otherwise the one at ``rng.randrange`` of their number."""
+    drawn = []
+    for name, rule in _RULES.items():
+        shapes = rule.shapes
+        first = buckets[shapes[0]] if shapes else None
+        if not first or (rule.gate is not None and not rule.gate(buckets)):
             continue
-        for name, second, gate in rules:
-            if gate is not None and not gate(buckets):
-                continue
-            if second is None:
-                return name, first[0], -1
-            if second == shape:
-                if len(first) > 1:
-                    return name, first[0], first[1]
-            elif buckets[second]:
-                return name, first[0], buckets[second][0]
-    return None
+        n = len(first)
+        if len(shapes) == 1:
+            count, second = n, None
+        else:
+            second = buckets[shapes[1]]  # ``first`` itself for a pair of one shape
+            count = n * (n - 1) // 2 if second is first else n * len(second)
+        if not count:
+            continue
+        if rng is None:
+            return name, first[0], (-1 if second is None else first[1] if second is first
+                                    else second[0])
+        drawn.append((name, shapes, count))
+    if not drawn:
+        return None
+    r = rng.randrange(sum([count for _, _, count in drawn]))
+    for name, shapes, count in drawn:
+        if r < count:
+            break
+        r -= count
+    return (name, *_candidate(shapes, buckets, r))
 
 
 # A step of a plan: the method that fires it (``_apply_one`` or
@@ -913,13 +896,13 @@ class Normalizer:
     have that shape (a factor caches its shapes), updated at each step.  A
     round picks a ``Pick``, the rule's name and its slots (i, j), and fires
     it by ``_apply_pair`` when j >= 0, by ``_apply_one`` otherwise, which
-    for R13 is given the slot of the partner, the lowest live slot.  A
-    seeded pick counts each rule's instances from the bucket sizes and maps
-    instance r back to its slots arithmetically, so one round costs
-    O(number of rules) plus the bucket updates, and it makes the same
-    ``randrange`` draws over the same instance order as listing every
-    instance would.  The deterministic pick, ``_first_pick``, counts
-    nothing.
+    for R13 is given the slot of the partner, the lowest live slot.  One
+    pick, ``_pick``, serves both kinds of run: it counts each rule's
+    instances from the bucket sizes, in table order, and maps the instance
+    fired, the first or the one drawn, back to its slots arithmetically.
+    So one round costs O(number of rules) plus the bucket updates, and a
+    seeded run makes the same ``randrange`` draws over the same instance
+    order as listing every instance would.
 
     The deterministic picks of a factor list depend on nothing but the
     ``_shapes`` of its factors, in order.  A pick reads only which buckets
@@ -1142,12 +1125,12 @@ class Normalizer:
         up to date; with a ``key``, record the steps fired as the plan of
         ``key`` once the list is reduced."""
         buckets = _factor_index(facs)
-        pick = _first_pick if self.rng is None else self._draw
+        rng = self.rng
         one, pair = Normalizer._apply_one, Normalizer._apply_pair
         steps: List[PlanStep] = []
         live = len(facs)
         while live > 1:
-            picked = pick(buckets)
+            picked = _pick(buckets, rng)
             if picked is None:
                 raise NotReducibleError(
                     "no rule applies to " + _product_text([f for f in facs if f is not None]))
@@ -1179,21 +1162,6 @@ class Normalizer:
             if len(_PLANS) >= _TABLE_LIMIT:
                 _PLANS.clear()
             _PLANS[key] = tuple(steps)
-
-    def _draw(self, buckets: Buckets) -> Optional[Pick]:
-        """The seeded pick: an instance drawn uniformly from all instances,
-        listed in table order, or None when no rule applies."""
-        counts = [(name, rule.shapes, _candidate_count(rule, buckets))
-                  for name, rule in _RULES.items()]
-        total = sum([count for _, _, count in counts])
-        if not total:
-            return None
-        r = self.rng.randrange(total)
-        for name, shapes, count in counts:
-            if r < count:
-                return (name, *_candidate(shapes, buckets, r))
-            r -= count
-        raise AssertionError("unreachable")
 
     def _apply_one(self, rule: str, i: int, j: int, facs: List[Optional[Expr]],
                    path: Tuple[int, ...]) -> None:

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import signal
 import subprocess
 import sys
@@ -23,7 +24,8 @@ from freeprod.freeword import MAX_FOLD_WORDS
 from freeprod.matmodel import HARNESSES
 from freeprod.trigalg import MAX_TRIG_DEPTH, MAX_TRIG_TERMS
 
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def _env():
@@ -471,6 +473,38 @@ def test_free_check_stats_line():
     assert stats_out == plain_out
     assert stats_err == ("stats: words_checked=78 entries_traced=22 entries_derived=2 "
                          "entries_skipped=272\n")
+
+
+# The README's commands whose output it states: the command as the README
+# writes it after ``freeprod``, the stream, and the lines it must hold, in
+# order.
+_README_OUTPUTS = [
+    pytest.param("nc-enum --n 4 --count", "stdout", ["14"], id="nc-enum"),
+    pytest.param('nc-kreweras --p "1,3|2|4"', "stdout", ["1,2|3,4"], id="nc-kreweras"),
+    pytest.param('trace --word "c u c u*" --bipartite', "stdout", ["exact: 4*L^2"],
+                 id="trace"),
+    pytest.param("free-check --model UX --max-len 3 --stats", "stderr",
+                 ["stats: words_checked=78 entries_traced=22 entries_derived=2 "
+                  "entries_skipped=272"], id="free-check-stats"),
+    pytest.param('normalize --expr "C^64 * C^64" --stats', "stderr",
+                 ["stats: steps=377 memo_hits=5 memo_misses=17 "
+                  "rule_counts=R1:63,R13:128,R3:31,R7:93,R5:31,R6inv:31"],
+                 id="normalize-stats"),
+    pytest.param('normalize --expr "R * R" --steps', "stdout",
+                 ["M2(LF(5))", "alias: LF(2)", "  1. [R9] R  ->  M2(R)   (fdim 1)"],
+                 id="normalize-steps"),
+]
+
+
+@pytest.mark.parametrize("command,stream,lines", _README_OUTPUTS)
+def test_readme_commands_print_what_the_readme_states(command, stream, lines):
+    """Each command whose output README.md states prints it, and README.md
+    still holds the command, so neither can change without the other."""
+    assert f"freeprod {command}" in (ROOT / "README.md").read_text(encoding="utf-8")
+    code, out, err = run_main(*shlex.split(command))
+    assert code == 0, (code, out, err)
+    got = (out if stream == "stdout" else err).splitlines()
+    assert [line for line in got if line in lines] == lines
 
 
 def test_free_check_unknown_model_exit_2():

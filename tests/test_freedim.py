@@ -38,18 +38,16 @@ from freeprod.freedim import (
     UnsupportedFragmentError,
     expr_text,
     _RULES,
-    _PICK_ORDER,
     _S_SUM,
     _ATOMS,
     _K_FREE,
     _candidate,
-    _candidate_count,
     _check_depth,
     _check_size,
     _checked_lf,
     _factor_index,
-    _first_pick,
     _flatten,
+    _pick,
     _tokenize,
     fdim,
     lf,
@@ -240,6 +238,18 @@ def test_matpow_refuses_deep_towers_before_building():
             f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
     with pytest.raises(UnsupportedFragmentError, match=r"^matrix size must be a power of two"):
         matpow(AtomC(), 3 * 2 ** 200)
+
+
+@pytest.mark.parametrize("k,shown", [(3 * 2 ** 20000, "<6022-digit integer>"),
+                                     (-3 * 2 ** 20000, "-<6022-digit integer>")],
+                         ids=["positive", "negative"])
+def test_matpow_names_a_long_size_by_its_digit_count(k, shown):
+    """A refused k longer than ``str`` writes is named by its digit count,
+    as the other fragment errors name a long integer, so the error is the
+    fragment error and not the interpreter's."""
+    with pytest.raises(UnsupportedFragmentError) as err:
+        matpow(AtomC(), k)
+    assert str(err.value) == f"matrix size must be a power of two >= 2, got {shown}"
 
 
 @pytest.mark.parametrize("factors", [[], [AtomC()]], ids=["none", "one"])
@@ -779,33 +789,31 @@ _INDEX_FACTORS = [AtomC(), AtomR(), AtomLF(Fraction(1)), AtomLF(Fraction(9, 4)),
 
 @settings(deadline=None, database=None, max_examples=500)
 @given(st.lists(st.one_of(st.none(), st.sampled_from(_INDEX_FACTORS)), max_size=10))
-def test_deterministic_pick_is_first_counted_instance(slots):
-    """The deterministic pick reads the buckets directly; it must fire
-    instance 0 of the first rule, in table order, whose instance count is
-    nonzero, as the seeded pick counts them.  A None slot is a freed one."""
+def test_pick_is_the_first_or_the_drawn_listed_instance(slots):
+    """``_pick`` against every rule instance listed explicitly, in table
+    order: the slots of a one-shape rule, the ``combinations`` of a pair of
+    one shape and the product of any other pair, a gated rule's only while
+    its gate holds.  The deterministic pick is the first instance and a
+    seeded one the instance at the seed's ``randrange`` over their number.
+    A None slot is a freed one."""
     buckets = _factor_index(slots)
-    want = next(((name, *_candidate(rule.shapes, buckets, 0))
-                 for name, rule in _RULES.items() if _candidate_count(rule, buckets)),
-                None)
-    assert _first_pick(buckets) == want
-
-
-def test_pick_order_groups_are_contiguous_runs_of_the_table():
-    """The deterministic pick walks the rules grouped by first shape.  The
-    rules sharing a first shape are contiguous in table order, so each
-    shape has one group and the grouped walk is the flat table order."""
-    picked = [name for name, rule in _RULES.items() if rule.shapes]
-    firsts = [_RULES[name].shapes[0] for name in picked]
-    for shape in set(firsts):
-        at = [k for k, first in enumerate(firsts) if first == shape]
-        assert at == list(range(at[0], at[-1] + 1)), shape
-    assert [shape for shape, _ in _PICK_ORDER] == list(dict.fromkeys(firsts))
-    assert [name for _, rules in _PICK_ORDER for name, _, _ in rules] == picked
-    for shape, rules in _PICK_ORDER:
-        for name, second, gate in rules:
-            rule = _RULES[name]
-            assert rule.shapes == ((shape,) if second is None else (shape, second))
-            assert rule.gate is gate
+    instances = []
+    for name, rule in _RULES.items():
+        shapes = rule.shapes
+        if not shapes or (rule.gate is not None and not rule.gate(buckets)):
+            continue
+        first = buckets[shapes[0]]
+        if len(shapes) == 1:
+            pairs = [(i, -1) for i in first]
+        elif shapes[1] == shapes[0]:
+            pairs = combinations(first, 2)
+        else:
+            pairs = product(first, buckets[shapes[1]])
+        instances += [(name, i, j) for i, j in pairs]
+    assert _pick(buckets, None) == (instances[0] if instances else None)
+    for seed in range(3):
+        want = instances[random.Random(seed).randrange(len(instances))] if instances else None
+        assert _pick(buckets, random.Random(seed)) == want
 
 
 # Deterministic step logs and normal forms of 200 random fragments and the
@@ -1605,8 +1613,9 @@ def test_raising_derivation_stores_no_plan(monkeypatch):
 
 
 def test_seeded_pick_with_no_rule_raises_as_the_deterministic_one():
-    """With no rule instance left, the seeded pick ``_draw`` gives None and
-    the derivation raises the deterministic run's message."""
+    """With no rule instance left, ``_pick`` gives None under a seed as
+    without one, and the derivation raises the deterministic run's
+    message."""
     for seed in (None, 0):
         with pytest.raises(NotReducibleError, match=r"^no rule applies to LZ \* LZ$"):
             Normalizer(seed=seed)._derive([AtomLZ(), AtomLZ()], ())
