@@ -147,6 +147,8 @@ def _load_model_file(path: str) -> List[freeword.Leg]:
         raise CliError(f"cannot read model file {path!r}: {exc.strerror or exc}") from None
     except RecursionError:  # json's decoder, on arrays or objects nested too deeply
         raise CliError(f"model file {path!r} nests too deeply") from None
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past int's digit limit
+        raise CliError(f"cannot read model file {path!r} as JSON: {exc}") from exc
     return freeword.legs_from_model_dict(doc)
 
 

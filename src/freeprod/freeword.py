@@ -58,7 +58,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from .ncpart import enumerate_nc, kreweras, weighted_nc
 from .record import FrozenRecord
 from . import trigalg
-from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _as_pi, _frac
+from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _as_pi, _frac, _trig
 
 MAX_WORD_LETTERS = 64
 # The most words the folds of one evaluation may make, over all layers:
@@ -123,13 +123,9 @@ class Leg:
 class TrigLeg(Leg):
     """The interval algebra of exact trig polynomials with trace
     (2/pi) * integral over [0, pi/2].  Basis letters are single cos/sin
-    terms with unit coefficient, one shared interned letter per (kind, k)."""
+    terms with unit coefficient, made canonical by the letter intern table."""
 
     kind = "trig"
-
-    def __init__(self, leg_id: str):
-        super().__init__(leg_id)
-        self._basis: Dict[Tuple[str, int], TrigLetter] = {}
 
     def letter(self, poly: TrigPoly) -> "TrigLetter":
         return TrigLetter(self.id, poly)
@@ -147,19 +143,8 @@ class TrigLeg(Leg):
         return trigalg.trace(letter.poly)
 
     def split(self, letter: "TrigLetter"):
-        # The basis letters come from the intern table, so the cache holds
-        # no second copy of any of them.
-        basis = self._basis
-        out: List[Tuple[Fraction, Optional[Letter]]] = []
-        for key, q in letter.poly.items():
-            if key == ("c", 0):
-                out.append((q, None))
-            else:
-                b = basis.get(key)
-                if b is None:
-                    b = basis[key] = _LETTERS[_intern(TrigLetter(self.id, TrigPoly({key: 1})))]
-                out.append((q, b))
-        return out
+        return [(q, None if key == ("c", 0) else TrigLetter(self.id, _trig(((key, 1),), 1)))
+                for key, q in letter.poly.items()]
 
 
 class HaarLeg(Leg):
@@ -546,15 +531,14 @@ class _Basis:
         got = self.products[key] = _entry(scalar, parts)
         return got
 
-    def fold(self, acc: Dict[IdWord, PiValue], letters: Sequence[int],
-             prune: bool) -> Dict[IdWord, PiValue]:
+    def fold(self, acc: Dict[IdWord, PiValue], letters: Sequence[int]) -> Dict[IdWord, PiValue]:
         """Append the letters one at a time to ``acc``, a combination of
         reduced words.  A letter x after a word ending in a letter a of its
         leg replaces a by ``products[a, x]``; after any other word it goes
-        in by its expansion.  With ``prune``, words longer than the letters
-        still to come are dropped; without it every word is kept."""
+        in by its expansion.  In the centered basis, words longer than the
+        letters still to come are dropped; in the plain basis none is."""
         legs, expansions, products = _LETTER_LEGS, self.expansions, self.products
-        last = len(letters) - 1 if prune else sys.maxsize
+        last = len(letters) - 1 if self._centered else sys.maxsize
         budget = self.budget
         for pos, x in enumerate(letters):
             room = last - pos
@@ -627,7 +611,7 @@ class FreeProduct:
                 raise UnknownNameError(f"unknown leg {letter.leg!r}")
             ids.append(_intern(letter))
         self._plain.budget = MAX_FOLD_WORDS
-        return NCPoly._of_ids(self._plain.fold({(): PI_ONE}, ids, False))
+        return NCPoly._of_ids(self._plain.fold({(): PI_ONE}, ids))
 
     def word(self, letters: Sequence[Letter]) -> Word:
         """Normalize a letter sequence that is expected to stay a single
@@ -650,7 +634,7 @@ class FreeProduct:
         self._plain.budget = MAX_FOLD_WORDS
         for w2, c2 in b._terms.items():
             piece = {w1: c1 * c2 for w1, c1 in a._terms.items()}
-            for w, c in self._plain.fold(piece, w2, False).items():
+            for w, c in self._plain.fold(piece, w2).items():
                 cur = out.get(w)
                 out[w] = c if cur is None else cur + c
         return NCPoly._of_ids(out)
@@ -730,7 +714,7 @@ class FreeProduct:
         cached = self._tr_memo.get(word)
         if cached is not None:
             return cached
-        acc = self._centered.fold({(): PI_ONE}, word, True)
+        acc = self._centered.fold({(): PI_ONE}, word)
         result = acc.get((), PI_ZERO)
         self._tr_memo[word] = result
         return result

@@ -63,7 +63,7 @@ class PiValue:
     arithmetic (Knuth, TAOCP vol. 2, section 4.5.1).
     """
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=None):
         d = {}
@@ -175,17 +175,11 @@ class PiValue:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            # A value of degree 0 hashes as its rational, which it equals.
-            num = self._num
-            if len(num) > 1:
-                h = hash((num, self._den))
-            else:
-                h = hash(Fraction(num[0], self._den)) if num else 0
-            self._hash = h
-            return h
+        # A value of degree 0 hashes as its rational, which it equals.
+        num = self._num
+        if len(num) > 1:
+            return hash((num, self._den))
+        return hash(Fraction(num[0], self._den)) if num else 0
 
     def eval_numeric(self) -> float:
         """Substitute L = 1/pi.  Diagnostics only, never used for zero tests."""

@@ -671,6 +671,24 @@ def test_model_file_nested_too_deeply_exit_2(tmp_path):
         2, "", f"error: model file {str(path)!r} nests too deeply\n")
 
 
+@pytest.mark.parametrize("data", [
+    b"",
+    b"\xff\xfe",
+    b'{"legs": [{"id": "D", "kind": "finite_comm", "m": 1' + b"0" * 5000 + b"}]}",
+    b'{"legs": [',
+], ids=["empty", "not-utf8", "long-integer", "truncated"])
+def test_model_file_not_json_exit_2(tmp_path, data):
+    """A file json cannot read names the file; the decoder's message alone
+    did not."""
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    code, out, err = run_main("trace", "--word", "u", "--model-file", str(path))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot read model file {str(path)!r} as JSON: ")
+
+
 @pytest.mark.parametrize("m", [None, "two", 0])
 def test_model_file_bad_m_exit_2(tmp_path, m):
     leg = {"id": "D", "kind": "finite_comm", "elements": {}}

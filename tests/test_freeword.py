@@ -158,12 +158,11 @@ def test_letter_interning_is_one_id_per_letter_under_threads():
     assert len(set(results[0])) == len(letters)
 
 
-def test_trig_split_shares_one_interned_basis_letter_per_term():
-    """``TrigLeg.split`` hands out one basis letter per (kind, k) and leg:
-    the same object on every call, equal to a fresh one, and the object
-    the intern table holds, so its cache keeps no second copy."""
-    from freeprod import freeword
-
+def test_trig_split_basis_letters_are_made_canonical_by_the_intern_table():
+    """``TrigLeg.split`` hands out one single-term letter per (kind, k); the
+    intern table makes it canonical: one id for a term on every split, a
+    different id for the same term of another leg, and the letter the table
+    held first."""
     leg, other = TrigLeg("split-f"), TrigLeg("split-g")
     # an equal letter interned before the leg first splits out c[2]
     seen = TrigLetter("split-f", TrigPoly.cos(2))
@@ -172,16 +171,16 @@ def test_trig_split_shares_one_interned_basis_letter_per_term():
     parts = leg.split(leg.letter(poly))
     assert [q for q, _ in parts] == [3, Fraction(1, 2), -1]
     assert parts[0][1] is None
-    assert parts[1][1] is seen
-    again = leg.split(leg.letter(TrigPoly.sin(5, 7) + TrigPoly.cos(2)))
-    assert again[0][1] is parts[1][1] and again[1][1] is parts[2][1]
     for (kind, k), (_, b) in zip([("c", 2), ("s", 5)], parts[1:]):
         assert b == TrigLetter("split-f", TrigPoly({(kind, k): 1}))
-        assert freeword._LETTERS[freeword._intern(b)] is b
+    assert freeword._LETTERS[freeword._intern(parts[1][1])] is seen
+    again = leg.split(leg.letter(TrigPoly.sin(5, 7) + TrigPoly.cos(2)))
+    ids = [freeword._intern(b) for _, b in parts[1:]]
+    assert [freeword._intern(b) for _, b in again] == ids
     theirs = other.split(other.letter(poly))
-    for (_, b), (_, b2) in zip(parts[1:], theirs[1:]):
-        assert b2.leg == "split-g" and b2.poly == b.poly
-        assert b2 != b and b2 is not b
+    for (_, b), (_, b2), i in zip(parts[1:], theirs[1:], ids):
+        assert b2 == TrigLetter("split-g", b.poly)
+        assert freeword._intern(b2) != i
 
 
 # -- trace by the centered-basis fold --------------------------------------------

@@ -1,7 +1,8 @@
 """Static checks of the source with the standard library's ``ast``: no
 module under ``src/freeprod`` imports a name it never uses, every private
-module-level name it defines is read somewhere in the package, and only
-``tests/test_cli.py`` starts subprocesses."""
+module-level name it defines is read somewhere in the package, every
+module-level table that a function mutates is listed with its bound, and
+only ``tests/test_cli.py`` starts subprocesses."""
 
 import ast
 import pathlib
@@ -128,6 +129,78 @@ def test_an_unread_private_name_is_found():
     read = set(_reads(tree))
     assert [name for name, _ in _private_definitions(tree) if name not in read] == [
         "_b", "_c", "_g", "_H"]
+
+
+# The module-level tables that some function fills or empties, so that
+# they outlive the call and are shared by the whole process, each with what
+# bounds it.  Every other module has none.
+PROCESS_WIDE_TABLES = {
+    "freedim.py": {
+        "_FRACTIONS",  # starts again empty at _TABLE_LIMIT pairs
+        "_LF_ATOMS",  # starts again empty at _TABLE_LIMIT pairs
+        "_PLANS",  # starts again empty at _TABLE_LIMIT shape keys
+        "_PLAN_STEPS",  # one per distinct step, slots below _PLAN_MAX_FACTORS: a few hundred
+    },
+    "freeword.py": {
+        "_LETTERS",  # unbounded: one entry per distinct letter met (ROADMAP item 11)
+        "_LETTER_LEGS",  # one entry per entry of _LETTERS
+        "_LETTER_IDS",  # one entry per entry of _LETTERS
+    },
+}
+
+_MUTATORS = {"append", "clear", "extend", "insert", "pop", "popitem", "setdefault",
+             "update", "add", "discard", "remove"}
+
+
+def _mutated_globals(tree):
+    """The module-level names that some function of the module mutates: a
+    subscript store or delete on the bare name, or a call on it of one of
+    ``_MUTATORS``."""
+    top = {sub.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+           for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+           for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name)):
+                found.add(node.value.id)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS and isinstance(node.func.value, ast.Name)):
+                found.add(node.func.value.id)
+    return found & top
+
+
+def test_process_wide_tables_are_listed():
+    """A new module-level cache is a decision: it is shared by every caller
+    in the process and must say what bounds it, in ``PROCESS_WIDE_TABLES``."""
+    for module in MODULES:
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        assert _mutated_globals(tree) == PROCESS_WIDE_TABLES.get(module.name, set()), module.name
+
+
+def test_a_process_wide_table_is_found():
+    """The check sees subscript stores, deletes and mutating calls inside a
+    function on a module-level name, and not a local, a read, an attribute's
+    table or a mutation at import time."""
+    tree = ast.parse("_A, _B, _C, _D, _E, _F = {}, {}, [], set(), {}, []\n"
+                     "_F.append(0)\n"
+                     "def f(x):\n"
+                     "    _A[x] = 1\n"
+                     "    local = {}\n"
+                     "    local[x] = 2\n"
+                     "    x.table[1] = 3\n"
+                     "    return _E.get(x)\n"
+                     "class K:\n"
+                     "    def g(self):\n"
+                     "        del _B[0]\n"
+                     "        _C.extend(self.items)\n"
+                     "        self.cache.update(_E)\n"
+                     "    async def h(self):\n"
+                     "        _D.add(1)\n")
+    assert _mutated_globals(tree) == {"_A", "_B", "_C", "_D"}
 
 
 def _imports_subprocess(tree):
