@@ -365,12 +365,12 @@ def fdim(e: Expr) -> Fraction:
 # Largest expanded tree, in nodes, that ``parse`` accepts.  On a 2-core
 # x86 machine with Python 3.11, whose speed varies with the shared load, a
 # first ``normalize`` in a fresh process (median and range of 15 processes)
-# takes 0.018 s (0.017-0.025) for C^2048 * C^2048 (8191 nodes, 12281
-# steps), since it repeats factor lists, and 0.034 s (0.033-0.040) for a
+# takes 0.010 s (0.010-0.012) for C^2048 * C^2048 (8191 nodes, 12281
+# steps), since it repeats factor lists, and 0.019 s (0.018-0.020) for a
 # product of 1000 distinct M2(LF(t)) factors (2001 nodes).  The factor
 # index keeps a flat product from reclassifying its factors every round:
-# 8191 factors R (16381 steps) take 0.21 s (0.15-0.22), or 0.35 s
-# (0.26-0.43) with a seed, and 8191 factors LF(3/2) take 0.15 s (0.10-0.16).
+# 8191 factors R (16381 steps) take 0.13 s (0.12-0.21), or 0.16 s
+# (0.15-0.20) with seed 1, and 8191 factors LF(3/2) take 0.10 s (0.10-0.11).
 MAX_EXPR_SIZE = 8192
 
 

@@ -58,7 +58,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from .ncpart import enumerate_nc, kreweras, weighted_nc
 from .record import FrozenRecord
 from . import trigalg
-from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _as_pi, _frac, _trig
+from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _frac
 
 MAX_WORD_LETTERS = 64
 # The most words the folds of one evaluation may make, over all layers:
@@ -143,7 +143,8 @@ class TrigLeg(Leg):
         return trigalg.trace(letter.poly)
 
     def split(self, letter: "TrigLetter"):
-        return [(q, None if key == ("c", 0) else TrigLetter(self.id, _trig(((key, 1),), 1)))
+        return [(q, None if key == ("c", 0)
+                 else TrigLetter(self.id, TrigPoly._make(((key, 1),), 1)))
                 for key, q in letter.poly.items()]
 
 
@@ -260,12 +261,10 @@ class TrigLetter(FrozenRecord):
         return hash((self.leg, self.poly))
 
     def text(self) -> str:
+        # a single term with coefficient 1 is its name: 1, c, s, c[k], s[k]
         terms = list(self.poly.items())
         if len(terms) == 1 and terms[0][1] == 1:
-            (kind, k), _ = terms[0]
-            if kind == "c" and k == 0:
-                return "1"
-            return kind if k == 1 else f"{kind}[{k}]"
+            return str(self.poly)
         return f"({self.poly})"
 
     def sort_key(self) -> tuple:
@@ -508,9 +507,9 @@ class _Basis:
         scalar, parts = PI_ZERO, {}
         for q, b in leg.split(letter):
             if b is None:
-                scalar = _as_pi(q)
+                scalar = PiValue._coerce(q)
             else:
-                parts[_intern(b)] = _as_pi(q)
+                parts[_intern(b)] = PiValue._coerce(q)
         return (leg.trace(letter) if self._centered else scalar), parts
 
     def expand(self, x: int) -> tuple:

@@ -183,6 +183,17 @@ def test_trig_split_basis_letters_are_made_canonical_by_the_intern_table():
         assert freeword._intern(b2) != i
 
 
+def test_trig_letter_text():
+    """A single term with coefficient 1 prints as its name, as ``str`` of
+    its polynomial does; any other polynomial prints in parentheses."""
+    f = TrigLeg("text-f")
+    cases = [(TrigPoly.cos(1), "c"), (TrigPoly.sin(1), "s"), (TrigPoly.cos(0), "1"),
+             (TrigPoly.cos(3), "c[3]"), (TrigPoly.sin(2), "s[2]"),
+             (TrigPoly.cos(1, 2), "(2*c)"), (TrigPoly.cos(1, Fraction(1, 2)), "(1/2*c)"),
+             (TrigPoly.cos(1) + TrigPoly.sin(1), "(c + s)")]
+    assert [f.letter(poly).text() for poly, _ in cases] == [text for _, text in cases]
+
+
 # -- trace by the centered-basis fold --------------------------------------------
 
 

@@ -680,12 +680,17 @@ _trig_coeffs = st.one_of(
     st.builds("{}/{}".format, st.integers(-12, 12), st.integers(1, 12)))
 
 
+# Built once: a strategy built inside the composite is built and validated
+# again on every example.
+_TERM_DICTS = st.dictionaries(st.tuples(st.sampled_from("cs"), st.integers(-7, 7)),
+                              _trig_coeffs, max_size=5)
+
+
 @st.composite
 def _trig_term_dicts(draw):
     """Term dicts over c[k], s[k] with negative indices and c[0]; sometimes
     a term and its mirror c[-k] / s[-k] cancel after folding."""
-    d = draw(st.dictionaries(st.tuples(st.sampled_from("cs"), st.integers(-7, 7)),
-                             _trig_coeffs, max_size=5))
+    d = draw(_TERM_DICTS)
     if d and draw(st.booleans()):
         (kind, k), q = next(iter(d.items()))
         q = _frac(q)
@@ -698,6 +703,7 @@ def _same_poly(got: TrigPoly, want: ReferenceTrigPoly) -> None:
     assert all(type(q) is Fraction for _, q in got.items())
     assert str(got) == str(want)
     assert got.is_zero() == want.is_zero()
+    assert bool(got) == (not want.is_zero())
     assert trace(got) == reference_trace(want)
     assert str(trace(got)) == str(reference_trace(want))
 
