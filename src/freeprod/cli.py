@@ -160,7 +160,8 @@ def cmd_trace(args) -> int:
     exact = fp.trace(nc)
     doc = {
         "word": args.word,
-        "normalized": str(nc),
+        # only --json prints it, and its text can be long
+        "normalized": str(nc) if args.json else None,
         "exact": str(exact),
         "coefficients": {str(deg): str(q) for deg, q in exact.items()},
         "numeric": exact.eval_numeric(),

@@ -3,9 +3,10 @@
 A *leg* is a tracial algebra given by its moments: the interval algebra of
 exact trig polynomials, a Haar-unitary leg (tr(w^k) = 0 for k != 0), or a
 finite commutative leg with m uniformly weighted atoms.  Legs are mutually
-free by construction; a Word is an alternating sequence of letters from
+free by construction; a Word is an alternating tuple of letters from
 distinct legs, and an NCPoly is a finite linear combination of words with
-coefficients in Q[L] (L = 1/pi).
+coefficients in Q[L] (L = 1/pi).  A letter is made once per value, so
+letters, and words with them, compare by identity.
 
 Words are stored over the legs' basis letters.  A basis letter b stands
 for b - t(b): t = 0 in the *plain* basis that ``normalize`` and ``mul``
@@ -51,8 +52,9 @@ from __future__ import annotations
 import re
 import sys
 import threading
+import weakref
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ncpart import enumerate_nc, kreweras, weighted_nc
@@ -67,6 +69,11 @@ MAX_WORD_LETTERS = 64
 MAX_FOLD_WORDS = 2 ** 18
 MAX_CUMULANT_N = 10
 MAX_PARTITION_N = 10
+# The most atoms of a model file's finite_comm leg.  Its in-leg product
+# tables cost about m^4: d{g} c d{g} s traces in 0.3 s at m = 32, 2 s at 64.
+# The slowest word found at m = 32 under MAX_FOLD_WORDS, d{g} u d{g} u* d{g}
+# v, takes 2.7 s with --bipartite (2-core x86 machine, Python 3.11).
+MAX_COMM_ATOMS = 32
 
 
 class EvaluationLimitError(RuntimeError):
@@ -123,7 +130,8 @@ class Leg:
 class TrigLeg(Leg):
     """The interval algebra of exact trig polynomials with trace
     (2/pi) * integral over [0, pi/2].  Basis letters are single cos/sin
-    terms with unit coefficient, made canonical by the letter intern table."""
+    terms with unit coefficient; ``split`` gives each term's coefficient
+    as a PiValue, straight from the polynomial's integers."""
 
     kind = "trig"
 
@@ -143,9 +151,10 @@ class TrigLeg(Leg):
         return trigalg.trace(letter.poly)
 
     def split(self, letter: "TrigLetter"):
-        return [(q, None if key == ("c", 0)
+        den = letter.poly._den
+        return [(PiValue._make(((0, n // g),), den // g), None if key == ("c", 0)
                  else TrigLetter(self.id, TrigPoly._make(((key, 1),), 1)))
-                for key, q in letter.poly.items()]
+                for key, n in letter.poly._terms for g in (gcd(n, den),)]
 
 
 class HaarLeg(Leg):
@@ -239,26 +248,49 @@ class FiniteCommLeg(Leg):
 
 # ---------------------------------------------------------------------------
 # Letters and words
-#
-# The letters compare and hash their two fields directly rather than through
-# FrozenRecord's field-tuple getter: tuples of letters key the cumulant memo,
-# and the getter made the partitions workload's run_s about 5 % slower.
 
 
-class TrigLetter(FrozenRecord):
+# Every letter alive, by its class, leg and value key; weakly, so a letter
+# goes with the last object that holds it.
+_LETTERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_LETTERS_LOCK = threading.Lock()
+
+
+class _Letter(FrozenRecord):
+    """A letter of the leg named ``leg``, with one value, its second field,
+    made once per value (hash-consing, Filliatre and Conchon 2006): each
+    class's ``__new__`` gives a key unique to the value, and this one hands
+    out the live letter under it or makes it.  So letters compare and hash
+    by identity, in C."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, leg: str, value, *key):
+        key = (cls, leg) + key
+        # a hit reads the table's dict of weak references, in C
+        ref = _LETTERS.data.get(key)
+        letter = ref and ref()
+        if letter is None:
+            with _LETTERS_LOCK:  # one letter per key even under threads
+                letter = _LETTERS.get(key)
+                if letter is None:
+                    letter = object.__new__(cls)
+                    object.__setattr__(letter, "leg", leg)
+                    object.__setattr__(letter, cls._fields[1], value)
+                    _LETTERS[key] = letter
+        return letter
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor: the live letter
+        return self.__class__, self._values(self)
+
+
+class TrigLetter(_Letter):
     _fields = ("leg", "poly")
 
-    def __init__(self, leg: str, poly: TrigPoly):
-        object.__setattr__(self, "leg", leg)
-        object.__setattr__(self, "poly", poly)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.leg == other.leg and self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.leg, self.poly))
+    def __new__(cls, leg: str, poly: TrigPoly):
+        return _Letter.__new__(cls, leg, poly, poly._terms, poly._den)
 
     def text(self) -> str:
         # a single term with coefficient 1 is its name: 1, c, s, c[k], s[k]
@@ -274,20 +306,11 @@ class TrigLetter(FrozenRecord):
         return self  # trig polynomials are real-valued
 
 
-class HaarLetter(FrozenRecord):
+class HaarLetter(_Letter):
     _fields = ("leg", "power")
 
-    def __init__(self, leg: str, power: int):
-        object.__setattr__(self, "leg", leg)
-        object.__setattr__(self, "power", power)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.leg == other.leg and self.power == other.power
-
-    def __hash__(self):
-        return hash((self.leg, self.power))
+    def __new__(cls, leg: str, power: int):
+        return _Letter.__new__(cls, leg, power, power)
 
     def text(self) -> str:
         if self.power == 1:
@@ -303,25 +326,15 @@ class HaarLetter(FrozenRecord):
         return HaarLetter(self.leg, -self.power)
 
 
-class CommLetter(FrozenRecord):
+class CommLetter(_Letter):
     _fields = ("leg", "vec")
 
-    def __init__(self, leg: str, vec: Tuple[Fraction, ...]):
-        object.__setattr__(self, "leg", leg)
-        object.__setattr__(self, "vec", vec)
-        # compared and hashed as ints: the numerators over the least common
-        # denominator, which is unique for a given vector
+    def __new__(cls, leg: str, vec: Tuple[Fraction, ...]):
+        # keyed by the numerators over the least common denominator, which
+        # are unique for a given vector
         den = lcm(*[x.denominator for x in vec])
-        object.__setattr__(self, "_key", (
-            leg, tuple([x.numerator * (den // x.denominator) for x in vec]), den))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        return _Letter.__new__(
+            cls, leg, vec, tuple([x.numerator * (den // x.denominator) for x in vec]), den)
 
     def text(self) -> str:
         return "d{" + self.leg + ":" + ",".join(str(q) for q in self.vec) + "}"
@@ -335,7 +348,6 @@ class CommLetter(FrozenRecord):
 
 Letter = Union[TrigLetter, HaarLetter, CommLetter]
 Word = Tuple[Letter, ...]
-IdWord = Tuple[int, ...]
 
 
 class _Unit:
@@ -345,32 +357,6 @@ class _Unit:
 
 
 UNIT = _Unit()
-
-
-# The letter intern table.  Every letter met anywhere gets one small int,
-# the same in every FreeProduct, so words are stored and compared as tuples
-# of ints; a letter itself is hashed, over its leg and its value, only when
-# it is interned.  Letters are frozen records (assigning a field raises), so
-# the table is an identity map: no answer depends on what it holds.
-_LETTERS: List[Letter] = []
-_LETTER_LEGS: List[str] = []  # the leg name of each interned letter
-_LETTER_IDS: Dict[Letter, int] = {}
-_INTERN_LOCK = threading.Lock()
-
-
-def _intern(letter: Letter) -> int:
-    i = _LETTER_IDS.get(letter)
-    if i is None:
-        # One id per letter even under threads; the id is published last,
-        # so whoever finds it can index the lists.
-        with _INTERN_LOCK:
-            i = _LETTER_IDS.get(letter)
-            if i is None:
-                leg = letter.leg
-                _LETTERS.append(letter)
-                _LETTER_LEGS.append(leg)
-                i = _LETTER_IDS[letter] = len(_LETTERS) - 1
-    return i
 
 
 def word_str(word: Word) -> str:
@@ -385,8 +371,8 @@ class NCPoly:
     """Finite linear combination of alternating words, coefficients in Q[L].
 
     The empty word is the unit.  Zero-coefficient terms are dropped on
-    construction, so equality is structural.  Words are given and returned
-    as letter tuples and stored as tuples of interned letter ids.
+    construction, so equality is structural.  A word is a tuple of letters,
+    which are made once per value, so words compare in C.
     """
 
     __slots__ = ("_terms",)
@@ -397,12 +383,12 @@ class NCPoly:
             for word, coeff in dict(terms).items():
                 coeff = coeff if isinstance(coeff, PiValue) else PiValue.of(coeff)
                 if not coeff.is_zero():
-                    d[tuple(map(_intern, word))] = coeff
+                    d[tuple(word)] = coeff
         self._terms = d
 
     @classmethod
-    def _of_ids(cls, terms: Dict[IdWord, PiValue]) -> "NCPoly":
-        """From id words; zero-coefficient terms are dropped."""
+    def _of_words(cls, terms: Dict[Word, PiValue]) -> "NCPoly":
+        """From word tuples and PiValues; zero-coefficient terms are dropped."""
         nc = object.__new__(cls)
         nc._terms = {w: c for w, c in terms.items() if c}
         return nc
@@ -419,15 +405,13 @@ class NCPoly:
         return not self._terms
 
     def terms(self) -> List[Tuple[Word, PiValue]]:
-        return sorted(((tuple(_LETTERS[i] for i in w), c) for w, c in self._terms.items()),
-                      key=lambda kv: _word_sort_key(kv[0]))
+        return sorted(self._terms.items(), key=lambda kv: _word_sort_key(kv[0]))
 
     def nterms(self) -> int:
         return len(self._terms)
 
     def coeff(self, word: Word) -> PiValue:
-        ids = tuple(_LETTER_IDS.get(l, -1) for l in word)
-        return self._terms.get(ids, PI_ZERO)
+        return self._terms.get(tuple(word), PI_ZERO)
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         # NCPolys are immutable, so a zero summand gives back the other one
@@ -439,17 +423,17 @@ class NCPoly:
         for w, c in other._terms.items():
             cur = d.get(w)
             d[w] = c if cur is None else cur + c
-        return NCPoly._of_ids(d)
+        return NCPoly._of_words(d)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly._of_ids({w: -c for w, c in self._terms.items()})
+        return NCPoly._of_words({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def scaled(self, coeff) -> "NCPoly":
         coeff = coeff if isinstance(coeff, PiValue) else PiValue.of(coeff)
-        return NCPoly._of_ids({w: c * coeff for w, c in self._terms.items()})
+        return NCPoly._of_words({w: c * coeff for w, c in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -462,9 +446,8 @@ class NCPoly:
     def adjoint(self) -> "NCPoly":
         # Coefficients are real, each letter goes to its adjoint and the
         # word reverses.
-        return NCPoly._of_ids({
-            tuple(_intern(_LETTERS[i].adjoint()) for i in reversed(w)): c
-            for w, c in self._terms.items()})
+        return NCPoly._of_words({tuple([l.adjoint() for l in reversed(w)]): c
+                                 for w, c in self._terms.items()})
 
     def __str__(self):
         if not self._terms:
@@ -483,8 +466,8 @@ class NCPoly:
 class _Basis:
     """Reduced words over the legs' basis letters, each basis letter b
     standing for b - t(b): t = 0 in the plain basis, t = tr in the centered
-    one.  Two tables over letter ids, filled on first sight, hold entries
-    (scalar or None, ((basis id, coefficient), ...)):
+    one.  Two tables over letters, filled on first sight, hold entries
+    (scalar or None, ((basis letter, coefficient), ...)):
 
     * ``expansions[x]`` - the letter x, from its ``split`` parts; the
       scalar is the identity coefficient (plain) or tr x (centered);
@@ -499,26 +482,25 @@ class _Basis:
     def __init__(self, leg: Callable[[str], Leg], centered: bool):
         self._leg = leg
         self._centered = centered
-        self.expansions: Dict[int, tuple] = {}
-        self.products: Dict[Tuple[int, int], tuple] = {}
+        self.expansions: Dict[Letter, tuple] = {}
+        self.products: Dict[Tuple[Letter, Letter], tuple] = {}
         self.budget = MAX_FOLD_WORDS
 
-    def _expand(self, leg: Leg, letter: Letter) -> Tuple[PiValue, Dict[int, PiValue]]:
+    def _expand(self, leg: Leg, letter: Letter) -> Tuple[PiValue, Dict[Letter, PiValue]]:
         scalar, parts = PI_ZERO, {}
         for q, b in leg.split(letter):
             if b is None:
                 scalar = PiValue._coerce(q)
             else:
-                parts[_intern(b)] = PiValue._coerce(q)
+                parts[b] = PiValue._coerce(q)
         return (leg.trace(letter) if self._centered else scalar), parts
 
-    def expand(self, x: int) -> tuple:
-        letter = _LETTERS[x]
-        got = self.expansions[x] = _entry(*self._expand(self._leg(letter.leg), letter))
+    def expand(self, x: Letter) -> tuple:
+        got = self.expansions[x] = _entry(*self._expand(self._leg(x.leg), x))
         return got
 
-    def product(self, key: Tuple[int, int]) -> tuple:
-        a, x = _LETTERS[key[0]], _LETTERS[key[1]]
+    def product(self, key: Tuple[Letter, Letter]) -> tuple:
+        a, x = key
         leg = self._leg(x.leg)
         scalar, parts = self._expand(leg, leg.mul(a, x))
         ta = leg.trace(a) if self._centered else PI_ZERO
@@ -530,21 +512,21 @@ class _Basis:
         got = self.products[key] = _entry(scalar, parts)
         return got
 
-    def fold(self, acc: Dict[IdWord, PiValue], letters: Sequence[int]) -> Dict[IdWord, PiValue]:
+    def fold(self, acc: Dict[Word, PiValue], letters: Sequence[Letter]) -> Dict[Word, PiValue]:
         """Append the letters one at a time to ``acc``, a combination of
         reduced words.  A letter x after a word ending in a letter a of its
         leg replaces a by ``products[a, x]``; after any other word it goes
         in by its expansion.  In the centered basis, words longer than the
         letters still to come are dropped; in the plain basis none is."""
-        legs, expansions, products = _LETTER_LEGS, self.expansions, self.products
+        expansions, products = self.expansions, self.products
         last = len(letters) - 1 if self._centered else sys.maxsize
         budget = self.budget
         for pos, x in enumerate(letters):
             room = last - pos
-            leg = legs[x]
-            nxt: Dict[IdWord, PiValue] = {}
+            leg = x.leg
+            nxt: Dict[Word, PiValue] = {}
             for w, c in acc.items():
-                if w and legs[w[-1]] == leg:
+                if w and w[-1].leg == leg:
                     key = (w[-1], x)
                     scalar, parts = products.get(key) or self.product(key)
                     base = w[:-1]
@@ -571,7 +553,7 @@ class _Basis:
         return acc
 
 
-def _entry(scalar: PiValue, parts: Dict[int, PiValue]) -> tuple:
+def _entry(scalar: PiValue, parts: Dict[Letter, PiValue]) -> tuple:
     return scalar or None, tuple((b, q) for b, q in parts.items() if q)
 
 
@@ -584,7 +566,7 @@ class FreeProduct:
             if leg.id in self.legs:
                 raise ValueError(f"duplicate leg id {leg.id!r}")
             self.legs[leg.id] = leg
-        self._tr_memo: Dict[IdWord, PiValue] = {}
+        self._tr_memo: Dict[Word, PiValue] = {}
         # single-letter traces for the partition formula, apart from the
         # fold's memo so that the two evaluators share no state
         self._letter_traces: Dict[Letter, PiValue] = {}
@@ -604,13 +586,11 @@ class FreeProduct:
     def normalize(self, letters: Sequence[Letter]) -> NCPoly:
         """Merge same-leg neighbours, absorb identity components as scalars,
         and return the resulting combination of alternating words."""
-        ids = []
         for letter in letters:
             if letter.leg not in self.legs:
                 raise UnknownNameError(f"unknown leg {letter.leg!r}")
-            ids.append(_intern(letter))
         self._plain.budget = MAX_FOLD_WORDS
-        return NCPoly._of_ids(self._plain.fold({(): PI_ONE}, ids))
+        return NCPoly._of_words(self._plain.fold({(): PI_ONE}, letters))
 
     def word(self, letters: Sequence[Letter]) -> Word:
         """Normalize a letter sequence that is expected to stay a single
@@ -629,14 +609,14 @@ class FreeProduct:
             return b
         if not a._terms:
             return a
-        out: Dict[IdWord, PiValue] = {}
+        out: Dict[Word, PiValue] = {}
         self._plain.budget = MAX_FOLD_WORDS
         for w2, c2 in b._terms.items():
             piece = {w1: c1 * c2 for w1, c1 in a._terms.items()}
             for w, c in self._plain.fold(piece, w2).items():
                 cur = out.get(w)
                 out[w] = c if cur is None else cur + c
-        return NCPoly._of_ids(out)
+        return NCPoly._of_words(out)
 
     # -- letter/leg oracles --------------------------------------------------
 
@@ -672,8 +652,7 @@ class FreeProduct:
         for nc in ncs:
             for w in nc._terms:
                 d: Dict[str, Optional[int]] = {}
-                for i in w:
-                    letter = _LETTERS[i]
+                for letter in w:
                     g = self.leg(letter.leg).grade(letter)
                     cur = d.get(letter.leg, 0)
                     d[letter.leg] = None if g is None or cur is None else cur + g
@@ -704,9 +683,9 @@ class FreeProduct:
             if a.leg == b.leg:
                 raise ValueError("word is not alternating-normalized")
         self._centered.budget = MAX_FOLD_WORDS
-        return self._trace_word(tuple(map(_intern, word)))
+        return self._trace_word(word)
 
-    def _trace_word(self, word: IdWord) -> PiValue:
+    def _trace_word(self, word: Word) -> PiValue:
         n = len(word)
         if n > MAX_WORD_LETTERS:
             raise EvaluationLimitError(f"word length {n} exceeds {MAX_WORD_LETTERS}")
@@ -928,9 +907,9 @@ def legs_from_model_dict(doc: dict) -> List[Leg]:
             raise ValueError(f"leg #{pos} needs a string 'id'")
         if kind == "finite_comm":
             m = decl.get("m")
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise ValueError(
-                    f"finite_comm leg {leg_id!r} needs an integer 'm' >= 1, got {m!r}")
+            if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_COMM_ATOMS:
+                raise ValueError(f"finite_comm leg {leg_id!r} needs an integer 'm' "
+                                 f"from 1 to {MAX_COMM_ATOMS}, got {m!r}")
             elements = decl.get("elements", {})
             if not isinstance(elements, dict):
                 raise ValueError(f"leg {leg_id!r}: 'elements' must be a JSON object")

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeprod import cli, freedim, ncpart
-from freeprod.freeword import MAX_FOLD_WORDS
+from freeprod.freeword import MAX_COMM_ATOMS, MAX_FOLD_WORDS
 from freeprod.matmodel import HARNESSES
 from freeprod.trigalg import MAX_TRIG_DEPTH, MAX_TRIG_TERMS
 
@@ -111,6 +111,19 @@ def test_import_leaves_out_dataclasses_and_inspect():
 
 def test_nc_enum_count():
     assert run_cli("nc-enum", "--n", "4", "--count") == "14\n"
+
+
+def test_nc_enum_json():
+    """The JSON document lists the partitions in ``enumerate_nc`` order."""
+    doc = json.loads(run_cli("nc-enum", "--n", "4", "--json"))
+    assert doc == {"n": 4, "count": 14,
+                   "partitions": [p.encode() for p in ncpart.enumerate_nc(4)]}
+    assert list(doc) == ["n", "count", "partitions"]
+
+
+def test_nc_enum_json_count():
+    assert json.loads(run_cli("nc-enum", "--n", "4", "--json", "--count")) == {
+        "n": 4, "count": 14}
 
 
 def test_nc_enum_listing():
@@ -689,7 +702,7 @@ def test_model_file_not_json_exit_2(tmp_path, data):
     assert lines[0].startswith(f"error: cannot read model file {str(path)!r} as JSON: ")
 
 
-@pytest.mark.parametrize("m", [None, "two", 0])
+@pytest.mark.parametrize("m", [None, "two", 0, MAX_COMM_ATOMS + 1])
 def test_model_file_bad_m_exit_2(tmp_path, m):
     leg = {"id": "D", "kind": "finite_comm", "elements": {}}
     if m is not None:

@@ -128,19 +128,17 @@ def test_letter_ids_are_shared_across_free_products(fp):
 
 
 def test_letter_interning_is_one_id_per_letter_under_threads():
-    """Threads interning the same new letters at once agree on their ids."""
+    """Threads making the same new letters at once all get the identical
+    letter objects: one letter per value."""
     import sys
     import threading
 
-    from freeprod import freeword
-
-    letters = [HaarLetter("intern-stress", k) for k in range(1, 400)]
     results = []
     barrier = threading.Barrier(8)
 
     def work():
         barrier.wait(timeout=10)
-        results.append([freeword._intern(l) for l in letters])
+        results.append([HaarLetter("intern-stress", k) for k in range(1, 400)])
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -153,34 +151,74 @@ def test_letter_interning_is_one_id_per_letter_under_threads():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(old)
-    assert len(results) == 8 and all(r == results[0] for r in results)
-    assert [freeword._LETTERS[i] for i in results[0]] == letters
-    assert len(set(results[0])) == len(letters)
+    assert len(results) == 8
+    assert all(a is b for r in results for a, b in zip(r, results[0]))
+    assert [l.power for l in results[0]] == list(range(1, 400))
+    assert len(set(map(id, results[0]))) == 399
 
 
 def test_trig_split_basis_letters_are_made_canonical_by_the_intern_table():
-    """``TrigLeg.split`` hands out one single-term letter per (kind, k); the
-    intern table makes it canonical: one id for a term on every split, a
-    different id for the same term of another leg, and the letter the table
-    held first."""
+    """``TrigLeg.split`` hands out one single-term letter per (kind, k): the
+    letter of that value made first, the same one on every split, and a
+    distinct letter for the same term of another leg."""
     leg, other = TrigLeg("split-f"), TrigLeg("split-g")
-    # an equal letter interned before the leg first splits out c[2]
+    # an equal letter made before the leg first splits out c[2]
     seen = TrigLetter("split-f", TrigPoly.cos(2))
-    freeword._intern(seen)
     poly = TrigPoly({("c", 0): 3, ("c", -2): Fraction(1, 2), ("s", 5): -1})
     parts = leg.split(leg.letter(poly))
     assert [q for q, _ in parts] == [3, Fraction(1, 2), -1]
     assert parts[0][1] is None
     for (kind, k), (_, b) in zip([("c", 2), ("s", 5)], parts[1:]):
-        assert b == TrigLetter("split-f", TrigPoly({(kind, k): 1}))
-    assert freeword._LETTERS[freeword._intern(parts[1][1])] is seen
+        assert b is TrigLetter("split-f", TrigPoly({(kind, k): 1}))
+    assert parts[1][1] is seen
     again = leg.split(leg.letter(TrigPoly.sin(5, 7) + TrigPoly.cos(2)))
-    ids = [freeword._intern(b) for _, b in parts[1:]]
-    assert [freeword._intern(b) for _, b in again] == ids
+    assert all(b2 is b for (_, b2), (_, b) in zip(again, parts[1:]))
     theirs = other.split(other.letter(poly))
-    for (_, b), (_, b2), i in zip(parts[1:], theirs[1:], ids):
-        assert b2 == TrigLetter("split-g", b.poly)
-        assert freeword._intern(b2) != i
+    for (_, b), (_, b2) in zip(parts[1:], theirs[1:]):
+        assert b2 is TrigLetter("split-g", b.poly)
+        assert b2 is not b and b2 != b
+
+
+def test_pickle_and_copy_give_back_the_letters():
+    """``pickle`` and ``copy`` rebuild a letter through its constructor, so
+    the copy is the original letter, and a copied NCPoly built from letters
+    of each class equals the original and traces the same."""
+    import copy
+    import pickle
+
+    fp = model_with_comm()
+    f, u, a = fp.leg("f"), fp.leg("u"), fp.leg("A")
+    letters = (f.letter(TrigPoly.cos(2) + Fraction(1, 3)), u.gen(-2), a.element("y"))
+    nc = NCPoly({letters: Fraction(1, 2), letters[:2]: 3, (): PiValue.lam(1)})
+    for x in (*letters, nc):
+        for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert copied == x
+            if x is not nc:
+                assert copied is x
+    for copied in (pickle.loads(pickle.dumps(nc)), copy.deepcopy(nc)):
+        assert fp.trace(copied) == fp.trace(nc) and not fp.trace(nc).is_zero()
+
+
+def test_letters_go_with_the_last_object_that_holds_them():
+    """The letter table holds letters weakly: once a free product over new
+    legs, its letters and its results are dropped, no letter of those legs
+    is left in it."""
+    import gc
+
+    names = {"release-f", "release-u", "release-A"}
+
+    def legs_in_table():
+        return {key[1] for key in list(freeword._LETTERS.keys())} & names
+
+    fp = FreeProduct([TrigLeg("release-f"), HaarLeg("release-u"),
+                      FiniteCommLeg("release-A", 3, {"x": (1, 0, -2)})])
+    letters = [fp.leg("release-f").c(), fp.leg("release-u").gen(1),
+               fp.leg("release-A").element("x"), fp.leg("release-u").gen(-1)]
+    assert fp.trace_word(letters) == fp.trace(fp.normalize(letters)) != PI_ZERO
+    assert legs_in_table() == names
+    del fp, letters
+    gc.collect()
+    assert legs_in_table() == set()
 
 
 def test_trig_letter_text():

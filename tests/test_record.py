@@ -47,6 +47,8 @@ CASES = [
      "CheckReport(harness='PQ', max_len=3, words_checked=10, failures=[{'w': 'x'}])", False),
 ]
 
+LETTERS = (TrigLetter, HaarLetter, CommLetter)
+
 records = pytest.mark.parametrize("cls, fields, other, text, frozen", CASES,
                                   ids=[case[0].__name__ for case in CASES])
 
@@ -62,7 +64,9 @@ def test_repr_and_construction(cls, fields, other, text, frozen):
 @records
 def test_equality_over_the_fields_of_one_class(cls, fields, other, text, frozen):
     x, y = cls(**fields), cls(*fields.values())
-    assert x is not y and x == y and not x != y
+    # a letter is made once per value; every other record is a new object
+    assert (x is y) if cls in LETTERS else (x is not y)
+    assert x == y and not x != y
     assert x != cls(**other) and not x == cls(**other)
     twin = type(cls.__name__, (cls,), {})(**fields)  # same fields, another class
     assert x != twin and twin != x and not x == twin

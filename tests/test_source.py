@@ -142,9 +142,7 @@ PROCESS_WIDE_TABLES = {
         "_PLAN_STEPS",  # one per distinct step, slots below _PLAN_MAX_FACTORS: a few hundred
     },
     "freeword.py": {
-        "_LETTERS",  # unbounded: one entry per distinct letter met (ROADMAP item 11)
-        "_LETTER_LEGS",  # one entry per entry of _LETTERS
-        "_LETTER_IDS",  # one entry per entry of _LETTERS
+        "_LETTERS",  # weak values: holds only the letters that something else holds
     },
 }
 
