@@ -55,7 +55,8 @@ import threading
 import weakref
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .ncpart import enumerate_nc, kreweras, weighted_nc
 from .record import FrozenRecord
@@ -72,7 +73,8 @@ MAX_PARTITION_N = 10
 # The most atoms of a model file's finite_comm leg.  Its in-leg product
 # tables cost about m^4: d{g} c d{g} s traces in 0.3 s at m = 32, 2 s at 64.
 # The slowest word found at m = 32 under MAX_FOLD_WORDS, d{g} u d{g} u* d{g}
-# v, takes 2.7 s with --bipartite (2-core x86 machine, Python 3.11).
+# v, took 2.7 s with --bipartite (2-core x86 machine, Python 3.11), which
+# now refuses it by its work bound, cli.MAX_BIPARTITE_WORK.
 MAX_COMM_ATOMS = 32
 
 
@@ -96,10 +98,13 @@ class UnknownNameError(KeyError):
 
 
 class Leg:
-    """One free factor.  Subclasses supply the leg's algebra on letters:
-    ``mul`` (the in-leg product of two letters), ``trace``, and ``split``
-    (the letter over the leg's linear basis, as (coefficient, basis letter)
-    pairs with ``None`` standing for the identity).  Words over basis
+    """One free factor.  Subclasses supply the leg's algebra on values, the
+    value a letter holds (``letter.value``: a ``TrigPoly``, a Haar power or
+    a rational vector): ``mul`` (the in-leg product of two values),
+    ``trace``, and ``split`` (a value over the leg's linear basis, as
+    (coefficient, basis letter) pairs with ``None`` standing for the
+    identity).  So an in-leg product is a value, never a letter; only
+    ``split`` makes letters, and only basis letters.  Words over basis
     letters form a linear basis of the free product, so combinations built
     from them cancel exactly; so do words over the centered letters
     b - tr(b), which is all the trace needs.
@@ -144,17 +149,17 @@ class TrigLeg(Leg):
     def s(self, k: int = 1) -> "TrigLetter":
         return TrigLetter(self.id, TrigPoly.sin(k))
 
-    def mul(self, a: "TrigLetter", b: "TrigLetter") -> "TrigLetter":
-        return TrigLetter(self.id, a.poly * b.poly)
+    def mul(self, a: TrigPoly, b: TrigPoly) -> TrigPoly:
+        return a * b
 
-    def trace(self, letter: "TrigLetter") -> PiValue:
-        return trigalg.trace(letter.poly)
+    def trace(self, poly: TrigPoly) -> PiValue:
+        return trigalg.trace(poly)
 
-    def split(self, letter: "TrigLetter"):
-        den = letter.poly._den
+    def split(self, poly: TrigPoly):
+        den = poly._den
         return [(PiValue._make(((0, n // g),), den // g), None if key == ("c", 0)
                  else TrigLetter(self.id, TrigPoly._make(((key, 1),), 1)))
-                for key, n in letter.poly._terms for g in (gcd(n, den),)]
+                for key, n in poly._terms for g in (gcd(n, den),)]
 
 
 class HaarLeg(Leg):
@@ -168,14 +173,14 @@ class HaarLeg(Leg):
             raise TypeError(f"Haar power must be an int, got {type(power).__name__}")
         return HaarLetter(self.id, power)
 
-    def mul(self, a: "HaarLetter", b: "HaarLetter") -> "HaarLetter":
-        return HaarLetter(self.id, a.power + b.power)
+    def mul(self, a: int, b: int) -> int:
+        return a + b
 
-    def trace(self, letter: "HaarLetter") -> PiValue:
-        return PI_ONE if letter.power == 0 else PI_ZERO
+    def trace(self, power: int) -> PiValue:
+        return PI_ONE if power == 0 else PI_ZERO
 
-    def split(self, letter: "HaarLetter"):
-        return [(Fraction(1), None if letter.power == 0 else letter)]
+    def split(self, power: int):
+        return [(Fraction(1), None if power == 0 else HaarLetter(self.id, power))]
 
     def grade(self, letter: "HaarLetter") -> int:
         # the gauge w -> lambda w, |lambda| = 1, scales w^k by lambda^k
@@ -218,14 +223,13 @@ class FiniteCommLeg(Leg):
             raise UnknownNameError(f"no element {name!r} in leg {self.id!r}")
         return CommLetter(self.id, self.elements[name])
 
-    def mul(self, a: "CommLetter", b: "CommLetter") -> "CommLetter":
-        return CommLetter(self.id, tuple(x * y for x, y in zip(a.vec, b.vec)))
+    def mul(self, a: Tuple[Fraction, ...], b: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+        return tuple(x * y for x, y in zip(a, b))
 
-    def trace(self, letter: "CommLetter") -> PiValue:
-        return PiValue.of(sum(letter.vec, Fraction(0)) / len(letter.vec))
+    def trace(self, vec: Tuple[Fraction, ...]) -> PiValue:
+        return PiValue.of(sum(vec, Fraction(0)) / len(vec))
 
-    def split(self, letter: "CommLetter"):
-        vec = letter.vec
+    def split(self, vec: Tuple[Fraction, ...]):
         m = len(vec)
         mean = sum(vec, Fraction(0)) / m
         out: List[Tuple[Fraction, Optional[Letter]]] = []
@@ -280,6 +284,12 @@ class _Letter(FrozenRecord):
                     object.__setattr__(letter, cls._fields[1], value)
                     _LETTERS[key] = letter
         return letter
+
+    @property
+    def value(self):
+        """The letter's value, its second field: what its leg's ``mul``,
+        ``trace`` and ``split`` read."""
+        return self._values(self)[1]
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor: the live letter
@@ -357,6 +367,49 @@ class _Unit:
 
 
 UNIT = _Unit()
+
+
+def _bipartite_slots(word: Sequence[Letter], f1: Collection[int]) -> List[object]:
+    """The sequence x1 y1 x2 y2 ... xn yn that ``trace_bipartite`` sums
+    over: in order, each letter at a position in ``f1`` takes the next x
+    slot and any other the next y slot, with ``UNIT`` in the slots
+    skipped and at the end."""
+    seq: List[object] = []
+    for i, letter in enumerate(word):
+        if (i in f1) != (len(seq) % 2 == 0):
+            seq.append(UNIT)
+        seq.append(letter)
+    if len(seq) % 2:
+        seq.append(UNIT)
+    return seq
+
+
+def bipartite_partition_counts(terms: Iterable[Tuple[Word, Collection[int]]]) -> List[int]:
+    """For each (word, f1) of ``terms``, how many partitions
+    ``trace_bipartite`` can build: those of NC(n) whose blocks each hold
+    x-slot letters of one leg, or one ``UNIT`` alone, since a block of any
+    other shape has cumulant zero.  At most |NC(n)|, the Catalan number.
+
+    The count depends only on the shape, the leg of each x slot (None for
+    ``UNIT``), and is made once per shape.  By the block of the first slot,
+    the count F(i, j) over the slots i..j-1 is F(i+1, j) plus, over the
+    slots k of i's leg in between, F(i+1, k) F(k, j)."""
+    counts: Dict[tuple, int] = {}
+    out = []
+    for word, f1 in terms:
+        shape = tuple(None if x is UNIT else x.leg for x in _bipartite_slots(word, f1)[0::2])
+        got = counts.get(shape)
+        if got is None:
+            n = len(shape)
+            f = [[1] * (n + 1) for _ in range(n + 1)]
+            for i in range(n - 1, -1, -1):
+                leg = shape[i]
+                for j in range(i + 2, n + 1):
+                    f[i][j] = f[i + 1][j] + (0 if leg is None else sum(
+                        f[i + 1][k] * f[k][j] for k in range(i + 1, j) if shape[k] == leg))
+            got = counts[shape] = f[0][n]
+        out.append(got)
+    return out
 
 
 def word_str(word: Word) -> str:
@@ -469,10 +522,13 @@ class _Basis:
     one.  Two tables over letters, filled on first sight, hold entries
     (scalar or None, ((basis letter, coefficient), ...)):
 
-    * ``expansions[x]`` - the letter x, from its ``split`` parts; the
-      scalar is the identity coefficient (plain) or tr x (centered);
+    * ``expansions[x]`` - the letter x, from the ``split`` parts of its
+      value; the scalar is the identity coefficient (plain) or tr x
+      (centered);
     * ``products[a, x]`` - (a - t(a)) x for a basis letter a of x's leg,
-      the expansion of ax minus t(a) times the expansion of x.
+      the expansion of the value ``mul`` gives for ax minus t(a) times the
+      expansion of x.  The product is expanded from its value, so it is
+      never made a letter.
 
     ``budget`` is the words the folds may still make.  Each evaluation of
     the free product sets it to ``MAX_FOLD_WORDS`` when it starts, so a
@@ -486,26 +542,26 @@ class _Basis:
         self.products: Dict[Tuple[Letter, Letter], tuple] = {}
         self.budget = MAX_FOLD_WORDS
 
-    def _expand(self, leg: Leg, letter: Letter) -> Tuple[PiValue, Dict[Letter, PiValue]]:
+    def _expand(self, leg: Leg, value) -> Tuple[PiValue, Dict[Letter, PiValue]]:
         scalar, parts = PI_ZERO, {}
-        for q, b in leg.split(letter):
+        for q, b in leg.split(value):
             if b is None:
                 scalar = PiValue._coerce(q)
             else:
                 parts[b] = PiValue._coerce(q)
-        return (leg.trace(letter) if self._centered else scalar), parts
+        return (leg.trace(value) if self._centered else scalar), parts
 
     def expand(self, x: Letter) -> tuple:
-        got = self.expansions[x] = _entry(*self._expand(self._leg(x.leg), x))
+        got = self.expansions[x] = _entry(*self._expand(self._leg(x.leg), x.value))
         return got
 
     def product(self, key: Tuple[Letter, Letter]) -> tuple:
         a, x = key
         leg = self._leg(x.leg)
-        scalar, parts = self._expand(leg, leg.mul(a, x))
-        ta = leg.trace(a) if self._centered else PI_ZERO
+        scalar, parts = self._expand(leg, leg.mul(a.value, x.value))
+        ta = leg.trace(a.value) if self._centered else PI_ZERO
         if ta:
-            sx, px = self._expand(leg, x)
+            sx, px = self._expand(leg, x.value)
             scalar = scalar - ta * sx
             for b, q in px.items():
                 parts[b] = parts.get(b, PI_ZERO) - ta * q
@@ -623,18 +679,19 @@ class FreeProduct:
     def letter_trace(self, letter: Letter) -> PiValue:
         got = self._letter_traces.get(letter)
         if got is None:
-            got = self._letter_traces[letter] = self.leg(letter.leg).trace(letter)
+            got = self._letter_traces[letter] = self.leg(letter.leg).trace(letter.value)
         return got
 
     def leg_moment(self, letters: Tuple[Letter, ...]) -> PiValue:
-        """Trace of the ordered in-leg product of same-leg letters."""
+        """Trace of the ordered in-leg product of same-leg letters, the
+        product of their values."""
         legs = {l.leg for l in letters}
         if len(legs) != 1:
             raise ValueError("moment tuple must come from a single leg")
         leg = self.leg(letters[0].leg)
-        combined = letters[0]
+        combined = letters[0].value
         for letter in letters[1:]:
-            combined = leg.mul(combined, letter)
+            combined = leg.mul(combined, letter.value)
         return leg.trace(combined)
 
     def leg_cumulant(self, letters: Tuple[Letter, ...]) -> PiValue:
@@ -736,14 +793,7 @@ class FreeProduct:
             raise FamilySplitError(
                 f"families share legs {sorted(legs1 & legs2)}; they must be free"
             )
-        # a letter of f1 takes the next x slot (even), any other the next y slot
-        seq: List[object] = []
-        for i, letter in enumerate(word):
-            if (i in f1) != (len(seq) % 2 == 0):
-                seq.append(UNIT)
-            seq.append(letter)
-        if len(seq) % 2:
-            seq.append(UNIT)
+        seq = _bipartite_slots(word, f1)
         xs, ys = seq[0::2], seq[1::2]
         n = len(xs)
         if n > MAX_PARTITION_N:

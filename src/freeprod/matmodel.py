@@ -316,34 +316,44 @@ class MatrixModel:
     def verify_rotation(self, r_max: int) -> CheckReport:
         """(2P0 2Q0)^r is the rotation block (c_{2r} s_{2r}; -s_{2r} c_{2r})
         and (2Q0 2P0)^r 2Q0 is the reflection block
-        (c_{2r+2} s_{2r+2}; s_{2r+2} -c_{2r+2}), entrywise exactly."""
+        (c_{2r+2} s_{2r+2}; s_{2r+2} -c_{2r+2}), entrywise exactly, for
+        r = 1..r_max.
+
+        The powers are one alternating chain: by associativity
+        (2Q0 2P0)^r 2Q0 = 2Q0 (2P0 2Q0)^r, and (2P0 2Q0)^(r+1) is 2P0 times
+        that reflection.  So each identity costs one product, 2 r_max in
+        all, and every second one is by 2P0 = diag(1, -1)."""
         if not (1 <= r_max <= 50):
             raise ValueError("r_max must be in 1..50")
         report = CheckReport("rotation", r_max, 0)
         p2, q2 = self.P0.scaled(2), self.Q0.scaled(2)
-        pq = p2 @ q2
-        qp = q2 @ p2
-        pq_pow = Mat2.identity(self.fp)
-        qp_pow = Mat2.identity(self.fp)
+        power = p2 @ q2
         for r in range(1, r_max + 1):
-            pq_pow = pq_pow @ pq
-            qp_pow = qp_pow @ qp
+            reflection = q2 @ power
             c, s = TrigPoly.cos(2 * r), TrigPoly.sin(2 * r)
             c2, s2 = TrigPoly.cos(2 * r + 2), TrigPoly.sin(2 * r + 2)
             for which, got, want in (
-                    ("(2P0.2Q0)^r", pq_pow, ((c, s), (-s, c))),
-                    ("(2Q0.2P0)^r 2Q0", qp_pow @ q2, ((c2, s2), (s2, -c2)))):
+                    ("(2P0.2Q0)^r", power, ((c, s), (-s, c))),
+                    ("(2Q0.2P0)^r 2Q0", reflection, ((c2, s2), (s2, -c2)))):
                 report.words_checked += 1
                 if got != self.trig_mat(want):
                     report.failures.append({"r": r, "which": which, "got": str(got)})
+            if r < r_max:
+                power = p2 @ reflection
         return report
 
     def verify_partial_isometries(self) -> CheckReport:
         """U*U + UU* = 1 and X*X + XX* = 1, the absorption identities
-        PU = U, QX = X, UP = 0, XQ = 0, and (2P0)^2 = (2Q0)^2 = 1."""
+        PU = U, QX = X, UP = 0, XQ = 0, (2P0)^2 = (2Q0)^2 = 1, Q = W P W*,
+        and W V W* = (-c v s  c v c; -s v s  s v c), X's closed form from
+        words."""
         fp = self.fp
         one = Mat2.identity(fp)
         zero = Mat2.zero(fp)
+        f = fp.leg("f")
+        c, s, v = f.c(), f.s(), self._v.gen(1)
+        nc = lambda *letters: fp.normalize(letters)  # noqa: E731
+        x_words = Mat2(fp, ((-nc(c, v, s), nc(c, v, c)), (-nc(s, v, s), nc(s, v, c))))
         checks = [
             ("U*U + UU* = 1", self.U.adjoint() @ self.U + self.U @ self.U.adjoint(), one),
             ("X*X + XX* = 1", self.X.adjoint() @ self.X + self.X @ self.X.adjoint(), one),
@@ -356,7 +366,7 @@ class MatrixModel:
             ("(2P0)^2 = 1", self.P0.scaled(2) @ self.P0.scaled(2), one),
             ("(2Q0)^2 = 1", self.Q0.scaled(2) @ self.Q0.scaled(2), one),
             ("Q = W P W*", self.W @ self.P @ self.W.adjoint(), self.Q),
-            ("X = W V W*", self.W @ self.V @ self.W.adjoint(), self.X),
+            ("X = W V W*", self.W @ self.V @ self.W.adjoint(), x_words),
         ]
         report = CheckReport("partial_isometries", 0, 0)
         for name, got, want in checks:

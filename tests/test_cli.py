@@ -19,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeprod import cli, freedim, ncpart
+from freeprod import cli, freedim, freeword, ncpart
 from freeprod.freeword import MAX_COMM_ATOMS, MAX_FOLD_WORDS
 from freeprod.matmodel import HARNESSES
 from freeprod.trigalg import MAX_TRIG_DEPTH, MAX_TRIG_TERMS
@@ -667,6 +667,34 @@ def test_model_file_trace(tmp_path):
     assert out["exact"] == "0"
     out2 = run_cli("trace", "--word", "d{g} d{g}", "--model-file", str(path))
     assert "exact: 1" in out2
+
+
+def test_trace_bipartite_work_is_bounded_before_it_starts(tmp_path, monkeypatch):
+    """--bipartite weighs its work over the terms of the normalized word
+    before it traces anything: d{g} u d{h} v d{g} u* d{h} v* over 16
+    atoms, 65536 terms, took 13.2 s and now exits 2 with one error line."""
+    legs = [{"id": "D", "kind": "finite_comm", "m": 16,
+             "elements": {"g": list(range(16)), "h": [k * k for k in range(16)]}}]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"legs": legs}), encoding="utf-8")
+    traced = []
+    monkeypatch.setattr(freeword.FreeProduct, "trace",
+                        lambda self, nc: traced.append(nc) or freeword.PI_ZERO)
+    code, out, err = run_main("trace", "--word", "d{g} u d{h} v d{g} u* d{h} v*",
+                              "--bipartite", "--model-file", str(path), timeout=20)
+    assert (code, out, traced) == (2, "", [])
+    assert err == (f"error: --bipartite over the 65536 terms of the normalized word would "
+                   f"do 30353488 units of work, more than {cli.MAX_BIPARTITE_WORK}\n")
+
+
+@pytest.mark.parametrize("bound, code", [(11, 2), (12, 0)])
+def test_trace_bipartite_work_counts_terms_and_partitions(monkeypatch, bound, code):
+    """c u c u* is one term whose cumulant side is 1, u, u*: two partitions
+    have no block of zero cumulant by shape, {1}{2}{3} and {1}{2,3}, and
+    the term costs ``BIPARTITE_TERM_COST`` more."""
+    assert cli.BIPARTITE_TERM_COST == 10
+    monkeypatch.setattr(cli, "MAX_BIPARTITE_WORK", bound)
+    assert run_main("trace", "--word", "c u c u*", "--bipartite")[0] == code
 
 
 def test_missing_model_file_exit_2(tmp_path):

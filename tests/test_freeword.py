@@ -165,15 +165,15 @@ def test_trig_split_basis_letters_are_made_canonical_by_the_intern_table():
     # an equal letter made before the leg first splits out c[2]
     seen = TrigLetter("split-f", TrigPoly.cos(2))
     poly = TrigPoly({("c", 0): 3, ("c", -2): Fraction(1, 2), ("s", 5): -1})
-    parts = leg.split(leg.letter(poly))
+    parts = leg.split(poly)
     assert [q for q, _ in parts] == [3, Fraction(1, 2), -1]
     assert parts[0][1] is None
     for (kind, k), (_, b) in zip([("c", 2), ("s", 5)], parts[1:]):
         assert b is TrigLetter("split-f", TrigPoly({(kind, k): 1}))
     assert parts[1][1] is seen
-    again = leg.split(leg.letter(TrigPoly.sin(5, 7) + TrigPoly.cos(2)))
+    again = leg.split(TrigPoly.sin(5, 7) + TrigPoly.cos(2))
     assert all(b2 is b for (_, b2), (_, b) in zip(again, parts[1:]))
-    theirs = other.split(other.letter(poly))
+    theirs = other.split(poly)
     for (_, b), (_, b2) in zip(parts[1:], theirs[1:]):
         assert b2 is TrigLetter("split-g", b.poly)
         assert b2 is not b and b2 != b
@@ -219,6 +219,35 @@ def test_letters_go_with_the_last_object_that_holds_them():
     del fp, letters
     gc.collect()
     assert legs_in_table() == set()
+
+
+def test_in_leg_products_make_no_letter(fp, monkeypatch):
+    """``_Basis.product`` expands an in-leg product from the value its leg's
+    ``mul`` gives, so ``mul`` of two trig NCPolys and a centered trace of a
+    trig word store only basis letters in the letter table, each one trig
+    term with coefficient 1, never a product."""
+    import weakref
+
+    f, u, v = fp.leg("f"), fp.leg("u"), fp.leg("v")
+    p = fp.normalize([f.c(37), u.gen(1), f.s(41)])
+    q = fp.normalize([f.s(43), v.gen(1), f.letter(TrigPoly.cos(47) + TrigPoly.sin(53, 3))])
+    # the fold meets c[59] s[67] once u u* cancels
+    word = fp.word([f.c(59), u.gen(1), f.s(61), u.gen(-1), f.s(67)])
+    stored = []
+    setitem = weakref.WeakValueDictionary.__setitem__
+
+    def recording(table, key, letter):
+        if table is freeword._LETTERS:
+            stored.append(letter)
+        setitem(table, key, letter)
+
+    monkeypatch.setattr(weakref.WeakValueDictionary, "__setitem__", recording)
+    assert fp.mul(p, q).nterms() > 1
+    assert fp.trace(NCPoly({word: 1})) != PI_ZERO
+    assert stored
+    for letter in stored:
+        assert isinstance(letter, TrigLetter)
+        assert [coeff for _, coeff in letter.poly.items()] == [1], letter
 
 
 def test_trig_letter_text():
@@ -345,7 +374,7 @@ def test_leg_grades():
     u, a, b, f = HaarLeg("u"), FiniteCommLeg("A", 2), FiniteCommLeg("B", 3), TrigLeg("f")
     assert [u.grade(u.gen(k)) for k in (-2, -1, 0, 3)] == [-2, -1, 0, 3]
     assert u.grade_modulus == 0 and a.grade_modulus == 2
-    centered = a.split(a.letter([1, -1]))[0][1]
+    centered = a.split((1, -1))[0][1]
     assert centered.vec == (Fraction(-1, 2), Fraction(1, 2)) and a.grade(centered) == 1
     assert [a.grade(a.letter(v)) for v in ([3, -3], [2, 2], [0, 0], [1, 2])] == [1, 0, 0, None]
     assert b.grade(b.letter([1, -1, 0])) is None
@@ -744,16 +773,57 @@ def test_bipartite_prunes_zero_cumulant_branches(fp, monkeypatch):
     assert len(blocks) <= 256
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "c", None]), min_size=1, max_size=9))
+def test_bipartite_partition_counts_match_enumeration(shape):
+    """The count for a word whose x slots hold letters of the legs in
+    ``shape`` (None: a skipped slot, padded with UNIT) is the number of
+    partitions in NC(n) whose blocks each hold one leg, or a UNIT alone."""
+    word, f1 = [], []
+    for leg in shape:
+        if leg is not None:
+            f1.append(len(word))
+            word.append(HaarLetter(leg, 1))
+        word.append(HaarLetter("y", 1))
+    [got] = freeword.bipartite_partition_counts([(tuple(word), f1)])
+    want = sum(all(len(b) == 1 or (len({shape[i - 1] for i in b}) == 1
+                                   and shape[b[0] - 1] is not None) for b in p.blocks)
+               for p in enumerate_nc(len(shape)))
+    assert got == want
+    if set(shape) == {"a"}:
+        assert got == len(enumerate_nc(len(shape)))
+
+
+def test_bipartite_partition_counts_bound_the_walk(fp, monkeypatch):
+    """No walk of ``trace_bipartite`` builds more partitions than the count
+    of its word, on seeded words of up to 10 slots."""
+    built = []
+    walk = freeword.weighted_nc
+    monkeypatch.setattr(freeword, "weighted_nc",
+                        lambda *args: built.append(walk(*args)) or built[-1])
+    terms = []
+    for seed in range(60):
+        w = rand_word(fp, random.Random(7100 + seed), 12)
+        terms.append((w, [i for i, l in enumerate(w) if not isinstance(l, TrigLetter)]))
+    counts = freeword.bipartite_partition_counts(terms)
+    for (w, f1), count in zip(terms, counts):
+        built.clear()
+        fp.trace_bipartite(w, f1)
+        slots = len(freeword._bipartite_slots(w, f1)) // 2
+        assert len(built[0]) <= count <= len(enumerate_nc(slots))
+    assert sum(counts) > len(counts)  # the words are not all single slots
+
+
 def test_letter_trace_is_memoized_apart_from_the_fold(fp, monkeypatch):
     """Each letter is traced by its leg once per free product, and the
     partition formula leaves the fold's word memo untouched."""
     calls = []
     trace = FiniteCommLeg.trace
     monkeypatch.setattr(FiniteCommLeg, "trace",
-                        lambda self, letter: calls.append(letter) or trace(self, letter))
+                        lambda self, vec: calls.append(vec) or trace(self, vec))
     y = fp.leg("A").element("y")
     assert fp.letter_trace(y) == fp.letter_trace(y) == PiValue.of(Fraction(3, 2))
-    assert calls == [y]
+    assert calls == [y.vec]
     f = fp.leg("f")
     assert fp.trace_bipartite((y, f.c(), y, f.c()), [0, 2]) != PI_ZERO
     assert fp._tr_memo == {}
@@ -764,18 +834,19 @@ def test_letter_trace_is_memoized_apart_from_the_fold(fp, monkeypatch):
 
 class CyclicLeg(Leg):
     """A unitary z with z^3 = 1, tr(z^k) = 1 if 3 divides k and 0
-    otherwise, given by ``mul``, ``trace`` and ``split`` alone."""
+    otherwise, given by ``mul``, ``trace`` and ``split`` alone, on the
+    powers its letters hold."""
 
     kind = "cyclic3"
 
     def mul(self, a, b):
-        return HaarLetter(self.id, (a.power + b.power) % 3)
+        return (a + b) % 3
 
-    def trace(self, letter):
-        return PI_ONE if letter.power % 3 == 0 else PI_ZERO
+    def trace(self, power):
+        return PI_ONE if power % 3 == 0 else PI_ZERO
 
-    def split(self, letter):
-        power = letter.power % 3
+    def split(self, power):
+        power %= 3
         return [(Fraction(1), HaarLetter(self.id, power) if power else None)]
 
 

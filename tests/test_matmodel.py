@@ -117,6 +117,57 @@ def test_rotation_guard(mm):
         mm.verify_rotation(51)
 
 
+def test_rotation_at_the_largest_r(mm):
+    """r = 50, the guard's largest and the benchmark's size: all 100
+    identities hold exactly."""
+    report = mm.verify_rotation(50)
+    assert report.passed, report.failures
+    assert report.words_checked == 100
+
+
+def reference_rotation_powers(mm, r_max):
+    """((2P0 2Q0)^r, (2Q0 2P0)^r 2Q0) for r = 1..r_max, formed as
+    ``verify_rotation`` formed them before the chain: three running
+    products, each power by right multiplication."""
+    p2, q2 = mm.P0.scaled(2), mm.Q0.scaled(2)
+    pq, qp = p2 @ q2, q2 @ p2
+    pq_pow = qp_pow = Mat2.identity(mm.fp)
+    out = []
+    for _ in range(r_max):
+        pq_pow = pq_pow @ pq
+        qp_pow = qp_pow @ qp
+        out.append((pq_pow, qp_pow @ q2))
+    return out
+
+
+@pytest.mark.parametrize("r_max", [1, 2, 5, 6])
+def test_rotation_chain_matches_the_running_products(mm, r_max, monkeypatch):
+    """``verify_rotation(r)`` forms its powers as one alternating chain of
+    2r ``Mat2`` products (the three running products made 3r + 2, 17 at
+    r = 5): power, reflection, power, ..., reflection.  Each is the matrix
+    the running products give."""
+    want = reference_rotation_powers(mm, r_max)
+    made = []
+    matmul = Mat2.__matmul__
+    monkeypatch.setattr(Mat2, "__matmul__",
+                        lambda self, other: made.append(matmul(self, other)) or made[-1])
+    assert mm.verify_rotation(r_max).passed
+    assert len(made) == 2 * r_max
+    assert list(zip(made[0::2], made[1::2])) == want
+
+
+def test_partial_isometry_x_is_checked_against_its_words():
+    """The identity "X = W V W*" compares W V W* with X's closed form from
+    words, not with X as built from that same product: with W' = W* in
+    place of W and X' = W' V W'*, it fails."""
+    mm = MatrixModel()
+    assert mm.verify_partial_isometries().passed
+    mm.W = mm.W.adjoint()
+    mm.X = mm.W @ mm.V @ mm.W.adjoint()
+    report = mm.verify_partial_isometries()
+    assert "X = W V W*" in {f["identity"] for f in report.failures}
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_matrix_trace_is_tracial(mm, seed):
     rng = random.Random(7000 + seed)
