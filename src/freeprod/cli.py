@@ -152,16 +152,20 @@ def _load_model_file(path: str) -> List[freeword.Leg]:
     return freeword.legs_from_model_dict(doc)
 
 
-# The most work ``trace --bipartite`` may do, counted before it starts: for
-# each term of the normalized word, the partitions the pruned walk can build
-# for it (``freeword.bipartite_partition_counts``) plus BIPARTITE_TERM_COST
-# for the term itself, all times the atoms of the widest finite_comm leg in
-# the word, whose moments multiply m-vectors.  A unit costs up to about 3 us
-# (2-core x86 machine, Python 3.11): the slowest word found under the bound,
-# u X u* Y with X and Y sums of 209 cos terms (43681 terms, 524172 units),
-# takes 2.0 s in all.  d{g} u d{h} v d{g} u* d{h} v* over 16 atoms (65536
-# terms, 30 million units) took 13.2 s before the bound and now exits 2
-# after 1.6 s of normalizing.
+# The most work ``trace --bipartite`` may do, counted after the centered
+# trace and before any term is traced by the partition formula: for each
+# term of the normalized word, the partitions the pruned walk can build for
+# it (``freeword.bipartite_partition_counts``) plus BIPARTITE_TERM_COST for
+# the term itself, all times the atoms of the widest finite_comm leg in the
+# word, whose moments multiply m-vectors.  Measured on a 2-core x86 machine,
+# Python 3.11: a partition costs about 1 us where a term has many (c[k] u
+# six times over: 132 partitions, 120 us a term), and a term about 40 us
+# besides (u c[i] u* s[j] of the word below: 42 us with two partitions),
+# ten units at the dearest unit found, 3.5 us.  That is the slowest word
+# found under the bound, u X u* Y with X and Y sums of 209 cos terms (43681
+# terms, 524172 units): 1.8 s of partition formula, 2.3 s in all.  d{g} u
+# d{h} v d{g} u* d{h} v* over 16 atoms (65536 terms, 30 million units) took
+# 13.2 s before the bound and now exits 2 after 2.4 s.
 MAX_BIPARTITE_WORK = 2 ** 19
 BIPARTITE_TERM_COST = 10
 
@@ -171,18 +175,6 @@ def cmd_trace(args) -> int:
     fp = freeword.standard_model(extra)
     letters = _parse_word(fp, args.word)
     nc = fp.normalize(letters)
-    if args.bipartite:
-        # the trig letters of each term take the trace side
-        terms = [(w, coeff, [i for i, l in enumerate(w)
-                             if not isinstance(l, freeword.TrigLetter)])
-                 for w, coeff in nc.terms()]
-        width = max([fp.legs[leg_id].m for leg_id in {l.leg for l in letters}
-                     if fp.legs[leg_id].kind == "finite_comm"], default=1)
-        work = width * sum(count + BIPARTITE_TERM_COST for count in
-                           freeword.bipartite_partition_counts((w, f1) for w, _, f1 in terms))
-        if work > MAX_BIPARTITE_WORK:
-            raise CliError(f"--bipartite over the {len(terms)} terms of the normalized word "
-                           f"would do {work} units of work, more than {MAX_BIPARTITE_WORK}")
     exact = fp.trace(nc)
     doc = {
         "word": args.word,
@@ -194,6 +186,19 @@ def cmd_trace(args) -> int:
     }
     agree = True
     if args.bipartite:
+        # weighed after the centered trace, whose refusals (a word past
+        # MAX_WORD_LETTERS, say) come first, and before any term is traced;
+        # the trig letters of each term take the trace side
+        terms = [(w, coeff, [i for i, l in enumerate(w)
+                             if not isinstance(l, freeword.TrigLetter)])
+                 for w, coeff in nc.terms()]
+        width = max([fp.legs[leg_id].m for leg_id in {l.leg for l in letters}
+                     if fp.legs[leg_id].kind == "finite_comm"], default=1)
+        work = width * sum(count + BIPARTITE_TERM_COST for count in
+                           freeword.bipartite_partition_counts((w, f1) for w, _, f1 in terms))
+        if work > MAX_BIPARTITE_WORK:
+            raise CliError(f"--bipartite over the {len(terms)} terms of the normalized word "
+                           f"would do {work} units of work, more than {MAX_BIPARTITE_WORK}")
         total = freeword.PI_ZERO
         for w, coeff, f1 in terms:
             total = total + coeff * fp.trace_bipartite(w, f1)

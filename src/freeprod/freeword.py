@@ -373,7 +373,7 @@ def _bipartite_slots(word: Sequence[Letter], f1: Collection[int]) -> List[object
     """The sequence x1 y1 x2 y2 ... xn yn that ``trace_bipartite`` sums
     over: in order, each letter at a position in ``f1`` takes the next x
     slot and any other the next y slot, with ``UNIT`` in the slots
-    skipped and at the end."""
+    skipped and at the end.  Refused past MAX_PARTITION_N slot pairs."""
     seq: List[object] = []
     for i, letter in enumerate(word):
         if (i in f1) != (len(seq) % 2 == 0):
@@ -381,33 +381,41 @@ def _bipartite_slots(word: Sequence[Letter], f1: Collection[int]) -> List[object
         seq.append(letter)
     if len(seq) % 2:
         seq.append(UNIT)
+    if len(seq) // 2 > MAX_PARTITION_N:
+        raise EvaluationLimitError(
+            f"partition formula over {len(seq) // 2} slots exceeds {MAX_PARTITION_N}"
+        )
     return seq
+
+
+def _cumulant_vanishes(entries: Sequence[object]) -> bool:
+    """Whether the free cumulant of ``entries``, letters and ``UNIT``, is
+    zero by their legs alone."""
+    if len(entries) < 2:
+        return False
+    # cumulants of order >= 2 vanish when an entry is the identity, and
+    # mixed cumulants of free legs vanish
+    return any(e is UNIT for e in entries) or len({e.leg for e in entries}) > 1
 
 
 def bipartite_partition_counts(terms: Iterable[Tuple[Word, Collection[int]]]) -> List[int]:
     """For each (word, f1) of ``terms``, how many partitions
-    ``trace_bipartite`` can build: those of NC(n) whose blocks each hold
-    x-slot letters of one leg, or one ``UNIT`` alone, since a block of any
-    other shape has cumulant zero.  At most |NC(n)|, the Catalan number.
+    ``trace_bipartite`` can build: those of NC(n) with no x-slot block
+    whose cumulant vanishes by its legs.  At most |NC(n)|, the Catalan
+    number; 1 for the empty word.
 
-    The count depends only on the shape, the leg of each x slot (None for
-    ``UNIT``), and is made once per shape.  By the block of the first slot,
-    the count F(i, j) over the slots i..j-1 is F(i+1, j) plus, over the
-    slots k of i's leg in between, F(i+1, k) F(k, j)."""
+    The count depends only on the leg of each x slot (None for ``UNIT``),
+    and ``ncpart.weighted_nc`` walks it once per such shape."""
     counts: Dict[tuple, int] = {}
     out = []
     for word, f1 in terms:
-        shape = tuple(None if x is UNIT else x.leg for x in _bipartite_slots(word, f1)[0::2])
+        xs = _bipartite_slots(word, f1)[0::2]
+        shape = tuple(None if x is UNIT else x.leg for x in xs)
         got = counts.get(shape)
         if got is None:
-            n = len(shape)
-            f = [[1] * (n + 1) for _ in range(n + 1)]
-            for i in range(n - 1, -1, -1):
-                leg = shape[i]
-                for j in range(i + 2, n + 1):
-                    f[i][j] = f[i + 1][j] + (0 if leg is None else sum(
-                        f[i + 1][k] * f[k][j] for k in range(i + 1, j) if shape[k] == leg))
-            got = counts[shape] = f[0][n]
+            got = counts[shape] = len(weighted_nc(
+                len(xs), lambda block: 0 if _cumulant_vanishes([xs[i - 1] for i in block]) else 1,
+                1)) if xs else 1
         out.append(got)
     return out
 
@@ -796,10 +804,6 @@ class FreeProduct:
         seq = _bipartite_slots(word, f1)
         xs, ys = seq[0::2], seq[1::2]
         n = len(xs)
-        if n > MAX_PARTITION_N:
-            raise EvaluationLimitError(
-                f"partition formula over {n} slots exceeds {MAX_PARTITION_N}"
-            )
         if n == 0:
             return PI_ONE
         total = PI_ZERO
@@ -818,12 +822,7 @@ class FreeProduct:
         if len(entries) == 1:
             e = entries[0]
             return PI_ONE if e is UNIT else self.letter_trace(e)
-        if any(e is UNIT for e in entries):
-            # cumulants of order >= 2 vanish when an entry is the identity
-            return PI_ZERO
-        legs = {e.leg for e in entries}
-        if len(legs) > 1:
-            # mixed cumulants of free legs vanish
+        if _cumulant_vanishes(entries):
             return PI_ZERO
         return self.leg_cumulant(entries)  # type: ignore[arg-type]
 

@@ -671,15 +671,16 @@ def test_model_file_trace(tmp_path):
 
 def test_trace_bipartite_work_is_bounded_before_it_starts(tmp_path, monkeypatch):
     """--bipartite weighs its work over the terms of the normalized word
-    before it traces anything: d{g} u d{h} v d{g} u* d{h} v* over 16
-    atoms, 65536 terms, took 13.2 s and now exits 2 with one error line."""
+    before it traces any by the partition formula: d{g} u d{h} v d{g} u*
+    d{h} v* over 16 atoms, 65536 terms, took 13.2 s and now exits 2 with
+    one error line."""
     legs = [{"id": "D", "kind": "finite_comm", "m": 16,
              "elements": {"g": list(range(16)), "h": [k * k for k in range(16)]}}]
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"legs": legs}), encoding="utf-8")
     traced = []
-    monkeypatch.setattr(freeword.FreeProduct, "trace",
-                        lambda self, nc: traced.append(nc) or freeword.PI_ZERO)
+    monkeypatch.setattr(freeword.FreeProduct, "trace_bipartite",
+                        lambda self, w, f1: traced.append(w) or freeword.PI_ZERO)
     code, out, err = run_main("trace", "--word", "d{g} u d{h} v d{g} u* d{h} v*",
                               "--bipartite", "--model-file", str(path), timeout=20)
     assert (code, out, traced) == (2, "", [])
@@ -687,13 +688,25 @@ def test_trace_bipartite_work_is_bounded_before_it_starts(tmp_path, monkeypatch)
                    f"do 30353488 units of work, more than {cli.MAX_BIPARTITE_WORK}\n")
 
 
-@pytest.mark.parametrize("bound, code", [(11, 2), (12, 0)])
-def test_trace_bipartite_work_counts_terms_and_partitions(monkeypatch, bound, code):
+@pytest.mark.parametrize("word, line", [
+    # the centered trace refuses it first, as it did before the work bound
+    (" ".join(["u v"] * 1000), "word length 2000 exceeds 64"),
+    # the term's slots are refused before they are counted
+    (" ".join(["u v"] * 6), "partition formula over 12 slots exceeds 10"),
+], ids=["2000-letters", "12-slots"])
+def test_trace_bipartite_refuses_long_words_before_counting(word, line):
+    """A word past the slot limit of the partition formula exits 2 with the
+    error line of the evaluator that refuses it, at once."""
+    code, out, err = run_main("trace", "--word", word, "--bipartite", timeout=10)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("slack, code", [(-1, 2), (0, 0)])
+def test_trace_bipartite_work_counts_terms_and_partitions(monkeypatch, slack, code):
     """c u c u* is one term whose cumulant side is 1, u, u*: two partitions
     have no block of zero cumulant by shape, {1}{2}{3} and {1}{2,3}, and
     the term costs ``BIPARTITE_TERM_COST`` more."""
-    assert cli.BIPARTITE_TERM_COST == 10
-    monkeypatch.setattr(cli, "MAX_BIPARTITE_WORK", bound)
+    monkeypatch.setattr(cli, "MAX_BIPARTITE_WORK", 2 + cli.BIPARTITE_TERM_COST + slack)
     assert run_main("trace", "--word", "c u c u*", "--bipartite")[0] == code
 
 
