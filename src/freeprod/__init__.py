@@ -7,7 +7,8 @@ Subpackages:
 * ``ncpart``   - non-crossing partitions and Kreweras complements
 * ``freeword`` - word traces in a free product of moment-oracle legs
 * ``matmodel`` - the 2x2 matrix model and exhaustive freeness harnesses
-* ``freedim``  - parser, rewrite engine, and free-dimension functional
+* ``expr``     - expression nodes, parser, and free-dimension functional
+* ``freedim``  - rewrite engine and the verified tables
 * ``cli``      - the ``freeprod`` command-line interface
 """
 
@@ -28,7 +29,8 @@ from .freeword import (
     standard_model,
 )
 from .matmodel import Mat2, MatrixModel
-from .freedim import NormalForm, Normalizer, fdim, normalize, parse
+from .expr import fdim, parse
+from .freedim import NormalForm, Normalizer, normalize
 
 __version__ = "0.1.0"
 

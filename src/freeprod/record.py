@@ -23,7 +23,7 @@ writes its own ``__init__``.  The bases add what the decorator generated:
   keeps the instance's attributes in the compact per-class layout (the
   normal forms, letters and partitions).  One ``vars(self).update(...)``
   materializes a dict per instance but builds faster when a class stores
-  many values at once: the ``freedim`` nodes store their fields and cached
+  many values at once: the ``expr`` nodes store their fields and cached
   values this way.  On Python 3.11, 100k ``Mat2Of`` nodes (six values) took
   0.12-0.13 s to build against 0.15-0.17 s, with a 184-byte instance dict
   against 112 bytes; attribute reads cost the same.

@@ -138,6 +138,11 @@ def test_nc_kreweras():
     assert run_cli("nc-kreweras", "--p", "1,3|2|4") == "1,2|3,4\n"
 
 
+def test_nc_kreweras_json():
+    assert run_cli("nc-kreweras", "--p", "1,3|2|4", "--json") == (
+        '{\n  "partition": "1,3|2|4",\n  "kreweras": "1,2|3,4"\n}\n')
+
+
 @pytest.mark.parametrize("sep, n, out_sep", [(",", 240, "|"), ("|", 20000, ",")],
                          ids=["one_block", "singletons"])
 def test_nc_kreweras_long_partition_within_budget(sep, n, out_sep):

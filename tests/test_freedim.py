@@ -17,7 +17,17 @@ from typing import Tuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freeprod import freedim
+from freeprod import expr, freedim
+from freeprod.expr import (
+    _S_SUM,
+    _ATOMS,
+    _K_FREE,
+    _check_depth,
+    _check_size,
+    _checked_lf,
+    _flatten,
+    _tokenize,
+)
 from freeprod.freedim import (
     MAX_EXPR_DEPTH,
     MAX_EXPR_SIZE,
@@ -38,17 +48,9 @@ from freeprod.freedim import (
     UnsupportedFragmentError,
     expr_text,
     _RULES,
-    _S_SUM,
-    _ATOMS,
-    _K_FREE,
     _candidate,
-    _check_depth,
-    _check_size,
-    _checked_lf,
     _factor_index,
-    _flatten,
     _pick,
-    _tokenize,
     fdim,
     lf,
     matpow,
@@ -250,6 +252,17 @@ def test_matpow_names_a_long_size_by_its_digit_count(k, shown):
     with pytest.raises(UnsupportedFragmentError) as err:
         matpow(AtomC(), k)
     assert str(err.value) == f"matrix size must be a power of two >= 2, got {shown}"
+
+
+@pytest.mark.parametrize("k,shown", [(3, "3"), (-10 ** 5000, "-<5001-digit integer>")],
+                         ids=["short", "long"])
+def test_pow2sum_names_a_long_power_by_its_digit_count(k, shown):
+    """A k that is no power of two is named as ``matpow`` names one, so a k
+    longer than ``str`` writes gives the fragment error and not the
+    interpreter's."""
+    with pytest.raises(UnsupportedFragmentError) as err:
+        pow2sum(AtomC(), k)
+    assert str(err.value) == f"sum power must be a power of two, got {shown}"
 
 
 @pytest.mark.parametrize("factors", [[], [AtomC()]], ids=["none", "one"])
@@ -851,11 +864,11 @@ def test_shared_tables_stay_bounded(monkeypatch):
     """A table that fills up starts again empty, and the log is the same."""
     text = "LF(3/2) * LF(5/3) * LF(7/4) * LF(9/5) * LF(11/6) * R * C^4"
     want = normalize(text)
-    monkeypatch.setattr(freedim, "_TABLE_LIMIT", 4)
-    monkeypatch.setattr(freedim, "_FRACTIONS", {})
-    monkeypatch.setattr(freedim, "_LF_ATOMS", {})
+    monkeypatch.setattr(expr, "_TABLE_LIMIT", 4)
+    monkeypatch.setattr(expr, "_FRACTIONS", {})
+    monkeypatch.setattr(expr, "_LF_ATOMS", {})
     assert normalize(text) == want
-    assert 0 < len(freedim._FRACTIONS) <= 4 and 0 < len(freedim._LF_ATOMS) <= 4
+    assert 0 < len(expr._FRACTIONS) <= 4 and 0 < len(expr._LF_ATOMS) <= 4
 
 
 # -- the tokenizer against the character loop it replaced --------------------------
@@ -1333,13 +1346,13 @@ def test_rule_counts_after_divergence():
 
 # One node of each concrete expression class, with its kind.
 KIND_EXAMPLES = {
-    AtomC: (AtomC(), freedim._K_C),
-    AtomLZ: (AtomLZ(), freedim._K_LZ),
-    AtomR: (AtomR(), freedim._K_R),
-    AtomLF: (AtomLF(Fraction(9, 4)), freedim._K_LF),
-    Mat2Of: (Mat2Of(AtomLZ()), freedim._K_M2),
-    SumOf: (SumOf(AtomLZ(), AtomC()), freedim._K_SUM),
-    FreeOf: (FreeOf([FreeOf([AtomLZ(), AtomR()]), AtomC()]), freedim._K_FREE),
+    AtomC: (AtomC(), expr._K_C),
+    AtomLZ: (AtomLZ(), expr._K_LZ),
+    AtomR: (AtomR(), expr._K_R),
+    AtomLF: (AtomLF(Fraction(9, 4)), expr._K_LF),
+    Mat2Of: (Mat2Of(AtomLZ()), expr._K_M2),
+    SumOf: (SumOf(AtomLZ(), AtomC()), expr._K_SUM),
+    FreeOf: (FreeOf([FreeOf([AtomLZ(), AtomR()]), AtomC()]), expr._K_FREE),
 }
 
 
@@ -1354,7 +1367,7 @@ def test_every_expression_class_has_a_dispatched_kind():
     assert sorted(kinds) == list(range(len(kinds)))
     for cls, (node, kind) in KIND_EXAMPLES.items():
         assert vars(cls)["_kind"] == node._kind == kind
-        assert (kind < freedim._K_M2) == cls.__name__.startswith("Atom")
+        assert (kind < expr._K_M2) == cls.__name__.startswith("Atom")
         engine = Normalizer()
         engine._budget = 100  # as ``normalize`` sets it
         canonical = engine._canonicalize(node, ())
@@ -1644,7 +1657,7 @@ def test_plan_table_records_only_short_lists(monkeypatch):
     monkeypatch.setattr(freedim, "_PLANS", {})
     bound = freedim._PLAN_MAX_FACTORS
     normalize(" * ".join(["R"] * bound))
-    assert (freedim._S_R,) * bound in {tuple(s[-1] for s in key) for key in freedim._PLANS}
+    assert (expr._S_R,) * bound in {tuple(s[-1] for s in key) for key in freedim._PLANS}
     freedim._PLANS.clear()
     normalize(" * ".join(["R"] * (bound + 1)))
     assert freedim._PLANS and max(map(len, freedim._PLANS)) <= 2
@@ -1680,8 +1693,8 @@ _SHAPE_LISTS = st.lists(st.integers(0, 5), min_size=2, max_size=8).flatmap(
     lambda codes: st.tuples(*[st.tuples(*[_BY_SHAPE[c] for c in codes])] * 2))
 
 # The shapes each rule's result has, which a plan takes for granted.
-_RESULT_SHAPES = {"R7": (freedim._S_LF, freedim._S_LFT), "R8": (freedim._S_LF, freedim._S_LFT),
-                  "R9": (freedim._S_MAT,), "R6": (freedim._S_MAT,), "R12": (_S_SUM,)}
+_RESULT_SHAPES = {"R7": (expr._S_LF, expr._S_LFT), "R8": (expr._S_LF, expr._S_LFT),
+                  "R9": (expr._S_MAT,), "R6": (expr._S_MAT,), "R12": (_S_SUM,)}
 
 
 @settings(deadline=None, database=None, max_examples=200)
@@ -1703,7 +1716,7 @@ def test_plans_depend_only_on_factor_shapes(lists):
     def checked_pair(self, rule, i, j, facs, path):
         apply_pair(self, rule, i, j, facs, path)
         assert facs[max(i, j)] is None
-        assert facs[min(i, j)]._shapes == _RESULT_SHAPES.get(rule, (freedim._S_MAT,))
+        assert facs[min(i, j)]._shapes == _RESULT_SHAPES.get(rule, (expr._S_MAT,))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Normalizer, "_apply_one", checked_one)

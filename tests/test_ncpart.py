@@ -152,6 +152,11 @@ def test_partition_validation():
         NCPartition.from_blocks(3, [[1, 2], [2, 3]])  # repeated
 
 
+def test_partition_validation_refuses_an_empty_block():
+    with pytest.raises(ValueError, match=r"^empty block$"):
+        NCPartition.from_blocks(2, [[1, 2], []])
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_from_blocks_accepts_exactly_the_noncrossing(n):
     """Against every set partition of {1..n}: accepted with its blocks kept
