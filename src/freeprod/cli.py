@@ -33,18 +33,19 @@ class CliError(Exception):
 
 
 def cmd_nc_enum(args) -> int:
-    parts = ncpart.enumerate_nc(args.n)
-    if args.json:
-        doc = {"n": args.n, "count": len(parts)}
-        if not args.count:
-            doc["partitions"] = [p.encode() for p in parts]
-        print(json.dumps(doc, indent=2))
-        return 0
+    """Count, list or encode NC(n) as ``ncpart.visit_nc`` walks it: no
+    partition is kept, and ``--json`` keeps only the encoded strings."""
+    n = args.n
     if args.count:
-        print(len(parts))
-        return 0
-    for p in parts:
-        print(p.encode())
+        count = ncpart.visit_nc(n, lambda blocks: None)
+        print(json.dumps({"n": n, "count": count}, indent=2) if args.json else count)
+    elif args.json:
+        parts: List[str] = []
+        ncpart.visit_nc(n, lambda blocks: parts.append(ncpart.encode_blocks(blocks)))
+        print(json.dumps({"n": n, "count": len(parts), "partitions": parts}, indent=2))
+    else:
+        write = sys.stdout.write
+        ncpart.visit_nc(n, lambda blocks: write(ncpart.encode_blocks(blocks) + "\n"))
     return 0
 
 

@@ -58,7 +58,7 @@ from math import gcd, lcm
 from typing import (Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
-from .ncpart import enumerate_nc, kreweras, weighted_nc
+from .ncpart import enumerate_nc, kreweras, visit_nc, weighted_nc
 from .record import FrozenRecord
 from . import trigalg
 from .trigalg import PI_ONE, PI_ZERO, PiValue, TrigPoly, _frac
@@ -405,7 +405,8 @@ def bipartite_partition_counts(terms: Iterable[Tuple[Word, Collection[int]]]) ->
     number; 1 for the empty word.
 
     The count depends only on the leg of each x slot (None for ``UNIT``),
-    and ``ncpart.weighted_nc`` walks it once per such shape."""
+    and ``ncpart.visit_nc`` walks it once per such shape, keeping none of
+    the partitions it counts."""
     counts: Dict[tuple, int] = {}
     out = []
     for word, f1 in terms:
@@ -413,9 +414,10 @@ def bipartite_partition_counts(terms: Iterable[Tuple[Word, Collection[int]]]) ->
         shape = tuple(None if x is UNIT else x.leg for x in xs)
         got = counts.get(shape)
         if got is None:
-            got = counts[shape] = len(weighted_nc(
-                len(xs), lambda block: 0 if _cumulant_vanishes([xs[i - 1] for i in block]) else 1,
-                1)) if xs else 1
+            got = counts[shape] = visit_nc(
+                len(xs), lambda blocks, value: None,
+                lambda block: 0 if _cumulant_vanishes([xs[i - 1] for i in block]) else 1,
+                1) if xs else 1
         out.append(got)
     return out
 
@@ -788,7 +790,8 @@ class FreeProduct:
         stay within one leg.  Only the partitions with k_pi[x] != 0 are
         built: ``ncpart.weighted_nc`` multiplies a block's cumulant in as
         the block closes and drops a branch at the first zero, with each
-        block's cumulant computed once per call.
+        block's cumulant computed once per call, and each trace-side
+        block's moment once per call and letter tuple.
         """
         word = tuple(word)
         f1 = set(f1_positions)
@@ -807,12 +810,13 @@ class FreeProduct:
         if n == 0:
             return PI_ONE
         total = PI_ZERO
+        moments: Dict[tuple, PiValue] = {}
         for p, kappa in weighted_nc(
                 n, lambda block: self._cum_block(tuple(xs[i - 1] for i in block)), PI_ONE):
             comp = kreweras(p)
             tau = PI_ONE
             for block in comp.blocks:
-                tau = tau * self._trace_block(tuple(ys[i - 1] for i in block))
+                tau = tau * self._trace_block(tuple(ys[i - 1] for i in block), moments)
                 if tau.is_zero():
                     break
             total = total + kappa * tau
@@ -826,17 +830,25 @@ class FreeProduct:
             return PI_ZERO
         return self.leg_cumulant(entries)  # type: ignore[arg-type]
 
-    def _trace_block(self, entries: Tuple[object, ...]) -> PiValue:
+    def _trace_block(self, entries: Tuple[object, ...],
+                     moments: Optional[Dict[tuple, PiValue]] = None) -> PiValue:
+        """The moment of a trace-side block's letters.  ``trace_bipartite``
+        passes its own ``moments``, which keeps them by letter tuple for
+        the rest of that call."""
         letters = tuple(e for e in entries if e is not UNIT)
         if not letters:
             return PI_ONE
-        legs = {l.leg for l in letters}
-        if len(legs) > 1:
-            raise FamilySplitError(
-                "trace-side block mixes legs; assign multi-leg letters to the "
-                "cumulant side"
-            )
-        return self.leg_moment(letters)
+        if moments is None:
+            moments = {}
+        got = moments.get(letters)
+        if got is None:
+            if len({l.leg for l in letters}) > 1:
+                raise FamilySplitError(
+                    "trace-side block mixes legs; assign multi-leg letters to the "
+                    "cumulant side"
+                )
+            got = moments[letters] = self.leg_moment(letters)
+        return got
 
 
 # ---------------------------------------------------------------------------

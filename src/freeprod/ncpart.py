@@ -10,15 +10,22 @@ one at or after x.  A partition is non-crossing exactly when, scanning
 new one; a block continued from below the innermost would cross every
 block opened after it that is still open (Nica-Speicher, *Lectures on the
 Combinatorics of Free Probability*, 2006, Lecture 9).  This open-block
-rule is the one definition used here: one recursion builds partitions by
-it, either all of NC(n) (`enumerate_nc`) or only those whose blocks all
-carry a nonzero weight (`weighted_nc`, which drops a branch as soon as a
-block closes with weight zero), and `NCPartition.from_blocks` validates by
-it.
+rule is the one definition used here: one recursion, `visit_nc`, walks the
+partitions by it, either all of NC(n) or only those whose blocks all carry
+a nonzero weight (it drops a branch as soon as a block closes with weight
+zero), and `NCPartition.from_blocks` validates by it.
+
+The walk holds no list of partitions.  It hands each one to a visitor as
+it reaches it: the walk's live block lists (plus the weight product, when
+the walk is weighted), which it changes again as soon as the visitor
+returns.  Whoever keeps a partition copies it.  `enumerate_nc` and
+`weighted_nc` keep them all, as `NCPartition`s; `nc-enum`, the lemma
+sweep and the bipartite work count of `freeword` keep none.
 
 The partitions of NC(n) with 1 ~ n, which the interval lemma is about, are
 those of NC(n-1) with n added to the block of 1 (`linked_nc`), so the
-lemma sweep builds Catalan(n-1) partitions instead of Catalan(n).
+lemma sweep builds Catalan(n-1) partitions instead of Catalan(n), one at
+a time, each checked as the walk reaches it.
 
 The Kreweras complement K(p) lives on interleaved dual points 1', ..., n'
 (i' sits between i and i+1, n' after n) and is the coarsest partition of
@@ -104,7 +111,7 @@ class NCPartition(FrozenRecord):
         return tuple(idx)
 
     def encode(self) -> str:
-        return "|".join(",".join(str(x) for x in b) for b in self.blocks)
+        return encode_blocks(self.blocks)
 
     @classmethod
     def decode(cls, text: str) -> "NCPartition":
@@ -124,44 +131,40 @@ class NCPartition(FrozenRecord):
         return self.encode()
 
 
-def enumerate_nc(n: int) -> List[NCPartition]:
-    """All non-crossing partitions of {1..n}, lexicographic by
-    block-of-element vector.  Guarded to n <= 12.  The weight-free case of
-    ``_open_block_walk``."""
-    return _open_block_walk(n, None, 1)
+def encode_blocks(blocks: Iterable[Iterable[int]]) -> str:
+    """The text form of a partition, ``1,4|2,3``, from its blocks by least
+    element: ``NCPartition.encode`` of a partition, or of the live blocks
+    that ``visit_nc`` hands over."""
+    return "|".join([",".join(map(str, b)) for b in blocks])
 
 
-def weighted_nc(n: int, weight: Callable[[Tuple[int, ...]], Any],
-                unit) -> List[Tuple[NCPartition, Any]]:
-    """The partitions p of NC(n) whose blocks' weights have a nonzero
-    product, each with that product (``unit`` times the weights), in the
-    order of ``enumerate_nc``.  Guarded to n <= 12.
+def visit_nc(n: int, visit: Callable[..., Any],
+             weight: Optional[Callable[[Tuple[int, ...]], Any]] = None,
+             unit: Any = 1) -> int:
+    """Hand each partition of NC(n) to ``visit`` as the walk reaches it, in
+    increasing block-vector order, and return how many it handed over.
+    Guarded to n <= 12.
 
-    ``weight`` maps a block, an increasing tuple of elements, to a ring
-    element that is falsy at zero; it is called at most once per block.  A
-    partition with a zero block is never built: the walk stops a branch at
-    the first block of weight zero."""
-    return _open_block_walk(n, weight, unit)
-
-
-def _open_block_walk(n: int, weight: Optional[Callable[[Tuple[int, ...]], Any]],
-                     unit: Any) -> list:
-    """The open-block rule of the module docstring as one recursion.
+    This is the open-block rule of the module docstring as one recursion.
     Element i closes the innermost block that may still grow and is placed
     against the older ones, or joins that block, or, when it has closed
     none, opens a new block.  Tried in that order, the joins run oldest
     block first, so the leaves come in increasing block-vector order.
 
-    A closed block is final, so with ``weight`` its weight is multiplied
-    in as it closes (the blocks still open close at the end), and a
-    branch whose product turns zero is not followed; the leaves are then
-    (partition, product) pairs.  Without it they are the partitions."""
+    ``visit(blocks)`` gets the walk's live blocks: a list, by least
+    element, of increasing lists of elements, which the walk changes again
+    once ``visit`` returns.  A visitor copies what it keeps.
+
+    With ``weight`` (see ``weighted_nc``), a closed block is final, so its
+    weight is multiplied in as it closes (the blocks still open close at
+    the end), and a branch whose product turns zero is not followed; the
+    visitor is then called as ``visit(blocks, product)``."""
     if not (1 <= n <= MAX_ENUM_N):
         raise SizeLimitError(f"n must be in 1..{MAX_ENUM_N}, got {n}")
-    out: list = []
     blocks: List[List[int]] = []  # by least element
     growable: List[List[int]] = []  # blocks that may still grow, innermost last
     memo: dict = {}
+    count = 0
 
     def closed(value, b: List[int]):
         key = tuple(b)
@@ -171,15 +174,17 @@ def _open_block_walk(n: int, weight: Optional[Callable[[Tuple[int, ...]], Any]],
         return value * w
 
     def place(i: int, value, may_open: bool) -> None:
+        nonlocal count
         if i > n:
             if weight is None:
-                out.append(NCPartition(n, tuple(map(tuple, blocks))))
-                return
-            for b in reversed(growable):
-                value = closed(value, b)
-                if not value:
-                    return
-            out.append((NCPartition(n, tuple(map(tuple, blocks))), value))
+                visit(blocks)
+            else:
+                for b in reversed(growable):
+                    value = closed(value, b)
+                    if not value:
+                        return
+                visit(blocks, value)
+            count += 1
             return
         if len(growable) > 1:  # closing the last one would leave i nowhere
             b = growable.pop()
@@ -201,6 +206,31 @@ def _open_block_walk(n: int, weight: Optional[Callable[[Tuple[int, ...]], Any]],
             blocks.pop()
 
     place(1, unit, True)
+    return count
+
+
+def enumerate_nc(n: int) -> List[NCPartition]:
+    """All non-crossing partitions of {1..n}, lexicographic by
+    block-of-element vector.  Guarded to n <= 12.  ``visit_nc``'s
+    partitions, kept."""
+    out: List[NCPartition] = []
+    visit_nc(n, lambda blocks: out.append(NCPartition(n, tuple(map(tuple, blocks)))))
+    return out
+
+
+def weighted_nc(n: int, weight: Callable[[Tuple[int, ...]], Any],
+                unit) -> List[Tuple[NCPartition, Any]]:
+    """The partitions p of NC(n) whose blocks' weights have a nonzero
+    product, each with that product (``unit`` times the weights), in the
+    order of ``enumerate_nc``.  Guarded to n <= 12.
+
+    ``weight`` maps a block, an increasing tuple of elements, to a ring
+    element that is falsy at zero; it is called at most once per block.  A
+    partition with a zero block is never built: the walk stops a branch at
+    the first block of weight zero."""
+    out: List[Tuple[NCPartition, Any]] = []
+    visit_nc(n, lambda blocks, value: out.append(
+        (NCPartition(n, tuple(map(tuple, blocks))), value)), weight, unit)
     return out
 
 
@@ -260,32 +290,47 @@ class LemmaReport(Record):
         self.counterexample = counterexample
 
 
-def linked_nc(n: int) -> List[NCPartition]:
-    """The partitions of NC(n) with 1 ~ n, lexicographic by block-of-element
-    vector, for 2 <= n <= 13: each q in NC(n-1) with n added to the block
-    of 1.
+def _visit_linked(n: int, visit: Callable[[NCPartition], Any]) -> None:
+    """Hand each partition of NC(n) with 1 ~ n to ``visit``, lexicographic
+    by block-of-element vector, for 2 <= n <= 13: each q in NC(n-1), as
+    ``visit_nc`` reaches it, with n added to the block of 1.
 
     Adding n crosses nothing: a crossing a < b < c < n with b ~ 1 ~ n and
     a ~ c would already cross in q, at 1 < a < b < c.  Deleting n from a
     partition with 1 ~ n gives back q, so this is a bijection, and the
     block vector of the result is q's followed by a 0, so the order is
     q's."""
-    return [NCPartition(n, (q.blocks[0] + (n,),) + q.blocks[1:])
-            for q in enumerate_nc(n - 1)]
+    visit_nc(n - 1, lambda blocks: visit(
+        NCPartition(n, ((*blocks[0], n),) + tuple(map(tuple, blocks[1:])))))
+
+
+def linked_nc(n: int) -> List[NCPartition]:
+    """The partitions of NC(n) with 1 ~ n, lexicographic by block-of-element
+    vector, for 2 <= n <= 13 (``_visit_linked``'s partitions, kept)."""
+    out: List[NCPartition] = []
+    _visit_linked(n, out.append)
+    return out
+
+
+class _Counterexample(Exception):
+    """Ends the lemma sweep's walk at its first counterexample."""
 
 
 def verify_kreweras_interval_lemma(n: int) -> LemmaReport:
     """For every p in NC(n) with 1 ~ n and every interval block
     (k, ..., k+l) of K(p), check that k and k+l+1 (wrapped, n+1 -> 1) lie
     in the same block of p.  Edge cases k = 1 and k+l = n are checked
-    exhaustively rather than assumed.  The partitions come from
-    ``linked_nc``.
+    exhaustively rather than assumed.  Each p is checked as
+    ``_visit_linked`` builds it, and the sweep stops at the first
+    counterexample.
     """
     if not (2 <= n <= MAX_LEMMA_N):
         raise SizeLimitError(f"n must be in 2..{MAX_LEMMA_N}, got {n}")
     parts = 0
     intervals = 0
-    for p in linked_nc(n):
+
+    def check(p: NCPartition) -> None:
+        nonlocal parts, intervals
         where = p.block_index()
         parts += 1
         comp = kreweras(p)
@@ -295,17 +340,16 @@ def verify_kreweras_interval_lemma(n: int) -> LemmaReport:
             l = len(block) - 1
             target = (k + l) % n + 1  # k+l+1 wrapped into 1..n
             if where[k - 1] != where[target - 1]:
-                return LemmaReport(
-                    n,
-                    parts,
-                    intervals,
-                    False,
-                    {
-                        "partition": p.encode(),
-                        "kreweras": comp.encode(),
-                        "interval": list(block),
-                        "k": k,
-                        "expected_partner": target,
-                    },
-                )
+                raise _Counterexample({
+                    "partition": p.encode(),
+                    "kreweras": comp.encode(),
+                    "interval": list(block),
+                    "k": k,
+                    "expected_partner": target,
+                })
+
+    try:
+        _visit_linked(n, check)
+    except _Counterexample as found:
+        return LemmaReport(n, parts, intervals, False, found.args[0])
     return LemmaReport(n, parts, intervals, True)

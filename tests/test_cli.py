@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -91,7 +92,7 @@ def test_run_main_reads_exit_codes_and_enforces_its_timeout(monkeypatch):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == ("freeprod nc-enum: error: the following arguments "
                                     "are required: --n")
-    monkeypatch.setattr(ncpart, "enumerate_nc", lambda n: time.sleep(30))
+    monkeypatch.setattr(ncpart, "visit_nc", lambda *args: time.sleep(30))
     start = time.perf_counter()
     with pytest.raises(pytest.fail.Exception, match="ran past its 0.2 s timeout"):
         run_main("nc-enum", "--n", "3", timeout=0.2)
@@ -132,6 +133,34 @@ def test_nc_enum_listing():
     assert len(lines) == 5
     assert "1,2,3" in lines
     assert "1,3|2" in lines
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_nc_enum_streams_the_enumeration(n, monkeypatch):
+    """Text, ``--json`` and ``--count`` print the bytes of a listing built
+    from ``enumerate_nc``, which the command itself never calls: it prints
+    or counts each partition as the walk reaches it."""
+    parts = [p.encode() for p in ncpart.enumerate_nc(n)]
+    monkeypatch.setattr(ncpart, "enumerate_nc", lambda n: pytest.fail("list built"))
+    assert run_cli("nc-enum", "--n", str(n)) == "".join(f"{p}\n" for p in parts)
+    assert run_cli("nc-enum", "--n", str(n), "--json") == json.dumps(
+        {"n": n, "count": len(parts), "partitions": parts}, indent=2) + "\n"
+    assert run_cli("nc-enum", "--n", str(n), "--count") == f"{len(parts)}\n"
+    assert run_cli("nc-enum", "--n", str(n), "--json", "--count") == json.dumps(
+        {"n": n, "count": len(parts)}, indent=2) + "\n"
+
+
+def test_nc_enum_count_holds_no_partition_list():
+    """Counting the 58786 partitions of NC(11) keeps none of them: the
+    traced peak stays under 4 MB, where a list of them takes about 29 MB."""
+    tracemalloc.start()
+    try:
+        out = run_cli("nc-enum", "--n", "11", "--count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == "58786\n"
+    assert peak < 4 * 2**20, peak
 
 
 def test_nc_kreweras():
@@ -498,6 +527,7 @@ def test_free_check_stats_line():
 # order.
 _README_OUTPUTS = [
     pytest.param("nc-enum --n 4 --count", "stdout", ["14"], id="nc-enum"),
+    pytest.param("nc-enum --n 12 --count", "stdout", ["208012"], id="nc-enum-12"),
     pytest.param('nc-kreweras --p "1,3|2|4"', "stdout", ["1,2|3,4"], id="nc-kreweras"),
     pytest.param('trace --word "c u c u*" --bipartite', "stdout", ["exact: 4*L^2"],
                  id="trace"),

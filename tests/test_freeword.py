@@ -773,6 +773,21 @@ def test_bipartite_prunes_zero_cumulant_branches(fp, monkeypatch):
     assert len(blocks) <= 256
 
 
+def test_bipartite_takes_each_trace_side_moment_once(fp, monkeypatch):
+    """(u c u* c)^5 over 10 slot pairs: the trace side of its Kreweras
+    complements holds 5 distinct letter tuples, and each one's moment is
+    taken once in the call, not once per block (2002 blocks)."""
+    u, f = fp.leg("u"), fp.leg("f")
+    word = (u.gen(1), f.c(), u.gen(-1), f.c()) * 5
+    f1 = range(0, 20, 2)
+    want = reference_trace_bipartite(fp, word, f1)
+    calls = []
+    moment = fp.leg_moment
+    monkeypatch.setattr(fp, "leg_moment", lambda letters: calls.append(letters) or moment(letters))
+    assert fp.trace_bipartite(word, f1) == want == fp.trace_word(word) != PI_ZERO
+    assert len(calls) == len(set(calls)) == 5
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(["a", "b", "c", None]), min_size=1, max_size=9))
 def test_bipartite_partition_counts_match_enumeration(shape):

@@ -3,8 +3,9 @@ module under ``src/freeprod`` imports a name it never uses, every private
 module-level name it defines is read somewhere in the package, every
 module-level table that a function mutates is listed with its bound, the
 package's import graph is the listed one, the two trace evaluators share
-only listed names, the test oracles read only the expression layer, and
-only ``tests/test_cli.py`` starts subprocesses."""
+only listed names, ``ncpart`` has one recursion and every enumeration goes
+through it, the test oracles read only the expression layer, and only
+``tests/test_cli.py`` starts subprocesses."""
 
 import ast
 import pathlib
@@ -434,6 +435,78 @@ def test_a_shared_memo_is_found():
     assert _shared(tree, "Evaluators.first", "Evaluators.second", set()) == set()
     assert _shared(tree, "Evaluators.second", "Evaluators.third", set()) == {"Evaluators._memo"}
     assert _shared(tree, "Evaluators.second", "Evaluators.third", {"Evaluators._memo"}) == set()
+
+
+def _recursive_functions(tree):
+    """The functions of a module, at any depth and named by their dotted
+    path, that call themselves: by bare name, or as a method on ``self``
+    or ``cls``."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = path + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(sub, ast.Call) and (
+                            isinstance(sub.func, ast.Name) and sub.func.id == child.name
+                            or isinstance(sub.func, ast.Attribute) and sub.func.attr == child.name
+                            and isinstance(sub.func.value, ast.Name)
+                            and sub.func.value.id in ("self", "cls"))
+                        for sub in ast.walk(child)):
+                    found.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, path)
+
+    visit(tree, "")
+    return found
+
+
+def _module_attributes(tree, function, module):
+    """The attributes that the module-level ``function`` reads off the
+    imported module name ``module``."""
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name) and sub.value.id == module}
+
+
+def test_ncpart_has_one_walk():
+    """The open-block rule is walked by one recursion, ``visit_nc``, and
+    every enumeration and the CLI's listing go through it."""
+    tree = ast.parse((PACKAGE / "ncpart.py").read_text(encoding="utf-8"))
+    assert _recursive_functions(tree) == ["visit_nc.place"]
+    for name in ("enumerate_nc", "weighted_nc", "linked_nc", "verify_kreweras_interval_lemma"):
+        assert "visit_nc" in _reachable(tree, name), name
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert "visit_nc" in set().union(*(_reachable(tree, attr) for attr in
+                                       _module_attributes(cli, "cmd_nc_enum", "ncpart")))
+
+
+def test_a_second_recursion_is_found():
+    """The check names nested recursions by their path, sees a method that
+    calls itself on ``self``, and not a call of another function or of a
+    same-named method of another object; the CLI's reads off a module are
+    followed into it."""
+    tree = ast.parse("def walk(n, visit):\n"
+                     "    def place(i):\n"
+                     "        return visit(i) if i > n else place(i + 1)\n"
+                     "    place(1)\n"
+                     "def listed(n):\n"
+                     "    return walk(n, print)\n"
+                     "def fact(k):\n"
+                     "    return 1 if k < 2 else k * fact(k - 1)\n"
+                     "class Tree:\n"
+                     "    def size(self):\n"
+                     "        return 1 + sum(c.size() for c in self.kids)\n"
+                     "    def depth(self, d):\n"
+                     "        return self.depth(d - 1) if d else 0\n")
+    assert _recursive_functions(tree) == ["walk.place", "fact", "Tree.depth"]
+    cli = ast.parse("import lib\n"
+                    "def cmd(args):\n"
+                    "    return lib.listed(args.n) or lib.other\n")
+    assert _module_attributes(cli, "cmd", "lib") == {"listed", "other"}
+    assert "walk" in _reachable(tree, "listed")
 
 
 # The test oracles of ``tests/test_freedim.py``: the reference evaluators
