@@ -363,7 +363,8 @@ class Normalizer:
     The verified tables read only the normal form, so they run the engine
     by ``_run(e, keep_log=False)``: the same derivation, each step checked
     for fdim conservation and spent from the budget, but no step kept.
-    ``normalize`` runs it with ``keep_log=True``.
+    ``normalize`` runs it with ``keep_log=True``.  The two runs differ also
+    in how long the memo lasts (below).
 
     The factor loop keeps an index instead of reclassifying the factors
     each round.  A factor keeps its slot, its position in the input list:
@@ -399,19 +400,26 @@ class Normalizer:
     it.
 
     A deterministic derivation of a factor list depends on nothing but the
-    factors, and balanced trees meet the same list many times.  Within one
-    run, the first reduction of a factor list is remembered under the tuple
-    of the factors' texts (the text of a tree determines the tree),
-    together with the steps spent from the budget before and after it,
-    which in a logging run are the bounds of its steps in the log.  A later
-    reduction of the same list takes the result and spends the same number
-    of steps, so the budget runs out at the step a full re-derivation
-    reaches; a logging run also logs those steps again, their paths moved
-    under its own path and their sides still unrendered.  Seeded runs
-    derive every list afresh, so their random draws are unaffected.  After
-    ``normalize``, ``memo_hits`` and ``memo_misses`` count the lists taken
-    from and entered into the memo, and ``rule_counts`` the logged steps
-    per rule.
+    factors, and balanced trees meet the same list many times.  The first
+    reduction of a factor list is remembered under the tuple of the
+    factors' texts (the text of a tree determines the tree), together with
+    the steps spent from the budget before and after it, which in a logging
+    run are the bounds of its steps in the log.  A later reduction of the
+    same list takes the result and spends the same number of steps, so the
+    budget runs out at the step a full re-derivation reaches; a logging run
+    also logs those steps again, their paths moved under its own path and
+    their sides still unrendered.  Seeded runs derive every list afresh, so
+    their random draws are unaffected.  A logging run starts and ends with
+    an empty memo, since its entries point into its own log.  An unlogged
+    run reads only an entry's result and its step count, stop - start,
+    which do not depend on the run that recorded it; so the memo lasts
+    across the unlogged runs of one engine, and a hit on an earlier run's
+    entry spends, and raises ``DivergenceError``, as deriving the list
+    again would.  The verified tables therefore reduce the rows that share
+    a left operand on one engine, and drop it before the next.  After a
+    run, ``memo_hits`` and ``memo_misses`` count the lists it took from and
+    entered into the memo, which for an unlogged run counts hits on earlier
+    runs' entries, and ``rule_counts`` the logged steps per rule.
 
     The engine dispatches on each node's ``_kind`` and reads its cached
     ``_size``, ``_fdim``, ``_text`` and ``_shapes``, so it never walks a
@@ -453,11 +461,15 @@ class Normalizer:
         self._spent = 0
         self._budget = self.max_steps if self.max_steps is not None \
             else 200 + 40 * e._size
+        if keep_log:
+            # a logged run's entries point into its own log
+            self._memo.clear()
         try:
             e1 = self._canonicalize(e, ())
             red = self._reduce(e1, ())
         finally:
-            self._memo.clear()
+            if keep_log:
+                self._memo.clear()
         depth = 0
         core = red
         while core._kind == _K_M2:
@@ -726,28 +738,35 @@ def example_61_sequence(n_max: int) -> TableReport:
     C^(2^n) * C^(2^m) has 2^(n+1) + 2^(m+1) - 1 nodes, so n_max is bounded,
     before any tree is built, by the parser's MAX_EXPR_SIZE.
 
-    A row reads only the normal form, so the engine keeps no step log (see
-    ``Normalizer``); each step is still checked for fdim conservation."""
+    The rows list the diagonal n = m first, then n != m by n and m.  Each
+    operand C^(2^n) is built once.  A row reads only the normal form, so
+    the engine keeps no step log (see ``Normalizer``); each step is still
+    checked for fdim conservation.  The rows of one left operand n are
+    reduced on one engine, whose memo lasts across them, and each row is
+    placed at its index in the report."""
     if not (1 <= n_max <= EXAMPLE_61_MAX_N):
         raise ValueError(f"n_max must be in 1..{EXAMPLE_61_MAX_N}: the row n = m = n_max "
                          f"has 2^(n_max + 2) - 1 nodes, at most {MAX_EXPR_SIZE}")
-    engine = Normalizer()
-    rows: List[dict] = []
-    failures: List[dict] = []
-    sizes = range(1, n_max + 1)
-    for n, m in [(n, n) for n in sizes] + [(n, m) for n in sizes for m in sizes if n != m]:
-        nf = engine._run(FreeOf([pow2sum(AtomC(), 2 ** n), pow2sum(AtomC(), 2 ** m)]),
-                         keep_log=False)
-        want = 5 - 2 * (Fraction(1, 2 ** (n - 1)) + Fraction(1, 2 ** (m - 1)))
-        want_alias = 1 + (want - 1) / 4 if want > 1 else None
-        alias = nf.alias()
-        row = {"n": n, "m": m, "normal_form": nf.text(), "parameter": str(nf.param),
-               "expected": str(want), "alias": None if alias is None else str(alias)}
-        rows.append(row)
-        if not (nf.depth == 1 and nf.core == "LF" and nf.param == want
-                and alias == want_alias):
-            failures.append(row)
-    return TableReport("example61", rows, failures)
+    sums = [pow2sum(AtomC(), 2 ** n) for n in range(1, n_max + 1)]
+    rows: List[Optional[dict]] = [None] * n_max ** 2
+    failures: List[Tuple[int, dict]] = []
+    for n, left in enumerate(sums, 1):
+        engine = Normalizer()
+        term = Fraction(1, 2 ** (n - 1))
+        for m, right in enumerate(sums, 1):
+            nf = engine._run(FreeOf([left, right]), keep_log=False)
+            want = 5 - 2 * (term + Fraction(1, 2 ** (m - 1)))
+            want_alias = 1 + (want - 1) / 4 if want > 1 else None
+            alias = nf.alias()
+            row = {"n": n, "m": m, "normal_form": nf.text(), "parameter": str(nf.param),
+                   "expected": str(want), "alias": None if alias is None else str(alias)}
+            # the n_max diagonal rows, then n_max - 1 rows per n
+            at = n - 1 if n == m else n_max + (n - 1) * (n_max - 1) + m - 1 - (m > n)
+            rows[at] = row
+            if not (nf.depth == 1 and nf.core == "LF" and nf.param == want
+                    and alias == want_alias):
+                failures.append((at, row))
+    return TableReport("example61", rows, [row for _, row in sorted(failures)])
 
 
 def prop_62_table(n_max: int, m_max: int, k_max: int, l_max: int) -> TableReport:
@@ -762,32 +781,47 @@ def prop_62_table(n_max: int, m_max: int, k_max: int, l_max: int) -> TableReport
 
     for 1 <= n <= n_max, 1 <= m <= m_max, 0 <= k <= k_max and
     0 <= l <= l_max.  n and m start at 1: with n = 0 a side is LF_k itself,
-    neither a sum nor an amplification, and outside the formula.  A row
-    reads only the normal form, so the engine keeps no step log (see
-    ``Normalizer``); each step is still checked for fdim conservation.
+    neither a sum nor an amplification, and outside the formula.  The rows
+    list each family in turn, by n, m, k and l.  Each distinct side is
+    built once.  A row reads only the normal form, so the engine keeps no
+    step log (see ``Normalizer``); each step is still checked for fdim
+    conservation.  The rows of one left operand (family, n, k) are reduced
+    on one engine, whose memo lasts across them, and each row is placed at
+    its index in the report.
     """
     for name, val, low in (("n_max", n_max, 1), ("m_max", m_max, 1),
                            ("k_max", k_max, 0), ("l_max", l_max, 0)):
         if not (low <= val <= 4):
             raise ValueError(f"{name} must be in {low}..4")
-    engine = Normalizer()
-    rows: List[dict] = []
-    failures: List[dict] = []
+    built: Dict[Tuple[Callable, int, int], Expr] = {}
+
+    def side(build: Callable, n: int, k: int) -> Expr:
+        e = built.get((build, n, k))
+        if e is None:
+            e = built[build, n, k] = build(_lf_atom((k, 1)) if k else AtomC(), 2 ** n)
+        return e
+
+    per_family = n_max * m_max * (k_max + 1) * (l_max + 1)
+    rows: List[Optional[dict]] = [None] * (3 * per_family)
+    failures: List[Tuple[int, dict]] = []
     # A side: its builder of S or M from LF_k and 2^n, and the c and b of
     # its term c(k - 1)/b^(n - 1) in the parameter.
     sums, mats = (pow2sum, 2, 2), (matpow, 1, 4)
-    for label, (left, lc, lb), (right, rc, rb) in (
-            ("sum*sum", sums, sums), ("mat*sum", mats, sums), ("mat*mat", mats, mats)):
-        for n, m, k, l in product(range(1, n_max + 1), range(1, m_max + 1),
-                                  range(k_max + 1), range(l_max + 1)):
-            nf = engine._run(FreeOf([left(_lf_atom((k, 1)) if k else AtomC(), 2 ** n),
-                                     right(_lf_atom((l, 1)) if l else AtomC(), 2 ** m)]),
-                             keep_log=False)
-            want = (5 + Fraction(lc * (k - 1), lb ** (n - 1))
-                    + Fraction(rc * (l - 1), rb ** (m - 1)))
-            row = {"family": label, "n": n, "m": m, "k": k, "l": l,
-                   "normal_form": nf.text(), "parameter": str(nf.param), "expected": str(want)}
-            rows.append(row)
-            if not (nf.depth == 1 and nf.core == "LF" and nf.param == want):
-                failures.append(row)
-    return TableReport("prop62", rows, failures)
+    for f, (label, (lbuild, lc, lb), (rbuild, rc, rb)) in enumerate((
+            ("sum*sum", sums, sums), ("mat*sum", mats, sums), ("mat*mat", mats, mats))):
+        for n, k in product(range(1, n_max + 1), range(k_max + 1)):
+            left = side(lbuild, n, k)
+            engine = Normalizer()
+            base = 5 + Fraction(lc * (k - 1), lb ** (n - 1))
+            for m, l in product(range(1, m_max + 1), range(l_max + 1)):
+                nf = engine._run(FreeOf([left, side(rbuild, m, l)]), keep_log=False)
+                want = base + Fraction(rc * (l - 1), rb ** (m - 1))
+                row = {"family": label, "n": n, "m": m, "k": k, "l": l,
+                       "normal_form": nf.text(), "parameter": str(nf.param),
+                       "expected": str(want)}
+                at = f * per_family + (((n - 1) * m_max + m - 1) * (k_max + 1) + k) \
+                    * (l_max + 1) + l
+                rows[at] = row
+                if not (nf.depth == 1 and nf.core == "LF" and nf.param == want):
+                    failures.append((at, row))
+    return TableReport("prop62", rows, [row for _, row in sorted(failures)])

@@ -1520,6 +1520,131 @@ def test_log_free_budget_inside_repeated_reductions():
             Normalizer(max_steps=limit)._run(e, False)
 
 
+def test_unlogged_runs_on_one_engine_match_fresh_engines():
+    """The memo lasts across the unlogged runs of one engine, and each run
+    gives the normal form and spends the steps of a fresh engine's run."""
+    shared = Normalizer()
+    misses = 0
+    for e in prop_62_inputs(2, 2, 2, 2):
+        fresh = Normalizer()
+        assert shared._run(e, False) == fresh._run(e, False)
+        assert shared._spent == fresh._spent
+        misses += fresh.memo_misses - shared.memo_misses
+    assert misses > 0  # the runs took entries of earlier runs
+
+
+# The rows of the left operand C^4 at k = 0 of ``prop_62_table``'s sum*sum
+# family, in the order its engine reduces them.
+C4_ROWS = ["C^4 * C^2", "C^4 * LF(1)^2", "C^4 * LF(2)^2", "C^4 * C^4", "C^4 * LF(1)^4",
+           "C^4 * LF(2)^4"]
+
+
+def test_shared_memo_raises_under_the_budgets_of_a_fresh_engine():
+    """For each row, under every budget up to its steps, the engine that has
+    reduced the rows before it raises ``DivergenceError`` exactly when a
+    fresh engine does, and otherwise gives the same normal form."""
+    rows = [parse(t) for t in C4_ROWS]
+
+    def outcome(e, earlier, limit):
+        """The normal form, or None for a ``DivergenceError``, and the memo
+        misses of a run after ``earlier`` on one engine."""
+        engine = Normalizer()
+        for x in earlier:
+            engine._run(x, False)
+        engine.max_steps = limit
+        try:
+            return engine._run(e, False), engine.memo_misses
+        except DivergenceError:
+            return None, engine.memo_misses
+
+    for j, e in enumerate(rows):
+        fresh = Normalizer()
+        nf = fresh._run(e, False)
+        for limit in range(fresh._spent + 2):
+            want = nf if limit >= fresh._spent else None
+            assert outcome(e, [], limit)[0] == outcome(e, rows[:j], limit)[0] == want
+        # every row after the first takes entries of the rows before it
+        assert (outcome(e, rows[:j], None)[1] < fresh.memo_misses) == (j > 0)
+
+
+def test_logged_run_after_unlogged_rows_starts_afresh():
+    """A logged run on an engine that has reduced rows without a log shows
+    what a fresh engine's shows: the step log, memo counts and rule counts;
+    and it leaves the memo empty."""
+    e = parse("C^4 * C^4")
+    engine = Normalizer()
+    for text in C4_ROWS:
+        engine._run(parse(text), False)
+    assert engine._memo
+    fresh = Normalizer()
+    assert engine.normalize(e)[0] == fresh.normalize(e)[0]
+    assert [s.to_json() for s in engine.steps] == [s.to_json() for s in fresh.steps]
+    assert (engine.memo_hits, engine.memo_misses) == (fresh.memo_hits, fresh.memo_misses)
+    assert list(engine.rule_counts.items()) == list(fresh.rule_counts.items())
+    assert engine._memo == {}
+
+
+# SHA-256 of ``json.dumps(report.to_json())`` for each table at its largest
+# size, recorded before the rows of one left operand shared an engine.
+TABLE_DIGESTS = {
+    "example61": (lambda: example_61_sequence(11),
+                  "d1920b9b1c44c51073ddbe832df5c39b5340db7d1a6367c2b0e481ab2872f3ec"),
+    "prop62": (lambda: prop_62_table(4, 4, 4, 4),
+               "578b7b873232076010299fa540407a7f423db865854cf3c0a322fc1c7ffeb871"),
+}
+
+
+@pytest.mark.parametrize("table", TABLE_DIGESTS)
+def test_table_bytes_at_the_largest_size(table):
+    build, digest = TABLE_DIGESTS[table]
+    assert hashlib.sha256(json.dumps(build().to_json()).encode()).hexdigest() == digest
+
+
+def test_tables_build_each_operand_once(monkeypatch):
+    """Each distinct side is built once per table, and each left operand
+    has one engine: (family, n, k) in prop62, n in example61."""
+    calls = []
+    for name in ("pow2sum", "matpow"):
+        build = getattr(freedim, name)
+        monkeypatch.setattr(freedim, name, lambda e, k, name=name, build=build:
+                            calls.append((name, e._text, k)) or build(e, k))
+    engines = []
+    monkeypatch.setattr(freedim, "Normalizer",
+                        lambda: engines.append(Normalizer()) or engines[-1])
+    assert prop_62_table(2, 2, 2, 2).passed
+    assert len(calls) == len(set(calls))
+    assert Counter(name for name, _, _ in calls) == {"pow2sum": 6, "matpow": 6}
+    assert len(engines) == 3 * 2 * 3
+    calls.clear()
+    engines.clear()
+    assert example_61_sequence(5).passed
+    assert calls == [("pow2sum", "C", 2 ** n) for n in range(1, 6)]
+    assert len(engines) == 5
+
+
+def test_table_failures_keep_the_row_order(monkeypatch):
+    """Rows reduced by left operand are reported in the tables' row order,
+    and so are their failures."""
+    run = Normalizer._run
+
+    def wrong_for_c(self, e, keep_log):
+        """A wrong normal form where the right side is built from C, which
+        fails rows of several left operands in turn."""
+        nf = run(self, e, keep_log)
+        return nf if "LF" in e.factors[1]._text else NormalForm(0, "C")
+
+    monkeypatch.setattr(Normalizer, "_run", wrong_for_c)
+    e61, p62 = example_61_sequence(4), prop_62_table(2, 3, 1, 2)
+    for report, failed in [(e61, 4 * 4), (p62, 3 * 2 * 3 * 2)]:
+        assert report.failures == [r for r in report.rows if r["normal_form"] == "C"]
+        assert len(report.failures) == failed
+    assert [(r["n"], r["m"]) for r in e61.rows] == [(n, n) for n in range(1, 5)] + [
+        (n, m) for n in range(1, 5) for m in range(1, 5) if n != m]
+    assert [(r["family"], r["n"], r["m"], r["k"], r["l"]) for r in p62.rows] == [
+        (f, n, m, k, l) for f in ["sum*sum", "mat*sum", "mat*mat"]
+        for n, m, k, l in product(range(1, 3), range(1, 4), range(2), range(3))]
+
+
 def test_tables_check_conservation_without_a_log(monkeypatch):
     share = freedim._m2_share
 

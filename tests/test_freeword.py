@@ -10,6 +10,7 @@ numbers via Moebius inversion.
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -788,6 +789,13 @@ def test_bipartite_takes_each_trace_side_moment_once(fp, monkeypatch):
     assert len(calls) == len(set(calls)) == 5
 
 
+@lru_cache(maxsize=None)
+def nc_blocks(n):
+    """The block tuples of every partition of NC(n), enumerated once per n
+    and shared by the examples of a property test."""
+    return tuple(p.blocks for p in enumerate_nc(n))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(["a", "b", "c", None]), min_size=1, max_size=9))
 def test_bipartite_partition_counts_match_enumeration(shape):
@@ -802,11 +810,11 @@ def test_bipartite_partition_counts_match_enumeration(shape):
         word.append(HaarLetter("y", 1))
     [got] = freeword.bipartite_partition_counts([(tuple(word), f1)])
     want = sum(all(len(b) == 1 or (len({shape[i - 1] for i in b}) == 1
-                                   and shape[b[0] - 1] is not None) for b in p.blocks)
-               for p in enumerate_nc(len(shape)))
+                                   and shape[b[0] - 1] is not None) for b in blocks)
+               for blocks in nc_blocks(len(shape)))
     assert got == want
     if set(shape) == {"a"}:
-        assert got == len(enumerate_nc(len(shape)))
+        assert got == len(nc_blocks(len(shape)))
 
 
 def test_bipartite_partition_counts_bound_the_walk(fp, monkeypatch):
